@@ -24,11 +24,18 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.simtime.cost import CostModel
 from repro.util.errors import MpiAbort, ReproError
+from repro.util.rng import _stable_hash
+
+# Real-time safety net of every blocking wait below.  Correctness never
+# depends on it: each event that can complete a wait notifies the
+# waiter's condition (docs/PROTOCOLS.md §8).
+_WAIT_TIMEOUT_S = 0.05
 
 # Wildcards, kept numeric like the real mpi.h constants.
 ANY_SOURCE = -1
@@ -92,19 +99,21 @@ class Fabric:
         # FaultPlan is installed); None on the hot path.
         self.injector = None
         self._lock = threading.Lock()
-        self._cv = threading.Condition(self._lock)
+        # One condition per destination rank, all on the fabric lock: a
+        # blocked rank is woken only by events it can act on.
+        self._cvs = [threading.Condition(self._lock) for _ in range(nranks)]
         self._queues: List[List[Message]] = [[] for _ in range(nranks)]
         self._counters: List[_Counters] = [_Counters() for _ in range(nranks)]
         self._seq = itertools.count()
         self._aborted: Optional[BaseException] = None
-        # Monotonic activity counter: bumped (with a broadcast wakeup) on
-        # every event that could complete someone's blocking wait — a new
-        # message, an abort, or an external waker such as the checkpoint
-        # coordinator arming intent.  Wrapper poll loops sleep on it
-        # instead of busy-waiting; virtual-time poll costs are still
-        # charged analytically, so results are unchanged (see
-        # mana/wrappers.py).
-        self._activity = 0
+        # Monotonic per-rank activity counters: _activity[r] is bumped
+        # (and _cvs[r] notified) on every event that could complete a
+        # blocking wait of rank r — a message posted to r, an abort, or
+        # an external waker such as the checkpoint coordinator arming
+        # intent.  Wrapper poll loops sleep on it instead of
+        # busy-waiting; virtual-time poll costs are still charged
+        # analytically, so results are unchanged (see mana/wrappers.py).
+        self._activity = [0] * nranks
         # pairwise_sent[(src, dst)] — the count MANA's drain exchanges.
         self._pairwise_sent: Dict[Tuple[int, int], int] = {}
         self._pairwise_recvd: Dict[Tuple[int, int], int] = {}
@@ -152,48 +161,59 @@ class Fabric:
             send_time=send_time,
             arrive_time=send_time + cost,
         )
-        with self._cv:
+        with self._lock:
             self._raise_if_aborted()
             self._queues[dst].append(msg)
             self._counters[dst].posted += 1
             key = (src, dst)
             self._pairwise_sent[key] = self._pairwise_sent.get(key, 0) + 1
-            self._activity += 1
-            self._cv.notify_all()
+            # Only the destination can use this message.
+            self._activity[dst] += 1
+            self._cvs[dst].notify_all()
         return msg
 
     # ------------------------------------------------------------------
     # event-driven waiting
     # ------------------------------------------------------------------
     def wake(self) -> None:
-        """Signal that something a waiter might care about happened.
+        """Signal every rank that something any waiter might care about
+        happened.
 
-        Called internally on message posts and aborts, and externally by
-        the checkpoint coordinator when intent is armed (a parked-for-
-        checkpoint rank must notice without waiting out the safety-net
-        timeout).
+        Called by the checkpoint coordinator when intent is armed or the
+        job aborts (a rank blocked in a fabric wait must notice without
+        waiting out the safety-net timeout).
         """
-        with self._cv:
-            self._activity += 1
-            self._cv.notify_all()
-
-    def activity_token(self) -> int:
-        """Snapshot the activity counter.  Capture BEFORE checking your
-        completion condition: if the event fires between the check and
-        ``wait_activity``, the stale token makes the wait return at once
-        (no lost-wakeup race)."""
         with self._lock:
-            return self._activity
+            self._wake_all_locked()
 
-    def wait_activity(self, token: int, timeout: float = 0.05) -> int:
-        """Block (real time) until activity advances past ``token``, the
-        fabric aborts, or ``timeout`` elapses.  Returns the current
-        counter.  The timeout is a safety net only — correctness never
-        depends on it, because every completion source calls wake()."""
-        with self._cv:
-            if self._activity == token and self._aborted is None:
-                self._cv.wait(timeout=timeout)
-            return self._activity
+    def _wake_all_locked(self) -> None:
+        for rank, cv in enumerate(self._cvs):
+            self._activity[rank] += 1
+            cv.notify_all()
+
+    def activity_token(self, rank: int) -> int:
+        """Snapshot ``rank``'s activity counter.  Capture BEFORE checking
+        your completion condition: if the event fires between the check
+        and ``wait_activity``, the stale token makes the wait return at
+        once (no lost-wakeup race).  Lock-free: a counter bumped after
+        this read makes the token stale, and one bumped before it was
+        preceded (same critical section) by the state change the
+        caller's check then sees."""
+        return self._activity[rank]
+
+    def wait_activity(self, rank: int, token: int,
+                      timeout: Optional[float] = None) -> int:
+        """Block (real time) until ``rank``'s activity advances past
+        ``token``, the fabric aborts, or ``timeout`` elapses.  Returns
+        the current counter.  The timeout is a safety net only —
+        correctness never depends on it, because every completion source
+        bumps the counter and notifies the rank."""
+        with self._lock:
+            if self._activity[rank] == token and self._aborted is None:
+                self._cvs[rank].wait(
+                    _WAIT_TIMEOUT_S if timeout is None else timeout
+                )
+            return self._activity[rank]
 
     # ------------------------------------------------------------------
     # matching / receiving
@@ -210,7 +230,7 @@ class Fabric:
         ``src`` may be ``ANY_SOURCE`` and ``tag`` may be ``ANY_TAG``.
         """
         self._check_rank(dst)
-        with self._cv:
+        with self._lock:
             self._raise_if_aborted()
             idx = self._find(dst, src, tag, context_id)
             if idx is None:
@@ -229,7 +249,7 @@ class Fabric:
         context_id: int,
         *,
         should_stop: Optional[Callable[[], bool]] = None,
-        poll_timeout: float = 0.05,
+        poll_timeout: Optional[float] = None,
         deadline: Optional[float] = None,
     ) -> Optional[Message]:
         """Block (in real time) until a matching message is available.
@@ -239,10 +259,10 @@ class Fabric:
         ``deadline`` is a real-time safety net against simulated
         deadlocks in tests.
         """
-        import time as _time
-
-        end = None if deadline is None else _time.monotonic() + deadline
-        with self._cv:
+        self._check_rank(dst)
+        end = None if deadline is None else time.monotonic() + deadline
+        cv = self._cvs[dst]
+        with self._lock:
             while True:
                 self._raise_if_aborted()
                 idx = self._find(dst, src, tag, context_id)
@@ -256,19 +276,21 @@ class Fabric:
                     return msg
                 if should_stop is not None and should_stop():
                     return None
-                if end is not None and _time.monotonic() > end:
+                if end is not None and time.monotonic() > end:
                     raise ReproError(
                         f"rank {dst}: receive (src={src}, tag={tag}, "
                         f"ctx={context_id}) timed out — simulated deadlock?"
                     )
-                self._cv.wait(timeout=poll_timeout)
+                cv.wait(
+                    _WAIT_TIMEOUT_S if poll_timeout is None else poll_timeout
+                )
 
     def iprobe(
         self, dst: int, src: int, tag: int, context_id: int
     ) -> Optional[ProbeResult]:
         """Non-destructively report the oldest matching message."""
         self._check_rank(dst)
-        with self._cv:
+        with self._lock:
             self._raise_if_aborted()
             idx = self._find(dst, src, tag, context_id)
             if idx is None:
@@ -300,10 +322,9 @@ class Fabric:
     # ------------------------------------------------------------------
     def abort(self, exc: Optional[BaseException] = None) -> None:
         """Tear the job down: every blocked and future call raises."""
-        with self._cv:
+        with self._lock:
             self._aborted = exc or MpiAbort()
-            self._activity += 1
-            self._cv.notify_all()
+            self._wake_all_locked()
 
     @property
     def aborted(self) -> bool:
@@ -326,8 +347,6 @@ class Fabric:
 
     def _jitter_draw(self) -> float:
         """Uniform [0, 1) draw keyed by (seed, next message seq)."""
-        from repro.util.rng import _stable_hash
-
         # Peek the counter without consuming it (itertools.count has no
         # peek; hash the object id-free state via a shadow counter).
         self._jitter_n = getattr(self, "_jitter_n", 0) + 1

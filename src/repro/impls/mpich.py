@@ -45,6 +45,18 @@ DYNAMIC_LAYOUT = BitField(26, [("page", 10), ("slot", 16)])
 PAGE_SLOTS = 1 << 16
 NUM_PAGES = 1 << 10
 
+# Field readers and per-kind dynamic handle prefixes, bound once: a
+# handle is decoded on every MPI call.  The payload is the low 26 bits
+# of a handle, so DYNAMIC_LAYOUT's shifts apply to the handle itself.
+_CATEGORY_SHIFT, _CATEGORY_MASK = HANDLE_LAYOUT.reader("category")
+_KIND_SHIFT, _KIND_MASK = HANDLE_LAYOUT.reader("kind")
+_PAGE_SHIFT, _PAGE_MASK = DYNAMIC_LAYOUT.reader("page")
+_SLOT_MASK = DYNAMIC_LAYOUT.reader("slot")[1]
+_DYNAMIC_PREFIX = {
+    kind: HANDLE_LAYOUT.pack(category=CATEGORY_DYNAMIC, kind=code, payload=0)
+    for kind, code in KIND_CODES.items()
+}
+
 
 class TwoLevelHandleSpace(HandleSpace):
     """The MPICH-family handle space: 32-bit ids, two-level object table."""
@@ -58,7 +70,8 @@ class TwoLevelHandleSpace(HandleSpace):
         self._builtin_salt = builtin_salt
         self._builtin_counts: Dict[str, int] = {k: 0 for k in HandleKind.ALL}
         self._builtins: Dict[int, object] = {}
-        # pages[kind] -> {page_index: [slot objects or None]}
+        # pages[kind] -> {page_index: [slot objects or None]}; a page
+        # grows on demand to the highest slot handed out so far.
         self._pages: Dict[str, Dict[int, List[Optional[object]]]] = {
             k: {} for k in HandleKind.ALL
         }
@@ -95,61 +108,64 @@ class TwoLevelHandleSpace(HandleSpace):
                 self._next[kind] = ((page + 1) % NUM_PAGES, 0)
             else:
                 self._next[kind] = (page, slot + 1)
-        table = self._pages[kind].setdefault(page, [None] * PAGE_SLOTS)
+        pages = self._pages[kind]
+        table = pages.get(page)
+        if table is None:
+            table = pages[page] = []
+        if slot >= len(table):
+            table.extend([None] * (slot + 1 - len(table)))
         table[slot] = obj
-        return HANDLE_LAYOUT.pack(
-            category=CATEGORY_DYNAMIC,
-            kind=KIND_CODES[kind],
-            payload=DYNAMIC_LAYOUT.pack(page=page, slot=slot),
-        )
+        return _DYNAMIC_PREFIX[kind] | (page << _PAGE_SHIFT) | slot
 
-    def _decode(self, kind: str, handle: int) -> dict:
+    def _category(self, kind: str, handle: int) -> int:
+        """Validate that ``handle`` is a 32-bit ``kind`` handle and
+        return its category."""
         if not 0 <= handle < (1 << 32):
             raise InvalidHandleError(
                 f"{handle:#x} is not a 32-bit MPICH handle"
             )
-        fields = HANDLE_LAYOUT.unpack(handle)
-        code = fields["kind"]
-        if code not in CODE_KINDS or CODE_KINDS[code] != kind:
+        code = (handle >> _KIND_SHIFT) & _KIND_MASK
+        if CODE_KINDS.get(code) != kind:
             raise InvalidHandleError(
                 f"handle {handle:#010x} is not a {kind} handle "
                 f"(kind code {code})"
             )
-        return fields
+        return (handle >> _CATEGORY_SHIFT) & _CATEGORY_MASK
 
     def resolve(self, kind: str, handle: int):
-        fields = self._decode(kind, handle)
-        if fields["category"] == CATEGORY_BUILTIN:
+        category = self._category(kind, handle)
+        if category == CATEGORY_BUILTIN:
             try:
                 return self._builtins[handle]
             except KeyError:
                 raise InvalidHandleError(
                     f"unknown builtin handle {handle:#010x}"
                 ) from None
-        if fields["category"] != CATEGORY_DYNAMIC:
+        if category != CATEGORY_DYNAMIC:
             raise InvalidHandleError(f"null/invalid handle {handle:#010x}")
-        d = DYNAMIC_LAYOUT.unpack(fields["payload"])
-        table = self._pages[kind].get(d["page"])
-        obj = table[d["slot"]] if table is not None else None
+        page = (handle >> _PAGE_SHIFT) & _PAGE_MASK
+        slot = handle & _SLOT_MASK
+        table = self._pages[kind].get(page)
+        obj = table[slot] if table is not None and slot < len(table) else None
         if obj is None:
             raise InvalidHandleError(
                 f"dangling {kind} handle {handle:#010x} "
-                f"(page {d['page']}, slot {d['slot']})"
+                f"(page {page}, slot {slot})"
             )
         return obj
 
     def remove(self, kind: str, handle: int) -> None:
-        fields = self._decode(kind, handle)
-        if fields["category"] != CATEGORY_DYNAMIC:
+        if self._category(kind, handle) != CATEGORY_DYNAMIC:
             raise InvalidHandleError(
                 f"cannot remove non-dynamic handle {handle:#010x}"
             )
-        d = DYNAMIC_LAYOUT.unpack(fields["payload"])
-        table = self._pages[kind].get(d["page"])
-        if table is None or table[d["slot"]] is None:
+        page = (handle >> _PAGE_SHIFT) & _PAGE_MASK
+        slot = handle & _SLOT_MASK
+        table = self._pages[kind].get(page)
+        if table is None or slot >= len(table) or table[slot] is None:
             raise InvalidHandleError(f"double free of {handle:#010x}")
-        table[d["slot"]] = None
-        self._free[kind].append((d["page"], d["slot"]))
+        table[slot] = None
+        self._free[kind].append((page, slot))
 
     def null_handle(self, kind: str) -> int:
         return HANDLE_LAYOUT.pack(

@@ -19,8 +19,9 @@ Two checkpoint kinds (DESIGN.md §1, restart modes):
 
 The coordinator also hosts the *trivial barrier* used by collective
 wrappers (two-phase collectives): ranks register arrival at
-(communicator key, sequence) and poll until the member set is complete,
-remaining responsive to checkpoint intent while they wait.  Arrival is
+(communicator key, sequence) and sleep until the arrival that completes
+the member set wakes them, remaining responsive to checkpoint intent
+while they wait.  Arrival is
 idempotent, so a rank that detours into a checkpoint and comes back
 re-enters safely.
 
@@ -49,6 +50,12 @@ from repro.simtime.cost import (
     checkpoint_time,
 )
 from repro.util.errors import CheckpointError, CheckpointRoundAborted
+
+# Real-time safety net of the event-driven waits below (phase gates,
+# trivial barrier, finalize).  Correctness never depends on it: every
+# event that lets a waiter proceed notifies its condition
+# (docs/PROTOCOLS.md §8).
+_WAIT_TIMEOUT_S = 0.05
 
 
 class CheckpointKind:
@@ -138,7 +145,7 @@ class _PhaseGate:
                 self._cv.notify_all()
                 return
             deadline = time.monotonic() + timeout
-            backoff = 0.05
+            backoff = _WAIT_TIMEOUT_S
             while self._cycle == cycle:
                 if self._broken is not None:
                     raise self._broken
@@ -485,7 +492,6 @@ class CheckpointCoordinator:
             with self._fin_cv:
                 self._raise_if_aborted()
                 self._finalized.add(rank)
-                self._fin_cv.notify_all()
                 if len(self._finalized) == self.nranks:
                     if not self._ckpt_disabled:
                         self._ckpt_disabled = True
@@ -503,13 +509,15 @@ class CheckpointCoordinator:
                                     "reached MPI_Finalize first"
                                 )
                             t._done.set()
+                        # Only the last registration lets the ranks
+                        # waiting below proceed; earlier ones wake nobody.
+                        self._fin_cv.notify_all()
                     return
-                if self._ckpt_disabled:
-                    return
-                if self._intent is None:
-                    # Nothing to park for: sleep until another rank
-                    # finalizes or intent arms (timeout = safety net).
-                    self._fin_cv.wait(timeout=0.05)
+                if not self.should_park_now():
+                    # Nothing to park for: sleep until the last rank
+                    # finalizes, intent arms or the job aborts (the
+                    # timeout is only a safety net).
+                    self._fin_cv.wait(timeout=_WAIT_TIMEOUT_S)
             park_check()
 
     # ------------------------------------------------------------------
@@ -1009,18 +1017,21 @@ class CheckpointCoordinator:
         key = (comm_key, seq)
         members = set(member_world_ranks)
         while True:
-            self._raise_if_aborted()
-            want_park = False
             with self._tb_cv:
+                self._raise_if_aborted()
                 state = self._tb_arrivals.setdefault(
                     key, {"arrived": set(), "committed": False}
                 )
+                if state["committed"]:
+                    return
                 state["arrived"].add(rank)
-                if state["committed"] or members.issubset(state["arrived"]):
+                if members.issubset(state["arrived"]):
                     # Commit point: from here, *no* member may park for a
                     # checkpoint before entering the collective — the
                     # two-phase-commit guarantee that makes the critical
-                    # section deadlock-free.
+                    # section deadlock-free.  The one arrival that
+                    # commits wakes the waiters; they return above
+                    # without waking anybody else.
                     state["committed"] = True
                     self._tb_cv.notify_all()
                     stale = [
@@ -1030,20 +1041,15 @@ class CheckpointCoordinator:
                     for k in stale:
                         del self._tb_arrivals[k]
                     return
-                if (
-                    self._intent is not None
-                    and self._intent.kind == CheckpointKind.IN_SESSION
-                    and not self._ckpt_disabled
-                ):
+                want_park = self.should_park_now()
+                if want_park:
                     # Leave the barrier BEFORE parking so partners cannot
                     # observe a full set that includes a parked rank.
                     state["arrived"].discard(rank)
-                    want_park = True
                 else:
-                    # Arrivals and intent arming both notify this CV, so
-                    # the timeout is only a safety net.
-                    self._tb_cv.notify_all()
-                    self._tb_cv.wait(timeout=0.05)
+                    # Woken by the committing arrival, intent arming or
+                    # abort; the timeout is only a safety net.
+                    self._tb_cv.wait(timeout=_WAIT_TIMEOUT_S)
             if want_park:
                 park_check()
 

@@ -605,7 +605,7 @@ class ManaRank:
             # makes wait_activity return at once (no lost wakeup).  The
             # analytic poll cost below is what the *results* see; the
             # real-time loop merely sleeps until something changes.
-            token = self.fabric.activity_token()
+            token = self.fabric.activity_token(self.rank)
             centry = self._comm(comm_v)
             dentry = self._dtype(dtype_v)
             st = self._recv_from_drain(
@@ -625,7 +625,7 @@ class ManaRank:
                 self._charge_wait_polls(t_enter)
                 return st
             self._maybe_checkpoint()
-            self.fabric.wait_activity(token)
+            self.fabric.wait_activity(self.rank, token)
             if self.fabric.aborted:
                 raise MpiError("job aborted during recv", "MPI_ERR_OTHER")
 
@@ -831,14 +831,14 @@ class ManaRank:
         self._enter()
         t_enter = self.clock.now
         while True:
-            token = self.fabric.activity_token()
+            token = self.fabric.activity_token(self.rank)
             flag, st = self._test_impl(request_v)
             if flag:
                 self._extra_lib_calls(1)  # the MPI_Test that completed it
                 self._charge_wait_polls(t_enter)
                 return st
             self._maybe_checkpoint()
-            self.fabric.wait_activity(token)
+            self.fabric.wait_activity(self.rank, token)
             if self.fabric.aborted:
                 raise MpiError("job aborted during wait", "MPI_ERR_OTHER")
 
@@ -848,7 +848,7 @@ class ManaRank:
         statuses: List[Optional[Status]] = [None] * len(requests)
         pending = set(range(len(requests)))
         while pending:
-            token = self.fabric.activity_token()
+            token = self.fabric.activity_token(self.rank)
             progressed = False
             for i in list(pending):
                 flag, st = self._test_impl(requests[i])
@@ -858,7 +858,7 @@ class ManaRank:
                     progressed = True
             if pending and not progressed:
                 self._maybe_checkpoint()
-                self.fabric.wait_activity(token)
+                self.fabric.wait_activity(self.rank, token)
                 if self.fabric.aborted:
                     raise MpiError(
                         "job aborted during waitall", "MPI_ERR_OTHER"
@@ -921,7 +921,7 @@ class ManaRank:
             raise MpiError("waitany on empty request list", "MPI_ERR_REQUEST")
         t_enter = self.clock.now
         while True:
-            token = self.fabric.activity_token()
+            token = self.fabric.activity_token(self.rank)
             for i, r in enumerate(requests):
                 flag, st = self._test_impl(r)
                 if flag:
@@ -929,7 +929,7 @@ class ManaRank:
                     self._charge_wait_polls(t_enter)
                     return i, st
             self._maybe_checkpoint()
-            self.fabric.wait_activity(token)
+            self.fabric.wait_activity(self.rank, token)
             if self.fabric.aborted:
                 raise MpiError("job aborted during waitany", "MPI_ERR_OTHER")
 
@@ -979,7 +979,7 @@ class ManaRank:
         self._enter()
         t_enter = self.clock.now
         while True:
-            token = self.fabric.activity_token()
+            token = self.fabric.activity_token(self.rank)
             centry = self._comm(comm_v)
             msg = self.drain_buffer.match(
                 centry.vid, self._src_world(centry, source), tag, remove=False
@@ -997,7 +997,7 @@ class ManaRank:
                 self._charge_wait_polls(t_enter)
                 return st
             self._maybe_checkpoint()
-            self.fabric.wait_activity(token)
+            self.fabric.wait_activity(self.rank, token)
             if self.fabric.aborted:
                 raise MpiError("job aborted during probe", "MPI_ERR_OTHER")
 

@@ -756,11 +756,11 @@ class BaseMpiLib:
         # spinning; the token is taken before the check so an arrival in
         # between makes the wait return immediately.
         while True:
-            token = self.fabric.activity_token()
+            token = self.fabric.activity_token(self.world_rank)
             flag, status = self.iprobe.__wrapped__(self, source, tag, comm)
             if flag:
                 return status
-            self.fabric.wait_activity(token)
+            self.fabric.wait_activity(self.world_rank, token)
 
     @mpi_call
     def sendrecv(
@@ -781,12 +781,12 @@ class BaseMpiLib:
         if not requests:
             raise MpiError("waitany on empty request list", "MPI_ERR_REQUEST")
         while True:
-            token = self.fabric.activity_token()
+            token = self.fabric.activity_token(self.world_rank)
             for i, r in enumerate(requests):
                 flag, st = self.test.__wrapped__(self, r)
                 if flag:
                     return i, st
-            self.fabric.wait_activity(token)
+            self.fabric.wait_activity(self.world_rank, token)
             if self.fabric.aborted:
                 raise MpiError("job aborted during waitany", "MPI_ERR_OTHER")
 

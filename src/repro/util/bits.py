@@ -92,8 +92,15 @@ class BitField:
 
     def extract(self, word: int, name: str) -> int:
         """Extract a single field without decoding the rest."""
+        shift, field_mask = self.reader(name)
+        return (word >> shift) & field_mask
+
+    def reader(self, name: str) -> Tuple[int, int]:
+        """``(shift, mask)`` of field ``name``: hot paths bind the pair
+        once and decode with ``(word >> shift) & mask`` — no dict, no
+        range check (:meth:`unpack` keeps both, for diagnostics)."""
         f = self._by_name[name]
-        return (word >> f.shift) & mask(f.width)
+        return f.shift, mask(f.width)
 
     def replace(self, word: int, **values: int) -> int:
         """Return ``word`` with the given fields overwritten."""

@@ -12,6 +12,7 @@ from repro.mana.coordinator import (
 )
 from repro.simtime.cost import FilesystemProfile
 from repro.util.errors import CheckpointError
+from tests.conftest import run_ranks
 
 
 def coord(nranks=2, lag=4):
@@ -264,3 +265,85 @@ class TestTrivialBarrier:
             c.trivial_barrier(("g", 0), seq, 0, (0,), lambda: None)
         keys = [k[1] for k in c._tb_arrivals if k[0] == ("g", 0)]
         assert min(keys) >= 3  # anything older than seq-2 dropped
+
+
+def _count_notify_all(cv):
+    """Count ``cv.notify_all`` calls (calls, not sleeps: the count does
+    not depend on thread scheduling)."""
+    calls = []
+    original = cv.notify_all
+
+    def counting():
+        calls.append(1)
+        original()
+
+    cv.notify_all = counting
+    return calls
+
+
+class TestWakeDiscipline:
+    """A blocked rank is woken only by an event that lets it proceed,
+    and a rank that wakes without progress wakes nobody (PROTOCOLS §8)."""
+
+    N = 8
+
+    def test_one_notify_per_barrier_instance(self):
+        c = coord(nranks=self.N)
+        calls = _count_notify_all(c._tb_cv)
+        members = tuple(range(self.N))
+        for seq in (1, 2, 3):
+            run_ranks(
+                self.N,
+                lambda r: c.trivial_barrier(
+                    ("g", 0), seq, r, members, lambda: None
+                ),
+                timeout=10,
+            )
+            assert len(calls) == seq  # the committing arrival, only
+
+    def test_one_notify_per_finalize(self):
+        c = coord(nranks=self.N)
+        calls = _count_notify_all(c._fin_cv)
+        run_ranks(
+            self.N, lambda r: c.finalize_rank(r, lambda: None), timeout=10
+        )
+        # Only the last registration can release anybody.
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("blocker", ["barrier", "finalize"])
+    def test_intent_and_abort_reach_parked_ranks(self, blocker, monkeypatch):
+        """With the safety-net timeout out of the way, arming intent
+        wakes a rank parked in a barrier / in finalize, and so does
+        abort."""
+        from repro.mana import coordinator as coordinator_mod
+
+        monkeypatch.setattr(coordinator_mod, "_WAIT_TIMEOUT_S", 30.0)
+        c = coord(nranks=2)
+        parked = threading.Event()
+        raised = []
+
+        def park():
+            if c.should_park_now():
+                parked.set()
+                # The "checkpoint" completes: the rank goes back to wait.
+                c.cancel_pending("simulated checkpoint completed")
+
+        def rank0():
+            try:
+                if blocker == "barrier":
+                    c.trivial_barrier(("g", 0), 1, 0, (0, 1), park)
+                else:
+                    c.finalize_rank(0, park)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        th = threading.Thread(target=rank0, daemon=True)
+        th.start()
+        time.sleep(0.05)  # let rank 0 block (not required for the assert)
+        c.request_checkpoint(kind=CheckpointKind.IN_SESSION)
+        assert parked.wait(5)
+        th.join(timeout=0.2)
+        assert th.is_alive()  # parked again: rank 1 never arrived
+        c.abort(RuntimeError("boom"))
+        th.join(timeout=5)
+        assert not th.is_alive() and raised

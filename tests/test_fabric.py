@@ -159,3 +159,73 @@ class TestAbort:
         fab.abort()
         with pytest.raises(MpiAbort):
             post(fab, 0, 1)
+
+
+class TestPerRankWakeups:
+    """Only the destination of a message is woken; ``wake`` and
+    ``abort`` reach every rank (PROTOCOLS §8)."""
+
+    RELEASERS = {
+        "post": lambda fab: post(fab, 0, 5, tag=4),
+        "wake": lambda fab: fab.wake(),
+        "abort": lambda fab: fab.abort(),
+    }
+
+    @pytest.fixture
+    def fab8(self):
+        return Fabric(8, CostModel.discovery())
+
+    @pytest.mark.parametrize("release", sorted(RELEASERS))
+    def test_wait_activity_ignores_other_destinations(self, fab8, release):
+        import threading
+
+        token = fab8.activity_token(5)
+        t = threading.Thread(
+            target=fab8.wait_activity, args=(5, token, 30.0), daemon=True
+        )
+        t.start()
+        post(fab8, 0, 3)
+        t.join(timeout=0.2)
+        assert t.is_alive() and fab8.activity_token(5) == token
+        assert fab8.activity_token(3) != fab8.activity_token(5)
+        self.RELEASERS[release](fab8)
+        t.join(timeout=5)
+        assert not t.is_alive() and fab8.activity_token(5) != token
+
+    @pytest.mark.parametrize("release", sorted(RELEASERS))
+    def test_wait_match_sleeps_through_other_destinations(self, fab8, release):
+        import threading
+
+        sleeps = []
+        cv = fab8._cvs[5]
+        original = cv.wait
+
+        def counting_wait(timeout=None):
+            sleeps.append(1)
+            return original(timeout)
+
+        cv.wait = counting_wait
+        stop = []
+        out = []
+
+        def waiter():
+            try:
+                out.append(fab8.wait_match(
+                    5, 0, 4, 10, should_stop=lambda: bool(stop),
+                    poll_timeout=30.0,
+                ))
+            except MpiAbort as exc:
+                out.append(exc)
+
+        t = threading.Thread(target=waiter, daemon=True)
+        t.start()
+        for _ in range(20):
+            post(fab8, 0, 3, tag=4)
+        t.join(timeout=0.2)
+        assert t.is_alive() and len(sleeps) <= 1  # never woken
+        stop.append(1)  # lets a wake() without a message end the wait
+        self.RELEASERS[release](fab8)
+        t.join(timeout=5)
+        assert not t.is_alive() and len(out) == 1
+        if release == "post":
+            assert out[0].dst == 5 and out[0].tag == 4

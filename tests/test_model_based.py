@@ -170,3 +170,93 @@ def test_property_incarnations_monotonic(memberships):
         key = (world, n)
         assert key not in seen
         seen.add(key)
+
+
+# ----------------------------------------------------------------------
+# MPICH-family two-level handle space vs a plain dict
+# ----------------------------------------------------------------------
+
+# sha256 over the handles handed out by _drive_handle_space(epoch), as
+# recorded at the commit before pages became growable: allocation order,
+# the epoch-salted start page, LIFO free-list reuse and the roll-over
+# after slot 65,535 must never change (physical ids end up in images).
+HANDLE_SEQUENCE_SHA256 = {
+    0: "4cd831f34fc451cd2cfc38705e465521167606fb90de7a0a58b028b3a0afab39",
+    3: "7e325d8bcd2d668ec29d70f1060e905282a986a721520070c80410d874312ac2",
+}
+
+
+def _drive_handle_space(epoch, seed=20230914):
+    """Random insert/remove/resolve per kind against a dict, with the
+    REQUEST page filled past its last slot while the free list is in
+    use.  Returns the digest of every handle handed out, in order."""
+    import hashlib
+    import random
+
+    from repro.impls.mpich import PAGE_SLOTS, TwoLevelHandleSpace
+
+    rng = random.Random(seed + epoch)
+    space = TwoLevelHandleSpace(epoch=epoch)
+    model = {k: {} for k in HandleKind.ALL}      # kind -> handle -> obj
+    freed = {k: [] for k in HandleKind.ALL}
+    digest = hashlib.sha256()
+    serial = 0
+
+    def insert(kind):
+        nonlocal serial
+        serial += 1
+        h = space.insert(kind, serial)
+        assert h not in model[kind]
+        model[kind][h] = serial
+        digest.update(h.to_bytes(4, "little"))
+
+    def remove(kind):
+        h = rng.choice(list(model[kind]))
+        space.remove(kind, h)
+        del model[kind][h]
+        freed[kind].append(h)
+
+    def check(kind):
+        if model[kind]:
+            h = rng.choice(list(model[kind]))
+            assert space.resolve(kind, h) == model[kind][h]
+        stale = [h for h in freed[kind][-8:] if h not in model[kind]]
+        if stale:
+            h = rng.choice(stale)
+            with pytest.raises(InvalidHandleError):
+                space.resolve(kind, h)
+            with pytest.raises(InvalidHandleError):
+                space.remove(kind, h)
+
+    def churn(steps):
+        for _ in range(steps):
+            kind = rng.choice(HandleKind.ALL)
+            roll = rng.random()
+            if roll < 0.5 or not model[kind]:
+                insert(kind)
+            elif roll < 0.8:
+                remove(kind)
+            else:
+                check(kind)
+
+    churn(1500)
+    # Fill the REQUEST page to roll-over, freeing and reusing on the way.
+    kind = HandleKind.REQUEST
+    for i in range(PAGE_SLOTS + 64):
+        insert(kind)
+        if i % 4096 == 4095:
+            for _ in range(16):
+                remove(kind)
+            for _ in range(8):
+                insert(kind)
+            check(kind)
+    churn(1500)
+    for kind in HandleKind.ALL:
+        for h, obj in model[kind].items():
+            assert space.resolve(kind, h) == obj
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("epoch", sorted(HANDLE_SEQUENCE_SHA256))
+def test_two_level_handle_space_matches_dict_and_recorded_sequence(epoch):
+    assert _drive_handle_space(epoch) == HANDLE_SEQUENCE_SHA256[epoch]

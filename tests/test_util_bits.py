@@ -61,6 +61,13 @@ class TestPackUnpack:
         assert self.bf.extract(w, "kind") == 3
         assert self.bf.extract(w, "payload") == 99
 
+    def test_readers_agree_with_unpack(self):
+        w = self.bf.pack(category=2, kind=3, payload=99)
+        assert self.bf.reader("kind") == (26, 0xF)
+        for name, value in self.bf.unpack(w).items():
+            shift, field_mask = self.bf.reader(name)
+            assert (w >> shift) & field_mask == value
+
     def test_replace(self):
         w = self.bf.pack(category=1, kind=2, payload=7)
         w2 = self.bf.replace(w, payload=8)
