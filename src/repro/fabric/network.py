@@ -32,11 +32,6 @@ from repro.simtime.cost import CostModel
 from repro.util.errors import MpiAbort, ReproError
 from repro.util.rng import _stable_hash
 
-# Real-time safety net of every blocking wait below.  Correctness never
-# depends on it: each event that can complete a wait notifies the
-# waiter's condition (docs/PROTOCOLS.md §8).
-_WAIT_TIMEOUT_S = 0.05
-
 # Wildcards, kept numeric like the real mpi.h constants.
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -83,7 +78,8 @@ class Fabric:
     """Shared interconnect for one simulated MPI job."""
 
     def __init__(self, nranks: int, cost_model: CostModel,
-                 latency_jitter: float = 0.0, jitter_seed: int = 0):
+                 latency_jitter: float = 0.0, jitter_seed: int = 0,
+                 scheduler=None):
         if nranks <= 0:
             raise ValueError(f"nranks must be positive, got {nranks}")
         if latency_jitter < 0:
@@ -95,25 +91,23 @@ class Fabric:
         # congestion noise without sacrificing reproducibility.
         self.latency_jitter = latency_jitter
         self.jitter_seed = jitter_seed
+        self._jitter_n = 0
         # Optional repro.faults.FaultInjector (set by the Job when a
         # FaultPlan is installed); None on the hot path.
         self.injector = None
+        # The job's run-slot scheduler (repro.runtime.scheduler): blocked
+        # ranks park in it, and a message unparks its destination only.
+        # A fabric built on its own gets a private one.
+        if scheduler is None:
+            from repro.runtime.scheduler import Scheduler
+
+            scheduler = Scheduler(nranks)
+        self.scheduler = scheduler
         self._lock = threading.Lock()
-        # One condition per destination rank, all on the fabric lock: a
-        # blocked rank is woken only by events it can act on.
-        self._cvs = [threading.Condition(self._lock) for _ in range(nranks)]
         self._queues: List[List[Message]] = [[] for _ in range(nranks)]
         self._counters: List[_Counters] = [_Counters() for _ in range(nranks)]
         self._seq = itertools.count()
         self._aborted: Optional[BaseException] = None
-        # Monotonic per-rank activity counters: _activity[r] is bumped
-        # (and _cvs[r] notified) on every event that could complete a
-        # blocking wait of rank r — a message posted to r, an abort, or
-        # an external waker such as the checkpoint coordinator arming
-        # intent.  Wrapper poll loops sleep on it instead of
-        # busy-waiting; virtual-time poll costs are still charged
-        # analytically, so results are unchanged (see mana/wrappers.py).
-        self._activity = [0] * nranks
         # pairwise_sent[(src, dst)] — the count MANA's drain exchanges.
         self._pairwise_sent: Dict[Tuple[int, int], int] = {}
         self._pairwise_recvd: Dict[Tuple[int, int], int] = {}
@@ -167,53 +161,23 @@ class Fabric:
             self._counters[dst].posted += 1
             key = (src, dst)
             self._pairwise_sent[key] = self._pairwise_sent.get(key, 0) + 1
-            # Only the destination can use this message.
-            self._activity[dst] += 1
-            self._cvs[dst].notify_all()
+        # Only the destination can use this message.
+        self.scheduler.unpark(dst)
         return msg
 
     # ------------------------------------------------------------------
     # event-driven waiting
     # ------------------------------------------------------------------
-    def wake(self) -> None:
-        """Signal every rank that something any waiter might care about
-        happened.
-
-        Called by the checkpoint coordinator when intent is armed or the
-        job aborts (a rank blocked in a fabric wait must notice without
-        waiting out the safety-net timeout).
-        """
-        with self._lock:
-            self._wake_all_locked()
-
-    def _wake_all_locked(self) -> None:
-        for rank, cv in enumerate(self._cvs):
-            self._activity[rank] += 1
-            cv.notify_all()
-
-    def activity_token(self, rank: int) -> int:
-        """Snapshot ``rank``'s activity counter.  Capture BEFORE checking
-        your completion condition: if the event fires between the check
-        and ``wait_activity``, the stale token makes the wait return at
-        once (no lost-wakeup race).  Lock-free: a counter bumped after
-        this read makes the token stale, and one bumped before it was
-        preceded (same critical section) by the state change the
-        caller's check then sees."""
-        return self._activity[rank]
-
-    def wait_activity(self, rank: int, token: int,
-                      timeout: Optional[float] = None) -> int:
-        """Block (real time) until ``rank``'s activity advances past
-        ``token``, the fabric aborts, or ``timeout`` elapses.  Returns
-        the current counter.  The timeout is a safety net only —
-        correctness never depends on it, because every completion source
-        bumps the counter and notifies the rank."""
-        with self._lock:
-            if self._activity[rank] == token and self._aborted is None:
-                self._cvs[rank].wait(
-                    _WAIT_TIMEOUT_S if timeout is None else timeout
-                )
-            return self._activity[rank]
+    def wait_activity(self, rank: int,
+                      timeout: Optional[float] = None) -> None:
+        """Park ``rank`` until something it may be waiting for happens:
+        a message posted to it, checkpoint intent, an abort (or
+        ``timeout`` elapses).  Wrapper poll loops check their completion
+        condition, call this, and check again — the wake-up may be
+        stale.  Virtual-time poll costs are charged analytically, so
+        results do not depend on it (see mana/wrappers.py)."""
+        if self._aborted is None:
+            self.scheduler.park(rank, timeout)
 
     # ------------------------------------------------------------------
     # matching / receiving
@@ -249,41 +213,28 @@ class Fabric:
         context_id: int,
         *,
         should_stop: Optional[Callable[[], bool]] = None,
-        poll_timeout: Optional[float] = None,
         deadline: Optional[float] = None,
     ) -> Optional[Message]:
         """Block (in real time) until a matching message is available.
 
-        ``should_stop`` lets a caller (MANA's wrapper polling loop, or a
-        teardown path) break out; in that case None is returned.
-        ``deadline`` is a real-time safety net against simulated
-        deadlocks in tests.
+        ``should_stop`` lets a caller break out when it is woken without
+        a message; in that case None is returned.  ``deadline`` is a
+        real-time guard against simulated deadlocks.
         """
-        self._check_rank(dst)
         end = None if deadline is None else time.monotonic() + deadline
-        cv = self._cvs[dst]
-        with self._lock:
-            while True:
-                self._raise_if_aborted()
-                idx = self._find(dst, src, tag, context_id)
-                if idx is not None:
-                    msg = self._queues[dst].pop(idx)
-                    self._counters[dst].received += 1
-                    key = (msg.src, dst)
-                    self._pairwise_recvd[key] = (
-                        self._pairwise_recvd.get(key, 0) + 1
-                    )
-                    return msg
-                if should_stop is not None and should_stop():
-                    return None
-                if end is not None and time.monotonic() > end:
-                    raise ReproError(
-                        f"rank {dst}: receive (src={src}, tag={tag}, "
-                        f"ctx={context_id}) timed out — simulated deadlock?"
-                    )
-                cv.wait(
-                    _WAIT_TIMEOUT_S if poll_timeout is None else poll_timeout
+        while True:
+            msg = self.try_match(dst, src, tag, context_id)
+            if msg is not None:
+                return msg
+            if should_stop is not None and should_stop():
+                return None
+            remaining = None if end is None else end - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise ReproError(
+                    f"rank {dst}: receive (src={src}, tag={tag}, "
+                    f"ctx={context_id}) timed out — simulated deadlock?"
                 )
+            self.scheduler.park(dst, remaining)
 
     def iprobe(
         self, dst: int, src: int, tag: int, context_id: int
@@ -324,7 +275,7 @@ class Fabric:
         """Tear the job down: every blocked and future call raises."""
         with self._lock:
             self._aborted = exc or MpiAbort()
-            self._wake_all_locked()
+        self.scheduler.unpark_all()
 
     @property
     def aborted(self) -> bool:
@@ -347,9 +298,8 @@ class Fabric:
 
     def _jitter_draw(self) -> float:
         """Uniform [0, 1) draw keyed by (seed, next message seq)."""
-        # Peek the counter without consuming it (itertools.count has no
-        # peek; hash the object id-free state via a shadow counter).
-        self._jitter_n = getattr(self, "_jitter_n", 0) + 1
+        # itertools.count has no peek: a shadow counter stands in.
+        self._jitter_n += 1
         return _stable_hash(f"{self.jitter_seed}/{self._jitter_n}") / 0xFFFFFFFF
 
     def _check_rank(self, rank: int) -> None:

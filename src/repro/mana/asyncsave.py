@@ -120,7 +120,9 @@ class AsyncSaveDrainer:
         # operation context, so its crash points are named drain.* and a
         # crash-injection sweep can target the async path separately
         # from the synchronous save path.
-        with storeio.op_context("drain"):
+        coord = self.coordinator
+        busy = max(1, coord.save_workers)   # this thread, or its pool
+        with storeio.op_context("drain"), coord.scheduler.lent(busy):
             self._drain_one_inner(job)
 
     def _drain_one_inner(self, job: DrainJob) -> None:

@@ -19,18 +19,21 @@ Two checkpoint kinds (DESIGN.md §1, restart modes):
 
 The coordinator also hosts the *trivial barrier* used by collective
 wrappers (two-phase collectives): ranks register arrival at
-(communicator key, sequence) and sleep until the arrival that completes
-the member set wakes them, remaining responsive to checkpoint intent
+(communicator key, sequence) and park until the arrival that completes
+the member set unparks them, remaining responsive to checkpoint intent
 while they wait.  Arrival is
 idempotent, so a rank that detours into a checkpoint and comes back
 re-enters safely.
 
+Every wait below parks in the job's run-slot scheduler
+(:mod:`repro.runtime.scheduler`, PROTOCOLS.md §8); no coordinator or
+gate lock is held across a park.
+
 Hardening (PROTOCOLS.md §9): the four phase rendezvous are custom
-condition-variable gates rather than ``threading.Barrier`` so that (a)
-waits use bounded exponential-backoff slices under a configurable
-``phase_timeout``, (b) a timeout produces a *descriptive* error naming
-the stuck phase and the outstanding ranks instead of a broken-barrier
-trace, and (c) a round can be **aborted and retried**: when a stall is
+gates rather than ``threading.Barrier`` so that (a) waits park under a
+configurable ``phase_timeout``, (b) a timeout produces a *descriptive*
+error naming the stuck phase and the outstanding ranks instead of a
+broken-barrier trace, and (c) a round can be **aborted and retried**: when a stall is
 detected (or injected), :meth:`abort_round` releases every parked rank
 with :class:`CheckpointRoundAborted`, bumps the round attempt, and —
 while ``round_retries`` remain — leaves the same ticket armed so the
@@ -50,12 +53,6 @@ from repro.simtime.cost import (
     checkpoint_time,
 )
 from repro.util.errors import CheckpointError, CheckpointRoundAborted
-
-# Real-time safety net of the event-driven waits below (phase gates,
-# trivial barrier, finalize).  Correctness never depends on it: every
-# event that lets a waiter proceed notifies its condition
-# (docs/PROTOCOLS.md §8).
-_WAIT_TIMEOUT_S = 0.05
 
 
 class CheckpointKind:
@@ -102,53 +99,53 @@ class _PhaseGate:
     """A reusable all-ranks rendezvous with diagnostics.
 
     Unlike ``threading.Barrier``, a gate (a) tracks *which* ranks have
-    arrived, so a timeout names the stragglers; (b) waits in
-    exponential-backoff slices (50 ms doubling to 2 s) under the overall
-    timeout, so released waiters wake promptly without spinning; and
+    arrived, so a timeout names the stragglers; (b) parks its waiters in
+    the scheduler, where the last arriver unparks exactly them; and
     (c) can be :meth:`release`-d — waiters return without the gate
     action running, and the caller's attempt check converts that into a
     :class:`CheckpointRoundAborted` retry.  :meth:`break_` is terminal:
     every current and future waiter raises the abort exception.
 
-    Lock ordering: the gate CV may be held while the last arriver's
+    Lock ordering: the gate lock may be held while the last arriver's
     ``action`` takes the coordinator lock (gate → coordinator).  Abort
     paths therefore touch gates only *after* dropping the coordinator
     lock.
     """
 
-    def __init__(self, name: str, parties: int,
+    def __init__(self, name: str, parties: int, scheduler,
                  action: Optional[Callable[[], None]] = None):
         self.name = name
         self.parties = parties
+        self.scheduler = scheduler
         self.action = action
-        self._cv = threading.Condition()
+        self._lock = threading.Lock()
         self._arrived: Set[int] = set()
         self._cycle = 0
         self._broken: Optional[BaseException] = None
 
     def arrived_ranks(self) -> List[int]:
-        with self._cv:
+        with self._lock:
             return sorted(self._arrived)
 
     def wait(self, rank: int, timeout: float = 300.0) -> None:
-        with self._cv:
-            if self._broken is not None:
-                raise self._broken
-            cycle = self._cycle
-            self._arrived.add(rank)
-            if len(self._arrived) >= self.parties:
-                # Last arriver: run the gate action, open the gate.
-                if self.action is not None:
-                    self.action()
-                self._arrived.clear()
-                self._cycle += 1
-                self._cv.notify_all()
-                return
-            deadline = time.monotonic() + timeout
-            backoff = _WAIT_TIMEOUT_S
-            while self._cycle == cycle:
+        deadline = time.monotonic() + timeout
+        cycle = None
+        while True:
+            with self._lock:
                 if self._broken is not None:
                     raise self._broken
+                if cycle is None:
+                    cycle = self._cycle
+                    self._arrived.add(rank)
+                    if len(self._arrived) >= self.parties:
+                        # Last arriver: run the gate action, open the gate.
+                        if self.action is not None:
+                            self.action()
+                        self._arrived.discard(rank)
+                        self._open_locked()
+                        return
+                elif self._cycle != cycle:
+                    return
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     outstanding = sorted(
@@ -160,22 +157,26 @@ class _PhaseGate:
                         f"{sorted(self._arrived)}, outstanding ranks "
                         f"{outstanding}"
                     )
-                self._cv.wait(timeout=min(backoff, remaining))
-                backoff = min(backoff * 2, 2.0)
+            self.scheduler.park(rank, remaining)
+
+    def _open_locked(self) -> None:
+        """Start the next cycle and unpark this one's waiters."""
+        self._cycle += 1
+        for rank in sorted(self._arrived):
+            self.scheduler.unpark(rank)
+        self._arrived.clear()
 
     def release(self) -> None:
         """Open the gate without running the action (round abort): every
         waiter returns and re-checks its round attempt."""
-        with self._cv:
-            self._arrived.clear()
-            self._cycle += 1
-            self._cv.notify_all()
+        with self._lock:
+            self._open_locked()
 
     def break_(self, exc: BaseException) -> None:
         """Terminal abort: current and future waiters raise ``exc``."""
-        with self._cv:
+        with self._lock:
             self._broken = exc
-            self._cv.notify_all()
+            self._open_locked()
 
 
 class CheckpointCoordinator:
@@ -194,8 +195,16 @@ class CheckpointCoordinator:
         save_workers: int = 0,
         keep_generations: Optional[int] = None,
         async_save: bool = False,
+        scheduler=None,
     ):
         self.nranks = nranks
+        # The job's run-slot scheduler, shared with the fabric; a
+        # coordinator built on its own gets a private one.
+        if scheduler is None:
+            from repro.runtime.scheduler import Scheduler
+
+            scheduler = Scheduler(nranks)
+        self.scheduler = scheduler
         self.ckpt_dir = ckpt_dir
         self.fs_profile = fs_profile
         self.loop_lag_window = loop_lag_window
@@ -244,19 +253,16 @@ class CheckpointCoordinator:
         # Optional fault injector (repro.faults.FaultInjector); consulted
         # at round start for injected coordinator stalls.
         self.injector = None
-        # Optional callable invoked whenever checkpoint intent is armed:
-        # the runtime wires it to Fabric.wake so ranks blocked in an
-        # event-driven wait notice the intent immediately instead of
-        # after the wait's safety-net timeout.
-        self.waker: Optional[Callable[[], None]] = None
-        # Wakes finalize_rank waiters (shares self._lock).
-        self._fin_cv = threading.Condition(self._lock)
 
         # Phase gates (reusable).  quiesce -> drained -> saved -> resumed.
-        self._g_quiesce = _PhaseGate("quiesce", nranks, self._on_quiesced)
-        self._g_drained = _PhaseGate("drain", nranks)
-        self._g_saved = _PhaseGate("save", nranks, self._on_saved)
-        self._g_resumed = _PhaseGate("resume", nranks, self._on_resumed)
+        self._g_quiesce = _PhaseGate(
+            "quiesce", nranks, scheduler, self._on_quiesced
+        )
+        self._g_drained = _PhaseGate("drain", nranks, scheduler)
+        self._g_saved = _PhaseGate("save", nranks, scheduler, self._on_saved)
+        self._g_resumed = _PhaseGate(
+            "resume", nranks, scheduler, self._on_resumed
+        )
         self._gates = (
             self._g_quiesce, self._g_drained, self._g_saved, self._g_resumed,
         )
@@ -296,7 +302,6 @@ class CheckpointCoordinator:
 
         # Trivial-barrier service: (comm_key, seq) -> set of arrived ranks.
         self._tb_lock = threading.Lock()
-        self._tb_cv = threading.Condition(self._tb_lock)
         self._tb_arrivals: Dict[Tuple, Set[int]] = {}
 
         # Finalize tracking: once every rank reaches MPI_Finalize,
@@ -378,18 +383,10 @@ class CheckpointCoordinator:
         self._intent = ticket
 
     def _notify_intent(self) -> None:
-        """Intent was just armed (or a round aborted): wake every
-        event-driven waiter (fabric waits via the waker hook,
-        trivial-barrier and finalize waiters via their condition
-        variables).  Called WITHOUT self._lock held — the waker takes
-        the fabric's lock."""
-        waker = self.waker
-        if waker is not None:
-            waker()
-        with self._tb_cv:
-            self._tb_cv.notify_all()
-        with self._fin_cv:
-            self._fin_cv.notify_all()
+        """Intent was just armed (or a round aborted): any parked rank —
+        in a fabric wait, the trivial barrier or finalize — may have to
+        act on it."""
+        self.scheduler.unpark_all()
 
     def checkpoint_at_iteration(
         self,
@@ -489,7 +486,7 @@ class CheckpointCoordinator:
         the last rank arrives, checkpointing is disabled and any armed
         but unstarted request is cancelled."""
         while True:
-            with self._fin_cv:
+            with self._lock:
                 self._raise_if_aborted()
                 self._finalized.add(rank)
                 if len(self._finalized) == self.nranks:
@@ -511,13 +508,14 @@ class CheckpointCoordinator:
                             t._done.set()
                         # Only the last registration lets the ranks
                         # waiting below proceed; earlier ones wake nobody.
-                        self._fin_cv.notify_all()
+                        for other in sorted(self._finalized - {rank}):
+                            self.scheduler.unpark(other)
                     return
-                if not self.should_park_now():
-                    # Nothing to park for: sleep until the last rank
-                    # finalizes, intent arms or the job aborts (the
-                    # timeout is only a safety net).
-                    self._fin_cv.wait(timeout=_WAIT_TIMEOUT_S)
+                want_park = self.should_park_now()
+            if not want_park:
+                # Nothing to park for: sleep until the last rank
+                # finalizes, intent arms or the job aborts.
+                self.scheduler.park(rank)
             park_check()
 
     # ------------------------------------------------------------------
@@ -639,7 +637,7 @@ class CheckpointCoordinator:
                         f"{reason}"
                     )
                 t._done.set()
-        # Outside the coordinator lock (gate CVs may take it in actions).
+        # Outside the coordinator lock (gate actions may take it).
         if ev is not None:
             # A drain job was already submitted for this round: unblock
             # the drainer (it completes the ticket idempotently).
@@ -1017,7 +1015,7 @@ class CheckpointCoordinator:
         key = (comm_key, seq)
         members = set(member_world_ranks)
         while True:
-            with self._tb_cv:
+            with self._tb_lock:
                 self._raise_if_aborted()
                 state = self._tb_arrivals.setdefault(
                     key, {"arrived": set(), "committed": False}
@@ -1030,10 +1028,11 @@ class CheckpointCoordinator:
                     # checkpoint before entering the collective — the
                     # two-phase-commit guarantee that makes the critical
                     # section deadlock-free.  The one arrival that
-                    # commits wakes the waiters; they return above
+                    # commits unparks the waiters; they return above
                     # without waking anybody else.
                     state["committed"] = True
-                    self._tb_cv.notify_all()
+                    for other in sorted(state["arrived"] - {rank}):
+                        self.scheduler.unpark(other)
                     stale = [
                         k for k in self._tb_arrivals
                         if k[0] == comm_key and k[1] < seq - 2
@@ -1046,12 +1045,12 @@ class CheckpointCoordinator:
                     # Leave the barrier BEFORE parking so partners cannot
                     # observe a full set that includes a parked rank.
                     state["arrived"].discard(rank)
-                else:
-                    # Woken by the committing arrival, intent arming or
-                    # abort; the timeout is only a safety net.
-                    self._tb_cv.wait(timeout=_WAIT_TIMEOUT_S)
             if want_park:
                 park_check()
+            else:
+                # Unparked by the committing arrival, intent arming or
+                # abort.
+                self.scheduler.park(rank)
 
     def cancel_pending(self, reason: str) -> None:
         """Fail any armed-but-unstarted checkpoint (e.g. the job finished
@@ -1087,17 +1086,12 @@ class CheckpointCoordinator:
                 if t.error is None:
                     t.error = self._aborted
                 t._done.set()
-            self._fin_cv.notify_all()  # shares self._lock
-        # Outside the coordinator lock (gate CVs may take it in actions).
+        # Outside the coordinator lock (gate actions may take it).
         for g in self._gates:
             g.break_(self._aborted)
-        with self._tb_cv:
-            self._tb_cv.notify_all()
-        # Wake fabric waiters too: ranks blocked in event-driven waits
-        # must notice the abort now, not at their safety-net timeout.
-        waker = self.waker
-        if waker is not None:
-            waker()
+        # Every parked rank — barrier, finalize, fabric wait — must see
+        # the abort.
+        self.scheduler.unpark_all()
         # Release a drainer parked on the resume event of a round that
         # will never resume (it checks _aborted and completes).
         ev = self._async_resume_event

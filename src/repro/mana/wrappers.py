@@ -19,9 +19,9 @@ times are deterministic regardless of host scheduling, while still
 reproducing the mechanism behind Open MPI's higher overhead (slower
 network calls → longer waits → more polls, §6.1).  In *real* time the
 loops are event-driven: instead of sleeping a fixed poll interval they
-block on the fabric's activity counter (woken by message arrival,
-abort, or checkpoint-intent arming), so blocking-heavy runs stop
-burning wall-clock without changing any reported number.
+park in the job's scheduler (unparked by message arrival, abort, or
+checkpoint-intent arming), so blocking-heavy runs stop burning
+wall-clock without changing any reported number.
 
 Collectives are two-phase: a checkpoint-tolerant *trivial barrier*
 (hosted by the coordinator) followed by the real lower-half collective
@@ -601,11 +601,10 @@ class ManaRank:
             return Status(source=C.PROC_NULL, tag=C.ANY_TAG)
         t_enter = self.clock.now
         while True:
-            # Token BEFORE the completion checks: an arrival in between
-            # makes wait_activity return at once (no lost wakeup).  The
-            # analytic poll cost below is what the *results* see; the
-            # real-time loop merely sleeps until something changes.
-            token = self.fabric.activity_token(self.rank)
+            # Check, then park: an arrival in between leaves a permit
+            # that makes wait_activity return at once (PROTOCOLS §8).
+            # The analytic poll cost below is what the *results* see;
+            # the real-time loop merely sleeps until something changes.
             centry = self._comm(comm_v)
             dentry = self._dtype(dtype_v)
             st = self._recv_from_drain(
@@ -625,7 +624,7 @@ class ManaRank:
                 self._charge_wait_polls(t_enter)
                 return st
             self._maybe_checkpoint()
-            self.fabric.wait_activity(self.rank, token)
+            self.fabric.wait_activity(self.rank)
             if self.fabric.aborted:
                 raise MpiError("job aborted during recv", "MPI_ERR_OTHER")
 
@@ -831,14 +830,13 @@ class ManaRank:
         self._enter()
         t_enter = self.clock.now
         while True:
-            token = self.fabric.activity_token(self.rank)
             flag, st = self._test_impl(request_v)
             if flag:
                 self._extra_lib_calls(1)  # the MPI_Test that completed it
                 self._charge_wait_polls(t_enter)
                 return st
             self._maybe_checkpoint()
-            self.fabric.wait_activity(self.rank, token)
+            self.fabric.wait_activity(self.rank)
             if self.fabric.aborted:
                 raise MpiError("job aborted during wait", "MPI_ERR_OTHER")
 
@@ -848,7 +846,6 @@ class ManaRank:
         statuses: List[Optional[Status]] = [None] * len(requests)
         pending = set(range(len(requests)))
         while pending:
-            token = self.fabric.activity_token(self.rank)
             progressed = False
             for i in list(pending):
                 flag, st = self._test_impl(requests[i])
@@ -858,7 +855,7 @@ class ManaRank:
                     progressed = True
             if pending and not progressed:
                 self._maybe_checkpoint()
-                self.fabric.wait_activity(self.rank, token)
+                self.fabric.wait_activity(self.rank)
                 if self.fabric.aborted:
                     raise MpiError(
                         "job aborted during waitall", "MPI_ERR_OTHER"
@@ -921,7 +918,6 @@ class ManaRank:
             raise MpiError("waitany on empty request list", "MPI_ERR_REQUEST")
         t_enter = self.clock.now
         while True:
-            token = self.fabric.activity_token(self.rank)
             for i, r in enumerate(requests):
                 flag, st = self._test_impl(r)
                 if flag:
@@ -929,7 +925,7 @@ class ManaRank:
                     self._charge_wait_polls(t_enter)
                     return i, st
             self._maybe_checkpoint()
-            self.fabric.wait_activity(self.rank, token)
+            self.fabric.wait_activity(self.rank)
             if self.fabric.aborted:
                 raise MpiError("job aborted during waitany", "MPI_ERR_OTHER")
 
@@ -979,7 +975,6 @@ class ManaRank:
         self._enter()
         t_enter = self.clock.now
         while True:
-            token = self.fabric.activity_token(self.rank)
             centry = self._comm(comm_v)
             msg = self.drain_buffer.match(
                 centry.vid, self._src_world(centry, source), tag, remove=False
@@ -997,7 +992,7 @@ class ManaRank:
                 self._charge_wait_polls(t_enter)
                 return st
             self._maybe_checkpoint()
-            self.fabric.wait_activity(self.rank, token)
+            self.fabric.wait_activity(self.rank)
             if self.fabric.aborted:
                 raise MpiError("job aborted during probe", "MPI_ERR_OTHER")
 
@@ -1637,18 +1632,27 @@ class ManaRank:
                 }
             coord.stage_async_blob(self.rank, path, image, blob, manifest)
             nbytes = len(blob)
-        elif coord.chunk_store is not None:
-            savestats = coord.run_save(
-                lambda pool: ckpt.save_chunked_image(
-                    path, image, coord.chunk_store,
-                    injector=self.injector, vtime=self.clock.now,
-                    pool=pool,
-                )
-            )
-            nbytes = savestats["payload_bytes"] + savestats["file_bytes"]
         else:
-            nbytes = ckpt.save_image(path, image, injector=self.injector,
-                                     vtime=self.clock.now)
+            # Synchronous save: compression, hashing and file writes
+            # release the interpreter lock, so the rank gives its run
+            # slot up while it is in them.
+            with self.fabric.scheduler.released(self.rank):
+                if coord.chunk_store is not None:
+                    savestats = coord.run_save(
+                        lambda pool: ckpt.save_chunked_image(
+                            path, image, coord.chunk_store,
+                            injector=self.injector, vtime=self.clock.now,
+                            pool=pool,
+                        )
+                    )
+                    nbytes = (
+                        savestats["payload_bytes"] + savestats["file_bytes"]
+                    )
+                else:
+                    nbytes = ckpt.save_image(
+                        path, image, injector=self.injector,
+                        vtime=self.clock.now,
+                    )
         # Proxy applications hold a scaled-down working set; they declare
         # the full-size resident bytes the real application would have
         # checkpointed (Table 3 image sizes).  Accounting — not storage.
@@ -1701,5 +1705,10 @@ class ManaFacade(FacadeBase):
         if kind is not None:
             return mana.null_vhandle(kind)
         if hasattr(ManaRank, attr) and not attr.startswith("_"):
-            return getattr(mana, attr)
+            value = getattr(mana, attr)
+            if callable(value):
+                # Later calls find the bound wrapper in the instance
+                # dict and never come back here.
+                self.__dict__[attr] = value
+            return value
         raise AttributeError(f"MANA MPI facade has no attribute {attr!r}")

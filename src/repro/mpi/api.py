@@ -752,15 +752,13 @@ class BaseMpiLib:
     @mpi_call
     def probe(self, source: int, tag: int, comm: int) -> Status:
         # Blocking probe built on iprobe (keeps the fabric API minimal).
-        # Event-driven: sleep on the fabric's activity counter instead of
-        # spinning; the token is taken before the check so an arrival in
-        # between makes the wait return immediately.
+        # Event-driven: park instead of spinning; an arrival between the
+        # check and the park leaves a permit, so the park returns at once.
         while True:
-            token = self.fabric.activity_token(self.world_rank)
             flag, status = self.iprobe.__wrapped__(self, source, tag, comm)
             if flag:
                 return status
-            self.fabric.wait_activity(self.world_rank, token)
+            self.fabric.wait_activity(self.world_rank)
 
     @mpi_call
     def sendrecv(
@@ -781,12 +779,11 @@ class BaseMpiLib:
         if not requests:
             raise MpiError("waitany on empty request list", "MPI_ERR_REQUEST")
         while True:
-            token = self.fabric.activity_token(self.world_rank)
             for i, r in enumerate(requests):
                 flag, st = self.test.__wrapped__(self, r)
                 if flag:
                     return i, st
-            self.fabric.wait_activity(self.world_rank, token)
+            self.fabric.wait_activity(self.world_rank)
             if self.fabric.aborted:
                 raise MpiError("job aborted during waitany", "MPI_ERR_OTHER")
 

@@ -22,6 +22,7 @@ import os
 import pickle
 import tempfile
 import threading
+import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -48,6 +49,7 @@ from repro.mana.virtid import remap_world
 from repro.mana.wrappers import ManaFacade, ManaRank
 from repro.runtime.context import RankContext
 from repro.runtime.platforms import cost_model_for
+from repro.runtime.scheduler import Scheduler
 from repro.simtime.clock import VirtualClock
 from repro.util.errors import (
     ElasticRestartError,
@@ -200,6 +202,7 @@ class Job:
         config: JobConfig,
         app_factory: Optional[Callable[[int], object]] = None,
         images: Optional[List[CheckpointImage]] = None,
+        scheduler: Optional[Scheduler] = None,
     ):
         if (app_factory is None) == (images is None):
             raise ValueError("provide exactly one of app_factory / images")
@@ -226,7 +229,10 @@ class Job:
         self.app_factory = app_factory
         self.images = images
         cm0 = cost_model_for(config.platform, config.impl)
-        self.fabric = Fabric(config.nranks, cm0)
+        # Run slots for the rank threads, shared by the fabric and the
+        # coordinator (tests pass one with a fixed slot count).
+        self.scheduler = scheduler or Scheduler(config.nranks)
+        self.fabric = Fabric(config.nranks, cm0, scheduler=self.scheduler)
         # Fault injection: wrap a FaultPlan into its runtime injector
         # once, and write it back to the config so supervised restarts
         # (which reuse the config's faults) share the fired-spec set.
@@ -262,16 +268,13 @@ class Job:
                 save_workers=config.ckpt_save_workers,
                 keep_generations=config.ckpt_keep_generations,
                 async_save=config.ckpt_async,
+                scheduler=self.scheduler,
             )
             self.coordinator.injector = self.injector
             if config.ckpt_interval is not None:
                 self.coordinator.enable_interval_checkpoints(
                     config.ckpt_interval
                 )
-            # Arming checkpoint intent must wake ranks blocked in the
-            # fabric's event-driven waits (recv/wait/probe), or checkpoint
-            # latency degrades to the waits' safety-net timeout.
-            self.coordinator.waker = self.fabric.wake
         self._threads: List[threading.Thread] = []
         self._outcomes: List[RankOutcome] = [
             RankOutcome(r) for r in range(config.nranks)
@@ -286,6 +289,8 @@ class Job:
             raise ReproError(f"job already {self._status}")
         self._status = "running"
         for r in range(self.config.nranks):
+            self.scheduler.admit(r)
+        for r in range(self.config.nranks):
             t = threading.Thread(
                 target=self._run_rank, args=(r,), name=f"rank-{r}",
                 daemon=True,
@@ -295,15 +300,13 @@ class Job:
         return self
 
     def wait(self, timeout: Optional[float] = None) -> JobResult:
-        timeout = timeout or self.config.deadline
-        for t in self._threads:
-            t.join(timeout=timeout)
+        self._join_all(timeout or self.config.deadline)
         if any(t.is_alive() for t in self._threads):
+            # The aborts unpark every rank, parked or waiting for a slot.
             self.fabric.abort(ReproError("job wait() timed out"))
             if self.coordinator:
                 self.coordinator.abort()
-            for t in self._threads:
-                t.join(timeout=5.0)
+            self._join_all(5.0)
             self._status = "failed"
         elif self._preempted:
             self._status = "preempted"
@@ -314,6 +317,12 @@ class Job:
         if self.coordinator is not None:
             self.coordinator.cancel_pending(f"job {self._status}")
         return JobResult(self._status, self._outcomes, self.config)
+
+    def _join_all(self, timeout: float) -> None:
+        """Join every rank thread against one shared deadline."""
+        end = time.monotonic() + timeout
+        for t in self._threads:
+            t.join(timeout=max(0.0, end - time.monotonic()))
 
     def run(self, timeout: Optional[float] = None) -> JobResult:
         return self.start().wait(timeout)
@@ -344,6 +353,7 @@ class Job:
         clock = VirtualClock()
         mana: Optional[ManaRank] = None
         lib = None
+        self.scheduler.enter(rank)
         try:
             image = self.images[rank] if self.images is not None else None
             if cfg.mana:
@@ -428,6 +438,7 @@ class Job:
                     outcome.lib_call_counts = dict(mana.lower.call_counts)
             elif lib is not None:
                 outcome.lib_call_counts = dict(lib.call_counts)
+            self.scheduler.exit(rank)
 
 
 class Launcher:

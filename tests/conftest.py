@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 from typing import Callable, List
 
 import pytest
@@ -73,3 +74,21 @@ def facade_world(nranks: int, impl: str = "mpich", epoch: int = 0):
 @pytest.fixture(params=ALL_IMPLS)
 def impl_name(request):
     return request.param
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_rank_threads():
+    """Fail a test that leaves a live ``rank-*`` thread behind: a parked
+    rank nobody unparks never ends."""
+    before = set(threading.enumerate())
+    yield
+    end = time.monotonic() + 2.0
+    while True:
+        leaked = [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("rank-") and t not in before
+        ]
+        if not leaked or time.monotonic() > end:
+            break
+        time.sleep(0.01)
+    assert not leaked, f"rank threads still alive after the test: {leaked}"

@@ -267,29 +267,29 @@ class TestTrivialBarrier:
         assert min(keys) >= 3  # anything older than seq-2 dropped
 
 
-def _count_notify_all(cv):
-    """Count ``cv.notify_all`` calls (calls, not sleeps: the count does
-    not depend on thread scheduling)."""
+def _count_unparks(sched):
+    """Record the target of every ``unpark`` (calls, not sleeps: the
+    count does not depend on thread scheduling)."""
     calls = []
-    original = cv.notify_all
+    original = sched.unpark
 
-    def counting():
-        calls.append(1)
-        original()
+    def counting(rank):
+        calls.append(rank)
+        original(rank)
 
-    cv.notify_all = counting
+    sched.unpark = counting
     return calls
 
 
 class TestWakeDiscipline:
-    """A blocked rank is woken only by an event that lets it proceed,
+    """A blocked rank is unparked only by an event that lets it proceed,
     and a rank that wakes without progress wakes nobody (PROTOCOLS §8)."""
 
     N = 8
 
     def test_one_notify_per_barrier_instance(self):
         c = coord(nranks=self.N)
-        calls = _count_notify_all(c._tb_cv)
+        calls = _count_unparks(c.scheduler)
         members = tuple(range(self.N))
         for seq in (1, 2, 3):
             run_ranks(
@@ -299,25 +299,24 @@ class TestWakeDiscipline:
                 ),
                 timeout=10,
             )
-            assert len(calls) == seq  # the committing arrival, only
+            # The committing arrival unparks each other member once.
+            assert len(calls) == seq * (self.N - 1)
+            assert len(set(calls[-(self.N - 1):])) == self.N - 1
 
     def test_one_notify_per_finalize(self):
         c = coord(nranks=self.N)
-        calls = _count_notify_all(c._fin_cv)
+        calls = _count_unparks(c.scheduler)
         run_ranks(
             self.N, lambda r: c.finalize_rank(r, lambda: None), timeout=10
         )
-        # Only the last registration can release anybody.
-        assert len(calls) == 1
+        # Only the last registration can release anybody: it unparks
+        # each of the others once.
+        assert len(calls) == len(set(calls)) == self.N - 1
 
     @pytest.mark.parametrize("blocker", ["barrier", "finalize"])
-    def test_intent_and_abort_reach_parked_ranks(self, blocker, monkeypatch):
-        """With the safety-net timeout out of the way, arming intent
-        wakes a rank parked in a barrier / in finalize, and so does
-        abort."""
-        from repro.mana import coordinator as coordinator_mod
-
-        monkeypatch.setattr(coordinator_mod, "_WAIT_TIMEOUT_S", 30.0)
+    def test_intent_and_abort_reach_parked_ranks(self, blocker):
+        """Arming intent unparks a rank parked in a barrier / in
+        finalize, and so does abort."""
         c = coord(nranks=2)
         parked = threading.Event()
         raised = []

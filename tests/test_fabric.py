@@ -134,7 +134,7 @@ class TestWaitMatch:
 
     def test_wait_deadline_raises(self, fab):
         with pytest.raises(ReproError, match="deadlock"):
-            fab.wait_match(1, 0, 4, 10, deadline=0.2, poll_timeout=0.05)
+            fab.wait_match(1, 0, 4, 10, deadline=0.2)
 
 
 class TestAbort:
@@ -162,12 +162,13 @@ class TestAbort:
 
 
 class TestPerRankWakeups:
-    """Only the destination of a message is woken; ``wake`` and
-    ``abort`` reach every rank (PROTOCOLS §8)."""
+    """Only the destination of a message is unparked; an ``unpark_all``
+    (what the coordinator does on intent) and ``abort`` reach every rank
+    (PROTOCOLS §8)."""
 
     RELEASERS = {
         "post": lambda fab: post(fab, 0, 5, tag=4),
-        "wake": lambda fab: fab.wake(),
+        "wake": lambda fab: fab.scheduler.unpark_all(),
         "abort": lambda fab: fab.abort(),
     }
 
@@ -179,32 +180,34 @@ class TestPerRankWakeups:
     def test_wait_activity_ignores_other_destinations(self, fab8, release):
         import threading
 
-        token = fab8.activity_token(5)
         t = threading.Thread(
-            target=fab8.wait_activity, args=(5, token, 30.0), daemon=True
+            target=fab8.wait_activity, args=(5, 30.0), daemon=True
         )
         t.start()
         post(fab8, 0, 3)
         t.join(timeout=0.2)
-        assert t.is_alive() and fab8.activity_token(5) == token
-        assert fab8.activity_token(3) != fab8.activity_token(5)
+        sched = fab8.scheduler
+        # Rank 5 is not made ready by post_send(dst=3): it stays parked
+        # (or, if it has not parked yet, finds no permit when it does).
+        assert t.is_alive() and not sched._permit[5]
+        assert sched._permit[3]
         self.RELEASERS[release](fab8)
         t.join(timeout=5)
-        assert not t.is_alive() and fab8.activity_token(5) != token
+        assert not t.is_alive()
 
     @pytest.mark.parametrize("release", sorted(RELEASERS))
     def test_wait_match_sleeps_through_other_destinations(self, fab8, release):
         import threading
 
-        sleeps = []
-        cv = fab8._cvs[5]
-        original = cv.wait
+        sched = fab8.scheduler
+        parks = []
+        original = sched.park
 
-        def counting_wait(timeout=None):
-            sleeps.append(1)
-            return original(timeout)
+        def counting_park(rank, timeout=None):
+            parks.append(rank)
+            return original(rank, timeout)
 
-        cv.wait = counting_wait
+        sched.park = counting_park
         stop = []
         out = []
 
@@ -212,7 +215,7 @@ class TestPerRankWakeups:
             try:
                 out.append(fab8.wait_match(
                     5, 0, 4, 10, should_stop=lambda: bool(stop),
-                    poll_timeout=30.0,
+                    deadline=30.0,
                 ))
             except MpiAbort as exc:
                 out.append(exc)
@@ -222,8 +225,8 @@ class TestPerRankWakeups:
         for _ in range(20):
             post(fab8, 0, 3, tag=4)
         t.join(timeout=0.2)
-        assert t.is_alive() and len(sleeps) <= 1  # never woken
-        stop.append(1)  # lets a wake() without a message end the wait
+        assert t.is_alive() and parks == [5]  # parked once, never woken
+        stop.append(1)  # lets an unpark without a message end the wait
         self.RELEASERS[release](fab8)
         t.join(timeout=5)
         assert not t.is_alive() and len(out) == 1

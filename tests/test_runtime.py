@@ -9,8 +9,6 @@ import pytest
 
 from repro import JobConfig, Launcher, MpiApplication
 from repro.apps import APP_CLASSES
-from repro.fabric import network
-from repro.mana import coordinator
 from repro.runtime.platforms import cost_model_for
 from repro.util.errors import ReproError
 from tests.miniapps import RingApp
@@ -101,6 +99,43 @@ class TestJobLifecycle:
             Launcher(JobConfig(nranks=1, impl="fakempi")).run(
                 lambda r: RingApp(1), timeout=30
             )
+
+
+    DEADLINE = 20.0
+
+    @pytest.mark.parametrize("app_name, ckpt_at", [
+        ("lammps", 3),   # with an in-session checkpoint
+        ("hpcg", None),
+    ])
+    def test_jobs_finish_under_short_gil_slices(
+        self, app_name, ckpt_at, tmp_path
+    ):
+        """No wait has a timeout that re-checks its condition: a lost
+        wake-up hangs the job until the deadline fails it."""
+        cls = APP_CLASSES[app_name]
+        spec = replace(cls.paper_config(), nranks=8, blocks=8)
+        job = Launcher(JobConfig(
+            nranks=8, impl="mpich", mana=True, ckpt_dir=str(tmp_path),
+        )).launch(lambda r: cls(spec))
+        ticket = None
+        if ckpt_at is not None:
+            ticket = job.checkpoint_at_iteration(
+                "main", ckpt_at, kind="in-session"
+            )
+        # Short GIL slices: more interleavings between a waiter's check
+        # and its park, which is where a wakeup would be lost.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            t0 = time.monotonic()
+            job.start()
+            if ticket is not None:
+                ticket.wait(self.DEADLINE)
+            res = job.wait(self.DEADLINE)
+        finally:
+            sys.setswitchinterval(interval)
+        assert res.status == "completed", res.first_error()
+        assert time.monotonic() - t0 < self.DEADLINE
 
 
 class TestJobResult:
@@ -196,46 +231,3 @@ class TestPlatforms:
             cost_model_for("frontier", "mpich")
         with pytest.raises(ValueError, match="unknown implementation"):
             cost_model_for("discovery", "mvapich")
-
-
-class TestNoSafetyNet:
-    """Every blocking wait has a 0.05 s timeout that re-checks its
-    condition, so a lost wakeup costs 50 ms instead of hanging.  With
-    those timeouts at 30 s and a 20 s deadline, a lost wakeup fails the
-    job instead."""
-
-    DEADLINE = 20.0
-
-    @pytest.mark.parametrize("app_name, ckpt_at", [
-        ("lammps", 3),   # with an in-session checkpoint
-        ("hpcg", None),
-    ])
-    def test_jobs_finish_without_timeout_rescues(
-        self, app_name, ckpt_at, monkeypatch, tmp_path
-    ):
-        monkeypatch.setattr(network, "_WAIT_TIMEOUT_S", 30.0)
-        monkeypatch.setattr(coordinator, "_WAIT_TIMEOUT_S", 30.0)
-        cls = APP_CLASSES[app_name]
-        spec = replace(cls.paper_config(), nranks=8, blocks=8)
-        job = Launcher(JobConfig(
-            nranks=8, impl="mpich", mana=True, ckpt_dir=str(tmp_path),
-        )).launch(lambda r: cls(spec))
-        ticket = None
-        if ckpt_at is not None:
-            ticket = job.checkpoint_at_iteration(
-                "main", ckpt_at, kind="in-session"
-            )
-        # Short GIL slices: more interleavings between a waiter's check
-        # and its sleep, which is where a wakeup would be lost.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            t0 = time.monotonic()
-            job.start()
-            if ticket is not None:
-                ticket.wait(self.DEADLINE)
-            res = job.wait(self.DEADLINE)
-        finally:
-            sys.setswitchinterval(interval)
-        assert res.status == "completed", res.first_error()
-        assert time.monotonic() - t0 < self.DEADLINE
