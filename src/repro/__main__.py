@@ -10,26 +10,20 @@ restart    cold-restart a job from a checkpoint directory, optionally
            elastically)
 report     regenerate one (or all) of the paper's tables/figures
            (``--jobs N`` fans independent cases across N workers)
-bench-smoke  tiny hot-path benchmark vs the checked-in baseline
-ckpt-bench   format-5 checkpoint pipeline benchmark (chunked dedup,
-           compression, warm-incremental bytes written)
-ckpt-smoke   small checkpoint bench vs the checked-in baseline; also
-           asserts warm saves still write >= 5x fewer bytes than cold
 faults     seeded fault-injection scenario sweep (crash / corruption /
            chunk rot / disk-full / coordinator stall -> supervised
            self-healing)
-fault-smoke  CI smoke: acceptance scenario twice, asserting the job
-           self-heals and the recovery trace is deterministic
-elastic-smoke  CI smoke: shrink (8->4), grow (4->8) and cross-impl
-           elastic restores, each bit-identical to a cold run at the
-           post-restore size, with a deterministic recovery trace
+smoke      the CI gate, one section or all four in this order:
+           ``fault`` (acceptance scenario twice: self-heals, recovery
+           trace deterministic), ``elastic`` (shrink 8->4, grow 4->8 and
+           cross-impl restores, each bit-identical to a cold run at the
+           post-restore size), ``crash`` (kill the checkpoint store at a
+           deterministic subset of syscall-boundary crash points; every
+           kill leaves it restorable or fsck-repairable, nothing
+           leaked), ``perf`` (BENCHMARK.json's command with --smoke)
 fsck       check (and with --repair, fix) a checkpoint directory after
            a dirty shutdown: journal replay, stray-tmp sweep, chunk
            quarantine, orphan reclamation
-crash-smoke  CI smoke: kill the checkpoint store at a deterministic
-           subset of syscall-boundary crash points; every kill must
-           leave the store restorable or fsck-repairable, nothing
-           leaked
 apps       list the available proxy applications
 impls      list the simulated MPI implementations and their properties
 """
@@ -39,6 +33,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from typing import Optional
 
 
 def _cmd_run(args) -> int:
@@ -90,20 +85,25 @@ def _cmd_run(args) -> int:
 
 def _cmd_restart(args) -> int:
     from repro import JobConfig, Launcher
+    from repro.util.errors import RestartError
 
     cfg = JobConfig(nranks=1, impl="mpich", mana=True,
                     loop_lag_window=args.lag_window)
     launcher = Launcher(cfg)
-    if args.ranks is not None:
-        job = launcher.elastic_restart(
-            args.ckpt_dir, new_nranks=args.ranks,
-            generation=args.generation, impl_override=args.impl,
-        )
-    else:
-        job = launcher.restart(
-            args.ckpt_dir, generation=args.generation,
-            impl_override=args.impl,
-        )
+    try:
+        if args.ranks is not None:
+            job = launcher.elastic_restart(
+                args.ckpt_dir, new_nranks=args.ranks,
+                generation=args.generation, impl_override=args.impl,
+            )
+        else:
+            job = launcher.restart(
+                args.ckpt_dir, generation=args.generation,
+                impl_override=args.impl,
+            )
+    except RestartError as exc:
+        print(f"restart: {exc}")
+        return 1
     res = job.run()
     print(f"status : {res.status}")
     if res.status == "failed":
@@ -148,109 +148,13 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_bench_smoke(args) -> int:
-    from repro.harness.bench import default_baseline_path, smoke
-
-    try:
-        out = smoke(baseline_path=args.baseline,
-                    max_regression=args.max_regression)
-    except FileNotFoundError:
-        path = args.baseline or default_baseline_path()
-        print(f"bench-smoke: no baseline at {path}\n"
-              f"generate one with: "
-              f"PYTHONPATH=src python benchmarks/bench_hotpath.py")
-        return 2
-    for c in out["checks"]:
-        mark = "ok " if c["ok"] else "FAIL"
-        slow = (f"  ({c['slowdown']:.2f}x slower than baseline)"
-                if c["slowdown"] is not None else "")
-        print(f"[{mark}] {c['metric']}: {c['current']:,.0f} "
-              f"(baseline {c['baseline']:,.0f}){slow}")
-    if not out["ok"]:
-        print(f"bench-smoke: hot-path regression beyond "
-              f"{out['max_regression']}x tolerance")
-        return 1
-    print("bench-smoke: hot path within tolerance")
-    return 0
-
-
-def _print_ckpt_table(b) -> None:
-    print(f"checkpoint pipeline (format 5): {b['nranks']} ranks x "
-          f"{b['payload_mb']:.1f} MB, compress level "
-          f"{b['compress_level']}, {b['save_workers']} save workers")
-    rows = [("cold save", "cold"),
-            ("warm save (identical)", "warm_identical"),
-            ("warm save (2% mutated)", "warm_mutated")]
-    if b.get("cold_pooled"):
-        rows.append(("cold save (pooled)", "cold_pooled"))
-    for label, key in rows:
-        s = b[key]
-        print(f"  {label:24} {s['mb_per_s']:8.1f} MB/s  "
-              f"chunks {s['chunks_written']}/{s['chunks_total']} written "
-              f"({s['chunks_reused']} reused), "
-              f"{s['bytes_written']:,} bytes to disk")
-    print(f"  {'restore':24} {b['restore']['mb_per_s']:8.1f} MB/s")
-    a = b["async_save"]
-    print(f"  async save: ranks blocked {a['snapshot_seconds']*1000:.1f} ms "
-          f"(snapshot), drain {a['drain_seconds']*1000:.1f} ms hidden "
-          f"behind compute ({a['compute_iters_during_drain']} compute "
-          f"iterations overlapped)")
-    print(f"  vs format 4: sync warm {b['warm_vs_format4_wallclock']:.2f}x, "
-          f"async blocked {b['blocked_vs_format4_wallclock']:.2f}x "
-          f"wall-clock")
-    print(f"  dedup factor: {b['bytes_dedup_factor']:.1f}x fewer bytes "
-          f"(identical), {b['mutated_dedup_factor']:.1f}x (mutated)")
-
-
-def _cmd_ckpt_bench(args) -> int:
-    from repro.harness.bench import run_ckpt_bench
-
-    levels = None
-    if args.compress_level:
-        levels = [int(v) for v in args.compress_level.split(",") if v]
-    out = run_ckpt_bench(out_path=args.out, payload_mb=args.payload_mb,
-                         nranks=args.ranks, compress_levels=levels)
-    _print_ckpt_table(out["ckpt"])
-    for lvl, b in sorted(out.get("compress_level_sweep", {}).items(),
-                         key=lambda kv: int(kv[0])):
-        print(f"-- compress level {lvl} --")
-        _print_ckpt_table(b)
-    if args.out:
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_ckpt_smoke(args) -> int:
-    from repro.harness.bench import ckpt_smoke, default_ckpt_baseline_path
-
-    try:
-        out = ckpt_smoke(baseline_path=args.baseline,
-                         max_regression=args.max_regression)
-    except FileNotFoundError:
-        path = args.baseline or default_ckpt_baseline_path()
-        print(f"ckpt-smoke: no baseline at {path}\n"
-              f"generate one with: "
-              f"PYTHONPATH=src python benchmarks/bench_ckpt.py")
-        return 2
-    for c in out["checks"]:
-        mark = "ok " if c["ok"] else "FAIL"
-        slow = (f"  ({c['slowdown']:.2f}x slower than baseline)"
-                if c["slowdown"] is not None else "")
-        print(f"[{mark}] {c['metric']}: {c['current']:,.1f} "
-              f"(baseline {c['baseline']:,.1f}){slow}")
-    if not out["ok"]:
-        print(f"ckpt-smoke: checkpoint pipeline regression beyond "
-              f"{out['max_regression']}x tolerance (or an acceptance "
-              f"bound broken: dedup >= 100x, async blocked <= 2x "
-              f"format 4, sync warm <= 6x format 4)")
-        return 1
-    print("ckpt-smoke: checkpoint pipeline within tolerance")
-    return 0
-
-
 def _cmd_faults(args) -> int:
     from repro.faults.scenarios import SCENARIOS, run_scenario
 
+    if args.scenario not in ("all", *SCENARIOS):
+        args.error(f"argument scenario: invalid choice: {args.scenario!r} "
+                   f"(choose from 'all', "
+                   f"{', '.join(map(repr, sorted(SCENARIOS)))})")
     names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
     failed = 0
     for name in names:
@@ -274,7 +178,7 @@ def _cmd_faults(args) -> int:
         if not out["ok"]:
             failed += 1
             print(f"       checksums: {out['checksums']}")
-            print(f"       baseline : {out['baseline']}")
+            print(f"       baseline : {out['baseline']['checksums']}")
     if failed:
         print(f"faults: {failed}/{len(names)} scenario(s) FAILED")
         return 1
@@ -283,7 +187,7 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-def _cmd_fault_smoke(args) -> int:
+def _smoke_fault(args) -> int:
     from repro.faults.scenarios import fault_smoke
 
     out = fault_smoke(seed=args.seed)
@@ -294,7 +198,7 @@ def _cmd_fault_smoke(args) -> int:
           f"(status={run['status']}, restarts={run['restarts']}, "
           f"restored_gens={restored})")
     print(f"checksums    : "
-          f"{'match fault-free run' if run['checksums'] == run['baseline'] else 'MISMATCH'}")
+          f"{'match fault-free run' if run['matches_baseline'] else 'MISMATCH'}")
     print(f"deterministic: {'ok' if out['deterministic'] else 'FAIL'} "
           f"(recovery trace identical across two seeded runs)")
     if not out["ok"]:
@@ -305,7 +209,7 @@ def _cmd_fault_smoke(args) -> int:
     return 0
 
 
-def _cmd_elastic_smoke(args) -> int:
+def _smoke_elastic(args) -> int:
     from repro.faults.scenarios import elastic_smoke
 
     out = elastic_smoke(seed=args.seed)
@@ -313,8 +217,7 @@ def _cmd_elastic_smoke(args) -> int:
                        ("grow", "grow 4->8"),
                        ("migrate", "openmpi 8 -> mpich 4")):
         run = out[key]
-        match = (run["checksums"] == run["baseline"]["checksums"]
-                 and run["history"] == run["baseline"]["history"])
+        match = run["matches_baseline"]
         print(f"{label:22}: {'ok' if run['ok'] else 'FAIL'} "
               f"(status={run['status']}, restarts={run['restarts']}, "
               f"{run['from_nranks']}->{run['to_nranks']} ranks, "
@@ -331,8 +234,13 @@ def _cmd_elastic_smoke(args) -> int:
 
 
 def _cmd_fsck(args) -> int:
+    import os
+
     from repro.mana.fsck import fsck
 
+    if not os.path.isdir(args.ckpt_dir):
+        print(f"fsck: no such directory: {args.ckpt_dir}")
+        return 2
     report = fsck(args.ckpt_dir, repair=args.repair)
     print(report.summary())
     if args.verbose or not args.repair:
@@ -351,25 +259,21 @@ def _cmd_fsck(args) -> int:
     return 0
 
 
-def _cmd_crash_smoke(args) -> int:
-    import shutil
+def _smoke_crash(args) -> int:
     import tempfile
 
     from repro.faults.crashsweep import run_sweep
 
-    workdir = tempfile.mkdtemp(prefix="repro-crash-smoke-")
-    try:
-        out = run_sweep(workdir, limit=args.points)
-        # Determinism: the sweep's per-point verdicts must be
-        # bit-identical across two runs (fresh directories each time).
-        workdir2 = tempfile.mkdtemp(prefix="repro-crash-smoke-")
-        try:
-            out2 = run_sweep(workdir2, limit=args.points)
-        finally:
-            shutil.rmtree(workdir2, ignore_errors=True)
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    deterministic = out["results"] == out2["results"]
+    # Determinism: the sweep's per-point verdicts must be bit-identical
+    # across two runs (fresh directories each time).
+    runs = []
+    for _ in range(2):
+        with tempfile.TemporaryDirectory(
+            prefix="repro-crash-smoke-", ignore_cleanup_errors=True
+        ) as workdir:
+            runs.append(run_sweep(workdir, limit=args.points))
+    out = runs[0]
+    deterministic = out["results"] == runs[1]["results"]
     contexts = ", ".join(out["contexts"])
     print(f"crash points : {out['points_total']} enumerated across "
           f"contexts [{contexts}]; {out['points_checked']} killed")
@@ -385,6 +289,44 @@ def _cmd_crash_smoke(args) -> int:
         return 1
     print("crash-smoke: store survives syscall-boundary kills")
     return 0
+
+
+def _smoke_perf(_args) -> Optional[int]:
+    """The repo's benchmark, scaled down to its correctness checks.  It
+    lives in the source checkout, not in the package: None (skipped)
+    when this module was not loaded from one."""
+    import json
+    import os
+    import subprocess
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    try:
+        with open(os.path.join(root, "BENCHMARK.json")) as f:
+            command = json.load(f)["command"]
+    except FileNotFoundError:
+        print(f"perf-smoke: skipped (no BENCHMARK.json in {root}: "
+              f"not a source checkout)")
+        return None
+    sys.stdout.flush()
+    rc = subprocess.run(command + ["--smoke"], cwd=root).returncode
+    print("perf-smoke: FAILED" if rc else
+          "perf-smoke: benchmark workloads pass their checks")
+    return rc
+
+
+_SMOKES = {"fault": _smoke_fault, "elastic": _smoke_elastic,
+           "crash": _smoke_crash, "perf": _smoke_perf}
+
+
+def _cmd_smoke(args) -> int:
+    if args.section is not None:
+        return _SMOKES[args.section](args) or 0
+    verdicts = {name: fn(args) for name, fn in _SMOKES.items()}
+    words = {0: "ok", None: "skipped"}
+    print("smoke: " + ", ".join(f"{name} {words.get(rc, 'FAILED')}"
+                                for name, rc in verdicts.items()))
+    return 1 if any(verdicts.values()) else 0
 
 
 def _cmd_apps(_args) -> int:
@@ -464,68 +406,26 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser(
-        "bench-smoke",
-        help="tiny hot-path benchmark vs the checked-in baseline",
-    )
-    p.add_argument("--baseline", default=None,
-                   help="baseline JSON (default: "
-                        "benchmarks/results/BENCH_hotpath.json)")
-    p.add_argument("--max-regression", type=float, default=5.0,
-                   help="fail when lookups/sec drop more than this factor")
-    p.set_defaults(fn=_cmd_bench_smoke)
-
-    p = sub.add_parser(
-        "ckpt-bench",
-        help="format-5 checkpoint pipeline benchmark (dedup/compress)",
-    )
-    p.add_argument("--payload-mb", type=float, default=4.0,
-                   help="per-rank payload size in MB (default 4.0)")
-    p.add_argument("--ranks", type=int, default=4)
-    p.add_argument("--compress-level", default=None, metavar="L1,L2,...",
-                   help="comma-separated zlib levels to sweep in addition "
-                        "to the default run (e.g. 1,3,6,9)")
-    p.add_argument("--out", default=None,
-                   help="write full JSON results to this path")
-    p.set_defaults(fn=_cmd_ckpt_bench)
-
-    p = sub.add_parser(
-        "ckpt-smoke",
-        help="small checkpoint bench vs the checked-in baseline",
-    )
-    p.add_argument("--baseline", default=None,
-                   help="baseline JSON (default: "
-                        "benchmarks/results/BENCH_ckpt.json)")
-    p.add_argument("--max-regression", type=float, default=5.0,
-                   help="fail when MB/s drops more than this factor")
-    p.set_defaults(fn=_cmd_ckpt_smoke)
-
-    p = sub.add_parser(
         "faults",
         help="seeded fault-injection sweep with supervised self-healing",
     )
     p.add_argument("scenario", nargs="?", default="all",
-                   choices=["all", "crash-restore", "self-heal",
-                            "disk-full", "truncate-fallback",
-                            "round-abort", "msg-delay", "chunk-corrupt",
-                            "async-drain-fault", "elastic-shrink",
-                            "elastic-grow", "elastic-migrate"])
+                   help="one scenario of repro.faults.scenarios.SCENARIOS "
+                        "(default: all)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(fn=_cmd_faults)
+    p.set_defaults(fn=_cmd_faults, error=p.error)
 
     p = sub.add_parser(
-        "fault-smoke",
-        help="CI smoke: seeded crash+corruption recovery, deterministic",
+        "smoke",
+        help="CI gate: fault, elastic, crash and perf smokes (default: all)",
     )
+    p.add_argument("section", nargs="?", default=None, choices=list(_SMOKES))
     p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(fn=_cmd_fault_smoke)
-
-    p = sub.add_parser(
-        "elastic-smoke",
-        help="CI smoke: elastic N->M restores vs cold M-rank runs",
-    )
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(fn=_cmd_elastic_smoke)
+    p.add_argument("--points", type=int, default=24,
+                   help="number of crash points to kill (deterministic "
+                        "subset; 0 = exhaustive)")
+    p.set_defaults(fn=_cmd_smoke)
 
     p = sub.add_parser(
         "fsck",
@@ -537,15 +437,6 @@ def main(argv=None) -> int:
                         "exit 1 if dirty)")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=_cmd_fsck)
-
-    p = sub.add_parser(
-        "crash-smoke",
-        help="CI smoke: syscall-boundary crash injection vs fsck repair",
-    )
-    p.add_argument("--points", type=int, default=24,
-                   help="number of crash points to kill (deterministic "
-                        "subset; 0 = exhaustive)")
-    p.set_defaults(fn=_cmd_crash_smoke)
 
     p = sub.add_parser("apps", help="list proxy applications")
     p.set_defaults(fn=_cmd_apps)

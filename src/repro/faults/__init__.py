@@ -6,12 +6,12 @@
   object consulted at the hook points (wrappers, fabric, coordinator,
   checkpoint writer);
 * :mod:`repro.faults.scenarios` — end-to-end survival scenarios behind
-  ``python -m repro faults`` / ``fault-smoke`` (imported lazily: it
-  pulls in the whole runtime);
+  ``python -m repro faults`` and ``smoke fault`` / ``smoke elastic``
+  (imported lazily: it pulls in the whole runtime);
 * :mod:`repro.faults.crashpoints` — :class:`CrashPointInjector`, the
   syscall-boundary process-death adversary of the durability layer;
 * :mod:`repro.faults.crashsweep` — the crash-injection sweep behind
-  ``python -m repro crash-smoke`` (imported lazily, like scenarios).
+  ``python -m repro smoke crash`` (imported lazily, like scenarios).
 
 See docs/PROTOCOLS.md §9 for the fault model and recovery protocol,
 §13 for the durability/crash model.

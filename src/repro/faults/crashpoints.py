@@ -13,7 +13,7 @@ is **dead** and every subsequent shimmed operation raises
 :class:`repro.util.errors.InjectedCrash` too.  ``finally`` blocks and
 exception handlers therefore cannot clean the store up — exactly what
 a real SIGKILL mid-``rename`` leaves behind.  The crash-point sweep
-(:mod:`repro.faults.crashsweep`, ``python -m repro crash-smoke``)
+(:mod:`repro.faults.crashsweep`, ``python -m repro smoke crash``)
 asserts that for *every* such point the store either still restores
 the previous generation bit-identically or ``repro fsck`` repairs it
 to a restorable state with zero leaked chunks.

@@ -30,7 +30,7 @@ state with nothing leaked.  This module turns that claim into a sweep:
      the chunk store holds exactly the referenced digests;
    * a second fsck finds nothing to do (repair converged).
 
-``python -m repro crash-smoke`` runs a deterministic bounded subset;
+``python -m repro smoke crash`` runs a deterministic bounded subset;
 the exhaustive sweep runs as a ``slow``-marked test in
 ``tests/test_crashpoints.py``.
 """

@@ -1,12 +1,15 @@
 """End-to-end fault/survival scenarios (``python -m repro faults``).
 
-Each scenario builds a seeded :class:`FaultPlan`, runs a small ring
-application under supervision, and checks that the job self-heals:
-auto-restarts from the latest restorable checkpoint generation and
-finishes with per-rank checksums equal to a fault-free run of the same
-seed.  ``fault_smoke`` is the CI entry point: it runs the acceptance
-scenario twice and asserts the recovery trace (events, fired faults,
-virtual times) is bit-identical across runs.
+``SCENARIOS`` is a table: each :class:`Scenario` names a seeded
+:class:`FaultPlan`, how the job runs and what must hold afterwards;
+:func:`run_scenario` is the one driver.  Every scenario must finish with
+app state equal to a fault-free run of the same seed — a small ring
+application that self-heals from the latest restorable generation, or
+(PROTOCOLS.md §12) ``ElasticHaloApp`` restored onto another rank count
+bit-identically to a cold run at that size.  ``fault_smoke`` and
+``elastic_smoke`` are the CI entry points behind ``python -m repro
+smoke``: they also run one scenario twice and assert the recovery trace
+(events, fired faults, virtual times) is bit-identical across runs.
 
 Everything here is deterministic: checkpoints are armed at fixed loop
 iterations (never wall-clock), crashes fire at loop/phase coordinates,
@@ -18,6 +21,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -28,13 +32,19 @@ from repro.faults.plan import (
     SITE_MID_SAVE,
     FaultPlan,
 )
+from repro.mana import checkpoint as ckpt
 from repro.runtime import JobConfig, Launcher, MpiApplication
 from repro.runtime.launcher import RestartPolicy
+from repro.util.errors import RestartError
 
 #: Iterations at which the LOOP-kind checkpoint triggers are armed.  With
 #: ``loop_lag_window=2`` the ranks park at 4, 8, and 12 — generations
 #: 1, 2, and 3.
 TRIGGER_ITERS = (2, 6, 10)
+#: Elastic scenarios arm only the first two: ElasticHaloApp runs 12
+#: blocks, so the ranks park at 4 and 8 — a crash at iteration 9 falls
+#: back to the generation parked at 8.
+ELASTIC_TRIGGERS = TRIGGER_ITERS[:2]
 NITERS = 16
 NRANKS = 4
 LAG_WINDOW = 2
@@ -75,508 +85,336 @@ class SurvivorApp(MpiApplication):
         return float(self.acc[0])
 
 
-def _arm_triggers(job) -> None:
-    for it in TRIGGER_ITERS:
+def _arm_triggers(job, iters=TRIGGER_ITERS) -> None:
+    for it in iters:
         job.checkpoint_at_iteration("main", it, kind="loop")
 
 
 def _config(ckpt_dir: str, seed: int,
             plan: Optional[FaultPlan], **extra) -> JobConfig:
-    return JobConfig(
+    fields = dict(
         nranks=NRANKS, impl="mpich", mana=True, seed=seed,
         ckpt_dir=ckpt_dir, loop_lag_window=LAG_WINDOW,
-        deadline=60.0, faults=plan, **extra,
+        deadline=60.0, faults=plan,
     )
+    fields.update(extra)
+    return JobConfig(**fields)
 
 
-def _checksums(res) -> List[Optional[float]]:
-    return [
-        round(a.checksum, 9) if a is not None else None
-        for a in res.apps()
-    ]
-
-
-def _injector_trace(cfg: JobConfig) -> List[dict]:
-    # Job.__init__ wrapped the plan into its injector in-place.
-    inj = cfg.faults
-    return inj.trace() if inj is not None and hasattr(inj, "trace") else []
-
-
-def baseline_checksums(seed: int) -> List[float]:
-    """Per-rank checksums of a fault-free run (same seed, same armed
-    checkpoints) — the reference every survival scenario must match."""
-    tmp = tempfile.mkdtemp(prefix="repro-faults-base-")
-    try:
-        cfg = _config(tmp, seed, None)
-        job = Launcher(cfg).launch(lambda r: SurvivorApp())
-        _arm_triggers(job)
-        res = job.run(60.0)
-        if res.status != "completed":
-            raise RuntimeError(
-                f"fault-free baseline failed: {res.first_error()}"
-            )
-        return _checksums(res)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def _supervised(seed: int, plan: FaultPlan, workdir: Optional[str],
-                max_restarts: int = 2) -> Dict:
-    """Run SurvivorApp under supervision with ``plan`` installed and
-    summarize the outcome against the fault-free baseline."""
-    tmp = workdir or tempfile.mkdtemp(prefix="repro-faults-")
-    own = workdir is None
-    try:
-        cfg = _config(tmp, seed, plan)
-        launcher = Launcher(cfg, RestartPolicy(max_restarts=max_restarts))
-        res = launcher.supervise(
-            lambda r: SurvivorApp(), timeout=60.0, on_launch=_arm_triggers,
-        )
-        return {
-            "status": res.status,
-            "restarts": res.restarts,
-            "events": res.recovery_events,
-            "checksums": _checksums(res),
-            "baseline": baseline_checksums(seed),
-            "faults_fired": _injector_trace(cfg),
-            "runtime": round(res.runtime, 9),
-            "dedup": _dedup_summary(tmp),
-        }
-    finally:
-        if own:
-            shutil.rmtree(tmp, ignore_errors=True)
-
-
-def _dedup_summary(ckpt_dir: str) -> Dict[int, Dict]:
-    """Per-generation incremental-save stats from the on-disk manifests
-    (chunks written / reused, bytes written) — the dedup effectiveness
-    report ``python -m repro faults`` surfaces."""
-    from repro.mana.checkpoint import latest_generations, read_manifest
-    from repro.util.errors import RestartError
-
-    out: Dict[int, Dict] = {}
-    for g in latest_generations(ckpt_dir):
-        try:
-            dd = read_manifest(ckpt_dir, g).get("dedup")
-        except RestartError:
-            continue  # incomplete generation (e.g. crashed mid-save)
-        if dd is not None:
-            out[g] = {
-                "chunks_written": dd["chunks_written"],
-                "chunks_reused": dd["chunks_reused"],
-                "bytes_written": dd["bytes_written"],
-            }
-    return out
-
-
-# ----------------------------------------------------------------------
-# scenarios
-# ----------------------------------------------------------------------
-def scenario_crash_restore(seed: int = 7,
-                           workdir: Optional[str] = None) -> Dict:
-    """A rank dies mid-loop after generation 2 exists; the supervisor
-    restores generation 2 and the job completes."""
-    plan = FaultPlan(seed=seed).crash_at_loop(rank=1, iteration=9)
-    out = _supervised(seed, plan, workdir)
-    out["ok"] = (
-        out["status"] == "completed"
-        and out["restarts"] == 1
-        and out["checksums"] == out["baseline"]
-    )
-    return out
-
-
-def scenario_self_heal(seed: int = 7,
-                       workdir: Optional[str] = None) -> Dict:
-    """The acceptance demo: a rank is killed mid-save of generation 3
-    AND generation 2's rank-0 image is bit-flipped on disk — the
-    supervisor must skip both and restore generation 1."""
-    plan = (
-        FaultPlan(seed=seed)
-        .crash_in_checkpoint(rank=1, generation=3, site=SITE_MID_SAVE)
-        .corrupt_image(generation=2, rank=0, mode=CORRUPT_BITFLIP)
-    )
-    out = _supervised(seed, plan, workdir)
-    restored = [e["generation"] for e in out["events"]
-                if e["event"] == "restart"]
-    out["ok"] = (
-        out["status"] == "completed"
-        and restored == [1]
-        and out["checksums"] == out["baseline"]
-    )
-    return out
-
-
-def scenario_disk_full(seed: int = 7,
-                       workdir: Optional[str] = None) -> Dict:
-    """ENOSPC while rank 1 saves generation 2: the save fails cleanly
-    (no torn image or stray temp file at the final path) and the
-    supervisor resumes from generation 1."""
-    plan = FaultPlan(seed=seed).disk_full(rank=1, generation=2)
-    tmp = workdir or tempfile.mkdtemp(prefix="repro-faults-")
-    try:
-        out = _supervised(seed, plan, tmp)
-        from repro.mana.checkpoint import generation_dir
-
-        gen2 = generation_dir(tmp, 2)
-        leftovers = (
-            [n for n in os.listdir(gen2) if n.endswith(".tmp")]
-            if os.path.isdir(gen2) else []
-        )
-        out["torn_files"] = leftovers
-        out["ok"] = (
-            out["status"] == "completed"
-            and not leftovers
-            and out["checksums"] == out["baseline"]
-        )
-        return out
-    finally:
-        if workdir is None:
-            shutil.rmtree(tmp, ignore_errors=True)
-
-
-def scenario_truncate_fallback(seed: int = 7,
-                               workdir: Optional[str] = None) -> Dict:
-    """Generation 2 is truncated on disk after its round completes plus
-    a later crash: restart must fall back to generation 1."""
-    plan = (
-        FaultPlan(seed=seed)
-        .corrupt_image(generation=2, rank=1, mode=CORRUPT_TRUNCATE)
-        .crash_at_loop(rank=2, iteration=9)
-    )
-    out = _supervised(seed, plan, workdir)
-    restored = [e["generation"] for e in out["events"]
-                if e["event"] == "restart"]
-    out["ok"] = (
-        out["status"] == "completed"
-        and restored == [1]
-        and out["checksums"] == out["baseline"]
-    )
-    return out
-
-
-def scenario_chunk_corrupt(seed: int = 7,
-                           workdir: Optional[str] = None) -> Dict:
-    """Format-5 chunk-level bit rot: a chunk newly stored by rank 0's
-    generation-2 save is corrupted in the content store, plus a later
-    crash.  Validation must pin the bad chunk on generation 2 (its
-    chunks are content-shared with nothing older), and the supervisor
-    must fall back to generation 1."""
-    plan = (
-        FaultPlan(seed=seed)
-        .corrupt_chunk(generation=2, rank=0)
-        .crash_at_loop(rank=2, iteration=9)
-    )
-    out = _supervised(seed, plan, workdir)
-    restored = [e["generation"] for e in out["events"]
-                if e["event"] == "restart"]
-    out["ok"] = (
-        out["status"] == "completed"
-        and restored == [1]
-        and out["checksums"] == out["baseline"]
-    )
-    return out
-
-
-def scenario_round_abort(seed: int = 7,
-                         workdir: Optional[str] = None) -> Dict:
-    """An injected coordinator stall aborts checkpoint round 1 on its
-    first attempt; the bounded retry completes it and the job never
-    fails (zero supervised restarts)."""
-    plan = FaultPlan(seed=seed).abort_round(generation=1, attempt=1)
-    tmp = workdir or tempfile.mkdtemp(prefix="repro-faults-")
-    try:
-        cfg = _config(tmp, seed, plan)
-        job = Launcher(cfg).launch(lambda r: SurvivorApp())
-        _arm_triggers(job)
-        res = job.run(60.0)
-        out = {
-            "status": res.status,
-            "restarts": 0,
-            "events": list(job.coordinator.round_events),
-            "checksums": _checksums(res),
-            "baseline": baseline_checksums(seed),
-            "faults_fired": _injector_trace(cfg),
-            "runtime": round(res.runtime, 9),
-        }
-        out["ok"] = (
-            res.status == "completed"
-            and any(e["event"] == "round-abort" and e["retrying"]
-                    for e in out["events"])
-            and out["checksums"] == out["baseline"]
-        )
-        return out
-    finally:
-        if workdir is None:
-            shutil.rmtree(tmp, ignore_errors=True)
-
-
-def scenario_msg_delay(seed: int = 7,
-                       workdir: Optional[str] = None) -> Dict:
-    """A delayed message slows the job in *virtual* time but never
-    corrupts it: checksums still match the baseline."""
-    plan = FaultPlan(seed=seed).delay_message(src=0, dst=1, seconds=5.0,
-                                              nth=3)
-    tmp = workdir or tempfile.mkdtemp(prefix="repro-faults-")
-    try:
-        cfg = _config(tmp, seed, plan)
-        job = Launcher(cfg).launch(lambda r: SurvivorApp())
-        _arm_triggers(job)
-        res = job.run(60.0)
-        out = {
-            "status": res.status,
-            "restarts": 0,
-            "events": [],
-            "checksums": _checksums(res),
-            "baseline": baseline_checksums(seed),
-            "faults_fired": _injector_trace(cfg),
-            "runtime": round(res.runtime, 9),
-        }
-        out["ok"] = (
-            res.status == "completed"
-            and out["checksums"] == out["baseline"]
-            and len(out["faults_fired"]) == 1
-        )
-        return out
-    finally:
-        if workdir is None:
-            shutil.rmtree(tmp, ignore_errors=True)
-
-
-def scenario_async_drain_fault(seed: int = 7,
-                               workdir: Optional[str] = None) -> Dict:
-    """A fault during the *background* drain of an asynchronous round
-    (PROTOCOLS.md §11) fails that generation and nothing else: the
-    ranks already resumed at the snapshot barrier, so the job completes
-    with zero restarts and correct checksums, while restartability
-    falls back to the previous durable generation."""
-    from repro.mana.checkpoint import restorable_generations
-
-    plan = FaultPlan(seed=seed).crash_in_checkpoint(
-        rank=1, generation=2, site=SITE_MID_SAVE
-    )
-    tmp = workdir or tempfile.mkdtemp(prefix="repro-faults-")
-    try:
-        cfg = _config(tmp, seed, plan, ckpt_async=True)
-        job = Launcher(cfg).launch(lambda r: SurvivorApp())
-        _arm_triggers(job)
-        res = job.run(60.0)
-        events = list(job.coordinator.round_events)
-        durable = restorable_generations(tmp)
-        out = {
-            "status": res.status,
-            "restarts": 0,
-            "events": events,
-            "checksums": _checksums(res),
-            "baseline": baseline_checksums(seed),
-            "faults_fired": _injector_trace(cfg),
-            "restorable_generations": durable,
-            "runtime": round(res.runtime, 9),
-        }
-        out["ok"] = (
-            res.status == "completed"
-            and any(e["event"] == "async-drain-failed"
-                    and e["generation"] == 2 for e in events)
-            and 2 not in durable
-            and len(durable) >= 1
-            and out["checksums"] == out["baseline"]
-        )
-        return out
-    finally:
-        if workdir is None:
-            shutil.rmtree(tmp, ignore_errors=True)
-
-
-# ----------------------------------------------------------------------
-# elastic restart scenarios (PROTOCOLS.md §12)
-# ----------------------------------------------------------------------
-#: Elastic scenarios arm only the first two triggers: with blocks=12 and
-#: lag window 2 the ranks park at 4 and 8 — a crash at iteration 9 falls
-#: back to the generation parked at 8.
-ELASTIC_TRIGGERS = (2, 6)
-
-
-def _arm_elastic_triggers(job) -> None:
-    for it in ELASTIC_TRIGGERS:
-        job.checkpoint_at_iteration("main", it, kind="loop")
-
-
-def _elastic_factory(seed: int, nranks: int):
-    from dataclasses import replace
-
+def _app_factory(seed: int, nranks: int, elastic: bool):
+    if not elastic:
+        return lambda r: SurvivorApp()
     from repro.apps.elastic import ElasticHaloApp
 
     spec = replace(ElasticHaloApp.paper_config(), nranks=nranks, seed=seed)
     return lambda r: ElasticHaloApp(spec)
 
 
-def _elastic_config(ckpt_dir: str, seed: int, plan: Optional[FaultPlan],
-                    nranks: int, impl: str = "mpich") -> JobConfig:
-    return JobConfig(
-        nranks=nranks, impl=impl, mana=True, seed=seed,
-        ckpt_dir=ckpt_dir, loop_lag_window=LAG_WINDOW,
-        deadline=60.0, faults=plan,
-    )
-
-
-def _elastic_state(res) -> Dict:
-    """App-level results of an ElasticHaloApp run: the replicated
-    checksum and per-block global sums, raw floats (the equivalence
-    oracle is *bit*-identity, so no rounding)."""
+def _app_state(res) -> Dict:
+    """App-level results of a run, raw floats (the oracle is
+    *bit*-identity): per-rank checksums and, for ElasticHaloApp, the
+    per-block global sums."""
+    apps = res.apps()
     return {
-        "checksums": [
-            a.checksum if a is not None else None for a in res.apps()
-        ],
+        "checksums": [a.checksum if a is not None else None for a in apps],
         "history": [
-            list(a.history) if a is not None else None for a in res.apps()
+            list(a.history) if hasattr(a, "history") else None for a in apps
         ],
     }
 
 
-def elastic_cold_baseline(seed: int, nranks: int,
-                          impl: str = "mpich") -> Dict:
-    """App results of an uninterrupted ``nranks``-rank ElasticHaloApp
-    run — what an elastic restore onto ``nranks`` ranks must reproduce
-    bit-identically."""
-    tmp = tempfile.mkdtemp(prefix="repro-elastic-base-")
+def _fault_free(seed: int, elastic: bool = False, **config) -> Dict:
+    """App state of an uninterrupted run — the reference a scenario
+    must reproduce: SurvivorApp with the same armed checkpoints, or a
+    cold ElasticHaloApp run at the post-restore size."""
+    tmp = tempfile.mkdtemp(prefix="repro-faults-base-")
     try:
-        cfg = _elastic_config(tmp, seed, None, nranks, impl)
-        res = Launcher(cfg).run(_elastic_factory(seed, nranks), 60.0)
+        cfg = _config(tmp, seed, None, **config)
+        job = Launcher(cfg).launch(_app_factory(seed, cfg.nranks, elastic))
+        if not elastic:
+            _arm_triggers(job)
+        res = job.run(60.0)
         if res.status != "completed":
             raise RuntimeError(
-                f"elastic cold baseline failed: {res.first_error()}"
+                f"fault-free baseline failed: {res.first_error()}"
             )
-        return _elastic_state(res)
+        return _app_state(res)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _elastic_supervised(seed: int, workdir: Optional[str], *,
-                        from_nranks: int, capacity: int, elastic: str,
-                        impl: str = "mpich",
-                        target_impl: Optional[str] = None) -> Dict:
-    """Crash an ElasticHaloApp run after generation 2 exists, recover
-    elastically onto ``capacity`` ranks, and compare the final app state
-    bit-for-bit against a cold run at the post-restore size."""
-    plan = FaultPlan(seed=seed).crash_at_loop(rank=1, iteration=9)
-    tmp = workdir or tempfile.mkdtemp(prefix="repro-elastic-")
-    own = workdir is None
-    try:
-        cfg = _elastic_config(tmp, seed, plan, from_nranks, impl)
-        policy = RestartPolicy(
-            max_restarts=2, elastic=elastic, capacity=[capacity],
-            target_impl=target_impl,
-        )
-        res = Launcher(cfg, policy).supervise(
-            _elastic_factory(seed, from_nranks), timeout=60.0,
-            on_launch=_arm_elastic_triggers,
-        )
-        state = _elastic_state(res)
-        to_nranks = len(res.ranks)
-        baseline = elastic_cold_baseline(
-            seed, to_nranks, target_impl or impl
-        )
-        restart_events = [e for e in res.recovery_events
-                          if e["event"] == "restart"]
-        out = {
-            "status": res.status,
-            "restarts": res.restarts,
-            "events": res.recovery_events,
-            "checksums": state["checksums"],
-            "history": state["history"],
-            "baseline": baseline,
-            "from_nranks": from_nranks,
-            "to_nranks": to_nranks,
-            "faults_fired": _injector_trace(cfg),
-            "runtime": round(res.runtime, 9),
-        }
-        out["ok"] = (
-            res.status == "completed"
-            and res.restarts == 1
-            and state == baseline
-            and all(e.get("elastic") for e in restart_events)
-            and all("skipped_generations" in e for e in restart_events)
-        )
-        return out
-    finally:
-        if own:
-            shutil.rmtree(tmp, ignore_errors=True)
+def baseline_checksums(seed: int) -> List[float]:
+    """Per-rank checksums of a fault-free SurvivorApp run (same seed,
+    same armed checkpoints)."""
+    return _fault_free(seed)["checksums"]
 
 
-def scenario_elastic_shrink(seed: int = 7,
-                            workdir: Optional[str] = None) -> Dict:
-    """Node loss: an 8-rank job crashes after generation 2; only 4
-    ranks remain.  The supervisor repartitions the 8-rank images onto 4
-    ranks and the finished state is bit-identical to a cold 4-rank
-    run."""
-    out = _elastic_supervised(
-        seed, workdir, from_nranks=8, capacity=4,
-        elastic="shrink_on_node_loss",
+@dataclass(frozen=True)
+class Scenario:
+    """One survival story.  ``expect`` is checked on top of what every
+    scenario requires: status "completed" and app state equal to the
+    fault-free run's."""
+
+    doc: str
+    plan: Callable[[int], FaultPlan]
+    expect: Callable[[Dict], bool]
+    #: Run under ``Launcher.supervise`` (events = its recovery events)
+    #: or as one plain job (events = the coordinator's round events).
+    supervised: bool = True
+    #: ``JobConfig`` fields that differ from :func:`_config`'s.
+    config: Dict = field(default_factory=dict)
+    #: ``RestartPolicy`` fields of an elastic recovery.  When set the
+    #: job runs ElasticHaloApp and the reference is a cold run at the
+    #: post-restore rank count and implementation.
+    elastic: Optional[Dict] = None
+    #: ``inspect(ckpt_dir, outcome)`` records what only the checkpoint
+    #: directory can tell, before the driver removes it.
+    inspect: Optional[Callable[[str, Dict], None]] = None
+
+
+def _restored(out: Dict) -> List[int]:
+    return [e["generation"] for e in out["events"]
+            if e["event"] == "restart"]
+
+
+def _manifest_dedup(ckpt_dir: str, out: Dict) -> None:
+    """Per-generation incremental-save stats from the on-disk manifests
+    (chunks written / reused, bytes written) — the dedup effectiveness
+    report ``python -m repro faults`` surfaces."""
+    out["dedup"] = {}
+    for g in ckpt.latest_generations(ckpt_dir):
+        try:
+            dd = ckpt.read_manifest(ckpt_dir, g).get("dedup")
+        except RestartError:
+            continue  # incomplete generation (e.g. crashed mid-save)
+        if dd is not None:
+            out["dedup"][g] = {
+                k: dd[k] for k in
+                ("chunks_written", "chunks_reused", "bytes_written")
+            }
+
+
+def _inspect_disk_full(ckpt_dir: str, out: Dict) -> None:
+    _manifest_dedup(ckpt_dir, out)
+    gen2 = ckpt.generation_dir(ckpt_dir, 2)
+    out["torn_files"] = (
+        [n for n in os.listdir(gen2) if n.endswith(".tmp")]
+        if os.path.isdir(gen2) else []
     )
-    out["ok"] = out["ok"] and out["to_nranks"] == 4
-    return out
 
 
-def scenario_elastic_grow(seed: int = 7,
-                          workdir: Optional[str] = None) -> Dict:
-    """Spot capacity returns: a 4-rank job crashes after generation 2
-    and restores onto 8 ranks, bit-identical to a cold 8-rank run."""
-    out = _elastic_supervised(
-        seed, workdir, from_nranks=4, capacity=8,
-        elastic="grow_to_capacity",
-    )
-    out["ok"] = out["ok"] and out["to_nranks"] == 8
-    return out
+def _crash_after_gen2(seed: int) -> FaultPlan:
+    return FaultPlan(seed=seed).crash_at_loop(rank=1, iteration=9)
 
 
-def scenario_elastic_migrate(seed: int = 7,
-                             workdir: Optional[str] = None) -> Dict:
-    """Cross-implementation elastic migration: checkpoint under Open MPI
-    at 8 ranks, crash, restore under MPICH at 4 — resizing and the §9
-    interoperability restart composed in one recovery."""
-    out = _elastic_supervised(
-        seed, workdir, from_nranks=8, capacity=4,
-        elastic="shrink_on_node_loss", impl="openmpi",
-        target_impl="mpich",
-    )
-    out["ok"] = out["ok"] and out["to_nranks"] == 4
-    return out
+def _resized_to(nranks: int) -> Callable[[Dict], bool]:
+    def expect(out: Dict) -> bool:
+        restarts = [e for e in out["events"] if e["event"] == "restart"]
+        return (
+            out["restarts"] == 1
+            and out["to_nranks"] == nranks
+            and all(e.get("elastic") and "skipped_generations" in e
+                    for e in restarts)
+        )
+    return expect
 
 
-SCENARIOS: Dict[str, Callable[..., Dict]] = {
-    "crash-restore": scenario_crash_restore,
-    "self-heal": scenario_self_heal,
-    "disk-full": scenario_disk_full,
-    "truncate-fallback": scenario_truncate_fallback,
-    "chunk-corrupt": scenario_chunk_corrupt,
-    "round-abort": scenario_round_abort,
-    "msg-delay": scenario_msg_delay,
-    "async-drain-fault": scenario_async_drain_fault,
-    "elastic-shrink": scenario_elastic_shrink,
-    "elastic-grow": scenario_elastic_grow,
-    "elastic-migrate": scenario_elastic_migrate,
+SCENARIOS: Dict[str, Scenario] = {
+    "crash-restore": Scenario(
+        "A rank dies mid-loop after generation 2 exists; the supervisor "
+        "restores generation 2 and the job completes.",
+        plan=_crash_after_gen2,
+        expect=lambda out: out["restarts"] == 1,
+        inspect=_manifest_dedup,
+    ),
+    "self-heal": Scenario(
+        "The acceptance demo: a rank is killed mid-save of generation 3 "
+        "AND generation 2's rank-0 image is bit-flipped on disk — the "
+        "supervisor must skip both and restore generation 1.",
+        plan=lambda seed: (
+            FaultPlan(seed=seed)
+            .crash_in_checkpoint(rank=1, generation=3, site=SITE_MID_SAVE)
+            .corrupt_image(generation=2, rank=0, mode=CORRUPT_BITFLIP)
+        ),
+        expect=lambda out: _restored(out) == [1],
+        inspect=_manifest_dedup,
+    ),
+    "disk-full": Scenario(
+        "ENOSPC while rank 1 saves generation 2: the save fails cleanly "
+        "(no torn image or stray temp file at the final path) and the "
+        "supervisor resumes from generation 1.",
+        plan=lambda seed: FaultPlan(seed=seed).disk_full(rank=1,
+                                                         generation=2),
+        expect=lambda out: not out["torn_files"],
+        inspect=_inspect_disk_full,
+    ),
+    "truncate-fallback": Scenario(
+        "Generation 2 is truncated on disk after its round completes "
+        "plus a later crash: restart must fall back to generation 1.",
+        plan=lambda seed: (
+            FaultPlan(seed=seed)
+            .corrupt_image(generation=2, rank=1, mode=CORRUPT_TRUNCATE)
+            .crash_at_loop(rank=2, iteration=9)
+        ),
+        expect=lambda out: _restored(out) == [1],
+        inspect=_manifest_dedup,
+    ),
+    "chunk-corrupt": Scenario(
+        "Format-5 chunk-level bit rot: a chunk newly stored by rank 0's "
+        "generation-2 save is corrupted in the content store, plus a "
+        "later crash.  Validation must pin the bad chunk on generation 2 "
+        "(its chunks are content-shared with nothing older), and the "
+        "supervisor must fall back to generation 1.",
+        plan=lambda seed: (
+            FaultPlan(seed=seed)
+            .corrupt_chunk(generation=2, rank=0)
+            .crash_at_loop(rank=2, iteration=9)
+        ),
+        expect=lambda out: _restored(out) == [1],
+        inspect=_manifest_dedup,
+    ),
+    "round-abort": Scenario(
+        "An injected coordinator stall aborts checkpoint round 1 on its "
+        "first attempt; the bounded retry completes it and the job never "
+        "fails (zero supervised restarts).",
+        plan=lambda seed: FaultPlan(seed=seed).abort_round(generation=1,
+                                                           attempt=1),
+        expect=lambda out: any(
+            e["event"] == "round-abort" and e["retrying"]
+            for e in out["events"]
+        ),
+        supervised=False,
+    ),
+    "msg-delay": Scenario(
+        "A delayed message slows the job in *virtual* time but never "
+        "corrupts it: checksums still match the baseline.",
+        plan=lambda seed: FaultPlan(seed=seed).delay_message(
+            src=0, dst=1, seconds=5.0, nth=3
+        ),
+        expect=lambda out: len(out["faults_fired"]) == 1,
+        supervised=False,
+    ),
+    "async-drain-fault": Scenario(
+        "A fault during the *background* drain of an asynchronous round "
+        "(PROTOCOLS.md §11) fails that generation and nothing else: the "
+        "ranks already resumed at the snapshot barrier, so the job "
+        "completes with zero restarts and correct checksums, while "
+        "restartability falls back to the previous durable generation.",
+        plan=lambda seed: FaultPlan(seed=seed).crash_in_checkpoint(
+            rank=1, generation=2, site=SITE_MID_SAVE
+        ),
+        expect=lambda out: (
+            any(e["event"] == "async-drain-failed" and e["generation"] == 2
+                for e in out["events"])
+            and 2 not in out["restorable_generations"]
+            and len(out["restorable_generations"]) >= 1
+        ),
+        supervised=False,
+        config={"ckpt_async": True},
+        inspect=lambda ckpt_dir, out: out.update(
+            restorable_generations=ckpt.restorable_generations(ckpt_dir)
+        ),
+    ),
+    "elastic-shrink": Scenario(
+        "Node loss: an 8-rank job crashes after generation 2; only 4 "
+        "ranks remain.  The supervisor repartitions the 8-rank images "
+        "onto 4 ranks and the finished state is bit-identical to a cold "
+        "4-rank run.",
+        plan=_crash_after_gen2,
+        expect=_resized_to(4),
+        config={"nranks": 8},
+        elastic={"elastic": "shrink_on_node_loss", "capacity": [4]},
+    ),
+    "elastic-grow": Scenario(
+        "Spot capacity returns: a 4-rank job crashes after generation 2 "
+        "and restores onto 8 ranks, bit-identical to a cold 8-rank run.",
+        plan=_crash_after_gen2,
+        expect=_resized_to(8),
+        config={"nranks": 4},
+        elastic={"elastic": "grow_to_capacity", "capacity": [8]},
+    ),
+    "elastic-migrate": Scenario(
+        "Cross-implementation elastic migration: checkpoint under Open "
+        "MPI at 8 ranks, crash, restore under MPICH at 4 — resizing and "
+        "the §9 interoperability restart composed in one recovery.",
+        plan=_crash_after_gen2,
+        expect=_resized_to(4),
+        config={"nranks": 8, "impl": "openmpi"},
+        elastic={"elastic": "shrink_on_node_loss", "capacity": [4],
+                 "target_impl": "mpich"},
+    ),
 }
 
 
-def run_scenario(name: str, seed: int = 7) -> Dict:
+def _run(sc: Scenario, seed: int, ckpt_dir: str) -> Dict:
+    """Run one scenario's job in ``ckpt_dir`` and summarize it against
+    the fault-free reference."""
+    elastic = sc.elastic is not None
+    policy = RestartPolicy(max_restarts=2, **(sc.elastic or {}))
+    iters = ELASTIC_TRIGGERS if elastic else TRIGGER_ITERS
+    cfg = _config(ckpt_dir, seed, sc.plan(seed), **sc.config)
+    factory = _app_factory(seed, cfg.nranks, elastic)
+    if sc.supervised:
+        res = Launcher(cfg, policy).supervise(
+            factory, timeout=60.0,
+            on_launch=lambda job: _arm_triggers(job, iters),
+        )
+        events = res.recovery_events
+    else:
+        job = Launcher(cfg).launch(factory)
+        _arm_triggers(job, iters)
+        res = job.run(60.0)
+        events = list(job.coordinator.round_events)
+    state = _app_state(res)
+    baseline = _fault_free(
+        seed, elastic, nranks=len(res.ranks),
+        impl=policy.target_impl or cfg.impl,
+    )
+    return {
+        "status": res.status,
+        "restarts": res.restarts,
+        "events": events,
+        **state,
+        "baseline": baseline,
+        "matches_baseline": state == baseline,
+        "from_nranks": cfg.nranks,
+        "to_nranks": len(res.ranks),
+        # Job.__init__ wrapped the plan into its injector in-place.
+        "faults_fired": cfg.faults.trace(),
+        "runtime": round(res.runtime, 9),
+    }
+
+
+def run_scenario(name: str, seed: int = 7,
+                 workdir: Optional[str] = None) -> Dict:
+    """Run the named scenario; the checkpoint directory is ``workdir``
+    (kept) or a temporary one (removed)."""
     if name not in SCENARIOS:
         raise KeyError(
             f"unknown scenario {name!r}; pick from {sorted(SCENARIOS)}"
         )
-    return SCENARIOS[name](seed=seed)
+    sc = SCENARIOS[name]
+    tmp = workdir or tempfile.mkdtemp(prefix="repro-faults-")
+    try:
+        out = _run(sc, seed, tmp)
+        if sc.inspect is not None:
+            sc.inspect(tmp, out)
+        out["ok"] = bool(
+            out["status"] == "completed"
+            and out["matches_baseline"]
+            and sc.expect(out)
+        )
+        return out
+    finally:
+        if workdir is None:
+            shutil.rmtree(tmp, ignore_errors=True)
 
 
 def recovery_fingerprint(out: Dict) -> Dict:
     """The parts of a scenario outcome that must be bit-identical across
     two runs with the same plan + seed."""
-    return {
-        "status": out["status"],
-        "restarts": out["restarts"],
-        "events": out["events"],
-        "checksums": out["checksums"],
-        "faults_fired": out["faults_fired"],
-        "runtime": out["runtime"],
-    }
+    return {k: out[k] for k in ("status", "restarts", "events",
+                                "checksums", "faults_fired", "runtime")}
 
 
 def fault_smoke(seed: int = 7) -> Dict:
@@ -587,17 +425,16 @@ def fault_smoke(seed: int = 7) -> Dict:
     (b) the recovery trace (events, fired faults, virtual times) is
     deterministic: bit-identical across both runs.
     """
-    first = scenario_self_heal(seed=seed)
-    second = scenario_self_heal(seed=seed)
-    deterministic = (
-        recovery_fingerprint(first) == recovery_fingerprint(second)
-    )
+    first = run_scenario("self-heal", seed)
+    second = run_scenario("self-heal", seed)
+    rerun = recovery_fingerprint(second)
+    deterministic = recovery_fingerprint(first) == rerun
     return {
         "ok": bool(first["ok"] and second["ok"] and deterministic),
         "self_heal_ok": bool(first["ok"]),
         "deterministic": deterministic,
         "run": first,
-        "rerun": recovery_fingerprint(second),
+        "rerun": rerun,
     }
 
 
@@ -607,23 +444,13 @@ def elastic_smoke(seed: int = 7) -> Dict:
     (Open MPI 8 → MPICH 4), each checked bit-identical against a cold
     run at the post-restore size; the shrink runs twice to assert the
     recovery trace is deterministic."""
-    shrink = scenario_elastic_shrink(seed=seed)
-    shrink_again = scenario_elastic_shrink(seed=seed)
-    grow = scenario_elastic_grow(seed=seed)
-    migrate = scenario_elastic_migrate(seed=seed)
-    deterministic = (
-        recovery_fingerprint(shrink) == recovery_fingerprint(shrink_again)
-    )
+    runs = {kind: run_scenario(f"elastic-{kind}", seed)
+            for kind in ("shrink", "grow", "migrate")}
+    rerun = recovery_fingerprint(run_scenario("elastic-shrink", seed))
+    deterministic = recovery_fingerprint(runs["shrink"]) == rerun
     return {
-        "ok": bool(
-            shrink["ok"] and grow["ok"] and migrate["ok"] and deterministic
-        ),
-        "shrink_ok": bool(shrink["ok"]),
-        "grow_ok": bool(grow["ok"]),
-        "migrate_ok": bool(migrate["ok"]),
+        "ok": bool(all(r["ok"] for r in runs.values()) and deterministic),
         "deterministic": deterministic,
-        "shrink": shrink,
-        "grow": grow,
-        "migrate": migrate,
-        "rerun": recovery_fingerprint(shrink_again),
+        **runs,
+        "rerun": rerun,
     }

@@ -59,7 +59,8 @@ class DrainJob:
     #: rank -> {"path": image path, "image": CheckpointImage,
     #:          "blob": pickled upper half (the snapshot)}
     ranks: Dict[int, Dict]
-    #: Rank 0's manifest fields (None when another round already failed).
+    #: Rank 0's :func:`write_manifest` fields (None when another round
+    #: already failed).
     manifest: Optional[Dict]
     #: Set by the coordinator once the round's ranks passed resume.
     resume_event: threading.Event
@@ -162,10 +163,9 @@ class AsyncSaveDrainer:
             # fresh generation counts toward keep_generations.
             ckpt.unpin_generation(base, job.generation)
             pinned = False
-            if error is None and job.manifest is not None:
-                keep = job.manifest.get("keep_generations")
-                if keep:
-                    ckpt.prune_generations(base, keep)
+            if (error is None and job.manifest is not None
+                    and coord.keep_generations):
+                ckpt.prune_generations(base, coord.keep_generations)
             if error is None:
                 Journal(base).retire(fin)
         finally:
@@ -185,20 +185,7 @@ class AsyncSaveDrainer:
     def _finish_generation(self, job: DrainJob,
                            stats: Dict[int, Dict]) -> Dict:
         coord = self.coordinator
-        payload = sum(s["payload_bytes"] for s in stats.values())
-        written = sum(s["bytes_written"] for s in stats.values())
-        frac = written / payload if payload else 1.0
-        dedup = {
-            "format": 5,
-            "chunks_total": sum(s["chunks_total"] for s in stats.values()),
-            "chunks_written": sum(
-                s["chunks_written"] for s in stats.values()
-            ),
-            "chunks_reused": sum(s["chunks_reused"] for s in stats.values()),
-            "bytes_written": written,
-            "payload_bytes": payload,
-            "written_fraction": round(frac, 6),
-        }
+        dedup = ckpt.dedup_summary(stats.values())
         coord.last_dedup = dedup
         t = job.ticket
         if t is not None:
@@ -206,23 +193,13 @@ class AsyncSaveDrainer:
             # The modeled background cost of this drain — what the next
             # round's overrun accounting will charge if it arrives
             # before this much virtual time has passed.
-            written_logical = int(job.logical_mean * min(1.0, frac))
             t.result["drain_time"] = coord.ckpt_cost.drain_time(
-                coord.fs_profile, coord.nranks,
-                int(job.logical_mean), written_logical,
+                coord.fs_profile, coord.nranks, int(job.logical_mean),
+                coord._written_logical(dedup, job.logical_mean),
             )
         if job.manifest is not None:
-            m = job.manifest
             ckpt.write_manifest(
-                coord.ckpt_dir,
-                job.generation,
-                nranks=m["nranks"],
-                impl=m["impl"],
-                kind=m["kind"],
-                cold_restartable=m["cold_restartable"],
-                loop_target=m.get("loop_target"),
-                extra=m.get("extra"),
-                dedup=dedup,
+                coord.ckpt_dir, job.generation, dedup=dedup, **job.manifest
             )
         return dedup
 

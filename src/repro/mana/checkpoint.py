@@ -54,7 +54,7 @@ import struct
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.mana import storeio
 from repro.mana.journal import JOURNAL_DIRNAME, Journal
@@ -446,6 +446,20 @@ def save_chunked_blob(
     }
 
 
+def dedup_summary(stats: Collection[Dict]) -> Dict:
+    """One generation's incremental-save effectiveness: the per-rank
+    :func:`save_chunked_blob` statistics summed over ranks — what
+    manifests record under ``dedup`` and tickets report."""
+    total = {
+        k: sum(s[k] for s in stats)
+        for k in ("chunks_total", "chunks_written", "chunks_reused",
+                  "bytes_written", "payload_bytes")
+    }
+    payload = total["payload_bytes"]
+    frac = total["bytes_written"] / payload if payload else 1.0
+    return {"format": 5, **total, "written_fraction": round(frac, 6)}
+
+
 # ----------------------------------------------------------------------
 # decode / load
 # ----------------------------------------------------------------------
@@ -654,8 +668,8 @@ def write_manifest(
 
     ``dedup`` records the generation's incremental-save effectiveness
     (``chunks_written`` / ``chunks_reused`` / ``bytes_written`` summed
-    over ranks); surfaced by ``python -m repro faults`` and
-    ``ckpt-bench``.
+    over ranks, :func:`dedup_summary`); surfaced by ``python -m repro
+    faults``.
     """
     d = generation_dir(base_dir, generation)
     os.makedirs(d, exist_ok=True)

@@ -47,6 +47,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.mana.checkpoint import dedup_summary
 from repro.simtime.cost import (
     CheckpointCostModel,
     FilesystemProfile,
@@ -713,21 +714,6 @@ class CheckpointCoordinator:
                     self._save_pool = pool
         return pool
 
-    def run_save(self, fn: Callable[[object], object]):
-        """Run one rank's encode+write: ``fn`` receives the shared save
-        pool (or None) and is executed in the calling rank thread.
-
-        The writer fans its ~256 KiB chunk runs into the pool, so work
-        items are *chunk runs*, not whole ranks — chunks from every
-        rank interleave across ``save_workers`` and one large rank no
-        longer serializes the round (the old design submitted each
-        rank's entire encode as a single pool item).  Exceptions
-        surface in the calling rank thread — injected faults keep their
-        per-rank crash semantics — and virtual time is charged
-        analytically by :meth:`_on_saved`, so pooling changes
-        wall-clock only, never the simulation."""
-        return fn(self.save_pool())
-
     def _shutdown_save_pool(self) -> None:
         with self._save_pool_lock:
             pool, self._save_pool = self._save_pool, None
@@ -833,41 +819,49 @@ class CheckpointCoordinator:
     def _on_quiesced(self) -> None:
         self._ckpt_start_time = max(self._rank_clocks.values())
 
+    @staticmethod
+    def _written_logical(dedup: Dict, logical_mean: float) -> int:
+        """The written fraction measured on the real pickle bytes scales
+        the *logical* (simulated) payload, so proxy apps with
+        simulated_state_bytes see proportional savings."""
+        payload = dedup["payload_bytes"]
+        frac = dedup["bytes_written"] / payload if payload else 1.0
+        return int(logical_mean * min(1.0, frac))
+
+    def _ticket_result(self, sizes: List[int], mean: float) -> Dict:
+        """What a ticket reports once the round's cost is known."""
+        t = self._intent
+        return {
+            "generation": t.generation,
+            "kind": t.kind,
+            "mode": t.mode,
+            "bytes_per_rank": sizes,
+            "mean_bytes_per_rank": mean,
+            "ckpt_time": self._ckpt_duration,
+            "mb_per_s_per_rank": (
+                mean / self._ckpt_duration / 1e6
+                if self._ckpt_duration > 0
+                else float("inf")
+            ),
+            "loop_target": self._loop_target,
+        }
+
     def _on_saved(self) -> None:
         sizes = list(self._rank_bytes.values())
         mean = sum(sizes) / len(sizes) if sizes else 0
         if self._async_blobs:
             self._on_saved_async(sizes, mean)
             return
-        stats = dict(self._rank_savestats)
+        stats = self._rank_savestats
         dedup = None
         if stats and len(stats) == len(sizes):
             # Format-5 round: charge the incremental pipeline's analytic
-            # cost.  The written fraction measured on the real pickle
-            # bytes scales the *logical* (simulated) payload, so proxy
-            # apps with simulated_state_bytes see proportional savings.
-            payload = sum(s["payload_bytes"] for s in stats.values())
-            written = sum(s["bytes_written"] for s in stats.values())
-            frac = written / payload if payload else 1.0
-            written_logical = int(mean * min(1.0, frac))
+            # cost.
+            dedup = dedup_summary(stats.values())
             self._ckpt_duration = self.ckpt_cost.save_time(
-                self.fs_profile, self.nranks, int(mean), written_logical
+                self.fs_profile, self.nranks, int(mean),
+                self._written_logical(dedup, mean),
             )
-            dedup = {
-                "format": 5,
-                "chunks_total": sum(
-                    s["chunks_total"] for s in stats.values()
-                ),
-                "chunks_written": sum(
-                    s["chunks_written"] for s in stats.values()
-                ),
-                "chunks_reused": sum(
-                    s["chunks_reused"] for s in stats.values()
-                ),
-                "bytes_written": written,
-                "payload_bytes": payload,
-                "written_fraction": round(frac, 6),
-            }
         else:
             # Format-4 round: the monolithic Table 3 cost.
             self._ckpt_duration = checkpoint_time(
@@ -876,22 +870,7 @@ class CheckpointCoordinator:
         self.last_dedup = dedup
         t = self._intent
         if t is not None:
-            t.result.update(
-                {
-                    "generation": t.generation,
-                    "kind": t.kind,
-                    "mode": t.mode,
-                    "bytes_per_rank": sizes,
-                    "mean_bytes_per_rank": mean,
-                    "ckpt_time": self._ckpt_duration,
-                    "mb_per_s_per_rank": (
-                        mean / self._ckpt_duration / 1e6
-                        if self._ckpt_duration > 0
-                        else float("inf")
-                    ),
-                    "loop_target": self._loop_target,
-                }
-            )
+            t.result.update(self._ticket_result(sizes, mean))
             if dedup is not None:
                 t.result["dedup"] = dedup
 
@@ -921,13 +900,9 @@ class CheckpointCoordinator:
             and prev.get("generation") == pend["generation"]
             and prev.get("dedup") is not None
         ):
-            d = prev["dedup"]
-            payload = d["payload_bytes"]
-            frac = d["bytes_written"] / payload if payload else 1.0
-            written_logical = int(pend["logical_mean"] * min(1.0, frac))
             drain_t = self.ckpt_cost.drain_time(
-                self.fs_profile, self.nranks,
-                int(pend["logical_mean"]), written_logical,
+                self.fs_profile, self.nranks, int(pend["logical_mean"]),
+                self._written_logical(prev["dedup"], pend["logical_mean"]),
             )
             overrun = max(0.0, pend["start_vtime"] + drain_t - start)
         snap_t = self.ckpt_cost.snapshot_time(
@@ -948,25 +923,9 @@ class CheckpointCoordinator:
         blobs = dict(self._async_blobs)
         self._async_blobs = {}
         if t is not None:
-            t.result.update(
-                {
-                    "generation": t.generation,
-                    "kind": t.kind,
-                    "mode": t.mode,
-                    "bytes_per_rank": sizes,
-                    "mean_bytes_per_rank": mean,
-                    "ckpt_time": self._ckpt_duration,
-                    "mb_per_s_per_rank": (
-                        mean / self._ckpt_duration / 1e6
-                        if self._ckpt_duration > 0
-                        else float("inf")
-                    ),
-                    "loop_target": self._loop_target,
-                    "async": True,
-                    "snapshot_time": snap_t,
-                    "drain_overrun": overrun,
-                }
-            )
+            t.result.update(self._ticket_result(sizes, mean))
+            t.result.update({"async": True, "snapshot_time": snap_t,
+                             "drain_overrun": overrun})
         from repro.mana.asyncsave import DrainJob
 
         drainer.submit(DrainJob(

@@ -30,7 +30,7 @@ as a critical section.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -1544,19 +1544,12 @@ class ManaRank:
             # once every image is durable (and prunes afterwards) — a
             # manifest written here would mark a generation restorable
             # while its images are still draining.
-            extra = {"vid_design": self.vids.design_name}
-            if coord.elastic_provenance is not None:
-                extra["elastic"] = dict(coord.elastic_provenance)
             ckpt.write_manifest(
                 self.ckpt_dir,
                 ticket.generation,
-                nranks=self.fabric.nranks,
-                impl=self.impl_name,
-                kind=ticket.kind,
-                cold_restartable=(ticket.kind == CheckpointKind.LOOP),
                 loop_target=coord.loop_target(),
-                extra=extra,
                 dedup=coord.last_dedup,
+                **self._manifest_fields(ticket),
             )
             if coord.keep_generations:
                 ckpt.prune_generations(self.ckpt_dir, coord.keep_generations)
@@ -1577,6 +1570,25 @@ class ManaRank:
 
         if ticket.mode == CheckpointMode.EXIT:
             raise JobPreempted(ticket.generation)
+
+    def _manifest_fields(self, ticket) -> Dict:
+        """The :func:`ckpt.write_manifest` fields this rank knows; the
+        synchronous path writes them after the save barrier, the
+        asynchronous one stages them for the drainer."""
+        coord = self.coordinator
+        # Key order is part of the manifest's bytes.
+        extra = {"vid_design": self.vids.design_name}
+        if coord.async_round():
+            extra["async"] = True
+        if coord.elastic_provenance is not None:
+            extra["elastic"] = dict(coord.elastic_provenance)
+        return {
+            "nranks": self.fabric.nranks,
+            "impl": self.impl_name,
+            "kind": ticket.kind,
+            "cold_restartable": ticket.kind == CheckpointKind.LOOP,
+            "extra": extra,
+        }
 
     def _write_image(self, ticket):
         """Serialize and persist this rank's image; returns
@@ -1614,22 +1626,9 @@ class ManaRank:
             # encode+write moves to the coordinator's background
             # drainer; this rank resumes computing after the barrier.
             blob = ckpt._pickle_upper_half(image)
-            manifest = None
-            if self.rank == 0:
-                extra = {
-                    "vid_design": self.vids.design_name,
-                    "async": True,
-                }
-                if coord.elastic_provenance is not None:
-                    extra["elastic"] = dict(coord.elastic_provenance)
-                manifest = {
-                    "nranks": self.fabric.nranks,
-                    "impl": self.impl_name,
-                    "kind": ticket.kind,
-                    "cold_restartable": ticket.kind == CheckpointKind.LOOP,
-                    "extra": extra,
-                    "keep_generations": coord.keep_generations,
-                }
+            manifest = (
+                self._manifest_fields(ticket) if self.rank == 0 else None
+            )
             coord.stage_async_blob(self.rank, path, image, blob, manifest)
             nbytes = len(blob)
         else:
@@ -1638,12 +1637,13 @@ class ManaRank:
             # slot up while it is in them.
             with self.fabric.scheduler.released(self.rank):
                 if coord.chunk_store is not None:
-                    savestats = coord.run_save(
-                        lambda pool: ckpt.save_chunked_image(
-                            path, image, coord.chunk_store,
-                            injector=self.injector, vtime=self.clock.now,
-                            pool=pool,
-                        )
+                    # The writer fans ~256 KiB chunk runs into the
+                    # shared pool, so chunks of every rank interleave;
+                    # faults still surface in this rank's thread.
+                    savestats = ckpt.save_chunked_image(
+                        path, image, coord.chunk_store,
+                        injector=self.injector, vtime=self.clock.now,
+                        pool=coord.save_pool(),
                     )
                     nbytes = (
                         savestats["payload_bytes"] + savestats["file_bytes"]

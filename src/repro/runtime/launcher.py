@@ -155,6 +155,9 @@ class RankOutcome:
     wrapped_calls: int = 0
     lib_call_counts: Dict[str, int] = field(default_factory=dict)
     error: Optional[str] = None
+    #: The rank failed while the job was still healthy; False when its
+    #: error is only how it observed another rank's abort.
+    originating: bool = False
 
 
 @dataclass
@@ -425,6 +428,9 @@ class Job:
             outcome.error = "".join(
                 traceback.format_exception(type(exc), exc, exc.__traceback__)
             )
+            # Survivors fail only after this abort reaches them (the
+            # same exception re-raised, or an "aborted during ..." error).
+            outcome.originating = not self.fabric.aborted
             self.fabric.abort(exc)
             if self.coordinator is not None:
                 self.coordinator.abort(exc)
@@ -564,19 +570,15 @@ class Launcher:
     def _failure_event(res: JobResult) -> dict:
         """Summarize a failed run into one deterministic event.
 
-        The victim is the rank whose traceback names an injected fault
-        or crash (its virtual clock at the crash is seed-deterministic);
-        other ranks observe the abort at scheduling-dependent times, so
-        their clocks must not leak into the recovery trace.
+        The victim is the lowest rank that failed while the job was
+        healthy (its virtual clock at the crash is seed-deterministic);
+        the other ranks observe the abort at scheduling-dependent times
+        — many by re-raising the victim's own exception — so neither
+        their clocks nor their tracebacks may pick the victim.
         """
-        victim = None
-        for r in res.ranks:
-            if r.error and ("InjectedFault" in r.error
-                            or "InjectedCrash" in r.error):
-                victim = r
-                break
-        if victim is None:
-            victim = next((r for r in res.ranks if r.error), None)
+        failed = [r for r in res.ranks if r.error]
+        victim = next((r for r in failed if r.originating),
+                      failed[0] if failed else None)
         if victim is None:
             return {"event": "rank-failure", "rank": None, "vtime": 0.0,
                     "error": "job failed with no rank error recorded"}

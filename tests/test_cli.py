@@ -82,24 +82,151 @@ def test_faults_chunk_corrupt_prints_dedup(capsys):
     assert "chunks written" in out and "reused" in out
 
 
-def test_ckpt_smoke(capsys):
-    assert main(["ckpt-smoke"]) == 0
-    out = capsys.readouterr().out
-    assert "[ok ] bytes_dedup_factor" in out
-    assert "within tolerance" in out
+def test_faults_rejects_a_name_not_in_the_table(capsys):
+    """The scenario name is checked against the table, not a list
+    hard-coded in the parser."""
+    with pytest.raises(SystemExit) as exc:
+        main(["faults", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
-def test_ckpt_smoke_missing_baseline(tmp_path, capsys):
-    rc = main(["ckpt-smoke", "--baseline", str(tmp_path / "nope.json")])
-    assert rc == 2
-    assert "no baseline" in capsys.readouterr().out
+# What the three correctness smokes print when they pass (seed 7); the
+# wording is part of the CI contract.
+SMOKE_STDOUT = {
+    "fault": (
+        "self-heal    : ok (status=completed, restarts=1, "
+        "restored_gens=[1])\n"
+        "checksums    : match fault-free run\n"
+        "deterministic: ok (recovery trace identical across two seeded "
+        "runs)\n"
+        "fault-smoke: seeded crash + corruption recovered "
+        "deterministically\n"
+    ),
+    "elastic": (
+        "shrink 8->4           : ok (status=completed, restarts=1, "
+        "8->4 ranks, bit-identical to cold run)\n"
+        "grow 4->8             : ok (status=completed, restarts=1, "
+        "4->8 ranks, bit-identical to cold run)\n"
+        "openmpi 8 -> mpich 4  : ok (status=completed, restarts=1, "
+        "8->4 ranks, bit-identical to cold run)\n"
+        "deterministic         : ok (recovery trace identical across two "
+        "seeded shrinks)\n"
+        "elastic-smoke: N->M restores reproduce cold M-rank runs "
+        "bit-identically\n"
+    ),
+    "crash": (
+        "crash points : 102 enumerated across contexts "
+        "[drain, gc, prune, save]; 24 killed\n"
+        "restore/repair: ok (every kill left the store restorable or "
+        "fsck-repairable, zero leaks)\n"
+        "deterministic : ok (verdicts identical across two runs)\n"
+        "crash-smoke: store survives syscall-boundary kills\n"
+    ),
+}
 
 
 def test_fault_smoke(capsys):
-    assert main(["fault-smoke"]) == 0
-    out = capsys.readouterr().out
-    assert "self-heal    : ok" in out
-    assert "deterministic: ok" in out
+    assert main(["smoke", "fault"]) == 0
+    assert capsys.readouterr().out == SMOKE_STDOUT["fault"]
+
+
+@pytest.mark.parametrize("section", ["elastic", "crash"])
+def test_smoke_section(section, capsys):
+    assert main(["smoke", section]) == 0
+    assert capsys.readouterr().out == SMOKE_STDOUT[section]
+
+
+def test_smoke_unknown_section_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["smoke", "nope"])
+    assert exc.value.code == 2
+
+
+def test_old_smoke_commands_are_not_aliased(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fault-smoke"])
+    assert exc.value.code == 2
+
+
+def _patch_benchmark_run(monkeypatch, returncode):
+    import subprocess
+    from types import SimpleNamespace
+
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append((cmd, kwargs))
+        return SimpleNamespace(returncode=returncode)
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    return calls
+
+
+def test_smoke_perf_runs_the_declared_benchmark(monkeypatch, capsys):
+    """``smoke perf`` runs BENCHMARK.json's own command plus --smoke
+    from the checkout root, and passes its exit code on."""
+    import json
+    import os
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        declared = json.load(f)["command"]
+    calls = _patch_benchmark_run(monkeypatch, returncode=0)
+    assert main(["smoke", "perf"]) == 0
+    assert calls == [(declared + ["--smoke"], {"cwd": root})]
+    _patch_benchmark_run(monkeypatch, returncode=3)
+    assert main(["smoke", "perf"]) == 3
+    assert "perf-smoke: FAILED" in capsys.readouterr().out
+
+
+def test_smoke_perf_skipped_outside_a_checkout(monkeypatch, capsys, tmp_path):
+    """An installed package has no BENCHMARK.json three levels up: the
+    section says so and is skipped, not failed."""
+    import repro.__main__ as cli
+
+    calls = _patch_benchmark_run(monkeypatch, returncode=0)
+    fake = tmp_path / "site-packages" / "repro" / "__main__.py"
+    monkeypatch.setattr(cli, "__file__", str(fake))
+    assert main(["smoke", "perf"]) == 0
+    assert calls == []
+    assert "skipped" in capsys.readouterr().out
+
+
+def test_smoke_all_sections_one_verdict(monkeypatch, capsys):
+    """No section named: all four run, in order, then one verdict."""
+    import repro.__main__ as cli
+
+    ran = []
+    results = {"fault": 0, "elastic": 1, "crash": 0, "perf": None}
+    monkeypatch.setattr(cli, "_SMOKES", {
+        name: (lambda args, name=name: ran.append(name) or results[name])
+        for name in cli._SMOKES
+    })
+    assert main(["smoke"]) == 1
+    assert ran == ["fault", "elastic", "crash", "perf"]
+    assert capsys.readouterr().out == (
+        "smoke: fault ok, elastic FAILED, crash ok, perf skipped\n"
+    )
+    results["elastic"] = 0
+    assert main(["smoke"]) == 0
+
+
+def test_fsck_missing_directory_exits_2(tmp_path, capsys):
+    """A mistyped directory must not pass a CI gate as "clean"."""
+    missing = str(tmp_path / "no-such-dir")
+    for extra in ([], ["--repair"]):
+        assert main(["fsck", missing] + extra) == 2
+        assert capsys.readouterr().out == (
+            f"fsck: no such directory: {missing}\n"
+        )
+
+
+def test_restart_without_checkpoints_exits_1(tmp_path, capsys):
+    assert main(["restart", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == (
+        f"restart: no checkpoints under {tmp_path}\n"
+    )
 
 
 def test_legacy_vid_run_fails_on_openmpi(capsys):

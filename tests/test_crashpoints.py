@@ -6,7 +6,7 @@ gc / prune operation contexts, and killing the writer at **any** of
 them must leave the store restorable (or fsck-repairable to restorable)
 with zero leaked state.  The bounded subset runs in tier-1; the
 exhaustive all-points sweep is ``slow``-marked (same code path as
-``python -m repro crash-smoke --points 0``).
+``python -m repro smoke crash --points 0``).
 """
 
 import pytest

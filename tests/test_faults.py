@@ -21,6 +21,7 @@ from repro.faults.plan import (
     SITE_MID_SAVE,
     SITE_PRE_DRAIN,
 )
+from repro.faults.scenarios import SCENARIOS
 from repro.mana.checkpoint import (
     CheckpointImage,
     latest_restorable_generation,
@@ -217,6 +218,10 @@ class TestInjectionEndToEnd:
         assert trace1[0]["what"].startswith("crash rank 2")
         # the victim's virtual time of death is scheduling-independent
         assert res1.ranks[2].runtime == res2.ranks[2].runtime
+        # ... and only the victim counts as the originating failure,
+        # however the survivors' tracebacks read
+        assert [r.originating for r in res1.ranks] == \
+            [False, False, True, False]
 
     def test_pre_drain_crash_fails_round_then_supervisor_recovers(
             self, tmp_path):
@@ -282,23 +287,30 @@ class TestInjectionEndToEnd:
 class TestScenarioSweep:
     """The CLI scenarios double as the paper-style acceptance suite."""
 
-    def test_self_heal_acceptance(self):
-        from repro.faults.scenarios import scenario_self_heal
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_table_entry_self_heals(self, name):
+        from repro.faults.scenarios import run_scenario
 
-        out = scenario_self_heal(seed=7)
+        out = run_scenario(name, seed=7)
+        assert out["ok"], out
+
+    def test_self_heal_acceptance(self):
+        from repro.faults.scenarios import run_scenario
+
+        out = run_scenario("self-heal", seed=7)
         assert out["ok"], out
 
     def test_disk_full_leaves_no_torn_files(self):
-        from repro.faults.scenarios import scenario_disk_full
+        from repro.faults.scenarios import run_scenario
 
-        out = scenario_disk_full(seed=7)
+        out = run_scenario("disk-full", seed=7)
         assert out["ok"], out
         assert out["torn_files"] == []
 
     def test_round_abort_retries_without_restart(self):
-        from repro.faults.scenarios import scenario_round_abort
+        from repro.faults.scenarios import run_scenario
 
-        out = scenario_round_abort(seed=7)
+        out = run_scenario("round-abort", seed=7)
         assert out["ok"], out
         aborts = [e for e in out["events"] if e["event"] == "round-abort"]
         assert aborts and aborts[0]["retrying"]
@@ -306,9 +318,9 @@ class TestScenarioSweep:
     def test_chunk_corrupt_self_heals(self):
         """Bit rot in one format-5 store chunk: the supervisor must fall
         back to the intact prior generation and finish correctly."""
-        from repro.faults.scenarios import scenario_chunk_corrupt
+        from repro.faults.scenarios import run_scenario
 
-        out = scenario_chunk_corrupt(seed=7)
+        out = run_scenario("chunk-corrupt", seed=7)
         assert out["ok"], out
         restored = [e["generation"] for e in out["events"]
                     if e["event"] == "restart"]
@@ -323,6 +335,34 @@ class TestScenarioSweep:
             "chunks_written" in d for d in out["dedup"].values()
         )
 
+    def test_workdir_is_kept_and_temp_dir_is_not(self, tmp_path, monkeypatch):
+        """The driver owns the checkpoint directory: a caller's
+        ``workdir`` survives with its generations, its own temporary
+        one is removed."""
+        import tempfile
+
+        from repro.faults.scenarios import run_scenario
+
+        out = run_scenario("crash-restore", seed=7, workdir=str(tmp_path))
+        assert out["ok"], out
+        assert (tmp_path / "ckpt_0002" / "manifest.json").exists()
+        made = []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def mkdtemp(*args, **kwargs):
+            made.append(real_mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        assert run_scenario("msg-delay", seed=7)["ok"]
+        assert made and not any(os.path.exists(d) for d in made)
+
+    def test_unknown_name_is_a_keyerror(self):
+        from repro.faults.scenarios import run_scenario
+
+        with pytest.raises(KeyError, match="unknown scenario 'nope'"):
+            run_scenario("nope")
+
     def test_recovery_trace_is_deterministic(self):
         from repro.faults.scenarios import fault_smoke, recovery_fingerprint
 
@@ -331,6 +371,38 @@ class TestScenarioSweep:
         assert out["deterministic"], (
             recovery_fingerprint(out["run"]), out["rerun"],
         )
+
+    def test_elastic_smoke(self):
+        from repro.faults.scenarios import elastic_smoke
+
+        out = elastic_smoke(seed=7)
+        assert out["ok"] and out["deterministic"], out
+        assert [out[k]["to_nranks"] for k in ("shrink", "grow", "migrate")] \
+            == [4, 8, 4]
+
+    # (scenario, rank the plan kills) — the rank-failure event must name
+    # that rank and carry its seed-deterministic clock, whichever
+    # surviving rank happened to observe the abort first.
+    VICTIMS = [("crash-restore", 1), ("truncate-fallback", 2),
+               ("chunk-corrupt", 2), ("self-heal", 1)]
+
+    @pytest.mark.parametrize("name,victim", VICTIMS)
+    def test_rank_failure_names_the_injected_victim(self, name, victim):
+        from repro.faults.scenarios import recovery_fingerprint, run_scenario
+
+        fingerprints = []
+        for _ in range(10):
+            out = run_scenario(name, seed=7)
+            failure = next(e for e in out["events"]
+                           if e["event"] == "rank-failure")
+            assert failure["rank"] == victim, failure
+            fp = recovery_fingerprint(out)
+            if fp not in fingerprints:
+                fingerprints.append(fp)
+        assert len(fingerprints) == 1, [
+            [e for e in fp["events"] if e["event"] == "rank-failure"]
+            for fp in fingerprints
+        ]
 
     def test_hot_path_untouched_without_plan(self):
         """faults=None must leave every hook disconnected."""

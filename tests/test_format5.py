@@ -95,6 +95,43 @@ class TestFormat5Roundtrip:
         img = load_image(rank_image_path(base, 2, 0))
         assert img.generation == 2
 
+    def test_unchanged_state_writes_100x_fewer_bytes(self, tmp_path):
+        """The incremental-save gate at benchmark size: 2 ranks, 4 MiB of
+        incompressible state each (distinct per rank, so nothing dedups
+        across ranks).  An unchanged generation rewrites only each
+        rank's reference list and the one chunk holding the
+        generation-dependent tail of the pickle; after overwriting a
+        contiguous 2 % of each rank's state, boundaries resync and the
+        bytes written follow the change, not the payload.  Byte counts
+        are exact: seeded data, deterministic boundaries (README's
+        incremental-checkpoint table quotes them)."""
+        base = str(tmp_path)
+        store = store_for(base)
+        rng = np.random.default_rng(99)
+        size = 4 << 20
+        apps = [
+            {"state": rng.integers(0, 256, size=size, dtype=np.uint8)}
+            for _ in range(2)
+        ]
+        mutated = size // 50
+        written, chunks = {}, {}
+        for gen in (1, 2, 3):
+            if gen == 3:
+                for app in apps:
+                    app["state"][size // 3:size // 3 + mutated] = \
+                        rng.integers(0, 256, size=mutated, dtype=np.uint8)
+            stats = [
+                save_chunked_image(rank_image_path(base, gen, r),
+                                   make_image(r, gen, apps[r]), store)
+                for r in range(2)
+            ]
+            written[gen] = sum(s["bytes_written"] for s in stats)
+            chunks[gen] = sum(s["chunks_written"] for s in stats)
+        assert written[1] > 2 * size
+        assert chunks[2] == 2
+        assert written[1] >= 100 * written[2], written
+        assert written[3] < written[2] + 2 * (2 * mutated), written
+
     def test_cross_rank_dedup(self, tmp_path):
         """Two ranks with identical app payloads share store chunks."""
         base = str(tmp_path)
