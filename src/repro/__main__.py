@@ -35,10 +35,24 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
+from repro.apps import APP_CLASSES
+from repro.impls import IMPLS
+
+# ``report``'s experiments (repro.harness.experiments), in ``all`` order,
+# each with how it is called: "fixed" takes no arguments, "scaled" takes
+# (scale, ranks_cap), "cached" adds the shared CaseCache and "figure"
+# also fans its cases across ``--jobs`` workers.
+EXPERIMENTS = {
+    "table1": "fixed", "table2": "fixed", "figure2": "figure",
+    "figure3": "figure", "figure4": "figure", "section63": "cached",
+    "table3": "scaled", "cross_impl_restart": "fixed",
+    "restart_analysis": "fixed", "overhead_breakdown": "fixed",
+    "ablation_ggid": "fixed", "ablation_vid_lookup": "fixed",
+}
+
 
 def _cmd_run(args) -> int:
     from repro import JobConfig, Launcher
-    from repro.apps import APP_CLASSES
 
     cls = APP_CLASSES[args.app]
     spec = cls.paper_config(args.platform)
@@ -119,14 +133,9 @@ def _cmd_report(args) -> int:
     from repro.harness import experiments as E
     from repro.harness.runner import CaseCache
 
-    names = (
-        [args.experiment]
-        if args.experiment != "all"
-        else ["table1", "table2", "figure2", "figure3", "figure4",
-              "section63", "table3", "cross_impl_restart",
-              "restart_analysis", "overhead_breakdown", "ablation_ggid",
-              "ablation_vid_lookup"]
-    )
+    names = list(EXPERIMENTS) if args.experiment == "all" else [
+        args.experiment
+    ]
     jobs = args.jobs
     if jobs == 0:
         from repro.harness.parallel import default_jobs
@@ -134,15 +143,16 @@ def _cmd_report(args) -> int:
         jobs = default_jobs()
     cache = CaseCache()
     for name in names:
-        fn = getattr(E, name)
-        if name in ("table1", "table2", "ablation_ggid",
-                    "ablation_vid_lookup", "cross_impl_restart",
-                    "restart_analysis", "overhead_breakdown"):
+        fn, style = getattr(E, name), EXPERIMENTS[name]
+        scaled = (args.scale, args.ranks_cap or None)
+        if style == "fixed":
             out = fn()
-        elif name in ("figure2", "figure3", "figure4"):
-            out = fn(args.scale, args.ranks_cap or None, cache, jobs=jobs)
+        elif style == "scaled":
+            out = fn(*scaled)
+        elif style == "cached":
+            out = fn(*scaled, cache)
         else:
-            out = fn(args.scale, args.ranks_cap or None, cache)
+            out = fn(*scaled, cache, jobs=jobs)
         print(out["text"])
         print()
     return 0
@@ -330,7 +340,7 @@ def _cmd_smoke(args) -> int:
 
 
 def _cmd_apps(_args) -> int:
-    from repro.apps import APP_CLASSES, EXAMPI_COMPATIBLE
+    from repro.apps import EXAMPI_COMPATIBLE
 
     print(f"{'app':10} {'ranks':>5} {'input':30} {'exampi?':>8}")
     for name, cls in sorted(APP_CLASSES.items()):
@@ -341,7 +351,6 @@ def _cmd_apps(_args) -> int:
 
 
 def _cmd_impls(_args) -> int:
-    from repro.impls import IMPLS
     from repro.fabric.network import Fabric
     from repro.simtime.clock import VirtualClock
     from repro.simtime.cost import CostModel
@@ -360,10 +369,8 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run a proxy application")
-    p.add_argument("app", choices=["comd", "hpcg", "lammps", "lulesh",
-                                   "sw4", "gromacs", "vasp"])
-    p.add_argument("--impl", default="mpich",
-                   choices=["mpich", "openmpi", "exampi", "craympi"])
+    p.add_argument("app", choices=list(APP_CLASSES))
+    p.add_argument("--impl", default="mpich", choices=list(IMPLS))
     p.add_argument("--platform", default="discovery",
                    choices=["discovery", "perlmutter"])
     p.add_argument("--ranks", type=int, default=8)
@@ -382,8 +389,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("restart", help="cold-restart from a checkpoint dir")
     p.add_argument("ckpt_dir")
     p.add_argument("--generation", type=int, default=None)
-    p.add_argument("--impl", default=None,
-                   choices=["mpich", "openmpi", "exampi", "craympi"],
+    p.add_argument("--impl", default=None, choices=list(IMPLS),
                    help="restart under a different MPI implementation")
     p.add_argument("--ranks", type=int, default=None,
                    help="elastic restart: repartition the checkpointed "
@@ -393,11 +399,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("report", help="regenerate paper tables/figures")
     p.add_argument("experiment", nargs="?", default="all",
-                   choices=["all", "table1", "table2", "figure2", "figure3",
-                            "figure4", "section63", "table3",
-                            "cross_impl_restart", "restart_analysis",
-                            "overhead_breakdown", "ablation_ggid",
-                            "ablation_vid_lookup"])
+                   choices=["all", *EXPERIMENTS])
     p.add_argument("--scale", type=float, default=0.12)
     p.add_argument("--ranks-cap", type=int, default=8)
     p.add_argument("--jobs", type=int, default=1,

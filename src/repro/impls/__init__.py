@@ -25,11 +25,12 @@ from repro.impls.openmpi import OpenMpiLib
 from repro.impls.exampi import ExaMpiLib
 from repro.impls.facade import NativeFacade
 
+# In the paper's order (the CLI lists its choices this way).
 IMPLS = {
     "mpich": MpichLib,
-    "craympi": CrayMpiLib,
     "openmpi": OpenMpiLib,
     "exampi": ExaMpiLib,
+    "craympi": CrayMpiLib,
 }
 
 

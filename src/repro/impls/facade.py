@@ -9,6 +9,8 @@ exist with identical surface:
 * :class:`repro.mana.wrappers.ManaFacade` routes every call through
   MANA's wrapper functions, translating virtual and physical ids.
 
+Both expose the same functions: ``repro.mana.wrappers.MPI_FUNCTIONS``.
+
 Crucially, ``MPI.COMM_WORLD`` on the native facade is evaluated on every
 access (a macro expanding to a function call, Open MPI-style): whatever
 instability the implementation has in its constants is fully visible to
@@ -39,32 +41,6 @@ _NULL_ATTRS = {
     "OP_NULL": HandleKind.OP,
     "REQUEST_NULL": HandleKind.REQUEST,
 }
-
-# Functions forwarded verbatim to the library.
-_FORWARDED = (
-    "init", "finalize", "initialized", "finalized", "abort", "wtime",
-    "get_processor_name",
-    "comm_rank", "comm_size", "comm_group", "comm_compare", "comm_dup",
-    "comm_split", "comm_split_type", "comm_create", "comm_free",
-    "group_size", "group_rank", "group_incl", "group_excl", "group_union",
-    "group_intersection", "group_difference", "group_translate_ranks",
-    "group_compare", "group_free",
-    "send", "recv", "isend", "irecv", "test", "wait", "waitall", "testall",
-    "iprobe", "probe", "sendrecv", "get_count",
-    "send_init", "recv_init", "start", "startall", "request_free",
-    "waitany", "testany", "pack", "unpack", "pack_size",
-    "barrier", "bcast", "reduce", "allreduce", "alltoall", "alltoallv",
-    "scan", "exscan", "reduce_scatter_block",
-    "gather", "gatherv", "scatter", "scatterv", "allgather", "allgatherv",
-    "type_contiguous", "type_vector", "type_indexed", "type_create_struct",
-    "type_dup", "type_commit", "type_free", "type_size", "type_get_extent",
-    "type_get_envelope", "type_get_contents",
-    "op_create", "op_free",
-    "cart_create", "cart_coords", "cart_rank", "cart_shift",
-    "comm_create_keyval", "comm_free_keyval", "comm_set_attr",
-    "comm_get_attr", "comm_delete_attr",
-)
-
 
 class FacadeBase:
     """Shared scalar constants and introspection for both facades."""
@@ -107,6 +83,11 @@ class NativeFacade(FacadeBase):
         kind = _NULL_ATTRS.get(attr)
         if kind is not None:
             return lib.null_handle(kind)
-        if attr in _FORWARDED:
-            return getattr(lib, attr)
+        # The one MPI name list lives beside MANA's signature table.
+        from repro.mana.wrappers import MPI_FUNCTIONS
+
+        if attr in MPI_FUNCTIONS:
+            # Cached: later calls never come back here.
+            value = self.__dict__[attr] = getattr(lib, attr)
+            return value
         raise AttributeError(f"MPI facade has no attribute {attr!r}")

@@ -26,11 +26,19 @@ wall-clock without changing any reported number.
 Collectives are two-phase: a checkpoint-tolerant *trivial barrier*
 (hosted by the coordinator) followed by the real lower-half collective
 as a critical section.
+
+Most wrappers are rows of :data:`SIGNATURES` (handle kind or plain per
+argument, local or collective, what to do with the result), each built
+into a closure on :class:`ManaRank` at import; only wrappers with logic
+of their own are written out.  Every wrapper keeps one rule: *no handle
+is translated before the two-phase barrier* — a RELAUNCH round run from
+inside it rebuilds the lower half, so an earlier physical id would name
+an object of the discarded library.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,15 +146,18 @@ class ManaRank:
     def bootstrap(self) -> None:
         """Launch the lower half: the 'small MPI application' of Figure 1
         initializes the real MPI library before the upper half runs."""
+        self._launch_lower()
+        # Eagerly bind MPI_COMM_WORLD: MANA itself needs it for the drain
+        # and the app will ask for it immediately anyway.
+        self._constant_handle("MPI_COMM_WORLD")
+
+    def _launch_lower(self) -> None:
         self.lower = make_lib(
             self.impl_name, self.fabric, self.rank, self.clock,
             self.cost_model, epoch=self.epoch, seed=self.seed,
         )
         self.lower.init()
         self.vids.handle_bits = self.lower.handles.handle_bits
-        # Eagerly bind MPI_COMM_WORLD: MANA itself needs it for the drain
-        # and the app will ask for it immediately anyway.
-        self._constant_handle("MPI_COMM_WORLD")
 
     def attach_upper(self, app, ctx) -> None:
         self._app = app
@@ -211,6 +222,14 @@ class ManaRank:
         if coord is not None and coord.should_park_now():
             self.checkpoint_participate()
 
+    def _await_activity(self, what: str) -> None:
+        """Nothing to complete yet: serve an armed checkpoint, then sleep
+        until the fabric changes (PROTOCOLS §8)."""
+        self._maybe_checkpoint()
+        self.fabric.wait_activity(self.rank)
+        if self.fabric.aborted:
+            raise MpiError(f"job aborted during {what}", "MPI_ERR_OTHER")
+
     def _charge_wait_polls(self, t_enter: float) -> None:
         """Analytic polling cost: one extra crossing per poll cycle the
         virtual wait spanned (MANA calls MPI_Test/MPI_Iprobe in a loop
@@ -262,11 +281,9 @@ class ManaRank:
 
     def ensure_datatypes_decoded(self) -> None:
         for entry in self.vids.entries(HandleKind.DATATYPE):
-            if isinstance(entry.record, DatatypeRecord):
-                if entry.record.descriptor is None and entry.phys is not None:
-                    entry.record.descriptor = replay_mod.decode_datatype(
-                        self.lower, entry.phys
-                    )
+            rec = entry.record
+            if isinstance(rec, DatatypeRecord) and entry.phys is not None:
+                self.descriptor_of(entry)
 
     def _world_ranks_of_comm(self, comm_phys: int) -> Tuple[int, ...]:
         """Membership of a physical communicator in comm-rank order,
@@ -298,7 +315,12 @@ class ManaRank:
     def _attach_comm(
         self, phys: int, name: str = "",
         cart: Optional[Tuple[Tuple[int, ...], Tuple[bool, ...]]] = None,
+        constant_name: Optional[str] = None,
     ) -> int:
+        """Wrap a communicator of the lower half (the null communicator,
+        for ranks a constructor left out, maps to the null vhandle)."""
+        if self.lower.handles.is_null(HandleKind.COMM, phys):
+            return self.null_vhandle(HandleKind.COMM)
         world_ranks = self._world_ranks_of_comm(phys)
         rec = CommRecord(
             world_ranks=world_ranks,
@@ -307,7 +329,9 @@ class ManaRank:
             name=name,
             cart=cart,
         )
-        return self.vids.attach(HandleKind.COMM, rec, phys)
+        return self.vids.attach(
+            HandleKind.COMM, rec, phys, constant_name=constant_name
+        )
 
     # ------------------------------------------------------------------
     # constants (§4.3: constants as functions, lazy for ExaMPI)
@@ -329,16 +353,10 @@ class ManaRank:
             # Predefined communicators get full CommRecords: they carry
             # drain counters and collective sequence numbers like any
             # user communicator.
-            ranks = self._world_ranks_of_comm(phys)
-            rec: object = CommRecord(
-                world_ranks=ranks,
-                ggid=None,
-                dup_seq=self._dup_seq_for(ranks),
-                name=name,
-            )
-        else:
-            rec = ConstantRecord(name)
-        return self.vids.attach(kind, rec, phys, constant_name=name)
+            return self._attach_comm(phys, name=name, constant_name=name)
+        return self.vids.attach(
+            kind, ConstantRecord(name), phys, constant_name=name
+        )
 
     # ------------------------------------------------------------------
     # environment wrappers
@@ -364,14 +382,6 @@ class ManaRank:
 
     def wtime(self) -> float:
         return self.clock.now
-
-    def abort(self, comm_v: int, errorcode: int) -> None:
-        self._enter()
-        self.lower.abort(self.vids.phys(comm_v, HandleKind.COMM), errorcode)
-
-    def get_processor_name(self) -> str:
-        self._enter()
-        return self.lower.get_processor_name()
 
     # ------------------------------------------------------------------
     # communicator wrappers
@@ -407,46 +417,31 @@ class ManaRank:
             HandleKind.GROUP, GroupRecord(world_ranks), phys_group
         )
 
-    def comm_compare(self, c1: int, c2: int) -> int:
-        self._enter()
-        return self.lower.comm_compare(
-            self.vids.phys(c1, HandleKind.COMM),
-            self.vids.phys(c2, HandleKind.COMM),
-        )
-
     def comm_dup(self, comm_v: int) -> int:
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        phys = self.lower.comm_dup(entry.phys)
+        entry = self._enter_collective(comm_v)
+        phys = self.lower.comm_dup(self.vids.phys(comm_v, HandleKind.COMM))
         return self._attach_comm(phys, name=f"dup({entry.record.name})")
 
     def comm_split(self, comm_v: int, color: int, key: int) -> int:
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        phys = self.lower.comm_split(entry.phys, color, key)
-        if self.lower.handles.is_null(HandleKind.COMM, phys):
-            return self.null_vhandle(HandleKind.COMM)
+        self._enter_collective(comm_v)
+        phys = self.lower.comm_split(
+            self.vids.phys(comm_v, HandleKind.COMM), color, key
+        )
         return self._attach_comm(phys, name=f"split({color})")
 
     def comm_split_type(self, comm_v: int, split_type: int, key: int) -> int:
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        phys = self.lower.comm_split_type(entry.phys, split_type, key)
-        if self.lower.handles.is_null(HandleKind.COMM, phys):
-            return self.null_vhandle(HandleKind.COMM)
+        self._enter_collective(comm_v)
+        phys = self.lower.comm_split_type(
+            self.vids.phys(comm_v, HandleKind.COMM), split_type, key
+        )
         return self._attach_comm(phys, name="split-type")
 
     def comm_create(self, comm_v: int, group_v: int) -> int:
-        self._enter()
-        entry = self._comm(comm_v)
-        gphys = self.vids.phys(group_v, HandleKind.GROUP)
-        self._two_phase(entry)
-        phys = self.lower.comm_create(entry.phys, gphys)
-        if self.lower.handles.is_null(HandleKind.COMM, phys):
-            return self.null_vhandle(HandleKind.COMM)
+        self._enter_collective(comm_v)
+        phys = self.lower.comm_create(
+            self.vids.phys(comm_v, HandleKind.COMM),
+            self.vids.phys(group_v, HandleKind.GROUP),
+        )
         return self._attach_comm(phys, name="created")
 
     def comm_free(self, comm_v: int) -> None:
@@ -457,92 +452,8 @@ class ManaRank:
                 f"cannot free {entry.constant_name}", "MPI_ERR_COMM"
             )
         self._two_phase(entry)
-        self.lower.comm_free(entry.phys)
+        self.lower.comm_free(self.vids.phys(comm_v, HandleKind.COMM))
         self.vids.remove(comm_v)
-
-    # ------------------------------------------------------------------
-    # group wrappers (local operations)
-    # ------------------------------------------------------------------
-    def _attach_group(self, phys: int) -> int:
-        lib = self.lower
-        wg = lib.comm_group(lib.constant("MPI_COMM_WORLD"))
-        n = lib.group_size(phys)
-        world_ranks = tuple(
-            lib.group_translate_ranks(phys, list(range(n)), wg)
-        )
-        lib.group_free(wg)
-        return self.vids.attach(HandleKind.GROUP, GroupRecord(world_ranks), phys)
-
-    def group_size(self, group_v: int) -> int:
-        self._enter()
-        return self.lower.group_size(self.vids.phys(group_v, HandleKind.GROUP))
-
-    def group_rank(self, group_v: int) -> int:
-        self._enter()
-        return self.lower.group_rank(self.vids.phys(group_v, HandleKind.GROUP))
-
-    def group_incl(self, group_v: int, ranks: Sequence[int]) -> int:
-        self._enter()
-        phys = self.lower.group_incl(
-            self.vids.phys(group_v, HandleKind.GROUP), ranks
-        )
-        return self._attach_group(phys)
-
-    def group_excl(self, group_v: int, ranks: Sequence[int]) -> int:
-        self._enter()
-        phys = self.lower.group_excl(
-            self.vids.phys(group_v, HandleKind.GROUP), ranks
-        )
-        return self._attach_group(phys)
-
-    def group_union(self, g1: int, g2: int) -> int:
-        self._enter()
-        phys = self.lower.group_union(
-            self.vids.phys(g1, HandleKind.GROUP),
-            self.vids.phys(g2, HandleKind.GROUP),
-        )
-        return self._attach_group(phys)
-
-    def group_intersection(self, g1: int, g2: int) -> int:
-        self._enter()
-        phys = self.lower.group_intersection(
-            self.vids.phys(g1, HandleKind.GROUP),
-            self.vids.phys(g2, HandleKind.GROUP),
-        )
-        return self._attach_group(phys)
-
-    def group_difference(self, g1: int, g2: int) -> int:
-        self._enter()
-        phys = self.lower.group_difference(
-            self.vids.phys(g1, HandleKind.GROUP),
-            self.vids.phys(g2, HandleKind.GROUP),
-        )
-        return self._attach_group(phys)
-
-    def group_translate_ranks(
-        self, g1: int, ranks: Sequence[int], g2: int
-    ) -> List[int]:
-        self._enter()
-        return self.lower.group_translate_ranks(
-            self.vids.phys(g1, HandleKind.GROUP),
-            ranks,
-            self.vids.phys(g2, HandleKind.GROUP),
-        )
-
-    def group_compare(self, g1: int, g2: int) -> int:
-        self._enter()
-        return self.lower.group_compare(
-            self.vids.phys(g1, HandleKind.GROUP),
-            self.vids.phys(g2, HandleKind.GROUP),
-        )
-
-    def group_free(self, group_v: int) -> None:
-        self._enter()
-        entry = self.vids.lookup(group_v, HandleKind.GROUP)
-        if entry.constant_name is not None:
-            raise MpiError("cannot free MPI_GROUP_EMPTY", "MPI_ERR_GROUP")
-        self.lower.group_free(entry.phys)
-        self.vids.remove(group_v)
 
     # ------------------------------------------------------------------
     # point-to-point wrappers
@@ -592,6 +503,17 @@ class ManaRank:
             source=msg.src_comm_rank, tag=msg.tag, count_bytes=msg.nbytes
         )
 
+    def _comm_of(self, rec: RequestRecord):
+        return self.vids.lookup(self.vids.embed(rec.comm_vid), HandleKind.COMM)
+
+    def _recv_request_from_drain(self, rec: RequestRecord) -> Optional[Status]:
+        dentry = self.vids.lookup(
+            self.vids.embed(rec.datatype_vid), HandleKind.DATATYPE
+        )
+        return self._recv_from_drain(
+            self._comm_of(rec), dentry, rec.buf, rec.count, rec.peer, rec.tag
+        )
+
     def recv(
         self, buf, count: int, dtype_v: int, source: int, tag: int,
         comm_v: int,
@@ -623,10 +545,7 @@ class ManaRank:
                 self._extra_lib_calls(1)  # the Iprobe preceding the Recv
                 self._charge_wait_polls(t_enter)
                 return st
-            self._maybe_checkpoint()
-            self.fabric.wait_activity(self.rank)
-            if self.fabric.aborted:
-                raise MpiError("job aborted during recv", "MPI_ERR_OTHER")
+            self._await_activity("recv")
 
     def isend(
         self, buf, count: int, dtype_v: int, dest: int, tag: int, comm_v: int
@@ -736,17 +655,9 @@ class ManaRank:
         rec.active = True
         rec.completed = False
         rec.status = None
-        centry = self.vids.lookup(
-            self.vids.embed(rec.comm_vid), HandleKind.COMM
-        )
         if rec.kind == "recv":
-            dentry = self.vids.lookup(
-                self.vids.embed(rec.datatype_vid), HandleKind.DATATYPE
-            )
             # Drained messages win over a fresh lower-half start.
-            st = self._recv_from_drain(
-                centry, dentry, rec.buf, rec.count, rec.peer, rec.tag
-            )
+            st = self._recv_request_from_drain(rec)
             if st is not None:
                 rec.completed = True
                 rec.status = st
@@ -758,7 +669,7 @@ class ManaRank:
             # the lib request back to inactive so the next MPI_Start works.
             BaseMpiLib.test.__wrapped__(self.lower, entry.phys)
             if rec.peer != C.PROC_NULL:
-                self._count_send(centry, rec.peer)
+                self._count_send(self._comm_of(rec), rec.peer)
             rec.completed = True
             rec.status = Status()
 
@@ -804,26 +715,15 @@ class ManaRank:
         if entry.phys is None:
             # Pending but not posted in this lower half: the message can
             # only be in the drain buffer.
-            centry = self.vids.lookup(
-                self.vids.embed(rec.comm_vid), HandleKind.COMM
-            )
-            dentry = self.vids.lookup(
-                self.vids.embed(rec.datatype_vid), HandleKind.DATATYPE
-            )
-            st = self._recv_from_drain(
-                centry, dentry, rec.buf, rec.count, rec.peer, rec.tag
-            )
+            st = self._recv_request_from_drain(rec)
             if st is None:
                 return False, Status()
             return self._finish_cycle(request_v, rec, st)
         flag, st = BaseMpiLib.test.__wrapped__(self.lower, entry.phys)
         if not flag:
             return False, Status()
-        centry = self.vids.lookup(
-            self.vids.embed(rec.comm_vid), HandleKind.COMM
-        )
         if rec.kind == "recv":
-            self._count_recv(centry, st.source)
+            self._count_recv(self._comm_of(rec), st.source)
         return self._finish_cycle(request_v, rec, st)
 
     def wait(self, request_v: int) -> Status:
@@ -835,10 +735,7 @@ class ManaRank:
                 self._extra_lib_calls(1)  # the MPI_Test that completed it
                 self._charge_wait_polls(t_enter)
                 return st
-            self._maybe_checkpoint()
-            self.fabric.wait_activity(self.rank)
-            if self.fabric.aborted:
-                raise MpiError("job aborted during wait", "MPI_ERR_OTHER")
+            self._await_activity("wait")
 
     def waitall(self, requests: Sequence[int]) -> List[Status]:
         self._enter()
@@ -854,12 +751,7 @@ class ManaRank:
                     pending.discard(i)
                     progressed = True
             if pending and not progressed:
-                self._maybe_checkpoint()
-                self.fabric.wait_activity(self.rank)
-                if self.fabric.aborted:
-                    raise MpiError(
-                        "job aborted during waitall", "MPI_ERR_OTHER"
-                    )
+                self._await_activity("waitall")
         self._extra_lib_calls(len(requests))
         self._charge_wait_polls(t_enter)
         return [s if s is not None else Status() for s in statuses]
@@ -876,15 +768,7 @@ class ManaRank:
             if rec.completed or (rec.persistent and not rec.active):
                 continue
             if entry.phys is None:
-                centry = self.vids.lookup(
-                    self.vids.embed(rec.comm_vid), HandleKind.COMM
-                )
-                dentry = self.vids.lookup(
-                    self.vids.embed(rec.datatype_vid), HandleKind.DATATYPE
-                )
-                st = self._recv_from_drain(
-                    centry, dentry, rec.buf, rec.count, rec.peer, rec.tag
-                )
+                st = self._recv_request_from_drain(rec)
                 if st is not None:
                     rec.completed = True
                     rec.status = st
@@ -897,11 +781,8 @@ class ManaRank:
                 rec.status = st
                 if not rec.persistent:
                     self.vids.set_phys(r, None)
-                centry = self.vids.lookup(
-                    self.vids.embed(rec.comm_vid), HandleKind.COMM
-                )
                 if rec.kind == "recv":
-                    self._count_recv(centry, st.source)
+                    self._count_recv(self._comm_of(rec), st.source)
             else:
                 all_done = False
         if not all_done:
@@ -924,10 +805,7 @@ class ManaRank:
                     self._extra_lib_calls(1)
                     self._charge_wait_polls(t_enter)
                     return i, st
-            self._maybe_checkpoint()
-            self.fabric.wait_activity(self.rank)
-            if self.fabric.aborted:
-                raise MpiError("job aborted during waitany", "MPI_ERR_OTHER")
+            self._await_activity("waitany")
 
     def testany(self, requests: Sequence[int]) -> Tuple[bool, int, Status]:
         self._enter()
@@ -936,28 +814,6 @@ class ManaRank:
             if flag:
                 return True, i, st
         return False, C.UNDEFINED, Status()
-
-    def pack(self, inbuf, incount: int, dtype_v: int, outbuf,
-             position: int) -> int:
-        self._enter()
-        return self.lower.pack(
-            inbuf, incount, self.vids.phys(dtype_v, HandleKind.DATATYPE),
-            outbuf, position,
-        )
-
-    def unpack(self, inbuf, position: int, outbuf, outcount: int,
-               dtype_v: int) -> int:
-        self._enter()
-        return self.lower.unpack(
-            inbuf, position, outbuf, outcount,
-            self.vids.phys(dtype_v, HandleKind.DATATYPE),
-        )
-
-    def pack_size(self, incount: int, dtype_v: int) -> int:
-        self._enter()
-        return self.lower.pack_size(
-            incount, self.vids.phys(dtype_v, HandleKind.DATATYPE)
-        )
 
     def iprobe(self, source: int, tag: int, comm_v: int) -> Tuple[bool, Status]:
         self._enter()
@@ -991,10 +847,7 @@ class ManaRank:
                 self._extra_lib_calls(1)
                 self._charge_wait_polls(t_enter)
                 return st
-            self._maybe_checkpoint()
-            self.fabric.wait_activity(self.rank)
-            if self.fabric.aborted:
-                raise MpiError("job aborted during probe", "MPI_ERR_OTHER")
+            self._await_activity("probe")
 
     def sendrecv(
         self,
@@ -1013,8 +866,18 @@ class ManaRank:
         return self.descriptor_of(dentry).count_elements(status.count_bytes)
 
     # ------------------------------------------------------------------
-    # collective wrappers (two-phase)
+    # collectives (two-phase)
     # ------------------------------------------------------------------
+    def _enter_collective(self, comm_v: int):
+        """Top of every collective wrapper: :meth:`_enter`, then the
+        two-phase barrier on ``comm_v``; returns the communicator's entry.
+        Translate handles only after this returns: a RELAUNCH round run
+        from inside the barrier rebuilds the lower half under the rank."""
+        self._enter()
+        entry = self._comm(comm_v)
+        self._two_phase(entry)
+        return entry
+
     def _two_phase(self, comm_entry) -> None:
         """Trivial barrier before the real collective (checkpoint never
         splits a communicator's ranks across a collective boundary)."""
@@ -1034,255 +897,23 @@ class ManaRank:
             park_check=self._maybe_checkpoint,
         )
 
-    def barrier(self, comm_v: int) -> None:
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.barrier(entry.phys)
-
-    def bcast(self, buf, count: int, dtype_v: int, root: int, comm_v: int):
-        self._enter()
-        entry = self._comm(comm_v)
-        dentry = self._dtype(dtype_v)
-        self._two_phase(entry)
-        self.lower.bcast(buf, count, dentry.phys, root, entry.phys)
-
-    def reduce(
-        self, sendbuf, recvbuf, count: int, dtype_v: int, op_v: int,
-        root: int, comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.reduce(
-            sendbuf, recvbuf, count,
-            self.vids.phys(dtype_v, HandleKind.DATATYPE),
-            self.vids.phys(op_v, HandleKind.OP),
-            root, entry.phys,
-        )
-
-    def allreduce(
-        self, sendbuf, recvbuf, count: int, dtype_v: int, op_v: int,
-        comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.allreduce(
-            sendbuf, recvbuf, count,
-            self.vids.phys(dtype_v, HandleKind.DATATYPE),
-            self.vids.phys(op_v, HandleKind.OP),
-            entry.phys,
-        )
-
-    def alltoall(
-        self, sendbuf, sendcount: int, sendtype_v: int,
-        recvbuf, recvcount: int, recvtype_v: int, comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.alltoall(
-            sendbuf, sendcount,
-            self.vids.phys(sendtype_v, HandleKind.DATATYPE),
-            recvbuf, recvcount,
-            self.vids.phys(recvtype_v, HandleKind.DATATYPE),
-            entry.phys,
-        )
-
-    def alltoallv(
-        self, sendbuf, sendcounts, sdispls, sendtype_v: int,
-        recvbuf, recvcounts, rdispls, recvtype_v: int, comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.alltoallv(
-            sendbuf, sendcounts, sdispls,
-            self.vids.phys(sendtype_v, HandleKind.DATATYPE),
-            recvbuf, recvcounts, rdispls,
-            self.vids.phys(recvtype_v, HandleKind.DATATYPE),
-            entry.phys,
-        )
-
-    def gather(
-        self, sendbuf, sendcount: int, sendtype_v: int,
-        recvbuf, recvcount: int, recvtype_v: int, root: int, comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.gather(
-            sendbuf, sendcount,
-            self.vids.phys(sendtype_v, HandleKind.DATATYPE),
-            recvbuf, recvcount,
-            self.vids.phys(recvtype_v, HandleKind.DATATYPE),
-            root, entry.phys,
-        )
-
-    def gatherv(
-        self, sendbuf, sendcount: int, sendtype_v: int,
-        recvbuf, recvcounts, displs, recvtype_v: int, root: int, comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.gatherv(
-            sendbuf, sendcount,
-            self.vids.phys(sendtype_v, HandleKind.DATATYPE),
-            recvbuf, recvcounts, displs,
-            self.vids.phys(recvtype_v, HandleKind.DATATYPE),
-            root, entry.phys,
-        )
-
-    def scatter(
-        self, sendbuf, sendcount: int, sendtype_v: int,
-        recvbuf, recvcount: int, recvtype_v: int, root: int, comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.scatter(
-            sendbuf, sendcount,
-            self.vids.phys(sendtype_v, HandleKind.DATATYPE),
-            recvbuf, recvcount,
-            self.vids.phys(recvtype_v, HandleKind.DATATYPE),
-            root, entry.phys,
-        )
-
-    def scatterv(
-        self, sendbuf, sendcounts, displs, sendtype_v: int,
-        recvbuf, recvcount: int, recvtype_v: int, root: int, comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.scatterv(
-            sendbuf, sendcounts, displs,
-            self.vids.phys(sendtype_v, HandleKind.DATATYPE),
-            recvbuf, recvcount,
-            self.vids.phys(recvtype_v, HandleKind.DATATYPE),
-            root, entry.phys,
-        )
-
-    def allgather(
-        self, sendbuf, sendcount: int, sendtype_v: int,
-        recvbuf, recvcount: int, recvtype_v: int, comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.allgather(
-            sendbuf, sendcount,
-            self.vids.phys(sendtype_v, HandleKind.DATATYPE),
-            recvbuf, recvcount,
-            self.vids.phys(recvtype_v, HandleKind.DATATYPE),
-            entry.phys,
-        )
-
-    def allgatherv(
-        self, sendbuf, sendcount: int, sendtype_v: int,
-        recvbuf, recvcounts, displs, recvtype_v: int, comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.allgatherv(
-            sendbuf, sendcount,
-            self.vids.phys(sendtype_v, HandleKind.DATATYPE),
-            recvbuf, recvcounts, displs,
-            self.vids.phys(recvtype_v, HandleKind.DATATYPE),
-            entry.phys,
-        )
-
-    def scan(
-        self, sendbuf, recvbuf, count: int, dtype_v: int, op_v: int,
-        comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.scan(
-            sendbuf, recvbuf, count,
-            self.vids.phys(dtype_v, HandleKind.DATATYPE),
-            self.vids.phys(op_v, HandleKind.OP),
-            entry.phys,
-        )
-
-    def exscan(
-        self, sendbuf, recvbuf, count: int, dtype_v: int, op_v: int,
-        comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.exscan(
-            sendbuf, recvbuf, count,
-            self.vids.phys(dtype_v, HandleKind.DATATYPE),
-            self.vids.phys(op_v, HandleKind.OP),
-            entry.phys,
-        )
-
-    def reduce_scatter_block(
-        self, sendbuf, recvbuf, recvcount: int, dtype_v: int, op_v: int,
-        comm_v: int,
-    ):
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        self.lower.reduce_scatter_block(
-            sendbuf, recvbuf, recvcount,
-            self.vids.phys(dtype_v, HandleKind.DATATYPE),
-            self.vids.phys(op_v, HandleKind.OP),
-            entry.phys,
-        )
-
     # ------------------------------------------------------------------
-    # datatype wrappers
+    # groups and datatypes (the other wrappers are SIGNATURES rows)
     # ------------------------------------------------------------------
+    def _attach_group(self, phys: int) -> int:
+        lib = self.lower
+        wg = lib.comm_group(lib.constant("MPI_COMM_WORLD"))
+        n = lib.group_size(phys)
+        world_ranks = tuple(
+            lib.group_translate_ranks(phys, list(range(n)), wg)
+        )
+        lib.group_free(wg)
+        return self.vids.attach(HandleKind.GROUP, GroupRecord(world_ranks), phys)
+
     def _attach_datatype(self, phys: int) -> int:
         return self.vids.attach(
             HandleKind.DATATYPE, DatatypeRecord(descriptor=None), phys
         )
-
-    def type_contiguous(self, count: int, oldtype_v: int) -> int:
-        self._enter()
-        phys = self.lower.type_contiguous(
-            count, self.vids.phys(oldtype_v, HandleKind.DATATYPE)
-        )
-        return self._attach_datatype(phys)
-
-    def type_vector(
-        self, count: int, blocklength: int, stride: int, oldtype_v: int
-    ) -> int:
-        self._enter()
-        phys = self.lower.type_vector(
-            count, blocklength, stride,
-            self.vids.phys(oldtype_v, HandleKind.DATATYPE),
-        )
-        return self._attach_datatype(phys)
-
-    def type_indexed(
-        self, blocklengths: Sequence[int], displacements: Sequence[int],
-        oldtype_v: int,
-    ) -> int:
-        self._enter()
-        phys = self.lower.type_indexed(
-            blocklengths, displacements,
-            self.vids.phys(oldtype_v, HandleKind.DATATYPE),
-        )
-        return self._attach_datatype(phys)
-
-    def type_create_struct(
-        self, blocklengths: Sequence[int], displacements: Sequence[int],
-        types_v: Sequence[int],
-    ) -> int:
-        self._enter()
-        phys = self.lower.type_create_struct(
-            blocklengths, displacements,
-            [self.vids.phys(t, HandleKind.DATATYPE) for t in types_v],
-        )
-        return self._attach_datatype(phys)
 
     def type_dup(self, oldtype_v: int) -> int:
         self._enter()
@@ -1305,33 +936,6 @@ class ManaRank:
             # the record must be reconstructible in any implementation.
             rec.descriptor = replay_mod.decode_datatype(self.lower, entry.phys)
             rec.committed = True
-
-    def type_free(self, dtype_v: int) -> None:
-        self._enter()
-        entry = self._dtype(dtype_v)
-        if entry.constant_name is not None:
-            raise MpiError(
-                f"cannot free predefined type {entry.constant_name}",
-                "MPI_ERR_TYPE",
-            )
-        self.lower.type_free(entry.phys)
-        self.vids.remove(dtype_v)
-
-    def type_size(self, dtype_v: int) -> int:
-        self._enter()
-        return self.lower.type_size(self.vids.phys(dtype_v, HandleKind.DATATYPE))
-
-    def type_get_extent(self, dtype_v: int) -> Tuple[int, int]:
-        self._enter()
-        return self.lower.type_get_extent(
-            self.vids.phys(dtype_v, HandleKind.DATATYPE)
-        )
-
-    def type_get_envelope(self, dtype_v: int):
-        self._enter()
-        return self.lower.type_get_envelope(
-            self.vids.phys(dtype_v, HandleKind.DATATYPE)
-        )
 
     def type_get_contents(self, dtype_v: int):
         self._enter()
@@ -1380,17 +984,6 @@ class ManaRank:
         phys = self.lower.op_create(fn, commute)
         rec = OpRecord(registry_name=name, commute=commute)
         return self.vids.attach(HandleKind.OP, rec, phys)
-
-    def op_free(self, op_v: int) -> None:
-        self._enter()
-        entry = self.vids.lookup(op_v, HandleKind.OP)
-        if entry.constant_name is not None:
-            raise MpiError(
-                f"cannot free predefined op {entry.constant_name}",
-                "MPI_ERR_OP",
-            )
-        self.lower.op_free(entry.phys)
-        self.vids.remove(op_v)
 
     # ------------------------------------------------------------------
     # communicator attribute wrappers
@@ -1444,12 +1037,10 @@ class ManaRank:
         self, comm_v: int, dims: Sequence[int], periods: Sequence[bool],
         reorder: bool = False,
     ) -> int:
-        self._enter()
-        entry = self._comm(comm_v)
-        self._two_phase(entry)
-        phys = self.lower.cart_create(entry.phys, dims, periods, reorder)
-        if self.lower.handles.is_null(HandleKind.COMM, phys):
-            return self.null_vhandle(HandleKind.COMM)
+        self._enter_collective(comm_v)
+        phys = self.lower.cart_create(
+            self.vids.phys(comm_v, HandleKind.COMM), dims, periods, reorder
+        )
         cart = (tuple(dims), tuple(bool(p) for p in periods))
         return self._attach_comm(phys, name="cart", cart=cart)
 
@@ -1664,17 +1255,163 @@ class ManaRank:
         Figure 1, exercised without killing the process."""
         self.lower.shutdown()
         self.epoch += 1
-        self.lower = make_lib(
-            self.impl_name, self.fabric, self.rank, self.clock,
-            self.cost_model, epoch=self.epoch, seed=self.seed,
-        )
-        self.lower.init()
-        self.vids.handle_bits = self.lower.handles.handle_bits
+        self._launch_lower()
         # Invalidate every physical binding, then replay.
         for entry in list(self.vids.entries()):
             if entry.phys is not None:
                 self.vids.set_phys(self.vids.embed(entry.vid), None)
         replay_mod.replay_all(self)
+
+
+# ----------------------------------------------------------------------
+# the signature table: the wrappers with no logic of their own
+# ----------------------------------------------------------------------
+_ = None                     # a plain argument, passed through untouched
+DTYPES = "datatype[]"        # a sequence of datatype handles
+COMM, GROUP = HandleKind.COMM, HandleKind.GROUP
+DTYPE, OP = HandleKind.DATATYPE, HandleKind.OP
+LOCAL, COLLECTIVE = "local", "collective"
+
+
+class Sig(NamedTuple):
+    """One wrapper.  ``args``: a handle kind, ``DTYPES`` or ``_`` per
+    positional argument.  ``sync``: ``COLLECTIVE`` runs the two-phase
+    barrier on the ``COMM`` argument.  ``result``: "none",
+    "attach_group", "attach_datatype", or "free" (retire the one handle
+    argument, refusing predefined constants)."""
+
+    args: Tuple[Optional[str], ...]
+    sync: str = LOCAL
+    result: str = "none"
+
+
+SIGNATURES: Dict[str, Sig] = {
+    "abort": Sig((COMM, _)),
+    "get_processor_name": Sig(()),
+    "comm_compare": Sig((COMM, COMM)),
+    "group_size": Sig((GROUP,)),
+    "group_rank": Sig((GROUP,)),
+    "group_incl": Sig((GROUP, _), result="attach_group"),
+    "group_excl": Sig((GROUP, _), result="attach_group"),
+    "group_union": Sig((GROUP, GROUP), result="attach_group"),
+    "group_intersection": Sig((GROUP, GROUP), result="attach_group"),
+    "group_difference": Sig((GROUP, GROUP), result="attach_group"),
+    "group_translate_ranks": Sig((GROUP, _, GROUP)),
+    "group_compare": Sig((GROUP, GROUP)),
+    "group_free": Sig((GROUP,), result="free"),
+    "pack": Sig((_, _, DTYPE, _, _)),
+    "unpack": Sig((_, _, _, _, DTYPE)),
+    "pack_size": Sig((_, DTYPE)),
+    "barrier": Sig((COMM,), COLLECTIVE),
+    "bcast": Sig((_, _, DTYPE, _, COMM), COLLECTIVE),
+    "reduce": Sig((_, _, _, DTYPE, OP, _, COMM), COLLECTIVE),
+    "allreduce": Sig((_, _, _, DTYPE, OP, COMM), COLLECTIVE),
+    "alltoall": Sig((_, _, DTYPE, _, _, DTYPE, COMM), COLLECTIVE),
+    "alltoallv": Sig((_, _, _, DTYPE, _, _, _, DTYPE, COMM), COLLECTIVE),
+    "gather": Sig((_, _, DTYPE, _, _, DTYPE, _, COMM), COLLECTIVE),
+    "gatherv": Sig((_, _, DTYPE, _, _, _, DTYPE, _, COMM), COLLECTIVE),
+    "scatter": Sig((_, _, DTYPE, _, _, DTYPE, _, COMM), COLLECTIVE),
+    "scatterv": Sig((_, _, _, DTYPE, _, _, DTYPE, _, COMM), COLLECTIVE),
+    "allgather": Sig((_, _, DTYPE, _, _, DTYPE, COMM), COLLECTIVE),
+    "allgatherv": Sig((_, _, DTYPE, _, _, _, DTYPE, COMM), COLLECTIVE),
+    "scan": Sig((_, _, _, DTYPE, OP, COMM), COLLECTIVE),
+    "exscan": Sig((_, _, _, DTYPE, OP, COMM), COLLECTIVE),
+    "reduce_scatter_block": Sig((_, _, _, DTYPE, OP, COMM), COLLECTIVE),
+    "type_contiguous": Sig((_, DTYPE), result="attach_datatype"),
+    "type_vector": Sig((_, _, _, DTYPE), result="attach_datatype"),
+    "type_indexed": Sig((_, _, DTYPE), result="attach_datatype"),
+    "type_create_struct": Sig((_, _, DTYPES), result="attach_datatype"),
+    "type_free": Sig((DTYPE,), result="free"),
+    "type_size": Sig((DTYPE,)),
+    "type_get_extent": Sig((DTYPE,)),
+    "type_get_envelope": Sig((DTYPE,)),
+    "op_free": Sig((OP,), result="free"),
+}
+
+# The wrappers written out on ManaRank, because each has logic of its own.
+HANDWRITTEN = (
+    "init", "finalize", "initialized", "finalized", "wtime",
+    "comm_rank", "comm_size", "comm_group", "comm_dup", "comm_split",
+    "comm_split_type", "comm_create", "comm_free",
+    "send", "recv", "isend", "irecv", "send_init", "recv_init", "start",
+    "startall", "request_free", "test", "wait", "waitall", "testall",
+    "waitany", "testany", "iprobe", "probe", "sendrecv", "get_count",
+    "type_dup", "type_commit", "type_get_contents", "op_create",
+    "comm_create_keyval", "comm_free_keyval", "comm_set_attr",
+    "comm_get_attr", "comm_delete_attr",
+    "cart_create", "cart_coords", "cart_rank", "cart_shift",
+)
+
+#: The MPI functions both facades expose.
+MPI_FUNCTIONS = frozenset(SIGNATURES) | frozenset(HANDWRITTEN)
+
+# How a "free" row refuses a predefined constant, per handle kind.
+_FREE_REFUSALS = {
+    GROUP: ("cannot free {}", "MPI_ERR_GROUP"),
+    DTYPE: ("cannot free predefined type {}", "MPI_ERR_TYPE"),
+    OP: ("cannot free predefined op {}", "MPI_ERR_OP"),
+}
+
+
+def _make_wrapper(name: str, sig: Sig) -> Callable:
+    """Build the wrapper for one table row.  Everything the row says is
+    resolved here, once; the returned function only does the work."""
+    if sig.result == "free":
+        kind = sig.args[0]
+        message, error_class = _FREE_REFUSALS[kind]
+
+        def free(self, vhandle):
+            self._enter()
+            entry = self.vids.lookup(vhandle, kind)
+            if entry.constant_name is not None:
+                raise MpiError(message.format(entry.constant_name),
+                               error_class)
+            getattr(self.lower, name)(entry.phys)
+            self.vids.remove(vhandle)
+
+        return free
+
+    nargs = len(sig.args)
+    comm_at = sig.args.index(COMM) if sig.sync == COLLECTIVE else None
+    handles = tuple(
+        (i, kind) for i, kind in enumerate(sig.args)
+        if kind not in (_, DTYPES)
+    )
+    lists = tuple(i for i, kind in enumerate(sig.args) if kind == DTYPES)
+    attach = {
+        "none": None,
+        "attach_group": ManaRank._attach_group,
+        "attach_datatype": ManaRank._attach_datatype,
+    }[sig.result]
+
+    def wrapper(self, *args):
+        if len(args) != nargs:
+            raise TypeError(
+                f"{name}() takes {nargs} arguments ({len(args)} given)"
+            )
+        if comm_at is None:
+            self._enter()
+        else:
+            self._enter_collective(args[comm_at])
+        # Only now read physical ids: a round run inside the barrier may
+        # have rebuilt the lower half.
+        phys = self.vids.phys
+        args = list(args)
+        for i, kind in handles:
+            args[i] = phys(args[i], kind)
+        for i in lists:
+            args[i] = [phys(h, DTYPE) for h in args[i]]
+        out = getattr(self.lower, name)(*args)
+        return out if attach is None else attach(self, out)
+
+    return wrapper
+
+
+for _name, _sig in SIGNATURES.items():
+    assert _name not in vars(ManaRank), f"{_name} is both a row and a def"
+    _fn = _make_wrapper(_name, _sig)
+    _fn.__name__, _fn.__qualname__ = _name, f"ManaRank.{_name}"
+    setattr(ManaRank, _name, _fn)
 
 
 class ManaFacade(FacadeBase):
@@ -1704,11 +1441,9 @@ class ManaFacade(FacadeBase):
         kind = _NULL_ATTRS.get(attr)
         if kind is not None:
             return mana.null_vhandle(kind)
-        if hasattr(ManaRank, attr) and not attr.startswith("_"):
-            value = getattr(mana, attr)
-            if callable(value):
-                # Later calls find the bound wrapper in the instance
-                # dict and never come back here.
-                self.__dict__[attr] = value
+        if attr in MPI_FUNCTIONS:
+            # Later calls find the bound wrapper in the instance dict and
+            # never come back here.
+            value = self.__dict__[attr] = getattr(mana, attr)
             return value
         raise AttributeError(f"MANA MPI facade has no attribute {attr!r}")

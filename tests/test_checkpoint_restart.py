@@ -5,10 +5,14 @@ application state equals that of an uninterrupted run — no lost messages,
 no duplicated work, all MPI objects semantically reconstructed.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro import CheckpointKind, CheckpointMode, JobConfig, Launcher
+from repro import (
+    CheckpointKind, CheckpointMode, JobConfig, Launcher, MpiApplication,
+)
 from repro.util.errors import CheckpointError
 from tests.conftest import ALL_IMPLS
 from tests.miniapps import PendingIrecvApp, RingApp, SkewedSendersApp
@@ -220,3 +224,81 @@ def test_checkpoint_image_sizes_reported():
     )
     assert len(info["bytes_per_rank"]) == NRANKS
     assert all(b > 100 for b in info["bytes_per_rank"])
+
+
+class _StagedCollectiveApp(MpiApplication):
+    """Calls one communicator-creating or collective wrapper after
+    announcing it in ``stage``; ``result`` keeps what it computed."""
+
+    def __init__(self, stage: str):
+        self.stage = ""
+        self._target = stage
+        self.result = None
+
+    def run(self, ctx):
+        MPI = ctx.MPI
+        w = MPI.COMM_WORLD
+        dup = MPI.comm_dup(w)
+        group = MPI.comm_group(w)
+        self.stage = self._target
+        if self._target == "comm_create":
+            sub = MPI.comm_create(dup, group)
+            self.result = MPI.comm_size(sub)
+            MPI.comm_free(sub)
+        else:
+            out = np.zeros(1)
+            MPI.allreduce(np.array([ctx.rank + 1.0]), out, 1, MPI.DOUBLE,
+                          MPI.SUM, dup)
+            self.result = out[0]
+        self.stage = ""
+        MPI.group_free(group)
+        MPI.comm_free(dup)
+
+
+def _relaunch_inside_barrier(stage: str, impl: str, vid_design: str):
+    """Arm an in-session RELAUNCH checkpoint the moment the first rank
+    reaches ``stage``'s two-phase barrier: that rank detours into the
+    round from inside the barrier, with the lower half rebuilt under it."""
+    apps = []
+
+    def factory(rank):
+        apps.append(_StagedCollectiveApp(stage))
+        return apps[-1]
+
+    job = Launcher(
+        JobConfig(nranks=2, impl=impl, mana=True, vid_design=vid_design)
+    ).launch(factory)
+    coord = job.coordinator
+    barrier = coord.trivial_barrier
+    tickets = []
+    lock = threading.Lock()
+
+    def arm_then_wait(comm_key, seq, rank, member_world_ranks, park_check):
+        with lock:
+            if not tickets and apps[rank].stage == stage:
+                tickets.append(job.request_checkpoint(
+                    kind=CheckpointKind.IN_SESSION,
+                    mode=CheckpointMode.RELAUNCH,
+                ))
+        barrier(comm_key, seq, rank, member_world_ranks, park_check)
+
+    coord.trivial_barrier = arm_then_wait
+    res = job.start().wait(120)
+    assert res.status == "completed", res.first_error()
+    assert len(tickets) == 1 and tickets[0].wait(5)["generation"] == 1
+    assert all(m.epoch == 1 for m in job.manas)
+    return [a.result for a in res.apps()]
+
+
+@pytest.mark.parametrize("impl", ALL_IMPLS)
+def test_relaunch_inside_comm_create_barrier(impl):
+    """The group handle is translated after the barrier, so comm_create
+    hands the rebuilt library its own handle, not the old library's."""
+    assert _relaunch_inside_barrier("comm_create", impl, "new") == [2, 2]
+
+
+@pytest.mark.parametrize("impl", ["mpich", "craympi"])
+def test_relaunch_inside_allreduce_barrier_legacy(impl):
+    """Legacy lookups return entry copies; a collective must not use a
+    physical id read before its barrier rebuilt the lower half."""
+    assert _relaunch_inside_barrier("allreduce", impl, "legacy") == [3.0, 3.0]

@@ -62,6 +62,21 @@ def test_report_single_table(capsys):
     assert "Table 1" in capsys.readouterr().out
 
 
+def test_report_table3(capsys):
+    """table3 takes (scale, ranks_cap) and no case cache."""
+    assert main(["report", "table3", "--scale", "0.02",
+                 "--ranks-cap", "2"]) == 0
+    assert "Table 3" in capsys.readouterr().out
+
+
+def test_report_experiments_table_names_real_experiments():
+    from repro.__main__ import EXPERIMENTS
+    from repro.harness import experiments
+
+    for name in EXPERIMENTS:
+        assert callable(getattr(experiments, name)), name
+
+
 def test_report_ablation(capsys):
     assert main(["report", "ablation_vid_lookup"]) == 0
     out = capsys.readouterr().out

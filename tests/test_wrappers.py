@@ -1,13 +1,19 @@
 """Wrapper-layer behavior: virtualization, accounting, facade semantics."""
 
+import inspect
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro import JobConfig, Launcher, MpiApplication
+from repro.impls.facade import NativeFacade
+from repro.mpi.api import BaseMpiLib
 from repro.mana.virtid import MANA_MAGIC, VirtualIdTable
 from repro.util.errors import IncompatibleHandleError, MpiError
 from tests.conftest import ALL_IMPLS
-from tests.miniapps import RingApp
+from tests.miniapps import RingApp, weighted_sum
 
 
 class HandleWitness(MpiApplication):
@@ -153,11 +159,43 @@ class CartApp(MpiApplication):
 
 class TestFacade:
     def test_mana_facade_surface_matches_native(self):
-        from repro.impls.facade import _FORWARDED, NativeFacade
-        from repro.mana.wrappers import ManaFacade, ManaRank
+        from repro.mana.wrappers import MPI_FUNCTIONS, ManaRank
 
-        for fn in _FORWARDED:
+        # Every @mpi_call function of the library is on both facades;
+        # the one exception, dims_create, is a static helper on
+        # FacadeBase rather than a library call.
+        lib_calls = {
+            name for name, fn in vars(BaseMpiLib).items()
+            if inspect.isfunction(fn) and hasattr(fn, "__wrapped__")
+        }
+        assert MPI_FUNCTIONS == lib_calls
+        for fn in MPI_FUNCTIONS:
             assert hasattr(ManaRank, fn), f"ManaRank missing wrapper {fn}"
+
+    def test_signature_rows_match_library_arity(self):
+        from repro.mana.wrappers import SIGNATURES
+
+        for name, sig in SIGNATURES.items():
+            params = list(
+                inspect.signature(getattr(BaseMpiLib, name).__wrapped__)
+                .parameters.values()
+            )[1:]
+            assert len(sig.args) == len(params), name
+            assert all(p.default is p.empty for p in params), name
+
+    def test_facades_expose_only_mpi_functions(self):
+        from repro.mana.wrappers import ManaFacade
+
+        job = Launcher(JobConfig(nranks=1, impl="mpich", mana=True)).launch(
+            lambda r: HandleWitness()
+        )
+        job.run(timeout=60)
+        mana_facade = ManaFacade(job.manas[0])
+        native = NativeFacade(job.manas[0].lower)
+        for facade in (mana_facade, native):
+            assert callable(facade.allreduce)
+            with pytest.raises(AttributeError):
+                facade.checkpoint_participate
 
     def test_null_handles_distinct_per_kind(self):
         job = Launcher(JobConfig(nranks=1, impl="mpich", mana=True)).launch(
@@ -207,3 +245,136 @@ class TestFacade:
         assert res.status == "completed", res.first_error()
         for app in res.apps():
             assert len(set(app.coords)) == 1  # stable across relaunch
+
+
+class CallEveryWrapperApp(MpiApplication):
+    """Calls every table-driven wrapper at least once (and the
+    communicator constructors), recording each failing call."""
+
+    name = "every-wrapper"
+
+    def __init__(self):
+        self.errors = []
+
+    def _try(self, name, fn, *args):
+        try:
+            return fn(*args)
+        except MpiError as exc:
+            self.errors.append([name, type(exc).__name__, str(exc)])
+            return None
+
+    def run(self, ctx):
+        MPI = ctx.MPI
+        w, r, n = MPI.COMM_WORLD, ctx.rank, ctx.nranks
+        D = MPI.DOUBLE
+        MPI.get_processor_name()
+        MPI.comm_compare(w, w)
+        dup = MPI.comm_dup(w)
+        half = MPI.comm_split(w, r % 2, r)
+        node = MPI.comm_split_type(w, MPI.COMM_TYPE_SHARED, r)
+        g = MPI.comm_group(w)
+        created = MPI.comm_create(dup, g)
+        MPI.group_size(g)
+        MPI.group_rank(g)
+        g0 = MPI.group_incl(g, [0])
+        g1 = MPI.group_excl(g, [0])
+        gu = MPI.group_union(g0, g1)
+        gi = MPI.group_intersection(g, g0)
+        gd = MPI.group_difference(g, g0)
+        MPI.group_translate_ranks(g0, [0], g)
+        MPI.group_compare(gu, g)
+        for h in (g0, g1, gu, gi, gd):
+            MPI.group_free(h)
+        t = MPI.type_contiguous(2, D)
+        v = MPI.type_vector(2, 1, 2, D)
+        ix = self._try("type_indexed", MPI.type_indexed, [1, 1], [0, 2], D)
+        st = MPI.type_create_struct([1, 1], [0, 8], [MPI.INT, D])
+        types = [h for h in (t, v, ix, st) if h is not None]
+        for h in types:
+            MPI.type_commit(h)
+        MPI.type_size(t)
+        MPI.type_get_extent(v)
+        MPI.type_get_envelope(st)
+        packed = np.zeros(64, np.uint8)
+        MPI.pack(np.arange(2.0), 1, t, packed, 0)
+        MPI.pack_size(1, t)
+        MPI.unpack(packed, 0, np.zeros(2), 1, t)
+        op = MPI.op_create(weighted_sum, True)
+        x = np.arange(2 * n, dtype=float) + r
+        y = np.zeros(2 * n)
+        counts, displs = [2] * n, [2 * i for i in range(n)]
+        MPI.barrier(w)
+        MPI.bcast(x, 2, D, 0, dup)
+        MPI.reduce(x, y, 2, D, MPI.SUM, 0, w)
+        MPI.allreduce(x, y, 2, D, op, half)
+        MPI.alltoall(x, 2, D, y, 2, D, w)
+        self._try("alltoallv", MPI.alltoallv, x, counts, displs, D,
+                  y, counts, displs, D, w)
+        MPI.gather(x, 2, D, y, 2, D, 0, w)
+        self._try("gatherv", MPI.gatherv, x, 2, D, y, counts, displs, D, 0, w)
+        MPI.scatter(x, 2, D, y, 2, D, 0, w)
+        self._try("scatterv", MPI.scatterv, x, counts, displs, D,
+                  y, 2, D, 0, w)
+        MPI.allgather(x, 2, D, y, 2, D, created)
+        self._try("allgatherv", MPI.allgatherv, x, 2, D, y, counts, displs,
+                  D, w)
+        MPI.scan(x, y, 2, D, MPI.SUM, node)
+        self._try("exscan", MPI.exscan, x, y, 2, D, MPI.SUM, w)
+        self._try("reduce_scatter_block", MPI.reduce_scatter_block,
+                  x, y, 2, D, MPI.SUM, w)
+        for h in types:
+            MPI.type_free(h)
+        MPI.op_free(op)
+        self._try("group_free", MPI.group_free, MPI.GROUP_EMPTY)
+        self._try("type_free", MPI.type_free, D)
+        self._try("op_free", MPI.op_free, MPI.SUM)
+        MPI.group_free(g)
+        for c in (created, node, half, dup):
+            MPI.comm_free(c)
+
+
+class AbortApp(MpiApplication):
+    name = "abort"
+
+    def run(self, ctx):
+        ctx.MPI.abort(ctx.MPI.COMM_WORLD, 3)
+
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden_wrapper_calls.json").read_text()
+)
+
+
+class TestGoldenCallCounts:
+    """The wrapper layer's oracle: per-rank call and crossing counts,
+    virtual runtimes, the lower half's call counts and every failing
+    call's error, pinned for each implementation and vid design.  A
+    change to a wrapper that moves any of them shows up here."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_counts_unchanged(self, case):
+        impl, what = case.split("/")
+        abort = what == "abort"
+        res = Launcher(JobConfig(
+            nranks=1 if abort else 2, impl=impl, mana=True,
+            vid_design="new" if abort else what,
+        )).run(lambda r: AbortApp() if abort else CallEveryWrapperApp(),
+               timeout=60)
+        got = {
+            "status": res.status,
+            "error": (
+                None if res.status == "completed"
+                else res.first_error().strip().splitlines()[-1]
+            ),
+            "ranks": [
+                {
+                    "wrapped_calls": o.wrapped_calls,
+                    "cs_count": o.cs_count,
+                    "runtime": repr(o.runtime),
+                    "lib_call_counts": dict(o.lib_call_counts),
+                    "errors": getattr(o.app, "errors", None),
+                }
+                for o in res.ranks
+            ],
+        }
+        assert got == GOLDEN[case]
