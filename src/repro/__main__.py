@@ -36,19 +36,8 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.apps import APP_CLASSES
+from repro.harness.experiments import EXPERIMENTS, RANKS_CAP, SCALE
 from repro.impls import IMPLS
-
-# ``report``'s experiments (repro.harness.experiments), in ``all`` order,
-# each with how it is called: "fixed" takes no arguments, "scaled" takes
-# (scale, ranks_cap), "cached" adds the shared CaseCache and "figure"
-# also fans its cases across ``--jobs`` workers.
-EXPERIMENTS = {
-    "table1": "fixed", "table2": "fixed", "figure2": "figure",
-    "figure3": "figure", "figure4": "figure", "section63": "cached",
-    "table3": "scaled", "cross_impl_restart": "fixed",
-    "restart_analysis": "fixed", "overhead_breakdown": "fixed",
-    "ablation_ggid": "fixed", "ablation_vid_lookup": "fixed",
-}
 
 
 def _cmd_run(args) -> int:
@@ -130,7 +119,7 @@ def _cmd_restart(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from repro.harness import experiments as E
+    from repro.harness.experiments import run_experiment
     from repro.harness.runner import CaseCache
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [
@@ -143,16 +132,8 @@ def _cmd_report(args) -> int:
         jobs = default_jobs()
     cache = CaseCache()
     for name in names:
-        fn, style = getattr(E, name), EXPERIMENTS[name]
-        scaled = (args.scale, args.ranks_cap or None)
-        if style == "fixed":
-            out = fn()
-        elif style == "scaled":
-            out = fn(*scaled)
-        elif style == "cached":
-            out = fn(*scaled, cache)
-        else:
-            out = fn(*scaled, cache, jobs=jobs)
+        out = run_experiment(name, args.scale, args.ranks_cap or None,
+                             cache, jobs)
         print(out["text"])
         print()
     return 0
@@ -400,8 +381,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", help="regenerate paper tables/figures")
     p.add_argument("experiment", nargs="?", default="all",
                    choices=["all", *EXPERIMENTS])
-    p.add_argument("--scale", type=float, default=0.12)
-    p.add_argument("--ranks-cap", type=int, default=8)
+    p.add_argument("--scale", type=float, default=SCALE)
+    p.add_argument("--ranks-cap", type=int, default=RANKS_CAP)
     p.add_argument("--jobs", type=int, default=1,
                    help="run independent figure cases across N worker "
                         "processes (0 = all available CPUs)")

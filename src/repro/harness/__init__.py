@@ -1,20 +1,13 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
-Entry points (one per experiment; see DESIGN.md §3 for the index):
-
-* :func:`repro.harness.experiments.table1` / ``table2`` — input tables;
-* :func:`repro.harness.experiments.figure2` — MPICH vs Open MPI runtimes;
-* :func:`repro.harness.experiments.figure3` — ExaMPI runtimes;
-* :func:`repro.harness.experiments.figure4` — Cray MPI on Perlmutter;
-* :func:`repro.harness.experiments.section63` — context-switch rates;
-* :func:`repro.harness.experiments.table3` — checkpoint times/sizes;
-* :func:`repro.harness.experiments.cross_impl_restart` — §3.6/§9;
-* :func:`repro.harness.experiments.ablation_ggid` — eager/lazy/hybrid;
-* :func:`repro.harness.experiments.ablation_vid_lookup` — old vs new
-  virtual-id translation.
+:data:`repro.harness.experiments.EXPERIMENTS` names one function per
+experiment (DESIGN.md §3 is the index), and
+:func:`repro.harness.experiments.run_experiment` runs one the way
+``python -m repro report`` and the tier-1 shape tests
+(``tests/test_paper_shapes.py``) do.
 
 Every experiment runs at a configurable ``scale`` (fraction of the
-paper's blocks/ranks) so the benchmark suite stays tractable; shapes are
+paper's loop blocks, plus a rank cap) so both stay tractable; shapes are
 scale-invariant because the calibration targets per-rank *rates*.
 """
 

@@ -7,7 +7,7 @@ ratios, not absolute seconds).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 def render_table(
@@ -43,7 +43,6 @@ def render_bar_figure(
     normalize_to: Optional[str] = None,
     width: int = 34,
     note: Optional[str] = None,
-    errors: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> str:
     """Grouped horizontal bars: ``values[group][series] -> value``.
 
@@ -71,27 +70,8 @@ def render_bar_figure(
             rel = ""
             if base:
                 rel = f"  ({v / base:.2f}x)"
-            err = ""
-            if errors is not None:
-                e = errors.get(g, {}).get(s)
-                if e:
-                    err = f" ±{e:.1f}"
-            out.append(f"  {s.ljust(label_w)} {bar} {v:.1f}{err}{unit}{rel}")
+            out.append(f"  {s.ljust(label_w)} {bar} {v:.1f}{unit}{rel}")
     if note:
         out.append("")
         out.append(note)
     return "\n".join(out)
-
-
-def fmt_pct(x: Optional[float]) -> str:
-    if x is None or x != x:  # None or NaN
-        return "n/a"
-    return f"{x * 100:+.1f}%"
-
-
-def fmt_bytes(n: float) -> str:
-    for unit in ("B", "KB", "MB", "GB"):
-        if n < 1024 or unit == "GB":
-            return f"{n:.0f}{unit}" if unit == "B" else f"{n:.1f}{unit}"
-        n /= 1024
-    return f"{n:.1f}GB"

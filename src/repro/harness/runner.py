@@ -8,6 +8,7 @@ virtual runtime, context switches, call counts.
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -86,19 +87,23 @@ def run_case(
     spec = scaled_spec(app_name, platform, scale, ranks_cap)
     runtimes = []
     result = None
-    for trial in range(max(1, trials)):
-        cfg = JobConfig(
-            nranks=spec.nranks,
-            impl=impl,
-            platform=platform,
-            mana=mana,
-            vid_design=vid_design,
-            seed=seed + 1009 * trial,
-        )
-        result = Launcher(cfg).run(lambda r: cls(spec), timeout=timeout)
-        if result.status != "completed":
-            break
-        runtimes.append(result.runtime)
+    # A MANA job opens its checkpoint store even when it takes no
+    # checkpoint; give it a directory that goes away with the case.
+    with tempfile.TemporaryDirectory(prefix="repro-case-") as ckpt_dir:
+        for trial in range(max(1, trials)):
+            cfg = JobConfig(
+                nranks=spec.nranks,
+                impl=impl,
+                platform=platform,
+                mana=mana,
+                vid_design=vid_design,
+                seed=seed + 1009 * trial,
+                ckpt_dir=ckpt_dir,
+            )
+            result = Launcher(cfg).run(lambda r: cls(spec), timeout=timeout)
+            if result.status != "completed":
+                break
+            runtimes.append(result.runtime)
     if result.status != "completed":
         err = result.first_error() or ""
         if "IncompatibleHandleError" in err:
@@ -140,8 +145,8 @@ def run_case(
 
 
 class CaseCache:
-    """Memoizes case *outcomes* within one benchmark session (several
-    experiments share the native baselines).
+    """Memoizes case *outcomes* across the experiments of one ``report``
+    run or test session (several experiments share the native baselines).
 
     Failures are cached alongside successes and re-raised by ``get``:
     the expected ``IncompatibleHandleError`` of legacy-design-on-64-bit

@@ -70,10 +70,12 @@ def test_report_table3(capsys):
 
 
 def test_report_experiments_table_names_real_experiments():
-    from repro.__main__ import EXPERIMENTS
+    """``report`` reads the harness's registry, not a copy of it."""
+    import repro.__main__ as cli
     from repro.harness import experiments
 
-    for name in EXPERIMENTS:
+    assert cli.EXPERIMENTS is experiments.EXPERIMENTS
+    for name in experiments.EXPERIMENTS:
         assert callable(getattr(experiments, name)), name
 
 

@@ -9,10 +9,10 @@ import pytest
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 
 
-def run_example(name, argv=None):
+def run_example(name):
     path = os.path.join(EXAMPLES, name)
     old_argv = sys.argv
-    sys.argv = [path] + (argv or [])
+    sys.argv = [path]
     try:
         runpy.run_path(path, run_name="__main__")
     finally:
@@ -41,7 +41,3 @@ def test_interval_checkpointing():
 
 def test_vasp_style_workflow():
     run_example("vasp_style_workflow.py")
-
-
-def test_reproduce_paper_single_experiment():
-    run_example("reproduce_paper.py", ["--only", "table1"])

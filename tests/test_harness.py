@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.harness.report import (
-    fmt_bytes,
-    fmt_pct,
-    render_bar_figure,
-    render_table,
-)
+from repro.harness.report import render_bar_figure, render_table
 from repro.harness.runner import CaseCache, run_case, scaled_spec
 from repro.util.errors import IncompatibleHandleError, ReproError
 
@@ -43,13 +38,6 @@ class TestRenderers:
             {"g": {"works": 5.0, "broken": None}},
         )
         assert "n/a" in text
-
-    def test_fmt_helpers(self):
-        assert fmt_pct(0.325) == "+32.5%"
-        assert fmt_pct(None) == "n/a"
-        assert fmt_pct(float("nan")) == "n/a"
-        assert fmt_bytes(512) == "512B"
-        assert fmt_bytes(42 * 1024 * 1024) == "42.0MB"
 
 
 class TestScaledSpec:
