@@ -36,41 +36,41 @@ def main() -> None:
     ref_energy = ref.apps()[0].energy_history[-1]
     print(f"reference (mpich only): final energy {ref_energy:.6f}")
 
-    ckpt_dir = tempfile.mkdtemp(prefix="cross-impl-")
-    cfg = JobConfig(nranks=8, impl="mpich", mana=True, ckpt_dir=ckpt_dir,
-                    loop_lag_window=2)
+    with tempfile.TemporaryDirectory(prefix="cross-impl-") as ckpt_dir:
+        cfg = JobConfig(nranks=8, impl="mpich", mana=True, ckpt_dir=ckpt_dir,
+                        loop_lag_window=2)
 
-    # Leg 1: MPICH, preempted early.
-    job = Launcher(cfg).launch(lambda r: CoMDProxy(spec))
-    t = job.checkpoint_at_iteration("main", 2, kind="loop", mode="exit")
-    job.start()
-    info = t.wait()
-    job.wait()
-    print(f"leg 1: mpich    ran to iteration {info['loop_target']}, "
-          f"checkpointed (32-bit int handles)")
+        # Leg 1: MPICH, preempted early.
+        job = Launcher(cfg).launch(lambda r: CoMDProxy(spec))
+        t = job.checkpoint_at_iteration("main", 2, kind="loop", mode="exit")
+        job.start()
+        info = t.wait()
+        job.wait()
+        print(f"leg 1: mpich    ran to iteration {info['loop_target']}, "
+              f"checkpointed (32-bit int handles)")
 
-    # Leg 2: restart under Open MPI, preempted again.
-    job = Launcher(cfg).restart(ckpt_dir, impl_override="openmpi")
-    t = job.coordinator.checkpoint_at_iteration("main", 7, kind="loop",
-                                                mode="exit")
-    job.start()
-    info = t.wait()
-    job.wait()
-    print(f"leg 2: openmpi  ran to iteration {info['loop_target']}, "
-          f"checkpointed (64-bit pointer handles)")
+        # Leg 2: restart under Open MPI, preempted again.
+        job = Launcher(cfg).restart(ckpt_dir, impl_override="openmpi")
+        t = job.coordinator.checkpoint_at_iteration("main", 7, kind="loop",
+                                                    mode="exit")
+        job.start()
+        info = t.wait()
+        job.wait()
+        print(f"leg 2: openmpi  ran to iteration {info['loop_target']}, "
+              f"checkpointed (64-bit pointer handles)")
 
-    # Leg 3: finish under ExaMPI.
-    job = Launcher(cfg).restart(ckpt_dir, impl_override="exampi")
-    res = job.run()
-    assert res.status == "completed", res.first_error()
-    energy = res.apps()[0].energy_history[-1]
-    print(f"leg 3: exampi   completed (enum datatypes, lazy constants)")
+        # Leg 3: finish under ExaMPI.
+        job = Launcher(cfg).restart(ckpt_dir, impl_override="exampi")
+        res = job.run()
+        assert res.status == "completed", res.first_error()
+        energy = res.apps()[0].energy_history[-1]
+        print(f"leg 3: exampi   completed (enum datatypes, lazy constants)")
 
-    assert energy == ref_energy
-    print(f"\nfinal energy {energy:.6f} — bit-identical to the "
-          f"single-implementation run ✓")
-    print("One application, one checkpoint lineage, three MPI "
-          "implementations.")
+        assert energy == ref_energy
+        print(f"\nfinal energy {energy:.6f} — bit-identical to the "
+              f"single-implementation run ✓")
+        print("One application, one checkpoint lineage, three MPI "
+              "implementations.")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ and lets the application finish — it never notices.
 Run:  python examples/quickstart.py
 """
 
+import tempfile
 from dataclasses import replace
 
 from repro import JobConfig, Launcher
@@ -28,20 +29,21 @@ def main() -> None:
           f"runtime {reference.runtime:.1f} virtual s")
 
     # --- 2. the same run, checkpointed and relaunched mid-flight --------
-    job = Launcher(JobConfig(nranks=8, impl="mpich", mana=True)).launch(
-        lambda rank: CoMDProxy(spec)
-    )
-    # Fire a checkpoint when the main loop reaches block 4; "relaunch"
-    # discards the lower half and rebuilds every MPI object.
-    ticket = job.checkpoint_at_iteration("main", 4, kind="in-session",
-                                         mode="relaunch")
-    job.start()
-    info = ticket.wait()
-    print(f"checkpoint    : generation {info['generation']}, "
-          f"{info['mean_bytes_per_rank'] / 1e6:.1f} MB/rank "
-          f"(+ simulated working set), {info['ckpt_time']:.1f} s")
+    with tempfile.TemporaryDirectory(prefix="quickstart-") as ckpt_dir:
+        job = Launcher(replace(cfg, ckpt_dir=ckpt_dir)).launch(
+            lambda rank: CoMDProxy(spec)
+        )
+        # Fire a checkpoint when the main loop reaches block 4; "relaunch"
+        # discards the lower half and rebuilds every MPI object.
+        ticket = job.checkpoint_at_iteration("main", 4, kind="in-session",
+                                             mode="relaunch")
+        job.start()
+        info = ticket.wait()
+        print(f"checkpoint    : generation {info['generation']}, "
+              f"{info['mean_bytes_per_rank'] / 1e6:.1f} MB/rank "
+              f"(+ simulated working set), {info['ckpt_time']:.1f} s")
+        result = job.wait()
 
-    result = job.wait()
     assert result.status == "completed", result.first_error()
     energy = result.apps()[0].energy_history[-1]
     print(f"relaunched run: final energy {energy:.6f}, "

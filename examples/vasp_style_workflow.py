@@ -33,42 +33,43 @@ def main() -> None:
           f"{len(ref_app.scf_energies)} SCF + {len(ref_app.relax_forces)} "
           f"relax + {len(ref_app.md_temps)} MD iterations")
 
-    ckpt_dir = tempfile.mkdtemp(prefix="vasp-")
-    cfg = JobConfig(nranks=8, impl="mpich", mana=True, ckpt_dir=ckpt_dir,
-                    loop_lag_window=2)
+    with tempfile.TemporaryDirectory(prefix="vasp-") as ckpt_dir:
+        cfg = JobConfig(nranks=8, impl="mpich", mana=True, ckpt_dir=ckpt_dir,
+                        loop_lag_window=2)
 
-    # Preempt once inside each algorithm phase.
-    job = Launcher(cfg).launch(lambda r: VaspLikeProxy(spec))
-    tk = job.checkpoint_at_iteration("scf", 1, kind="loop", mode="exit")
-    job.start()
-    tk.wait()
-    job.wait()
-    print("preempted mid-SCF          (phase 1/3)")
+        # Preempt once inside each algorithm phase.
+        job = Launcher(cfg).launch(lambda r: VaspLikeProxy(spec))
+        tk = job.checkpoint_at_iteration("scf", 1, kind="loop", mode="exit")
+        job.start()
+        tk.wait()
+        job.wait()
+        print("preempted mid-SCF          (phase 1/3)")
 
-    job = Launcher(cfg).restart(ckpt_dir)
-    tk = job.coordinator.checkpoint_at_iteration("relax", 1, kind="loop",
-                                                 mode="exit")
-    job.start()
-    tk.wait()
-    job.wait()
-    print("preempted mid-relaxation   (phase 2/3)")
+        job = Launcher(cfg).restart(ckpt_dir)
+        tk = job.coordinator.checkpoint_at_iteration("relax", 1, kind="loop",
+                                                     mode="exit")
+        job.start()
+        tk.wait()
+        job.wait()
+        print("preempted mid-relaxation   (phase 2/3)")
 
-    job = Launcher(cfg).restart(ckpt_dir)
-    tk = job.coordinator.checkpoint_at_iteration("md", 1, kind="loop",
-                                                 mode="exit")
-    job.start()
-    tk.wait()
-    job.wait()
-    print("preempted mid-MD           (phase 3/3)")
+        job = Launcher(cfg).restart(ckpt_dir)
+        tk = job.coordinator.checkpoint_at_iteration("md", 1, kind="loop",
+                                                     mode="exit")
+        job.start()
+        tk.wait()
+        job.wait()
+        print("preempted mid-MD           (phase 3/3)")
 
-    final = Launcher(cfg).restart(ckpt_dir).run()
-    assert final.status == "completed", final.first_error()
-    app = final.apps()[0]
-    assert app.scf_energies == ref_app.scf_energies
-    assert app.relax_forces == ref_app.relax_forces
-    assert app.md_temps == ref_app.md_temps
-    print("\nfour sessions, one preemption per algorithm phase —")
-    print("all three phase histories identical to the uninterrupted run ✓")
+        final = Launcher(cfg).restart(ckpt_dir).run()
+        assert final.status == "completed", final.first_error()
+        app = final.apps()[0]
+        assert app.scf_energies == ref_app.scf_energies
+        assert app.relax_forces == ref_app.relax_forces
+        assert app.md_temps == ref_app.md_temps
+        print("\nfour sessions, one preemption per algorithm phase —")
+        print("all three phase histories identical to the uninterrupted "
+              "run ✓")
 
 
 if __name__ == "__main__":

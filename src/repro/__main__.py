@@ -31,6 +31,7 @@ impls      list the simulated MPI implementations and their properties
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -81,7 +82,8 @@ def _cmd_run(args) -> int:
     if cfg.mana:
         print(f"crossings: {res.total_cs:,} "
               f"({res.cs_per_second / 1e6:.2f}M CS/s)")
-    if cfg.ckpt_dir:
+    # A temp dir the job made for itself is gone unless it checkpointed.
+    if cfg.ckpt_dir and os.path.isdir(cfg.ckpt_dir):
         print(f"ckpt dir : {cfg.ckpt_dir}")
     return 0
 
@@ -225,8 +227,6 @@ def _smoke_elastic(args) -> int:
 
 
 def _cmd_fsck(args) -> int:
-    import os
-
     from repro.mana.fsck import fsck
 
     if not os.path.isdir(args.ckpt_dir):

@@ -6,10 +6,10 @@ exist with identical surface:
 
 * :class:`NativeFacade` (here) routes straight to one implementation's
   library instance — a "native" run, no MANA;
-* :class:`repro.mana.wrappers.ManaFacade` routes every call through
+* ``ManaFacade``, in MANA's wrapper layer, routes every call through
   MANA's wrapper functions, translating virtual and physical ids.
 
-Both expose the same functions: ``repro.mana.wrappers.MPI_FUNCTIONS``.
+Both expose the same functions: ``repro.mpi.api.MPI_FUNCTIONS``.
 
 Crucially, ``MPI.COMM_WORLD`` on the native facade is evaluated on every
 access (a macro expanding to a function call, Open MPI-style): whatever
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.mpi import constants as C
-from repro.mpi.api import BaseMpiLib, HandleKind
+from repro.mpi.api import MPI_FUNCTIONS, BaseMpiLib, HandleKind
 
 # Facade attribute -> mpi.h constant name
 _CONSTANT_ATTRS = {
@@ -83,9 +83,6 @@ class NativeFacade(FacadeBase):
         kind = _NULL_ATTRS.get(attr)
         if kind is not None:
             return lib.null_handle(kind)
-        # The one MPI name list lives beside MANA's signature table.
-        from repro.mana.wrappers import MPI_FUNCTIONS
-
         if attr in MPI_FUNCTIONS:
             # Cached: later calls never come back here.
             value = self.__dict__[attr] = getattr(lib, attr)

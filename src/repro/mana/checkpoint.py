@@ -61,6 +61,7 @@ from repro.mana.journal import JOURNAL_DIRNAME, Journal
 from repro.mana.chunkstore import (
     CHUNK_MAX,
     CHUNK_MIN,
+    COMPRESS_LEVEL,
     ChunkStore,
     STORE_DIRNAME,
     chunk_spans,
@@ -221,13 +222,13 @@ def _encode_image_v4(image: CheckpointImage) -> bytes:
 
 
 def _encode_image_v5(image: CheckpointImage, blob_len: int,
-                     refs: List[List], compress_level: int) -> bytes:
+                     refs: List[List]) -> bytes:
     """MAGIC + length-prefixed JSON header + sha256 over the header."""
     header = _identity_header(image, 5)
     header["payload_bytes"] = blob_len
     header["chunks"] = refs
     header["chunking"] = {
-        "min": CHUNK_MIN, "max": CHUNK_MAX, "compress_level": compress_level,
+        "min": CHUNK_MIN, "max": CHUNK_MAX, "compress_level": COMPRESS_LEVEL,
     }
     hdr = json.dumps(header, sort_keys=True).encode("utf-8")
     return MAGIC + _LEN.pack(len(hdr)) + hdr + hashlib.sha256(hdr).digest()
@@ -380,7 +381,7 @@ def save_chunked_blob(
     view = memoryview(blob)
     digests = digest_spans(view, spans)
     refs = [[d, e - s] for d, (s, e) in zip(digests, spans)]
-    data = _encode_image_v5(image, len(blob), refs, store.compress_level)
+    data = _encode_image_v5(image, len(blob), refs)
     # Intent journal: pending record = this image (and the chunks only
     # it references) may be half-published; fsck rolls the generation
     # back unless its manifest made it to disk.  Chunk publishes are

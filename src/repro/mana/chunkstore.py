@@ -11,7 +11,7 @@ digests, and the store already has them.
 
 Each chunk is stored once per job under ``<ckpt_base>/chunks/`` in a
 file named by the sha256 of its *uncompressed* bytes, compressed with
-zlib (level configurable).  Writes are atomic (unique temp name +
+zlib at :data:`COMPRESS_LEVEL`.  Writes are atomic (unique temp name +
 ``os.replace``), so two ranks racing to store the same chunk both win:
 the content under a digest is immutable by construction.
 
@@ -34,7 +34,7 @@ import sys
 import threading
 import warnings
 import zlib
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.mana import storeio
 from repro.util.errors import IntegrityError
@@ -57,6 +57,8 @@ _WINDOW = 32
 
 STORE_DIRNAME = "chunks"
 CHUNK_SUFFIX = ".z"
+#: zlib level of every stored chunk (format-5 headers record it).
+COMPRESS_LEVEL = 3
 
 
 def _gear_table():
@@ -264,9 +266,8 @@ def digest_spans(view, spans: List[Tuple[int, int]]) -> List[str]:
 class ChunkStore:
     """Per-job content-addressed store of compressed checkpoint chunks."""
 
-    def __init__(self, base_dir: str, compress_level: int = 3):
+    def __init__(self, base_dir: str):
         self.base_dir = base_dir
-        self.compress_level = compress_level
         self._lock = threading.Lock()
         # digest -> (size, mtime_ns) of the chunk file when it last
         # passed a full decompress+hash verification.
@@ -304,7 +305,7 @@ class ChunkStore:
         if os.path.exists(path):
             return 0, True
         os.makedirs(self.dir, exist_ok=True)
-        comp = zlib.compress(bytes(data), self.compress_level)
+        comp = zlib.compress(bytes(data), COMPRESS_LEVEL)
         # Unique temp name, then an atomic create-if-absent link: when
         # concurrent rank writers race on the same digest, exactly one
         # wins the link and charges bytes_written — the losers report a
@@ -487,8 +488,7 @@ _STORES: Dict[str, ChunkStore] = {}
 _STORES_LOCK = threading.Lock()
 
 
-def store_for(base_dir: str,
-              compress_level: Optional[int] = None) -> ChunkStore:
+def store_for(base_dir: str) -> ChunkStore:
     """The (process-wide) store for a checkpoint base directory.
 
     Sharing one instance per directory lets the verification memo span
@@ -501,8 +501,6 @@ def store_for(base_dir: str,
         if created:
             store = ChunkStore(base_dir)
             _STORES[key] = store
-        if compress_level is not None:
-            store.compress_level = compress_level
     if created:
         # Store open: clear temp files stranded by a dead writer (a
         # crash between write-tmp and publish); live writers' temps are

@@ -95,6 +95,12 @@ class CheckpointTicket:
             raise self.error
         return self.result
 
+    def fail(self, error: BaseException) -> None:
+        """Complete the ticket with ``error``, unless it already failed."""
+        if self.error is None:
+            self.error = error
+        self._done.set()
+
 
 class _PhaseGate:
     """A reusable all-ranks rendezvous with diagnostics.
@@ -493,20 +499,11 @@ class CheckpointCoordinator:
                 if len(self._finalized) == self.nranks:
                     if not self._ckpt_disabled:
                         self._ckpt_disabled = True
-                        tickets = [
-                            tr["ticket"] for tr in self._pending_triggers
-                        ]
-                        self._pending_triggers.clear()
-                        if self._intent is not None:
-                            tickets.append(self._intent)
-                            self._intent = None
-                        for t in tickets:
-                            if t.error is None:
-                                t.error = CheckpointError(
-                                    "checkpoint cancelled: all ranks "
-                                    "reached MPI_Finalize first"
-                                )
-                            t._done.set()
+                        for t in self._take_pending_locked():
+                            t.fail(CheckpointError(
+                                "checkpoint cancelled: all ranks "
+                                "reached MPI_Finalize first"
+                            ))
                         # Only the last registration lets the ranks
                         # waiting below proceed; earlier ones wake nobody.
                         for other in sorted(self._finalized - {rank}):
@@ -563,9 +560,7 @@ class CheckpointCoordinator:
             self._intent = None
             self._loop_target = None
             self._loop_name = None
-            if t.error is None:
-                t.error = CheckpointError(f"loop checkpoint cancelled: {reason}")
-            t._done.set()
+            t.fail(CheckpointError(f"loop checkpoint cancelled: {reason}"))
 
     # ------------------------------------------------------------------
     # round lifecycle (called from ManaRank.checkpoint_participate)
@@ -631,13 +626,11 @@ class CheckpointCoordinator:
                 self._intent = None
                 self._loop_target = None
                 self._loop_name = None
-                if t.error is None:
-                    t.error = CheckpointError(
-                        f"checkpoint generation {t.generation} failed "
-                        f"after {self._round_attempt} aborted attempt(s): "
-                        f"{reason}"
-                    )
-                t._done.set()
+                t.fail(CheckpointError(
+                    f"checkpoint generation {t.generation} failed "
+                    f"after {self._round_attempt} aborted attempt(s): "
+                    f"{reason}"
+                ))
         # Outside the coordinator lock (gate actions may take it).
         if ev is not None:
             # A drain job was already submitted for this round: unblock
@@ -1015,17 +1008,8 @@ class CheckpointCoordinator:
         """Fail any armed-but-unstarted checkpoint (e.g. the job finished
         before any rank reached a safe point) and any unfired trigger."""
         with self._lock:
-            tickets = [t["ticket"] for t in self._pending_triggers]
-            self._pending_triggers.clear()
-            if self._intent is not None:
-                tickets.append(self._intent)
-                self._intent = None
-            for t in tickets:
-                if t.error is None:
-                    t.error = CheckpointError(
-                        f"checkpoint cancelled: {reason}"
-                    )
-                t._done.set()
+            for t in self._take_pending_locked():
+                t.fail(CheckpointError(f"checkpoint cancelled: {reason}"))
         # Finish any in-flight background drain (its generation must be
         # durable before the job is declared over), then stop the pools.
         self._shutdown_drainer()
@@ -1037,14 +1021,10 @@ class CheckpointCoordinator:
     def abort(self, exc: Optional[BaseException] = None) -> None:
         with self._lock:
             self._aborted = exc or CheckpointError("job aborted")
-            tickets = [tr["ticket"] for tr in self._pending_triggers]
-            self._pending_triggers.clear()
-            if self._intent is not None:
-                tickets.append(self._intent)
-            for t in tickets:
-                if t.error is None:
-                    t.error = self._aborted
-                t._done.set()
+            # The intent stays armed: ranks parked at a gate must raise
+            # the abort, not return as if the round were over.
+            for t in self._take_pending_locked(disarm=False):
+                t.fail(self._aborted)
         # Outside the coordinator lock (gate actions may take it).
         for g in self._gates:
             g.break_(self._aborted)
@@ -1061,3 +1041,16 @@ class CheckpointCoordinator:
     def _raise_if_aborted(self) -> None:
         if self._aborted is not None:
             raise self._aborted
+
+    def _take_pending_locked(self, disarm: bool = True
+                             ) -> List[CheckpointTicket]:
+        """The tickets of every unfired trigger and of the armed intent;
+        the triggers are dropped, the intent too with ``disarm``.  Caller
+        holds self._lock."""
+        tickets = [tr["ticket"] for tr in self._pending_triggers]
+        self._pending_triggers.clear()
+        if self._intent is not None:
+            tickets.append(self._intent)
+            if disarm:
+                self._intent = None
+        return tickets

@@ -27,18 +27,18 @@ Collectives are two-phase: a checkpoint-tolerant *trivial barrier*
 (hosted by the coordinator) followed by the real lower-half collective
 as a critical section.
 
-Most wrappers are rows of :data:`SIGNATURES` (handle kind or plain per
-argument, local or collective, what to do with the result), each built
-into a closure on :class:`ManaRank` at import; only wrappers with logic
-of their own are written out.  Every wrapper keeps one rule: *no handle
-is translated before the two-phase barrier* — a RELAUNCH round run from
-inside it rebuilds the lower half, so an earlier physical id would name
-an object of the discarded library.
+Most wrappers are rows of :data:`repro.mpi.api.SIGNATURES` (handle kind
+or plain per argument, local or collective, what to do with the result),
+each built into a closure on :class:`ManaRank` at import; only wrappers
+with logic of their own are written out.  Every wrapper keeps one rule:
+*no handle is translated before the two-phase barrier* — a RELAUNCH
+round run from inside it rebuilds the lower half, so an earlier
+physical id would name an object of the discarded library.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +64,19 @@ from repro.mana.records import (
 )
 from repro.mana.virtid import KIND_TAGS, VID_LAYOUT, VirtualIdTable
 from repro.mpi import constants as C
-from repro.mpi.api import BaseMpiLib, HandleKind
+from repro.mpi.api import (
+    COLLECTIVE,
+    COMM,
+    DTYPE,
+    DTYPES,
+    GROUP,
+    MPI_FUNCTIONS,
+    OP,
+    SIGNATURES,
+    BaseMpiLib,
+    HandleKind,
+    Sig,
+)
 from repro.mpi.datatypes import TypeDescriptor
 from repro.mpi.objects import CartInfo, Status
 from repro.simtime.clock import VirtualClock
@@ -1264,87 +1276,8 @@ class ManaRank:
 
 
 # ----------------------------------------------------------------------
-# the signature table: the wrappers with no logic of their own
+# the wrappers with no logic of their own: rows of repro.mpi.api's table
 # ----------------------------------------------------------------------
-_ = None                     # a plain argument, passed through untouched
-DTYPES = "datatype[]"        # a sequence of datatype handles
-COMM, GROUP = HandleKind.COMM, HandleKind.GROUP
-DTYPE, OP = HandleKind.DATATYPE, HandleKind.OP
-LOCAL, COLLECTIVE = "local", "collective"
-
-
-class Sig(NamedTuple):
-    """One wrapper.  ``args``: a handle kind, ``DTYPES`` or ``_`` per
-    positional argument.  ``sync``: ``COLLECTIVE`` runs the two-phase
-    barrier on the ``COMM`` argument.  ``result``: "none",
-    "attach_group", "attach_datatype", or "free" (retire the one handle
-    argument, refusing predefined constants)."""
-
-    args: Tuple[Optional[str], ...]
-    sync: str = LOCAL
-    result: str = "none"
-
-
-SIGNATURES: Dict[str, Sig] = {
-    "abort": Sig((COMM, _)),
-    "get_processor_name": Sig(()),
-    "comm_compare": Sig((COMM, COMM)),
-    "group_size": Sig((GROUP,)),
-    "group_rank": Sig((GROUP,)),
-    "group_incl": Sig((GROUP, _), result="attach_group"),
-    "group_excl": Sig((GROUP, _), result="attach_group"),
-    "group_union": Sig((GROUP, GROUP), result="attach_group"),
-    "group_intersection": Sig((GROUP, GROUP), result="attach_group"),
-    "group_difference": Sig((GROUP, GROUP), result="attach_group"),
-    "group_translate_ranks": Sig((GROUP, _, GROUP)),
-    "group_compare": Sig((GROUP, GROUP)),
-    "group_free": Sig((GROUP,), result="free"),
-    "pack": Sig((_, _, DTYPE, _, _)),
-    "unpack": Sig((_, _, _, _, DTYPE)),
-    "pack_size": Sig((_, DTYPE)),
-    "barrier": Sig((COMM,), COLLECTIVE),
-    "bcast": Sig((_, _, DTYPE, _, COMM), COLLECTIVE),
-    "reduce": Sig((_, _, _, DTYPE, OP, _, COMM), COLLECTIVE),
-    "allreduce": Sig((_, _, _, DTYPE, OP, COMM), COLLECTIVE),
-    "alltoall": Sig((_, _, DTYPE, _, _, DTYPE, COMM), COLLECTIVE),
-    "alltoallv": Sig((_, _, _, DTYPE, _, _, _, DTYPE, COMM), COLLECTIVE),
-    "gather": Sig((_, _, DTYPE, _, _, DTYPE, _, COMM), COLLECTIVE),
-    "gatherv": Sig((_, _, DTYPE, _, _, _, DTYPE, _, COMM), COLLECTIVE),
-    "scatter": Sig((_, _, DTYPE, _, _, DTYPE, _, COMM), COLLECTIVE),
-    "scatterv": Sig((_, _, _, DTYPE, _, _, DTYPE, _, COMM), COLLECTIVE),
-    "allgather": Sig((_, _, DTYPE, _, _, DTYPE, COMM), COLLECTIVE),
-    "allgatherv": Sig((_, _, DTYPE, _, _, _, DTYPE, COMM), COLLECTIVE),
-    "scan": Sig((_, _, _, DTYPE, OP, COMM), COLLECTIVE),
-    "exscan": Sig((_, _, _, DTYPE, OP, COMM), COLLECTIVE),
-    "reduce_scatter_block": Sig((_, _, _, DTYPE, OP, COMM), COLLECTIVE),
-    "type_contiguous": Sig((_, DTYPE), result="attach_datatype"),
-    "type_vector": Sig((_, _, _, DTYPE), result="attach_datatype"),
-    "type_indexed": Sig((_, _, DTYPE), result="attach_datatype"),
-    "type_create_struct": Sig((_, _, DTYPES), result="attach_datatype"),
-    "type_free": Sig((DTYPE,), result="free"),
-    "type_size": Sig((DTYPE,)),
-    "type_get_extent": Sig((DTYPE,)),
-    "type_get_envelope": Sig((DTYPE,)),
-    "op_free": Sig((OP,), result="free"),
-}
-
-# The wrappers written out on ManaRank, because each has logic of its own.
-HANDWRITTEN = (
-    "init", "finalize", "initialized", "finalized", "wtime",
-    "comm_rank", "comm_size", "comm_group", "comm_dup", "comm_split",
-    "comm_split_type", "comm_create", "comm_free",
-    "send", "recv", "isend", "irecv", "send_init", "recv_init", "start",
-    "startall", "request_free", "test", "wait", "waitall", "testall",
-    "waitany", "testany", "iprobe", "probe", "sendrecv", "get_count",
-    "type_dup", "type_commit", "type_get_contents", "op_create",
-    "comm_create_keyval", "comm_free_keyval", "comm_set_attr",
-    "comm_get_attr", "comm_delete_attr",
-    "cart_create", "cart_coords", "cart_rank", "cart_shift",
-)
-
-#: The MPI functions both facades expose.
-MPI_FUNCTIONS = frozenset(SIGNATURES) | frozenset(HANDWRITTEN)
-
 # How a "free" row refuses a predefined constant, per handle kind.
 _FREE_REFUSALS = {
     GROUP: ("cannot free {}", "MPI_ERR_GROUP"),
@@ -1374,8 +1307,7 @@ def _make_wrapper(name: str, sig: Sig) -> Callable:
     nargs = len(sig.args)
     comm_at = sig.args.index(COMM) if sig.sync == COLLECTIVE else None
     handles = tuple(
-        (i, kind) for i, kind in enumerate(sig.args)
-        if kind not in (_, DTYPES)
+        (i, kind) for i, kind in enumerate(sig.args) if kind in HandleKind.ALL
     )
     lists = tuple(i for i, kind in enumerate(sig.args) if kind == DTYPES)
     attach = {
@@ -1407,11 +1339,15 @@ def _make_wrapper(name: str, sig: Sig) -> Callable:
     return wrapper
 
 
-for _name, _sig in SIGNATURES.items():
-    assert _name not in vars(ManaRank), f"{_name} is both a row and a def"
-    _fn = _make_wrapper(_name, _sig)
-    _fn.__name__, _fn.__qualname__ = _name, f"ManaRank.{_name}"
-    setattr(ManaRank, _name, _fn)
+for _name in sorted(MPI_FUNCTIONS):
+    _sig = SIGNATURES.get(_name)
+    assert (_sig is None) == (_name in vars(ManaRank)), (
+        f"{_name} needs exactly one of a SIGNATURES row and a ManaRank def"
+    )
+    if _sig is not None:
+        _fn = _make_wrapper(_name, _sig)
+        _fn.__name__, _fn.__qualname__ = _name, f"ManaRank.{_name}"
+        setattr(ManaRank, _name, _fn)
 
 
 class ManaFacade(FacadeBase):

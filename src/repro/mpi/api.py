@@ -13,17 +13,22 @@ implementations:
 
 Everything here operates on *handles* at the public surface — the same
 opaque values a compiled application would hold — which is what MANA's
-wrappers interpose on.
+wrappers interpose on.  :data:`SIGNATURES` declares, once for both
+halves, the MPI functions whose arguments need nothing but handle
+translation: the library builds its collectives from it, MANA its
+wrappers.
 """
 
 from __future__ import annotations
 
+import inspect
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.fabric.network import Fabric, Message
+from repro.mpi import collectives
 from repro.mpi import constants as C
 from repro.mpi import datatypes as dt
 from repro.mpi.group import EMPTY_GROUP, GroupData
@@ -57,6 +62,75 @@ class HandleKind:
     REQUEST = "request"
 
     ALL = (COMM, GROUP, DATATYPE, OP, REQUEST)
+
+
+# ----------------------------------------------------------------------
+# the signature table: the MPI functions whose arguments say all there
+# is to say, declared once for the library below and MANA's wrappers
+# ----------------------------------------------------------------------
+_ = None                     # a plain argument, passed through untouched
+DTYPES = "datatype[]"        # a sequence of datatype handles
+COMM, GROUP = HandleKind.COMM, HandleKind.GROUP
+DTYPE, OP = HandleKind.DATATYPE, HandleKind.OP
+LOCAL, COLLECTIVE = "local", "collective"
+
+
+class Sig(NamedTuple):
+    """One MPI function.  ``args``: a handle kind, ``DTYPES`` or ``_``
+    per positional argument.  ``sync``: ``COLLECTIVE`` is a collective
+    over the ``COMM`` argument — the library runs the algorithm of the
+    same name in :mod:`repro.mpi.collectives`, MANA runs the two-phase
+    barrier first.  ``result``: "none", "attach_group" or
+    "attach_datatype" (returns a new handle of that kind), or "free"
+    (frees the one handle argument; predefined constants refuse)."""
+
+    args: Tuple[Optional[str], ...]
+    sync: str = LOCAL
+    result: str = "none"
+
+
+SIGNATURES: Dict[str, Sig] = {
+    "abort": Sig((COMM, _)),
+    "get_processor_name": Sig(()),
+    "comm_compare": Sig((COMM, COMM)),
+    "group_size": Sig((GROUP,)),
+    "group_rank": Sig((GROUP,)),
+    "group_incl": Sig((GROUP, _), result="attach_group"),
+    "group_excl": Sig((GROUP, _), result="attach_group"),
+    "group_union": Sig((GROUP, GROUP), result="attach_group"),
+    "group_intersection": Sig((GROUP, GROUP), result="attach_group"),
+    "group_difference": Sig((GROUP, GROUP), result="attach_group"),
+    "group_translate_ranks": Sig((GROUP, _, GROUP)),
+    "group_compare": Sig((GROUP, GROUP)),
+    "group_free": Sig((GROUP,), result="free"),
+    "pack": Sig((_, _, DTYPE, _, _)),
+    "unpack": Sig((_, _, _, _, DTYPE)),
+    "pack_size": Sig((_, DTYPE)),
+    "barrier": Sig((COMM,), COLLECTIVE),
+    "bcast": Sig((_, _, DTYPE, _, COMM), COLLECTIVE),
+    "reduce": Sig((_, _, _, DTYPE, OP, _, COMM), COLLECTIVE),
+    "allreduce": Sig((_, _, _, DTYPE, OP, COMM), COLLECTIVE),
+    "alltoall": Sig((_, _, DTYPE, _, _, DTYPE, COMM), COLLECTIVE),
+    "alltoallv": Sig((_, _, _, DTYPE, _, _, _, DTYPE, COMM), COLLECTIVE),
+    "gather": Sig((_, _, DTYPE, _, _, DTYPE, _, COMM), COLLECTIVE),
+    "gatherv": Sig((_, _, DTYPE, _, _, _, DTYPE, _, COMM), COLLECTIVE),
+    "scatter": Sig((_, _, DTYPE, _, _, DTYPE, _, COMM), COLLECTIVE),
+    "scatterv": Sig((_, _, _, DTYPE, _, _, DTYPE, _, COMM), COLLECTIVE),
+    "allgather": Sig((_, _, DTYPE, _, _, DTYPE, COMM), COLLECTIVE),
+    "allgatherv": Sig((_, _, DTYPE, _, _, _, DTYPE, COMM), COLLECTIVE),
+    "scan": Sig((_, _, _, DTYPE, OP, COMM), COLLECTIVE),
+    "exscan": Sig((_, _, _, DTYPE, OP, COMM), COLLECTIVE),
+    "reduce_scatter_block": Sig((_, _, _, DTYPE, OP, COMM), COLLECTIVE),
+    "type_contiguous": Sig((_, DTYPE), result="attach_datatype"),
+    "type_vector": Sig((_, _, _, DTYPE), result="attach_datatype"),
+    "type_indexed": Sig((_, _, DTYPE), result="attach_datatype"),
+    "type_create_struct": Sig((_, _, DTYPES), result="attach_datatype"),
+    "type_free": Sig((DTYPE,), result="free"),
+    "type_size": Sig((DTYPE,)),
+    "type_get_extent": Sig((DTYPE,)),
+    "type_get_envelope": Sig((DTYPE,)),
+    "op_free": Sig((OP,), result="free"),
+}
 
 
 class HandleSpace:
@@ -115,6 +189,17 @@ def mpi_call(fn: Callable) -> Callable:
     wrapper.__doc__ = fn.__doc__
     wrapper.__wrapped__ = fn
     return wrapper
+
+
+def _resolver(kind: str) -> Callable:
+    """The method that resolves a handle of ``kind`` to its live object."""
+
+    def resolve(self: "BaseMpiLib", handle: int):
+        obj = self.handles.resolve(kind, handle)
+        obj.check_live()
+        return obj
+
+    return resolve
 
 
 class BaseMpiLib:
@@ -277,30 +362,11 @@ class BaseMpiLib:
     # ------------------------------------------------------------------
     # handle resolution helpers
     # ------------------------------------------------------------------
-    def _comm(self, handle: int) -> CommObject:
-        obj = self.handles.resolve(HandleKind.COMM, handle)
-        obj.check_live()
-        return obj
-
-    def _group(self, handle: int) -> GroupObject:
-        obj = self.handles.resolve(HandleKind.GROUP, handle)
-        obj.check_live()
-        return obj
-
-    def _dtype(self, handle: int) -> DatatypeObject:
-        obj = self.handles.resolve(HandleKind.DATATYPE, handle)
-        obj.check_live()
-        return obj
-
-    def _op(self, handle: int) -> OpObject:
-        obj = self.handles.resolve(HandleKind.OP, handle)
-        obj.check_live()
-        return obj
-
-    def _request(self, handle: int) -> RequestObject:
-        obj = self.handles.resolve(HandleKind.REQUEST, handle)
-        obj.check_live()
-        return obj
+    _comm = _resolver(HandleKind.COMM)
+    _group = _resolver(HandleKind.GROUP)
+    _dtype = _resolver(HandleKind.DATATYPE)
+    _op = _resolver(HandleKind.OP)
+    _request = _resolver(HandleKind.REQUEST)
 
     # ------------------------------------------------------------------
     # communicator management
@@ -332,9 +398,7 @@ class BaseMpiLib:
     def comm_dup(self, comm: int) -> int:
         c = self._comm(comm)
         seq = self._advance_comm_seq(c)
-        from repro.mpi.collectives import barrier as _barrier
-
-        _barrier(self, c)
+        collectives.barrier(self, c)
         new = CommObject(
             group=c.group,
             context_id=self._derive_context(c.context_id, seq, 0),
@@ -347,9 +411,9 @@ class BaseMpiLib:
     def comm_split(self, comm: int, color: int, key: int) -> int:
         c = self._comm(comm)
         seq = self._advance_comm_seq(c)
-        from repro.mpi.collectives import allgather_obj
-
-        entries = allgather_obj(self, c, (color, key, self.world_rank))
+        entries = collectives.allgather_obj(
+            self, c, (color, key, self.world_rank)
+        )
         if color == C.UNDEFINED:
             return self.handles.null_handle(HandleKind.COMM)
         mine = sorted(
@@ -381,9 +445,7 @@ class BaseMpiLib:
         c = self._comm(comm)
         g = self._group(group)
         seq = self._advance_comm_seq(c)
-        from repro.mpi.collectives import barrier as _barrier
-
-        _barrier(self, c)
+        collectives.barrier(self, c)
         if not g.data.contains(self.world_rank):
             return self.handles.null_handle(HandleKind.COMM)
         new = CommObject(
@@ -845,176 +907,6 @@ class BaseMpiLib:
         return d.descriptor.count_elements(status.count_bytes)
 
     # ------------------------------------------------------------------
-    # collectives (implementations live in repro.mpi.collectives)
-    # ------------------------------------------------------------------
-    @mpi_call
-    def barrier(self, comm: int) -> None:
-        from repro.mpi import collectives as coll
-
-        coll.barrier(self, self._comm(comm))
-
-    @mpi_call
-    def bcast(self, buf, count: int, datatype: int, root: int, comm: int):
-        from repro.mpi import collectives as coll
-
-        coll.bcast(self, self._comm(comm), buf, count, self._dtype(datatype), root)
-
-    @mpi_call
-    def reduce(
-        self, sendbuf, recvbuf, count: int, datatype: int, op: int,
-        root: int, comm: int,
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.reduce(
-            self, self._comm(comm), sendbuf, recvbuf, count,
-            self._dtype(datatype), self._op(op), root,
-        )
-
-    @mpi_call
-    def allreduce(
-        self, sendbuf, recvbuf, count: int, datatype: int, op: int, comm: int
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.allreduce(
-            self, self._comm(comm), sendbuf, recvbuf, count,
-            self._dtype(datatype), self._op(op),
-        )
-
-    @mpi_call
-    def alltoall(
-        self, sendbuf, sendcount: int, sendtype: int,
-        recvbuf, recvcount: int, recvtype: int, comm: int,
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.alltoall(
-            self, self._comm(comm), sendbuf, sendcount, self._dtype(sendtype),
-            recvbuf, recvcount, self._dtype(recvtype),
-        )
-
-    @mpi_call
-    def alltoallv(
-        self, sendbuf, sendcounts, sdispls, sendtype: int,
-        recvbuf, recvcounts, rdispls, recvtype: int, comm: int,
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.alltoallv(
-            self, self._comm(comm), sendbuf, sendcounts, sdispls,
-            self._dtype(sendtype), recvbuf, recvcounts, rdispls,
-            self._dtype(recvtype),
-        )
-
-    @mpi_call
-    def gather(
-        self, sendbuf, sendcount: int, sendtype: int,
-        recvbuf, recvcount: int, recvtype: int, root: int, comm: int,
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.gather(
-            self, self._comm(comm), sendbuf, sendcount, self._dtype(sendtype),
-            recvbuf, recvcount, self._dtype(recvtype), root,
-        )
-
-    @mpi_call
-    def gatherv(
-        self, sendbuf, sendcount: int, sendtype: int,
-        recvbuf, recvcounts, displs, recvtype: int, root: int, comm: int,
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.gatherv(
-            self, self._comm(comm), sendbuf, sendcount, self._dtype(sendtype),
-            recvbuf, recvcounts, displs, self._dtype(recvtype), root,
-        )
-
-    @mpi_call
-    def scatter(
-        self, sendbuf, sendcount: int, sendtype: int,
-        recvbuf, recvcount: int, recvtype: int, root: int, comm: int,
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.scatter(
-            self, self._comm(comm), sendbuf, sendcount, self._dtype(sendtype),
-            recvbuf, recvcount, self._dtype(recvtype), root,
-        )
-
-    @mpi_call
-    def scatterv(
-        self, sendbuf, sendcounts, displs, sendtype: int,
-        recvbuf, recvcount: int, recvtype: int, root: int, comm: int,
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.scatterv(
-            self, self._comm(comm), sendbuf, sendcounts, displs,
-            self._dtype(sendtype), recvbuf, recvcount,
-            self._dtype(recvtype), root,
-        )
-
-    @mpi_call
-    def allgather(
-        self, sendbuf, sendcount: int, sendtype: int,
-        recvbuf, recvcount: int, recvtype: int, comm: int,
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.allgather(
-            self, self._comm(comm), sendbuf, sendcount, self._dtype(sendtype),
-            recvbuf, recvcount, self._dtype(recvtype),
-        )
-
-    @mpi_call
-    def allgatherv(
-        self, sendbuf, sendcount: int, sendtype: int,
-        recvbuf, recvcounts, displs, recvtype: int, comm: int,
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.allgatherv(
-            self, self._comm(comm), sendbuf, sendcount, self._dtype(sendtype),
-            recvbuf, recvcounts, displs, self._dtype(recvtype),
-        )
-
-    @mpi_call
-    def scan(
-        self, sendbuf, recvbuf, count: int, datatype: int, op: int, comm: int
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.scan(
-            self, self._comm(comm), sendbuf, recvbuf, count,
-            self._dtype(datatype), self._op(op), inclusive=True,
-        )
-
-    @mpi_call
-    def exscan(
-        self, sendbuf, recvbuf, count: int, datatype: int, op: int, comm: int
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.scan(
-            self, self._comm(comm), sendbuf, recvbuf, count,
-            self._dtype(datatype), self._op(op), inclusive=False,
-        )
-
-    @mpi_call
-    def reduce_scatter_block(
-        self, sendbuf, recvbuf, recvcount: int, datatype: int, op: int,
-        comm: int,
-    ):
-        from repro.mpi import collectives as coll
-
-        coll.reduce_scatter_block(
-            self, self._comm(comm), sendbuf, recvbuf, recvcount,
-            self._dtype(datatype), self._op(op),
-        )
-
-    # ------------------------------------------------------------------
     # datatypes
     # ------------------------------------------------------------------
     @mpi_call
@@ -1192,9 +1084,7 @@ class BaseMpiLib:
                 "MPI_ERR_DIMS",
             )
         seq = self._advance_comm_seq(c)
-        from repro.mpi.collectives import barrier as _barrier
-
-        _barrier(self, c)
+        collectives.barrier(self, c)
         if c.rank >= n:
             return self.handles.null_handle(HandleKind.COMM)
         ranks = tuple(c.world_rank_of(i) for i in range(n))
@@ -1254,6 +1144,49 @@ class BaseMpiLib:
         for factor in sorted(factors, reverse=True):
             dims[dims.index(min(dims))] *= factor
         return sorted(dims, reverse=True)
+
+
+# ----------------------------------------------------------------------
+# collectives: one library method per COLLECTIVE row
+# ----------------------------------------------------------------------
+def _make_collective(name: str, sig: Sig) -> Callable:
+    """The method for one ``COLLECTIVE`` row: resolve the communicator,
+    then every other handle from left to right, and run the algorithm of
+    the same name in :mod:`repro.mpi.collectives`."""
+    algorithm = getattr(collectives, name)
+    nargs = len(sig.args)
+    comm_at = sig.args.index(COMM)
+    handles = tuple(
+        (i, _resolver(kind))
+        for i, kind in enumerate(sig.args[:comm_at] + sig.args[comm_at + 1:])
+        if kind is not _
+    )
+
+    def method(self, *args):
+        if len(args) != nargs:
+            raise TypeError(
+                f"{name}() takes {nargs} arguments ({len(args)} given)"
+            )
+        comm = self._comm(args[comm_at])
+        rest = list(args[:comm_at] + args[comm_at + 1:])
+        for i, resolve in handles:
+            rest[i] = resolve(self, rest[i])
+        algorithm(self, comm, *rest)
+
+    method.__name__, method.__qualname__ = name, f"BaseMpiLib.{name}"
+    return method
+
+
+for _name, _sig in SIGNATURES.items():
+    if _sig.sync == COLLECTIVE:
+        assert _name not in vars(BaseMpiLib), f"{_name} is a row and a def"
+        setattr(BaseMpiLib, _name, mpi_call(_make_collective(_name, _sig)))
+
+#: The MPI functions both facades expose: the library's ``@mpi_call``s.
+MPI_FUNCTIONS = frozenset(
+    name for name, fn in vars(BaseMpiLib).items()
+    if inspect.isfunction(fn) and hasattr(fn, "__wrapped__")
+)
 
 
 # ----------------------------------------------------------------------

@@ -405,6 +405,11 @@ def scan(
         datatype.descriptor.unpack(prefix.tobytes(), recvbuf, count)
 
 
+def exscan(lib, comm: CommObject, sendbuf, recvbuf, count: int,
+           datatype: DatatypeObject, op: OpObject) -> None:
+    scan(lib, comm, sendbuf, recvbuf, count, datatype, op, inclusive=False)
+
+
 def reduce_scatter_block(
     lib, comm: CommObject, sendbuf, recvbuf, recvcount: int,
     datatype: DatatypeObject, op: OpObject,

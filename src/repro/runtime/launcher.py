@@ -17,6 +17,7 @@ Restart paths:
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import os
 import pickle
@@ -24,7 +25,7 @@ import tempfile
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.fabric.network import Fabric
@@ -38,7 +39,6 @@ from repro.mana.checkpoint import (
     pin_generation,
     read_manifest,
     rank_image_path,
-    restorable_generations,
     unpin_generation,
     validate_generation,
 )
@@ -87,7 +87,6 @@ class JobConfig:
     # (the default pipeline); 4 = monolithic pickle (the legacy writer;
     # old images stay loadable regardless).
     ckpt_format: int = 5
-    ckpt_compress_level: int = 3     # zlib level for format-5 chunks
     ckpt_save_workers: int = 0       # >1 pools chunk-run encodes/writes
     ckpt_keep_generations: Optional[int] = None  # prune + GC after saves
     # Asynchronous saves (format 5 only): ranks snapshot their pickled
@@ -248,15 +247,15 @@ class Job:
             self.injector = config.faults
             self.fabric.injector = self.injector
         self.coordinator: Optional[CheckpointCoordinator] = None
+        # Given no ckpt_dir, a MANA job makes a temporary one; wait()
+        # removes it again unless a checkpoint was written into it.
+        self._own_ckpt_dir = config.mana and config.ckpt_dir is None
         if config.mana:
             store = None
             if config.ckpt_format >= 5:
                 from repro.mana.chunkstore import store_for
 
-                store = store_for(
-                    config.resolved_ckpt_dir(),
-                    compress_level=config.ckpt_compress_level,
-                )
+                store = store_for(config.resolved_ckpt_dir())
             self.coordinator = CheckpointCoordinator(
                 config.nranks,
                 config.resolved_ckpt_dir(),
@@ -319,6 +318,9 @@ class Job:
             self._status = "completed"
         if self.coordinator is not None:
             self.coordinator.cancel_pending(f"job {self._status}")
+        if self._own_ckpt_dir:
+            with contextlib.suppress(OSError):  # not empty: restartable
+                os.rmdir(self.config.ckpt_dir)
         return JobResult(self._status, self._outcomes, self.config)
 
     def _join_all(self, timeout: float) -> None:
@@ -612,19 +614,7 @@ class Launcher:
         manifest = self._resolve_manifest(ckpt_dir, generation)
         gen = manifest["generation"]
         nranks = manifest["nranks"]
-        # Pin the generation while images stream in: a concurrent prune
-        # (keep_generations GC racing a supervised fallback restore)
-        # must not delete images under our feet.
-        pin_generation(ckpt_dir, gen)
-        try:
-            images = [
-                load_image(
-                    rank_image_path(ckpt_dir, gen, r), expect_nranks=nranks
-                )
-                for r in range(nranks)
-            ]
-        finally:
-            unpin_generation(ckpt_dir, gen)
+        images = self._load_images(ckpt_dir, gen, nranks)
         cfg = self._restart_config(
             ckpt_dir, nranks, impl_override or manifest["impl"],
             epoch=max(img.epoch for img in images) + 1,
@@ -677,17 +667,7 @@ class Launcher:
                 f"vid_design={vid_design!r}; elastic restore requires "
                 f"the 'new' (MANA) virtual-id design to remap tables"
             )
-        pin_generation(ckpt_dir, gen)
-        try:
-            images = [
-                load_image(
-                    rank_image_path(ckpt_dir, gen, r),
-                    expect_nranks=old_nranks,
-                )
-                for r in range(old_nranks)
-            ]
-        finally:
-            unpin_generation(ckpt_dir, gen)
+        images = self._load_images(ckpt_dir, gen, old_nranks)
 
         # Step 1: repartition application state N → M.
         app_cls = type(images[0].app)
@@ -798,31 +778,28 @@ class Launcher:
             )
         return manifest
 
+    @staticmethod
+    def _load_images(ckpt_dir: str, gen: int,
+                     nranks: int) -> List[CheckpointImage]:
+        # Pin the generation while images stream in: a concurrent prune
+        # (keep_generations GC racing a supervised fallback restore)
+        # must not delete images under our feet.
+        pin_generation(ckpt_dir, gen)
+        try:
+            return [
+                load_image(
+                    rank_image_path(ckpt_dir, gen, r), expect_nranks=nranks
+                )
+                for r in range(nranks)
+            ]
+        finally:
+            unpin_generation(ckpt_dir, gen)
+
     def _restart_config(
         self, ckpt_dir: str, nranks: int, impl: str, *, epoch: int
     ) -> JobConfig:
-        return JobConfig(
-            nranks=nranks,
-            impl=impl,
-            platform=self.config.platform,
-            mana=True,
-            vid_design=self.config.vid_design,
-            ggid_policy=self.config.ggid_policy,
-            seed=self.config.seed,
-            ckpt_dir=ckpt_dir,
-            loop_lag_window=self.config.loop_lag_window,
-            ckpt_interval=self.config.ckpt_interval,
-            epoch=epoch,
-            deadline=self.config.deadline,
-            faults=self.config.faults,
-            ckpt_phase_timeout=self.config.ckpt_phase_timeout,
-            ckpt_round_retries=self.config.ckpt_round_retries,
-            ckpt_format=self.config.ckpt_format,
-            ckpt_compress_level=self.config.ckpt_compress_level,
-            ckpt_save_workers=self.config.ckpt_save_workers,
-            ckpt_keep_generations=self.config.ckpt_keep_generations,
-            ckpt_async=self.config.ckpt_async,
-        )
+        return replace(self.config, nranks=nranks, impl=impl, mana=True,
+                       ckpt_dir=ckpt_dir, epoch=epoch)
 
     @staticmethod
     def _floor_generation(job: Job, ckpt_dir: str) -> None:
@@ -832,11 +809,3 @@ class Launcher:
             existing = latest_generations(ckpt_dir)
             if existing:
                 job.coordinator.generation = existing[-1]
-
-    @staticmethod
-    def available_generations(ckpt_dir: str) -> List[int]:
-        return latest_generations(ckpt_dir)
-
-    @staticmethod
-    def restorable(ckpt_dir: str) -> List[int]:
-        return restorable_generations(ckpt_dir)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tempfile
 import threading
 import time
 from typing import Callable, List
@@ -74,6 +75,16 @@ def facade_world(nranks: int, impl: str = "mpich", epoch: int = 0):
 @pytest.fixture(params=ALL_IMPLS)
 def impl_name(request):
     return request.param
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_tempdir(tmp_path_factory):
+    """Temp files and directories the code under test makes land in
+    pytest's own tmp tree, never in the system temp dir."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tempfile, "tempdir",
+                   str(tmp_path_factory.mktemp("tempfile")))
+        yield
 
 
 @pytest.fixture(autouse=True)

@@ -77,7 +77,7 @@ class TestChunkStore:
         assert len(store.digests()) == 1
 
     def test_compression_shrinks_compressible_data(self, tmp_path):
-        store = ChunkStore(str(tmp_path), compress_level=3)
+        store = ChunkStore(str(tmp_path))
         digest, written, _ = store.put(b"abc" * 10_000)
         assert written < 1_000
         assert store.get(digest) == b"abc" * 10_000

@@ -65,10 +65,15 @@ class TestTickets:
 
     def test_abort_fails_tickets(self):
         c = coord()
+        trigger = c.checkpoint_at_iteration("main", 100)
         t = c.request_checkpoint()
         c.abort(RuntimeError("boom"))
-        with pytest.raises(RuntimeError):
-            t.wait(1)
+        for ticket in (t, trigger):
+            with pytest.raises(RuntimeError, match="boom"):
+                ticket.wait(1)
+        # Still armed: a rank parked at a phase gate raises the abort
+        # rather than finding the round over.
+        assert c.intent is t
 
 
 class TestTriggers:

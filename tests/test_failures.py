@@ -149,7 +149,9 @@ class TestIntegrityFallback:
     @pytest.mark.parametrize("corruption", ["truncate", "bitflip"])
     def test_corrupt_generation_falls_back_to_previous(
             self, tmp_path, corruption):
-        from repro.mana.checkpoint import load_image, rank_image_path
+        from repro.mana.checkpoint import (
+            load_image, rank_image_path, restorable_generations,
+        )
         from repro.util.errors import IntegrityError
 
         ckdir, cfg = self._two_generations(tmp_path)
@@ -169,7 +171,7 @@ class TestIntegrityFallback:
         with pytest.raises(IntegrityError, match=expect):
             load_image(path)
         # generation 2 is no longer restorable; restart picks 1
-        assert Launcher.restorable(ckdir) == [1]
+        assert restorable_generations(ckdir) == [1]
         res = Launcher(cfg).restart(ckdir).run(timeout=60)
         assert res.status == "completed", res.first_error()
 

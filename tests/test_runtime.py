@@ -1,6 +1,8 @@
 """Runtime tests: launcher, job lifecycle, context, platforms."""
 
+import os
 import sys
+import tempfile
 import time
 from dataclasses import replace
 
@@ -99,6 +101,24 @@ class TestJobLifecycle:
             Launcher(JobConfig(nranks=1, impl="fakempi")).run(
                 lambda r: RingApp(1), timeout=30
             )
+
+    def test_own_ckpt_dir_removed_unless_checkpointed(
+            self, tmp_path, monkeypatch):
+        """Given no ckpt_dir, a MANA job takes a temp dir, and gives it
+        back unless a checkpoint in it can be restarted from."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        res = Launcher(JobConfig(nranks=2, impl="mpich", mana=True)).run(
+            lambda r: RingApp(4), timeout=60
+        )
+        assert res.status == "completed", res.first_error()
+        assert os.listdir(tmp_path) == []
+        cfg = JobConfig(nranks=2, impl="mpich", mana=True)
+        job = Launcher(cfg).launch(lambda r: RingApp(12))
+        job.checkpoint_at_iteration("main", 2, kind="loop", mode="exit")
+        assert job.run(timeout=60).status == "preempted"
+        assert os.listdir(tmp_path) == [os.path.basename(cfg.ckpt_dir)]
+        res = Launcher(cfg).restart(cfg.ckpt_dir).run(timeout=60)
+        assert res.status == "completed", res.first_error()
 
 
     DEADLINE = 20.0

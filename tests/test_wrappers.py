@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from repro import JobConfig, Launcher, MpiApplication
-from repro.impls.facade import NativeFacade
-from repro.mpi.api import BaseMpiLib
+from repro.impls.facade import FacadeBase, NativeFacade
+from repro.mpi.api import (
+    COLLECTIVE, COMM, DTYPE, MPI_FUNCTIONS, OP, SIGNATURES, BaseMpiLib,
+)
 from repro.mana.virtid import MANA_MAGIC, VirtualIdTable
-from repro.util.errors import IncompatibleHandleError, MpiError
-from tests.conftest import ALL_IMPLS
+from repro.util.errors import (
+    IncompatibleHandleError, MpiError, UnsupportedFunctionError,
+)
+from tests.conftest import ALL_IMPLS, make_world
 from tests.miniapps import RingApp, weighted_sum
 
 
@@ -157,45 +161,55 @@ class CartApp(MpiApplication):
             MPI.barrier(cart)
 
 
+def _both_facades():
+    from repro.mana.wrappers import ManaFacade
+
+    job = Launcher(JobConfig(nranks=1, impl="mpich", mana=True)).launch(
+        lambda r: HandleWitness()
+    )
+    job.run(timeout=60)
+    return ManaFacade(job.manas[0]), NativeFacade(job.manas[0].lower)
+
+
 class TestFacade:
     def test_mana_facade_surface_matches_native(self):
-        from repro.mana.wrappers import MPI_FUNCTIONS, ManaRank
-
-        # Every @mpi_call function of the library is on both facades;
-        # the one exception, dims_create, is a static helper on
-        # FacadeBase rather than a library call.
-        lib_calls = {
-            name for name, fn in vars(BaseMpiLib).items()
-            if inspect.isfunction(fn) and hasattr(fn, "__wrapped__")
-        }
-        assert MPI_FUNCTIONS == lib_calls
-        for fn in MPI_FUNCTIONS:
-            assert hasattr(ManaRank, fn), f"ManaRank missing wrapper {fn}"
+        for facade in _both_facades():
+            for name in MPI_FUNCTIONS:
+                assert callable(getattr(facade, name)), name
 
     def test_signature_rows_match_library_arity(self):
-        from repro.mana.wrappers import SIGNATURES
+        from repro.mpi import collectives
 
         for name, sig in SIGNATURES.items():
-            params = list(
-                inspect.signature(getattr(BaseMpiLib, name).__wrapped__)
-                .parameters.values()
-            )[1:]
-            assert len(sig.args) == len(params), name
-            assert all(p.default is p.empty for p in params), name
+            if sig.sync == COLLECTIVE:
+                # The library passes the row's arguments but the comm, in
+                # order, after (lib, comm) to the algorithm of its name.
+                fn, skip = getattr(collectives, name), 2
+                nargs = len(sig.args) - 1
+            else:
+                fn, skip = getattr(BaseMpiLib, name).__wrapped__, 1
+                nargs = len(sig.args)
+            params = list(inspect.signature(fn).parameters.values())[skip:]
+            # A defaulted parameter (scan's ``inclusive``) is not the row's.
+            required = [p for p in params if p.default is p.empty]
+            assert nargs == len(required), name
+            if sig.sync != COLLECTIVE:
+                assert required == params, name
 
     def test_facades_expose_only_mpi_functions(self):
-        from repro.mana.wrappers import ManaFacade
+        # Any other name either half defines stays hidden (dims_create
+        # and the scalar constants live on FacadeBase itself).
+        from repro.mana.wrappers import ManaRank
 
-        job = Launcher(JobConfig(nranks=1, impl="mpich", mana=True)).launch(
-            lambda r: HandleWitness()
+        others = (
+            {n for n in dir(BaseMpiLib) + dir(ManaRank) if n[0] != "_"}
+            - MPI_FUNCTIONS - set(dir(FacadeBase))
         )
-        job.run(timeout=60)
-        mana_facade = ManaFacade(job.manas[0])
-        native = NativeFacade(job.manas[0].lower)
-        for facade in (mana_facade, native):
-            assert callable(facade.allreduce)
-            with pytest.raises(AttributeError):
-                facade.checkpoint_participate
+        assert "checkpoint_participate" in others
+        for facade in _both_facades():
+            for name in others:
+                with pytest.raises(AttributeError):
+                    getattr(facade, name)
 
     def test_null_handles_distinct_per_kind(self):
         job = Launcher(JobConfig(nranks=1, impl="mpich", mana=True)).launch(
@@ -245,6 +259,36 @@ class TestFacade:
         assert res.status == "completed", res.first_error()
         for app in res.apps():
             assert len(set(app.coords)) == 1  # stable across relaunch
+
+
+class TestLowerHalfCollectives:
+    """The library's collectives, called natively with bad arguments."""
+
+    @pytest.mark.parametrize("impl", ["mpich", "openmpi", "exampi"])
+    def test_comm_resolves_first_and_arity_is_checked(self, impl):
+        lib = make_world(1, impl)[1](0)
+        comm = lib.comm_dup(lib.constant("MPI_COMM_WORLD"))
+        dtype = lib.type_contiguous(1, lib.constant("MPI_DOUBLE"))
+        lib.comm_free(comm)
+        lib.type_free(dtype)
+        with pytest.raises(MpiError) as comm_error:
+            lib.comm_size(comm)
+        handles = {COMM: comm, DTYPE: dtype, OP: lib.constant("MPI_SUM")}
+        for name, sig in SIGNATURES.items():
+            if sig.sync != COLLECTIVE:
+                continue
+            fn = getattr(lib, name)
+            args = [handles.get(kind) for kind in sig.args]
+            if name in lib.UNSUPPORTED:
+                bad_call = bad_arity = UnsupportedFunctionError
+            else:
+                bad_call, bad_arity = type(comm_error.value), TypeError
+            with pytest.raises(bad_call) as got:
+                fn(*args)
+            if name not in lib.UNSUPPORTED:
+                assert str(got.value) == str(comm_error.value), name
+            with pytest.raises(bad_arity):
+                fn(*args[:-1])
 
 
 class CallEveryWrapperApp(MpiApplication):
