@@ -14,7 +14,6 @@ from dataclasses import replace
 
 from repro import JobConfig, Launcher
 from repro.apps import LuleshProxy
-from repro.mana.checkpoint import latest_generations, read_manifest
 
 
 def main() -> None:
@@ -37,11 +36,11 @@ def main() -> None:
         job = Launcher(cfg).launch(lambda r: LuleshProxy(spec))
         res = job.run()
         assert res.status == "completed", res.first_error()
-        gens = latest_generations(ckpt_dir)
+        gens = job.store.generations()
         print(f"job ran {res.runtime:.0f} virtual s and wrote "
               f"{len(gens)} periodic checkpoints: generations {gens}")
         for g in gens:
-            m = read_manifest(ckpt_dir, g)
+            m = job.store.read_manifest(g)
             print(f"  gen {g}: parked at loop iteration {m['loop_target']}")
 
         # --- "node failure": restart from the newest image ------------------

@@ -43,11 +43,13 @@ import shutil
 from typing import Dict, List, Optional
 
 from repro.faults.crashpoints import CrashPointInjector
-from repro.mana import checkpoint as ckpt
 from repro.mana import storeio
-from repro.mana.chunkstore import store_for
+from repro.mana.checkpoint import (
+    CheckpointImage,
+    CheckpointStore,
+    image_chunk_refs,
+)
 from repro.mana.fsck import fsck
-from repro.mana.journal import Journal
 from repro.util.errors import InjectedCrash, IntegrityError, RestartError
 
 NRANKS = 2
@@ -80,8 +82,8 @@ def _blob(generation: int, rank: int) -> bytes:
     return shared + unique
 
 
-def _image(rank: int, generation: int) -> ckpt.CheckpointImage:
-    return ckpt.CheckpointImage(
+def _image(rank: int, generation: int) -> CheckpointImage:
+    return CheckpointImage(
         rank=rank, nranks=NRANKS, impl="sim", kind="cold",
         generation=generation, app=None, loops={}, vid_table=None,
         drain_buffer=None, clock_state={}, rng_state=None,
@@ -101,28 +103,23 @@ def expected_blobs() -> Dict[int, Dict[int, bytes]]:
 # ----------------------------------------------------------------------
 # store construction and mutation
 # ----------------------------------------------------------------------
-def _write_generation(base: str, generation: int, pin: bool = False) -> None:
-    store = store_for(base)
+def _write_generation(store: CheckpointStore, generation: int) -> None:
     for rank in range(NRANKS):
-        ckpt.save_chunked_blob(
-            ckpt.rank_image_path(base, generation, rank),
-            _image(rank, generation), _blob(generation, rank),
-            store, pin=pin,
-        )
-    ckpt.write_manifest(
-        base, generation, nranks=NRANKS, impl="sim", kind="cold",
+        store.save(_image(rank, generation), _blob(generation, rank))
+    store.write_manifest(
+        generation, nranks=NRANKS, impl="sim", kind="cold",
         cold_restartable=True, loop_target=None,
     )
 
 
-def build_baseline(base: str) -> None:
+def build_baseline(store: CheckpointStore) -> None:
     """Two complete generations, no injector installed."""
-    os.makedirs(base, exist_ok=True)
+    os.makedirs(store.base_dir, exist_ok=True)
     for g in BASELINE_GENS:
-        _write_generation(base, g)
+        _write_generation(store, g)
 
 
-def mutate(base: str) -> None:
+def mutate(store: CheckpointStore) -> None:
     """The full batch of journaled store mutations the sweep kills.
 
     Mirrors one supervised job's store activity: a synchronous save
@@ -131,34 +128,30 @@ def mutate(base: str) -> None:
     journal record and pinned chunk publishes), a prune to
     ``PRUNE_KEEP``, and a final chunk GC.
     """
-    _write_generation(base, 3)
+    _write_generation(store, 3)
     with storeio.op_context("drain"):
-        store = store_for(base)
         for rank in range(NRANKS):
-            ckpt.save_chunked_blob(
-                ckpt.rank_image_path(base, 4, rank),
-                _image(rank, 4), _blob(4, rank), store, pin=True,
-            )
-        fin = Journal(base).begin("drain-finalize", generation=4)
-        ckpt.write_manifest(
-            base, 4, nranks=NRANKS, impl="sim", kind="cold",
+            store.save(_image(rank, 4), _blob(4, rank), pin=True)
+        fin = store.journal.begin("drain-finalize", generation=4)
+        store.write_manifest(
+            4, nranks=NRANKS, impl="sim", kind="cold",
             cold_restartable=True, loop_target=None,
         )
-        ckpt.prune_generations(base, PRUNE_KEEP)
-        Journal(base).retire(fin)
-    ckpt.gc_chunks(base)
+        store.prune(PRUNE_KEEP)
+        store.journal.retire(fin)
+    store.gc()
 
 
 def enumerate_crash_points(workdir: str) -> List[str]:
     """Every crash-point name the mutation batch fires, first-seen
     order.  Deterministic: the payloads, chunking, and mutation order
     are all seeded/sorted."""
-    base = os.path.join(workdir, "enum")
-    build_baseline(base)
+    store = CheckpointStore(os.path.join(workdir, "enum"))
+    build_baseline(store)
     inj = CrashPointInjector()  # record mode: never crashes
     storeio.set_injector(inj)
     try:
-        mutate(base)
+        mutate(store)
     finally:
         storeio.set_injector(None)
     return list(inj.points)
@@ -176,16 +169,16 @@ def _find_tmp(base: str) -> List[str]:
     return sorted(out)
 
 
-def _read_back(base: str, generation: int) -> Dict[int, bytes]:
+def _read_back(store: CheckpointStore, generation: int) -> Dict[int, bytes]:
     """Reassemble every rank's payload of a generation from the store
     (verifying chunk integrity on the way)."""
-    store = store_for(base)
     out: Dict[int, bytes] = {}
-    manifest = ckpt.read_manifest(base, generation)
+    manifest = store.read_manifest(generation)
     for rank in range(manifest["nranks"]):
-        path = ckpt.rank_image_path(base, generation, rank)
-        refs = ckpt.image_chunk_refs(path)
-        out[rank] = b"".join(store.get(d, context=path) for d, _ in refs)
+        path = store.image_path(generation, rank)
+        refs = image_chunk_refs(path)
+        out[rank] = b"".join(store.chunks.get(d, context=path)
+                             for d, _ in refs)
     return out
 
 
@@ -199,24 +192,24 @@ def check_point(point: str, baseline: str, workdir: str,
     sub = hashlib.sha256(point.encode()).hexdigest()[:16]
     work = os.path.join(workdir, f"pt-{sub}")
     shutil.copytree(baseline, work)
-    ckpt.invalidate_checkpoint_caches(work)
+    store = CheckpointStore(work)
 
     inj = CrashPointInjector(arm_at=point)
     storeio.set_injector(inj)
     crashed = False
     try:
-        mutate(work)
+        mutate(store)
     except InjectedCrash:
         crashed = True
     finally:
         storeio.set_injector(None)
 
     problems: List[str] = []
-    report = fsck(work, repair=True)
+    report = fsck(store, repair=True)
     # 1. Bit-identical payloads for everything fsck calls restorable.
     for g in report.restorable_generations:
         try:
-            got = _read_back(work, g)
+            got = _read_back(store, g)
         except (IntegrityError, RestartError) as exc:
             problems.append(f"generation {g} reported restorable but: {exc}")
             continue
@@ -238,11 +231,11 @@ def check_point(point: str, baseline: str, workdir: str,
     tmps = _find_tmp(work)
     if tmps:
         problems.append(f"leaked tmp files: {tmps}")
-    still_pending = Journal(work).pending()
+    still_pending = store.journal.pending()
     if still_pending:
         problems.append(f"journal not drained: {still_pending}")
-    on_disk = store_for(work).digests()
-    referenced = ckpt.referenced_chunks(work)
+    on_disk = store.chunks.digests()
+    referenced = store.referenced_chunks()
     if on_disk - referenced:
         problems.append(
             f"{len(on_disk - referenced)} unreferenced chunk(s) leaked"
@@ -252,7 +245,7 @@ def check_point(point: str, baseline: str, workdir: str,
             f"{len(referenced - on_disk)} referenced chunk(s) missing"
         )
     # 4. Repair converged: a second fsck has nothing to do.
-    second = fsck(work, repair=True)
+    second = fsck(store, repair=True)
     if second.dirty:
         problems.append("second fsck still found work (repair diverged)")
 
@@ -290,7 +283,7 @@ def run_sweep(workdir: str, limit: Optional[int] = None,
     """
     all_points = enumerate_crash_points(workdir)
     baseline = os.path.join(workdir, "baseline")
-    build_baseline(baseline)
+    build_baseline(CheckpointStore(baseline))
     expected = expected_blobs()
     chosen = points if points is not None else (
         select_subset(all_points, limit) if limit else list(all_points)

@@ -145,15 +145,8 @@ class FaultInjector:
             candidates = self._candidates(P.CORRUPT_CHUNK)
             if not candidates:
                 return
-            from repro.mana.checkpoint import (
-                latest_generations,
-                referenced_chunks,
-            )
-
-            base = store.base_dir
-            prior = referenced_chunks(
-                base,
-                [g for g in latest_generations(base) if g < generation],
+            prior = store.referenced_chunks(
+                [g for g in store.generations() if g < generation]
             )
             fresh: List[str] = []
             for d in all_digests:
@@ -166,7 +159,7 @@ class FaultInjector:
                 if not fresh:
                     continue  # fully-deduped save: nothing fresh to rot
                 digest = fresh[min(s.nth, len(fresh)) - 1]
-                path = store.chunk_path(digest)
+                path = store.chunks.chunk_path(digest)
                 size = os.path.getsize(path)
                 # Seed-derived offset past the zlib magic so the flip
                 # hits compressed payload, not just the 2-byte header.

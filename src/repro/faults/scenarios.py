@@ -32,7 +32,7 @@ from repro.faults.plan import (
     SITE_MID_SAVE,
     FaultPlan,
 )
-from repro.mana import checkpoint as ckpt
+from repro.mana.checkpoint import CheckpointStore, store_for
 from repro.runtime import JobConfig, Launcher, MpiApplication
 from repro.runtime.launcher import RestartPolicy
 from repro.util.errors import RestartError
@@ -167,9 +167,10 @@ class Scenario:
     #: job runs ElasticHaloApp and the reference is a cold run at the
     #: post-restore rank count and implementation.
     elastic: Optional[Dict] = None
-    #: ``inspect(ckpt_dir, outcome)`` records what only the checkpoint
-    #: directory can tell, before the driver removes it.
-    inspect: Optional[Callable[[str, Dict], None]] = None
+    #: ``inspect(store, outcome)`` records what only the checkpoint
+    #: directory (its :class:`CheckpointStore`) can tell, before the
+    #: driver removes it.
+    inspect: Optional[Callable[[CheckpointStore, Dict], None]] = None
 
 
 def _restored(out: Dict) -> List[int]:
@@ -177,14 +178,14 @@ def _restored(out: Dict) -> List[int]:
             if e["event"] == "restart"]
 
 
-def _manifest_dedup(ckpt_dir: str, out: Dict) -> None:
+def _manifest_dedup(store: CheckpointStore, out: Dict) -> None:
     """Per-generation incremental-save stats from the on-disk manifests
     (chunks written / reused, bytes written) — the dedup effectiveness
     report ``python -m repro faults`` surfaces."""
     out["dedup"] = {}
-    for g in ckpt.latest_generations(ckpt_dir):
+    for g in store.generations():
         try:
-            dd = ckpt.read_manifest(ckpt_dir, g).get("dedup")
+            dd = store.read_manifest(g).get("dedup")
         except RestartError:
             continue  # incomplete generation (e.g. crashed mid-save)
         if dd is not None:
@@ -194,9 +195,9 @@ def _manifest_dedup(ckpt_dir: str, out: Dict) -> None:
             }
 
 
-def _inspect_disk_full(ckpt_dir: str, out: Dict) -> None:
-    _manifest_dedup(ckpt_dir, out)
-    gen2 = ckpt.generation_dir(ckpt_dir, 2)
+def _inspect_disk_full(store: CheckpointStore, out: Dict) -> None:
+    _manifest_dedup(store, out)
+    gen2 = store.generation_dir(2)
     out["torn_files"] = (
         [n for n in os.listdir(gen2) if n.endswith(".tmp")]
         if os.path.isdir(gen2) else []
@@ -311,8 +312,8 @@ SCENARIOS: Dict[str, Scenario] = {
         ),
         supervised=False,
         config={"ckpt_async": True},
-        inspect=lambda ckpt_dir, out: out.update(
-            restorable_generations=ckpt.restorable_generations(ckpt_dir)
+        inspect=lambda store, out: out.update(
+            restorable_generations=store.restorable()
         ),
     ),
     "elastic-shrink": Scenario(
@@ -398,7 +399,7 @@ def run_scenario(name: str, seed: int = 7,
     try:
         out = _run(sc, seed, tmp)
         if sc.inspect is not None:
-            sc.inspect(tmp, out)
+            sc.inspect(store_for(tmp), out)
         out["ok"] = bool(
             out["status"] == "completed"
             and out["matches_baseline"]

@@ -17,10 +17,11 @@ Subpackage map (one module per paper concept):
   into the lower half and back on the way out;
 * :mod:`repro.mana.drain` — the checkpoint-time quiesce and
   point-to-point drain protocol (send-count alltoall + Iprobe/Recv);
-* :mod:`repro.mana.checkpoint` — checkpoint images (save/load, format 4
-  monolithic and format 5 incremental);
-* :mod:`repro.mana.chunkstore` — the per-job content-addressed store of
-  compressed content-defined chunks backing format-5 images;
+* :mod:`repro.mana.checkpoint` — checkpoint images (format 4 monolithic
+  and format 5 incremental) and the :class:`CheckpointStore` that owns
+  one checkpoint directory (``store_for``);
+* :mod:`repro.mana.chunkstore` — the per-directory content-addressed
+  store of compressed content-defined chunks backing format-5 images;
 * :mod:`repro.mana.replay` — restart-time reconstruction of MPI objects
   through standard MPI calls only (§5's required subset);
 * :mod:`repro.mana.coordinator` — the checkpoint coordinator state
@@ -31,13 +32,8 @@ from repro.mana.virtid import VirtualIdTable, VidEntry, GgidPolicy
 from repro.mana.legacy import LegacyVirtualIdMaps
 from repro.mana.wrappers import ManaRank, ManaFacade
 from repro.mana.coordinator import CheckpointCoordinator, CheckpointKind
-from repro.mana.checkpoint import (
-    CheckpointImage,
-    save_chunked_image,
-    save_image,
-    load_image,
-)
-from repro.mana.chunkstore import ChunkStore, chunk_spans, store_for
+from repro.mana.checkpoint import CheckpointImage, CheckpointStore, store_for
+from repro.mana.chunkstore import ChunkStore, chunk_spans
 
 __all__ = [
     "VirtualIdTable",
@@ -49,9 +45,7 @@ __all__ = [
     "CheckpointCoordinator",
     "CheckpointKind",
     "CheckpointImage",
-    "save_image",
-    "save_chunked_image",
-    "load_image",
+    "CheckpointStore",
     "ChunkStore",
     "chunk_spans",
     "store_for",

@@ -14,8 +14,8 @@ Invariants the drainer maintains:
   round — natural back-pressure, and the reason the virtual-time
   *overrun* accounting needs to consider only one outstanding drain.
 * **No half-visible generations.**  The generation is pinned
-  (:func:`repro.mana.checkpoint.pin_generation`) before its first image
-  is written and chunk digests are store-pinned while their referencing
+  (``with store.pinned(generation)``) before its first image is written
+  and chunk digests are chunk-store-pinned while their referencing
   header is in flight, so concurrent pruning/GC cannot reclaim what the
   drain is about to reference.  The manifest — what marks a generation
   restorable — is written only after every rank image is durable.
@@ -44,9 +44,8 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.mana import checkpoint as ckpt
 from repro.mana import storeio
-from repro.mana.journal import Journal
+from repro.mana.checkpoint import dedup_summary
 
 
 @dataclass
@@ -56,11 +55,11 @@ class DrainJob:
 
     generation: int
     ticket: object
-    #: rank -> {"path": image path, "image": CheckpointImage,
+    #: rank -> {"image": CheckpointImage,
     #:          "blob": pickled upper half (the snapshot)}
     ranks: Dict[int, Dict]
-    #: Rank 0's :func:`write_manifest` fields (None when another round
-    #: already failed).
+    #: Rank 0's :meth:`CheckpointStore.write_manifest` fields (None when
+    #: another round already failed).
     manifest: Optional[Dict]
     #: Set by the coordinator once the round's ranks passed resume.
     resume_event: threading.Event
@@ -72,10 +71,11 @@ class DrainJob:
 
 class AsyncSaveDrainer:
     """Single background thread that drains staged checkpoint
-    generations for one coordinator."""
+    generations for one coordinator into its checkpoint store."""
 
-    def __init__(self, coordinator):
+    def __init__(self, coordinator, store):
         self.coordinator = coordinator
+        self.store = store
         self._q: "queue.Queue[Optional[DrainJob]]" = queue.Queue()
         self._idle = threading.Event()
         self._idle.set()
@@ -127,50 +127,39 @@ class AsyncSaveDrainer:
             self._drain_one_inner(job)
 
     def _drain_one_inner(self, job: DrainJob) -> None:
-        coord = self.coordinator
-        base = coord.ckpt_dir
-        store = coord.chunk_store
-        ckpt.pin_generation(base, job.generation)
-        pinned = True
+        coord, store = self.coordinator, self.store
         stats: Dict[int, Dict] = {}
         error: Optional[BaseException] = None
-        try:
-            pool = coord.save_pool()
-            for rank in sorted(job.ranks):
-                item = job.ranks[rank]
-                stats[rank] = ckpt.save_chunked_blob(
-                    item["path"], item["image"], item["blob"], store,
-                    injector=coord.injector, vtime=job.vtime,
-                    pool=pool, pin=True,
-                )
-        except BaseException as exc:  # noqa: BLE001 - fault => fail gen
-            error = exc
-        try:
+        with store.pinned(job.generation):
+            try:
+                pool = coord.save_pool()
+                for rank in sorted(job.ranks):
+                    item = job.ranks[rank]
+                    stats[rank] = store.save(
+                        item["image"], item["blob"], injector=coord.injector,
+                        vtime=job.vtime, pool=pool, pin=True,
+                    )
+            except BaseException as exc:  # noqa: BLE001 - fault => fail gen
+                error = exc
             if error is None:
                 # Journal the finalize as one unit: manifest commit plus
                 # the post-commit prune.  A crash in between leaves the
                 # record pending and fsck rolls forward (the manifest is
                 # on disk) and finishes any half-done prune.
-                fin = Journal(base).begin(
+                fin = store.journal.begin(
                     "drain-finalize", generation=job.generation
                 )
                 dedup = self._finish_generation(job, stats)
             else:
                 dedup = None
                 self._abandon_generation(job, error)
-            # The generation is now either fully durable (manifest on
-            # disk) or fully gone — safe to unpin before pruning so the
-            # fresh generation counts toward keep_generations.
-            ckpt.unpin_generation(base, job.generation)
-            pinned = False
-            if (error is None and job.manifest is not None
-                    and coord.keep_generations):
-                ckpt.prune_generations(base, coord.keep_generations)
-            if error is None:
-                Journal(base).retire(fin)
-        finally:
-            if pinned:
-                ckpt.unpin_generation(base, job.generation)
+        # The generation is now either fully durable (manifest on disk)
+        # or fully gone, and unpinned, so it counts toward
+        # keep_generations in the prune.
+        if error is None:
+            if job.manifest is not None and coord.keep_generations:
+                store.prune(coord.keep_generations)
+            store.journal.retire(fin)
         self.last_drain = {"generation": job.generation, "dedup": dedup}
         # Complete the ticket only after the ranks passed resume (or the
         # coordinator aborted and they never will).
@@ -185,7 +174,7 @@ class AsyncSaveDrainer:
     def _finish_generation(self, job: DrainJob,
                            stats: Dict[int, Dict]) -> Dict:
         coord = self.coordinator
-        dedup = ckpt.dedup_summary(stats.values())
+        dedup = dedup_summary(stats.values())
         coord.last_dedup = dedup
         t = job.ticket
         if t is not None:
@@ -198,8 +187,8 @@ class AsyncSaveDrainer:
                 coord._written_logical(dedup, job.logical_mean),
             )
         if job.manifest is not None:
-            ckpt.write_manifest(
-                coord.ckpt_dir, job.generation, dedup=dedup, **job.manifest
+            self.store.write_manifest(
+                job.generation, dedup=dedup, **job.manifest
             )
         return dedup
 
@@ -208,14 +197,12 @@ class AsyncSaveDrainer:
         """A drain fault fails the whole generation: remove its partial
         rank images so no restart can pick a half-written generation
         (orphaned chunks are reclaimed by the next GC)."""
-        coord = self.coordinator
-        for item in job.ranks.values():
+        coord, store = self.coordinator, self.store
+        for rank in job.ranks:
             # Both the durable image and any torn temp file an injected
-            # mid-save fault left behind (unique per-writer names plus
-            # the legacy bare ``.tmp`` suffix).
-            victims = [item["path"], item["path"] + ".tmp"]
-            victims += glob.glob(glob.escape(item["path"]) + ".*.tmp")
-            for victim in victims:
+            # mid-save fault left behind.
+            path = store.image_path(job.generation, rank)
+            for victim in [path, *glob.glob(glob.escape(path) + ".*.tmp")]:
                 try:
                     os.remove(victim)
                 except OSError:
@@ -224,10 +211,9 @@ class AsyncSaveDrainer:
         # fault — so this generation's pending image-save records must
         # be retired here, or a later fsck would mistake the *handled*
         # fault for a dirty shutdown.
-        Journal(coord.ckpt_dir).retire_matching(
+        store.journal.retire_matching(
             op="image-save", generation=job.generation
         )
-        ckpt.invalidate_checkpoint_caches(coord.ckpt_dir)
         coord.round_events.append({
             "event": "async-drain-failed",
             "generation": job.generation,

@@ -1,4 +1,4 @@
-"""Checkpoint images: the serialized upper half.
+"""Checkpoint images and the store that holds them.
 
 One image file per rank per generation, plus a job-level manifest.
 The per-rank payload is **one pickle**: the application object graph, the
@@ -15,21 +15,21 @@ records are simply part of the saved upper half.
 
 Two on-disk formats coexist (PROTOCOLS.md §10):
 
-**Format 4** (read-side back-compat, and still the write path when no
-chunk store is configured)::
+**Format 4** (read-side back-compat, and the write path of jobs
+configured with ``ckpt_format=4``)::
 
     MAGIC (8 bytes) | header length (4 bytes, big-endian) | JSON header
     | pickle payload
 
 The JSON header carries ``payload_bytes`` and a ``payload_sha256`` over
-the pickle blob, so :func:`load_image` detects truncation and bit rot
-*before* unpickling.
+the pickle blob, so a load detects truncation and bit rot *before*
+unpickling.
 
 **Format 5** (incremental, chunked, deduplicated)::
 
     MAGIC | header length | JSON header | sha256(JSON header) (32 bytes)
 
-The payload is *not* in the image file.  It lives in the per-job
+The payload is *not* in the image file.  It lives in the directory's
 content-addressed :class:`repro.mana.chunkstore.ChunkStore` as
 compressed content-defined chunks; the header's ``chunks`` list is the
 ordered reference list ``[[sha256, uncompressed_len], ...]``.  A
@@ -42,10 +42,16 @@ corrupt chunk names itself instead of failing a full-payload hash.
 
 All writes are atomic (temp file + rename) — an interrupted save never
 leaves a torn image or chunk at a final path.
+
+Everything about one checkpoint directory — its layout, chunk store,
+journal, generation pins and memos — is one :class:`CheckpointStore`.
+:func:`store_for` hands out the one instance per directory; opening a
+store reads nothing and writes nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -66,7 +72,6 @@ from repro.mana.chunkstore import (
     STORE_DIRNAME,
     chunk_spans,
     digest_spans,
-    store_for,
 )
 from repro.util.errors import (
     CheckpointError,
@@ -109,54 +114,6 @@ class CheckpointImage:
     stored_bytes: int = 0
 
 
-def generation_dir(base_dir: str, generation: int) -> str:
-    return os.path.join(base_dir, f"ckpt_{generation:04d}")
-
-
-def rank_image_path(base_dir: str, generation: int, rank: int) -> str:
-    return os.path.join(generation_dir(base_dir, generation), f"rank_{rank:05d}.img")
-
-
-def _base_dir_of(path: str) -> str:
-    """ckpt base dir for an image path (…/base/ckpt_NNNN/rank_X.img)."""
-    return os.path.dirname(os.path.dirname(os.path.abspath(path)))
-
-
-# ----------------------------------------------------------------------
-# directory caches (satellite: no repeated re-scans / re-verifies)
-# ----------------------------------------------------------------------
-# Both caches are keyed by absolute base dir and guarded by one lock.
-#
-# * listing cache: latest_generations() re-listed and re-sorted the base
-#   dir on every call; now the sorted list is reused while the base
-#   dir's mtime_ns is unchanged (creating/removing a generation dir
-#   bumps it).
-# * validation cache: restorable_generations()/
-#   latest_restorable_generation() re-verified every image of every
-#   generation per call; now a generation's verdict is reused while its
-#   stat signature (file names, sizes, mtimes of the generation dir and
-#   the chunk store) is unchanged.  New-generation writes, pruning, GC,
-#   and any in-place corruption all change the signature.
-_CACHE_LOCK = threading.Lock()
-_LIST_CACHE: Dict[str, Tuple[int, List[int]]] = {}
-_VALIDATION_CACHE: Dict[str, Dict[Tuple[int, bool], Tuple[tuple, List[str]]]] = {}
-_WARNED_ENTRIES: Set[Tuple[str, str]] = set()
-
-
-def invalidate_checkpoint_caches(base_dir: Optional[str] = None) -> None:
-    """Drop cached directory listings and generation verdicts (all
-    directories when ``base_dir`` is None).  Called on new-generation
-    writes and pruning; exposed for tests and external mutation."""
-    with _CACHE_LOCK:
-        if base_dir is None:
-            _LIST_CACHE.clear()
-            _VALIDATION_CACHE.clear()
-            return
-        key = os.path.abspath(base_dir)
-        _LIST_CACHE.pop(key, None)
-        _VALIDATION_CACHE.pop(key, None)
-
-
 def _stat_signature(*dirs: str) -> tuple:
     """(name, size, mtime_ns) of every regular file under ``dirs`` —
     cheap (one scandir per dir) but sensitive to truncation, bit flips
@@ -177,9 +134,11 @@ def _stat_signature(*dirs: str) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# encode / save
+# encode
 # ----------------------------------------------------------------------
-def _pickle_upper_half(image: CheckpointImage) -> bytes:
+def pickle_upper_half(image: CheckpointImage) -> bytes:
+    """The image's payload: one pickle of everything that shares
+    objects (the async path's snapshot is exactly this)."""
     upper_half = {
         "app": image.app,
         "loops": image.loops,
@@ -191,7 +150,6 @@ def _pickle_upper_half(image: CheckpointImage) -> bytes:
         "epoch": image.epoch,
     }
     try:
-        # One pickle for everything that shares objects:
         return pickle.dumps(upper_half, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:  # unpicklable app state is a user error
         raise CheckpointError(
@@ -213,7 +171,7 @@ def _identity_header(image: CheckpointImage, fmt: int) -> Dict:
 
 def _encode_image_v4(image: CheckpointImage) -> bytes:
     """MAGIC + length-prefixed JSON header + checksummed pickle payload."""
-    blob = _pickle_upper_half(image)
+    blob = pickle_upper_half(image)
     header = _identity_header(image, 4)
     header["payload_bytes"] = len(blob)
     header["payload_sha256"] = hashlib.sha256(blob).hexdigest()
@@ -262,63 +220,6 @@ def _injection_points(path: str, data: bytes, image: CheckpointImage,
         )
 
 
-def save_image(path: str, image: CheckpointImage, injector=None,
-               vtime: float = 0.0) -> int:
-    """Write one rank's image in **format 4**; returns its size in bytes.
-
-    Kept as the storeless write path (and the write-side compatibility
-    reference): one monolithic checksummed pickle per file.  Jobs with a
-    chunk store use :func:`save_chunked_image` instead.
-
-    Crash-safe: the bytes land in ``<path>.tmp`` and are atomically
-    renamed, so the final path either holds a complete verified image or
-    nothing.  ``injector`` (a :class:`repro.faults.FaultInjector`) may
-    fire a mid-save crash or a disk-full error at this site.
-    """
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    base = _base_dir_of(path)
-    invalidate_checkpoint_caches(base)
-    data = _encode_image_v4(image)
-    # Intent journal: a crash anywhere inside this mutation leaves the
-    # record pending, and fsck rolls the (manifest-less) generation
-    # back.  No in-writer rollback on exceptions — the writer is
-    # treated as dead and repair is fsck's job (PROTOCOLS.md §13).
-    token = Journal(base).begin(
-        "image-save", generation=image.generation, rank=image.rank,
-        format=4,
-    )
-    if injector is not None:
-        _injection_points(path, data, image, injector, vtime)
-    tmp = storeio.tmp_name(path)
-    storeio.write_file(tmp, data, site="image.tmp")
-    storeio.rename(tmp, path, site="image")  # atomic: no torn images
-    Journal(base).retire(token)
-    if injector is not None:
-        # Post-rename bit rot / torn-write simulation on the final file.
-        injector.after_save(path, image.rank, image.generation)
-    return len(data)
-
-
-def save_chunked_image(
-    path: str,
-    image: CheckpointImage,
-    store: ChunkStore,
-    injector=None,
-    vtime: float = 0.0,
-    pool=None,
-) -> Dict:
-    """Write one rank's image in **format 5**: chunks into ``store``,
-    a small header-only image file at ``path``.
-
-    Pickles the upper half and delegates to :func:`save_chunked_blob`;
-    see there for the statistics dict and the pool semantics.
-    """
-    blob = _pickle_upper_half(image)
-    return save_chunked_blob(
-        path, image, blob, store, injector=injector, vtime=vtime, pool=pool
-    )
-
-
 #: Pooled chunk runs target this many uncompressed bytes each: small
 #: enough that a 4 MB rank splits into ~16 interleavable work items,
 #: large enough that submit overhead stays under ~1% of the zlib cost.
@@ -338,118 +239,9 @@ def _store_chunk_run(store: ChunkStore, view, run) -> Tuple[int, List[str]]:
     return written, new_digests
 
 
-def save_chunked_blob(
-    path: str,
-    image: CheckpointImage,
-    blob: bytes,
-    store: ChunkStore,
-    injector=None,
-    vtime: float = 0.0,
-    pool=None,
-    pin: bool = False,
-) -> Dict:
-    """Write one rank's **format-5** image from an already-pickled
-    ``blob`` (the async drainer snapshots the pickle at the barrier and
-    encodes it here later).
-
-    Returns the save statistics the dedup reporting and the checkpoint
-    cost model consume::
-
-        {"format": 5,
-         "payload_bytes":  <uncompressed pickle size>,
-         "file_bytes":     <image file size>,
-         "chunks_total":   n, "chunks_written": w, "chunks_reused": r,
-         "bytes_written":  <image file + newly stored compressed bytes>}
-
-    Only chunks whose content is new to the store are written —
-    generation N+1 of a mostly-unchanged rank writes a few chunks plus
-    the reference list.  Faults fire *before* any durable write, so an
-    injected crash or disk-full leaves no fresh chunks behind.
-
-    With a ``pool`` (:class:`repro.harness.parallel.TaskPool`), the
-    unique chunks are fanned out in ~256 KiB runs so chunk writes from
-    *all* ranks interleave across the pool's workers — one large rank no
-    longer serializes a save round.  With ``pin``, the chunk digests are
-    refcount-pinned in the store until the image header reaches its
-    final path, keeping a concurrent GC from deleting chunks whose
-    referencing header is not yet visible on disk.
-    """
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    base = _base_dir_of(path)
-    invalidate_checkpoint_caches(base)
-    spans = chunk_spans(blob)
-    view = memoryview(blob)
-    digests = digest_spans(view, spans)
-    refs = [[d, e - s] for d, (s, e) in zip(digests, spans)]
-    data = _encode_image_v5(image, len(blob), refs)
-    # Intent journal: pending record = this image (and the chunks only
-    # it references) may be half-published; fsck rolls the generation
-    # back unless its manifest made it to disk.  Chunk publishes are
-    # covered by this record rather than journaled one-by-one — an
-    # orphaned chunk is invisible (content-addressed, unreferenced)
-    # until GC or fsck reclaims it.
-    token = Journal(base).begin(
-        "image-save", generation=image.generation, rank=image.rank,
-        format=5,
-    )
-    if injector is not None:
-        _injection_points(path, data, image, injector, vtime)
-    seen: Set[str] = set()
-    todo: List[Tuple[str, int, int]] = []
-    for d, (s, e) in zip(digests, spans):
-        if d in seen:
-            continue  # intra-payload duplicate: one store write at most
-        seen.add(d)
-        todo.append((d, s, e))
-    if pin:
-        store.pin(seen)
-    try:
-        runs: List[List[Tuple[str, int, int]]] = []
-        run: List[Tuple[str, int, int]] = []
-        size = 0
-        for item in todo:
-            run.append(item)
-            size += item[2] - item[1]
-            if size >= _RUN_BYTES:
-                runs.append(run)
-                run, size = [], 0
-        if run:
-            runs.append(run)
-        if pool is not None and len(runs) > 1:
-            results = pool.gather(
-                [(_store_chunk_run, store, view, r) for r in runs]
-            )
-        else:
-            results = [_store_chunk_run(store, view, r) for r in runs]
-        written = sum(w for w, _ in results)
-        new_digests = [d for _, nd in results for d in nd]
-        tmp = storeio.tmp_name(path)
-        storeio.write_file(tmp, data, site="image.tmp")
-        storeio.rename(tmp, path, site="image")
-    finally:
-        if pin:
-            store.unpin(seen)
-    Journal(base).retire(token)
-    if injector is not None:
-        injector.after_save(path, image.rank, image.generation)
-        injector.after_chunked_save(
-            store, image.rank, image.generation, new_digests, digests
-        )
-    reused_count = len(seen) - len(new_digests)
-    return {
-        "format": 5,
-        "payload_bytes": len(blob),
-        "file_bytes": len(data),
-        "chunks_total": len(refs),
-        "chunks_written": len(new_digests),
-        "chunks_reused": reused_count,
-        "bytes_written": len(data) + written,
-    }
-
-
 def dedup_summary(stats: Collection[Dict]) -> Dict:
     """One generation's incremental-save effectiveness: the per-rank
-    :func:`save_chunked_blob` statistics summed over ranks — what
+    :meth:`CheckpointStore.save` statistics summed over ranks — what
     manifests record under ``dedup`` and tickets report."""
     total = {
         k: sum(s[k] for s in stats)
@@ -462,8 +254,16 @@ def dedup_summary(stats: Collection[Dict]) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# decode / load
+# decode
 # ----------------------------------------------------------------------
+def _read_image_file(path: str) -> bytes:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except FileNotFoundError:
+        raise RestartError(f"no checkpoint image at {path}") from None
+
+
 def _read_header(path: str, data: bytes) -> Dict:
     """Parse and sanity-check the length-prefixed JSON header."""
     if len(data) < len(MAGIC) + _LEN.size or not data.startswith(MAGIC):
@@ -522,42 +322,6 @@ def _verify_bytes_v5(path: str, data: bytes) -> None:
         )
 
 
-def _verify_bytes(path: str, data: bytes, deep: bool = True) -> Dict:
-    """Header + integrity check for either format; returns the header.
-
-    For format 5 with ``deep=True`` every referenced chunk is verified
-    in the store (decompress + sha256, memoized per chunk file) — a
-    corrupt or missing chunk names its index and digest.
-    """
-    header = _read_header(path, data)
-    if header["format_version"] == 4:
-        _verify_bytes_v4(path, data, header)
-        return header
-    _verify_bytes_v5(path, data)
-    if deep:
-        store = store_for(_base_dir_of(path))
-        refs = header.get("chunks", [])
-        for i, (digest, _ulen) in enumerate(refs):
-            store.verify(digest, context=f"{path}: chunk {i}/{len(refs)}")
-    return header
-
-
-def verify_image(path: str, deep: bool = True) -> Dict:
-    """Integrity-check one image without unpickling its payload.
-
-    Returns the parsed header; raises :class:`IntegrityError` on
-    truncation or checksum mismatch (for format 5: of the header file
-    or of any referenced chunk), :class:`RestartError` when the file is
-    missing or not a recognized image format.
-    """
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except FileNotFoundError:
-        raise RestartError(f"no checkpoint image at {path}") from None
-    return _verify_bytes(path, data, deep=deep)
-
-
 def image_chunk_refs(path: str) -> List[List]:
     """The ``[[digest, ulen], ...]`` reference list of a format-5 image
     (empty for format 4) — used by GC and diagnostics."""
@@ -573,404 +337,660 @@ def image_chunk_refs(path: str) -> List[List]:
     return header.get("chunks", []) or []
 
 
-def load_image(path: str, expect_nranks: Optional[int] = None) -> CheckpointImage:
-    """Load one rank's image (either format), verifying integrity first.
+# ----------------------------------------------------------------------
+# the store
+# ----------------------------------------------------------------------
+class CheckpointStore:
+    """One checkpoint base directory.
 
-    Format 4 verifies the full-payload sha256; format 5 streams the
-    payload back chunk by chunk, each chunk verified against its own
-    digest — corruption therefore names the chunk index rather than
-    just "checksum mismatch somewhere in N hundred MB".
+    Owns the directory's layout (``ckpt_NNNN`` generation dirs, rank
+    image paths, manifests), its :class:`ChunkStore` (``chunks``) and
+    :class:`Journal` (``journal``), refcounted generation pins, the
+    warn-once set of unrecognized entries, and the validation-verdict
+    memo.  Constructing one touches nothing on disk.
 
-    ``expect_nranks`` fails fast — *before* the expensive unpickle — when
-    the image was written at a different world size, instead of letting
-    the mismatch surface as an obscure replay or membership error later.
+    Everything that saves, restores, prunes or repairs a directory is
+    handed its store: two jobs sharing a directory share pins (through
+    :func:`store_for`), and a check → pick → restart sequence reuses the
+    chunk store's verification memo.
     """
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except FileNotFoundError:
-        raise RestartError(f"no checkpoint image at {path}") from None
-    header = _read_header(path, data)
-    if expect_nranks is not None and header["nranks"] != expect_nranks:
-        raise RestartError(
-            f"{path}: image was checkpointed at nranks="
-            f"{header['nranks']} but the restore expects "
-            f"{expect_nranks} ranks; restore at the original rank count "
-            f"or use elastic restart "
-            f"(Launcher.elastic_restart / `python -m repro restart "
-            f"--ranks N`) to repartition"
+
+    def __init__(self, base_dir: str):
+        self.base_dir = base_dir
+        self.chunks = ChunkStore(base_dir)
+        self.journal = Journal(base_dir)
+        self._lock = threading.Lock()
+        # generation -> pin refcount.  A pinned generation is being
+        # written (async drain) or read (restart): some of its images
+        # may not be on disk yet, or must not vanish, so pruning and
+        # fsck treat it as live.
+        self._pins: Dict[int, int] = {}
+        self._warned: Set[str] = set()
+        # (generation, require_cold) -> (stat signature, problems): a
+        # verdict is reused while nothing in the generation dir or the
+        # chunk store changed (new writes, pruning, GC and in-place
+        # corruption all change the signature).
+        self._verdicts: Dict[Tuple[int, bool], Tuple[tuple, List[str]]] = {}
+
+    # ------------------------------------------------------------------
+    # layout
+    # ------------------------------------------------------------------
+    def generation_dir(self, generation: int) -> str:
+        return os.path.join(self.base_dir, f"ckpt_{generation:04d}")
+
+    def image_path(self, generation: int, rank: int) -> str:
+        return os.path.join(self.generation_dir(generation),
+                            f"rank_{rank:05d}.img")
+
+    def manifest_path(self, generation: int) -> str:
+        return os.path.join(self.generation_dir(generation), MANIFEST_NAME)
+
+    def generations(self) -> List[int]:
+        """Sorted generation numbers present in the directory.
+
+        Unrecognized entries (anything that is not a ``ckpt_<int>``
+        generation dir or part of the store layout) are warned about
+        once instead of being skipped silently.
+        """
+        if not os.path.isdir(self.base_dir):
+            return []
+        gens = []
+        for name in os.listdir(self.base_dir):
+            if name.startswith("ckpt_"):
+                try:
+                    gens.append(int(name[len("ckpt_"):]))
+                    continue
+                except ValueError:
+                    pass
+            if name in RESERVED_DIRNAMES or name.endswith(storeio.TMP_SUFFIX):
+                continue
+            with self._lock:
+                if name in self._warned:
+                    continue
+                self._warned.add(name)
+            warnings.warn(
+                f"unrecognized entry {name!r} in checkpoint dir "
+                f"{self.base_dir} (expected ckpt_<generation> dirs or one "
+                f"of {RESERVED_DIRNAMES})",
+                stacklevel=2,
+            )
+        gens.sort()
+        return gens
+
+    # ------------------------------------------------------------------
+    # pins
+    # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def pinned(self, generation: int):
+        """Hold ``generation`` in flight for the ``with`` block:
+        :meth:`prune` neither dooms it nor counts it toward ``keep``,
+        and fsck leaves it alone.  Pins are refcounted."""
+        with self._lock:
+            self._pins[generation] = self._pins.get(generation, 0) + 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                n = self._pins.pop(generation) - 1
+                if n:
+                    self._pins[generation] = n
+
+    def pinned_generations(self) -> Set[int]:
+        with self._lock:
+            return set(self._pins)
+
+    # ------------------------------------------------------------------
+    # write side
+    # ------------------------------------------------------------------
+    def save_v4(self, image: CheckpointImage, *, injector=None,
+                vtime: float = 0.0) -> int:
+        """Write one rank's image in **format 4**; returns its size in
+        bytes.  One monolithic checksummed pickle per file: the write
+        path of ``ckpt_format=4`` jobs and the write-side compatibility
+        reference.
+
+        Crash-safe: the bytes land in a unique temp file and are
+        atomically renamed, so the final path either holds a complete
+        verified image or nothing.  ``injector`` (a
+        :class:`repro.faults.FaultInjector`) may fire a mid-save crash
+        or a disk-full error at this site.
+        """
+        path = self.image_path(image.generation, image.rank)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        data = _encode_image_v4(image)
+        # Intent journal: a crash anywhere inside this mutation leaves the
+        # record pending, and fsck rolls the (manifest-less) generation
+        # back.  No in-writer rollback on exceptions — the writer is
+        # treated as dead and repair is fsck's job (PROTOCOLS.md §13).
+        token = self.journal.begin(
+            "image-save", generation=image.generation, rank=image.rank,
+            format=4,
         )
-    (hdr_len,) = _LEN.unpack_from(data, len(MAGIC))
-    if header["format_version"] == 4:
-        _verify_bytes_v4(path, data, header)
-        blob = data[len(MAGIC) + _LEN.size + hdr_len:]
-        stored = len(data)
-    else:
-        _verify_bytes_v5(path, data)
-        store = store_for(_base_dir_of(path))
-        refs = header.get("chunks", [])
-        parts = bytearray()
-        for i, (digest, ulen) in enumerate(refs):
-            chunk = store.get(
-                digest, context=f"{path}: chunk {i}/{len(refs)}"
-            )
-            if len(chunk) != ulen:
-                raise IntegrityError(
-                    f"{path}: chunk {i}/{len(refs)} {digest[:12]}… length "
-                    f"{len(chunk)} != recorded {ulen}"
+        if injector is not None:
+            _injection_points(path, data, image, injector, vtime)
+        tmp = storeio.tmp_name(path)
+        storeio.write_file(tmp, data, site="image.tmp")
+        storeio.rename(tmp, path, site="image")  # atomic: no torn images
+        self.journal.retire(token)
+        if injector is not None:
+            # Post-rename bit rot / torn-write simulation on the final file.
+            injector.after_save(path, image.rank, image.generation)
+        return len(data)
+
+    def save(self, image: CheckpointImage, blob: Optional[bytes] = None, *,
+             injector=None, vtime: float = 0.0, pool=None,
+             pin: bool = False) -> Dict:
+        """Write one rank's image in **format 5**: chunks into the chunk
+        store, a small header-only image file at its layout path.
+
+        ``blob`` is the pickled upper half when the caller already has
+        it (the async drainer snapshots it at the barrier and encodes it
+        here later); otherwise the image is pickled now.  Returns the
+        save statistics the dedup reporting and the checkpoint cost
+        model consume::
+
+            {"format": 5,
+             "payload_bytes":  <uncompressed pickle size>,
+             "file_bytes":     <image file size>,
+             "chunks_total":   n, "chunks_written": w, "chunks_reused": r,
+             "bytes_written":  <image file + newly stored compressed bytes>}
+
+        Only chunks whose content is new to the store are written —
+        generation N+1 of a mostly-unchanged rank writes a few chunks
+        plus the reference list.  Faults fire *before* any durable
+        write, so an injected crash or disk-full leaves no fresh chunks
+        behind.
+
+        With a ``pool`` (:class:`repro.harness.parallel.TaskPool`), the
+        unique chunks are fanned out in ~256 KiB runs so chunk writes
+        from *all* ranks interleave across the pool's workers — one
+        large rank no longer serializes a save round.  With ``pin``, the
+        chunk digests are refcount-pinned in the chunk store until the
+        image header reaches its final path, keeping a concurrent GC
+        from deleting chunks whose referencing header is not yet visible
+        on disk.
+        """
+        if blob is None:
+            blob = pickle_upper_half(image)
+        path = self.image_path(image.generation, image.rank)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        spans = chunk_spans(blob)
+        view = memoryview(blob)
+        digests = digest_spans(view, spans)
+        refs = [[d, e - s] for d, (s, e) in zip(digests, spans)]
+        data = _encode_image_v5(image, len(blob), refs)
+        # Intent journal: pending record = this image (and the chunks only
+        # it references) may be half-published; fsck rolls the generation
+        # back unless its manifest made it to disk.  Chunk publishes are
+        # covered by this record rather than journaled one-by-one — an
+        # orphaned chunk is invisible (content-addressed, unreferenced)
+        # until GC or fsck reclaims it.
+        token = self.journal.begin(
+            "image-save", generation=image.generation, rank=image.rank,
+            format=5,
+        )
+        if injector is not None:
+            _injection_points(path, data, image, injector, vtime)
+        seen: Set[str] = set()
+        todo: List[Tuple[str, int, int]] = []
+        for d, (s, e) in zip(digests, spans):
+            if d in seen:
+                continue  # intra-payload duplicate: one store write at most
+            seen.add(d)
+            todo.append((d, s, e))
+        if pin:
+            self.chunks.pin(seen)
+        try:
+            runs: List[List[Tuple[str, int, int]]] = []
+            run: List[Tuple[str, int, int]] = []
+            size = 0
+            for item in todo:
+                run.append(item)
+                size += item[2] - item[1]
+                if size >= _RUN_BYTES:
+                    runs.append(run)
+                    run, size = [], 0
+            if run:
+                runs.append(run)
+            if pool is not None and len(runs) > 1:
+                results = pool.gather(
+                    [(_store_chunk_run, self.chunks, view, r) for r in runs]
                 )
-            parts += chunk
-        if len(parts) != header["payload_bytes"]:
-            raise IntegrityError(
-                f"{path}: reassembled payload is {len(parts)} bytes, "
-                f"header promises {header['payload_bytes']}"
+            else:
+                results = [_store_chunk_run(self.chunks, view, r)
+                           for r in runs]
+            written = sum(w for w, _ in results)
+            new_digests = [d for _, nd in results for d in nd]
+            tmp = storeio.tmp_name(path)
+            storeio.write_file(tmp, data, site="image.tmp")
+            storeio.rename(tmp, path, site="image")
+        finally:
+            if pin:
+                self.chunks.unpin(seen)
+        self.journal.retire(token)
+        if injector is not None:
+            injector.after_save(path, image.rank, image.generation)
+            injector.after_chunked_save(
+                self, image.rank, image.generation, new_digests, digests
             )
-        blob = bytes(parts)
-        stored = len(data) + len(blob)
-    uh = pickle.loads(blob)
-    return CheckpointImage(
-        rank=header["rank"],
-        nranks=header["nranks"],
-        impl=header["impl"],
-        kind=header["kind"],
-        generation=header["generation"],
-        app=uh["app"],
-        loops=uh["loops"],
-        vid_table=uh["vid_table"],
-        drain_buffer=uh["drain_buffer"],
-        clock_state=uh["clock_state"],
-        rng_state=uh["rng_state"],
-        cs_count=uh["cs_count"],
-        epoch=uh["epoch"],
-        stored_bytes=stored,
-    )
+        return {
+            "format": 5,
+            "payload_bytes": len(blob),
+            "file_bytes": len(data),
+            "chunks_total": len(refs),
+            "chunks_written": len(new_digests),
+            "chunks_reused": len(seen) - len(new_digests),
+            "bytes_written": len(data) + written,
+        }
+
+    def write_manifest(
+        self,
+        generation: int,
+        *,
+        nranks: int,
+        impl: str,
+        kind: str,
+        cold_restartable: bool,
+        loop_target: Optional[int],
+        extra: Optional[Dict] = None,
+        dedup: Optional[Dict] = None,
+    ) -> str:
+        """Job-level manifest, written once (by rank 0, or the async
+        drainer) per generation; returns its path.
+
+        Atomic like the images: a generation with a manifest at its
+        final path is by construction complete (the manifest is written
+        last, after every rank's image passed the saved barrier).
+
+        ``dedup`` records the generation's incremental-save
+        effectiveness (``chunks_written`` / ``chunks_reused`` /
+        ``bytes_written`` summed over ranks, :func:`dedup_summary`);
+        surfaced by ``python -m repro faults``.
+        """
+        os.makedirs(self.generation_dir(generation), exist_ok=True)
+        path = self.manifest_path(generation)
+        doc = {
+            "format_version": FORMAT_VERSION,
+            "generation": generation,
+            "nranks": nranks,
+            "impl": impl,
+            "kind": kind,
+            "cold_restartable": cold_restartable,
+            "loop_target": loop_target,
+            "extra": extra or {},
+        }
+        if dedup is not None:
+            doc["dedup"] = dedup
+        # The manifest is the generation's commit marker: journal the
+        # commit intent, publish atomically, retire.  A crash in between
+        # leaves a pending record for fsck, which rolls forward (manifest
+        # landed) or back (it did not — the generation is invisible
+        # either way).
+        token = self.journal.begin("manifest-commit", generation=generation)
+        tmp = storeio.tmp_name(path)
+        storeio.write_file(
+            tmp, json.dumps(doc, indent=2).encode("utf-8"),
+            site="manifest.tmp",
+        )
+        storeio.rename(tmp, path, site="manifest")
+        self.journal.retire(token)
+        return path
+
+    # ------------------------------------------------------------------
+    # read side
+    # ------------------------------------------------------------------
+    def read_manifest(self, generation: Optional[int] = None) -> Dict:
+        """Read a generation's manifest; latest generation when
+        unspecified."""
+        if generation is None:
+            gens = self.generations()
+            if not gens:
+                raise RestartError(f"no checkpoints under {self.base_dir}")
+            generation = gens[-1]
+        path = self.manifest_path(generation)
+        try:
+            with open(path) as f:
+                return json.load(f)
+        except FileNotFoundError:
+            raise RestartError(f"no manifest at {path}") from None
+
+    def verify_image(self, path: str, deep: bool = True) -> Dict:
+        """Integrity-check one image of this store without unpickling
+        its payload; returns the parsed header.
+
+        Raises :class:`IntegrityError` on truncation or checksum
+        mismatch (for format 5: of the header file or, with ``deep``, of
+        any referenced chunk — decompress + sha256, memoized per chunk
+        file), :class:`RestartError` when the file is missing or not a
+        recognized image format.
+        """
+        data = _read_image_file(path)
+        header = _read_header(path, data)
+        if header["format_version"] == 4:
+            _verify_bytes_v4(path, data, header)
+            return header
+        _verify_bytes_v5(path, data)
+        if deep:
+            refs = header.get("chunks", [])
+            for i, (digest, _ulen) in enumerate(refs):
+                self.chunks.verify(
+                    digest, context=f"{path}: chunk {i}/{len(refs)}"
+                )
+        return header
+
+    def load_image(self, path: str,
+                   expect_nranks: Optional[int] = None) -> CheckpointImage:
+        """Load one image of this store (either format), verifying
+        integrity first.
+
+        Format 4 verifies the full-payload sha256; format 5 streams the
+        payload back chunk by chunk, each chunk verified against its own
+        digest — corruption therefore names the chunk index rather than
+        just "checksum mismatch somewhere in N hundred MB".
+
+        ``expect_nranks`` fails fast — *before* the expensive unpickle —
+        when the image was written at a different world size, instead of
+        letting the mismatch surface as an obscure replay or membership
+        error later.
+        """
+        data = _read_image_file(path)
+        header = _read_header(path, data)
+        if expect_nranks is not None and header["nranks"] != expect_nranks:
+            raise RestartError(
+                f"{path}: image was checkpointed at nranks="
+                f"{header['nranks']} but the restore expects "
+                f"{expect_nranks} ranks; restore at the original rank "
+                f"count or use elastic restart "
+                f"(Launcher.elastic_restart / `python -m repro restart "
+                f"--ranks N`) to repartition"
+            )
+        (hdr_len,) = _LEN.unpack_from(data, len(MAGIC))
+        if header["format_version"] == 4:
+            _verify_bytes_v4(path, data, header)
+            blob = data[len(MAGIC) + _LEN.size + hdr_len:]
+            stored = len(data)
+        else:
+            _verify_bytes_v5(path, data)
+            refs = header.get("chunks", [])
+            parts = bytearray()
+            for i, (digest, ulen) in enumerate(refs):
+                chunk = self.chunks.get(
+                    digest, context=f"{path}: chunk {i}/{len(refs)}"
+                )
+                if len(chunk) != ulen:
+                    raise IntegrityError(
+                        f"{path}: chunk {i}/{len(refs)} {digest[:12]}… "
+                        f"length {len(chunk)} != recorded {ulen}"
+                    )
+                parts += chunk
+            if len(parts) != header["payload_bytes"]:
+                raise IntegrityError(
+                    f"{path}: reassembled payload is {len(parts)} bytes, "
+                    f"header promises {header['payload_bytes']}"
+                )
+            blob = bytes(parts)
+            stored = len(data) + len(blob)
+        uh = pickle.loads(blob)
+        return CheckpointImage(
+            rank=header["rank"],
+            nranks=header["nranks"],
+            impl=header["impl"],
+            kind=header["kind"],
+            generation=header["generation"],
+            app=uh["app"],
+            loops=uh["loops"],
+            vid_table=uh["vid_table"],
+            drain_buffer=uh["drain_buffer"],
+            clock_state=uh["clock_state"],
+            rng_state=uh["rng_state"],
+            cs_count=uh["cs_count"],
+            epoch=uh["epoch"],
+            stored_bytes=stored,
+        )
+
+    def referenced_chunks(
+            self, generations: Optional[Iterable[int]] = None) -> Set[str]:
+        """Union of chunk digests referenced by the images of
+        ``generations`` (default: every generation present)."""
+        if generations is None:
+            generations = self.generations()
+        refs: Set[str] = set()
+        for g in generations:
+            d = self.generation_dir(g)
+            if not os.path.isdir(d):
+                continue
+            for name in os.listdir(d):
+                if name.startswith("rank_") and name.endswith(".img"):
+                    for digest, _ulen in image_chunk_refs(
+                            os.path.join(d, name)):
+                        refs.add(digest)
+        return refs
+
+    # ------------------------------------------------------------------
+    # restorability
+    # ------------------------------------------------------------------
+    def validate(self, generation: int,
+                 require_cold: bool = True) -> List[str]:
+        """Why ``generation`` cannot be restored (empty = it can).
+
+        Checks manifest presence, cold-restartability, completeness (an
+        image for every rank), and per-image integrity — for format 5
+        that includes every referenced chunk in the store.  Returns
+        human-readable problem strings.  The verdict is memoized against
+        a stat signature of the generation dir and the chunk store, so
+        repeated restorability questions stop re-hashing unchanged
+        images.
+        """
+        sig = _stat_signature(self.generation_dir(generation),
+                              self.chunks.dir)
+        key = (generation, require_cold)
+        with self._lock:
+            cached = self._verdicts.get(key)
+        if cached is not None and cached[0] == sig:
+            return list(cached[1])
+        problems = self._problems(generation, require_cold)
+        with self._lock:
+            self._verdicts[key] = (sig, list(problems))
+        return problems
+
+    def _problems(self, generation: int, require_cold: bool) -> List[str]:
+        problems: List[str] = []
+        try:
+            manifest = self.read_manifest(generation)
+        except RestartError as exc:
+            return [str(exc)]
+        if require_cold and not manifest.get("cold_restartable"):
+            problems.append(
+                f"generation {generation} is not cold-restartable "
+                f"(kind={manifest.get('kind')!r})"
+            )
+        for rank in range(manifest.get("nranks", 0)):
+            path = self.image_path(generation, rank)
+            if not os.path.exists(path):
+                problems.append(f"no checkpoint image for rank {rank}")
+                continue
+            try:
+                header = self.verify_image(path)
+            except (IntegrityError, RestartError) as exc:
+                problems.append(f"rank {rank}: {exc}")
+                continue
+            if header["generation"] != generation or header["rank"] != rank:
+                problems.append(
+                    f"rank {rank}: image identity mismatch "
+                    f"(header says rank {header['rank']} "
+                    f"generation {header['generation']})"
+                )
+        return problems
+
+    def restorable(self) -> List[int]:
+        """Generations that pass :meth:`validate`, ascending."""
+        return [g for g in self.generations() if not self.validate(g)]
+
+    def latest_restorable(self) -> Optional[int]:
+        """Newest complete, integrity-verified, cold-restartable
+        generation (None when no generation qualifies)."""
+        gens = self.restorable()
+        return gens[-1] if gens else None
+
+    # ------------------------------------------------------------------
+    # pruning + chunk garbage collection
+    # ------------------------------------------------------------------
+    def gc(self) -> Tuple[int, int]:
+        """Delete chunks referenced by no remaining generation; returns
+        (chunks removed, compressed bytes reclaimed).
+
+        GC is journaled but idempotent: a crash mid-sweep leaves a
+        pending ``gc`` record and some unreferenced chunks undeleted;
+        fsck simply redoes the reference scan and finishes the sweep.
+        """
+        with storeio.op_context("gc"):
+            token = self.journal.begin("gc")
+            removed, reclaimed = self.chunks.gc(self.referenced_chunks())
+            self.journal.retire(token)
+        return removed, reclaimed
+
+    def remove_generation(self, generation: int) -> None:
+        """Delete one generation directory, manifest **first**.
+
+        Ordering is the crash-safety argument: the manifest is the
+        commit marker, so unlinking it first makes the generation
+        invisible before any image disappears — a crash mid-removal
+        leaves a manifest-less directory that fsck (or a re-run prune)
+        finishes deleting, never a manifest pointing at missing images.
+        """
+        d = self.generation_dir(generation)
+        storeio.unlink(self.manifest_path(generation), site="manifest")
+        try:
+            names = sorted(os.listdir(d))
+        except FileNotFoundError:
+            return
+        for name in names:
+            if name == MANIFEST_NAME:
+                continue
+            storeio.unlink(os.path.join(d, name), site="image")
+        storeio.rmdir(d, site="generation")
+
+    def prune(self, keep: int) -> Dict:
+        """Remove all but the newest ``keep`` generations, then collect
+        unreferenced chunks.  Returns a summary dict.
+
+        Pinned generations are never doomed and do not count toward
+        ``keep`` — a half-materialized newest generation must not cause
+        the last complete one to be pruned out from under a restart.
+
+        The journaled ``prune`` record names the doomed generations up
+        front; deletion (manifest-first, see :meth:`remove_generation`)
+        is re-runnable, so fsck finishes an interrupted prune instead of
+        rolling it back.
+        """
+        if keep < 1:
+            raise ValueError(f"keep must be >= 1, got {keep}")
+        gens = self.generations()
+        pinned = self.pinned_generations()
+        prunable = [g for g in gens if g not in pinned]
+        doomed = prunable[:-keep] if len(prunable) > keep else []
+        with storeio.op_context("prune"):
+            token = None
+            if doomed:
+                token = self.journal.begin("prune", generations=doomed)
+            for g in doomed:
+                self.remove_generation(g)
+            removed, reclaimed = self.gc()
+            self.journal.retire(token)
+        return {
+            "pruned_generations": doomed,
+            "kept_generations": [g for g in gens if g not in doomed],
+            "chunks_removed": removed,
+            "bytes_reclaimed": reclaimed,
+        }
 
 
 # ----------------------------------------------------------------------
-# manifests
+# one store per directory
 # ----------------------------------------------------------------------
-def write_manifest(
-    base_dir: str,
-    generation: int,
-    *,
-    nranks: int,
-    impl: str,
-    kind: str,
-    cold_restartable: bool,
-    loop_target: Optional[int],
-    extra: Optional[Dict] = None,
-    dedup: Optional[Dict] = None,
-) -> str:
-    """Job-level manifest, written once (by rank 0) per generation.
+_STORES: Dict[str, CheckpointStore] = {}
+_STORES_LOCK = threading.Lock()
 
-    Atomic like the images: a generation with a manifest at its final
-    path is by construction complete (the manifest is written last,
-    after every rank's image passed the saved barrier).
 
-    ``dedup`` records the generation's incremental-save effectiveness
-    (``chunks_written`` / ``chunks_reused`` / ``bytes_written`` summed
-    over ranks, :func:`dedup_summary`); surfaced by ``python -m repro
-    faults``.
+def store_for(base_dir) -> CheckpointStore:
+    """The process-wide :class:`CheckpointStore` of a checkpoint
+    directory (a store passes through unchanged).
+
+    The registry is strong on purpose: two jobs sharing a directory must
+    see each other's generation pins, and a restart that follows an
+    fsck reuses the chunk verification memo the fsck built.
     """
-    d = generation_dir(base_dir, generation)
-    os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, MANIFEST_NAME)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "generation": generation,
-        "nranks": nranks,
-        "impl": impl,
-        "kind": kind,
-        "cold_restartable": cold_restartable,
-        "loop_target": loop_target,
-        "extra": extra or {},
-    }
-    if dedup is not None:
-        doc["dedup"] = dedup
-    # The manifest is the generation's commit marker: journal the commit
-    # intent, publish atomically, retire.  A crash in between leaves a
-    # pending record for fsck, which rolls forward (manifest landed) or
-    # back (it did not — the generation is invisible either way).
-    token = Journal(base_dir).begin("manifest-commit", generation=generation)
-    tmp = storeio.tmp_name(path)
-    storeio.write_file(
-        tmp, json.dumps(doc, indent=2).encode("utf-8"), site="manifest.tmp"
-    )
-    storeio.rename(tmp, path, site="manifest")
-    Journal(base_dir).retire(token)
-    # A new generation just completed: cached listings/verdicts for this
-    # base dir are stale.
-    invalidate_checkpoint_caches(base_dir)
-    return path
+    if isinstance(base_dir, CheckpointStore):
+        return base_dir
+    key = os.path.abspath(base_dir)
+    with _STORES_LOCK:
+        store = _STORES.get(key)
+        if store is None:
+            store = _STORES[key] = CheckpointStore(base_dir)
+        return store
+
+
+# ----------------------------------------------------------------------
+# module-level names benchmarks/perf calls: delegations to the store.
+# A save's ``path`` must be the image's own layout path
+# (``rank_image_path(base, image.generation, image.rank)``): the store
+# derives where to write from the image.
+# ----------------------------------------------------------------------
+def _owner(path: str) -> CheckpointStore:
+    """The store an image path ``<base>/ckpt_NNNN/rank_NNNNN.img`` is in."""
+    return store_for(os.path.dirname(os.path.dirname(path)))
+
+
+def rank_image_path(base_dir: str, generation: int, rank: int) -> str:
+    return store_for(base_dir).image_path(generation, rank)
+
+
+def save_image(path: str, image: CheckpointImage, injector=None,
+               vtime: float = 0.0) -> int:
+    return _owner(path).save_v4(image, injector=injector, vtime=vtime)
+
+
+def save_chunked_image(path: str, image: CheckpointImage, store=None,
+                       injector=None, vtime: float = 0.0,
+                       pool=None) -> Dict:
+    """``store`` (a :class:`ChunkStore` of the same directory) is kept
+    for the caller's argument list; the directory's own chunk store
+    writes."""
+    return _owner(path).save(image, injector=injector, vtime=vtime,
+                             pool=pool)
+
+
+def write_manifest(base_dir: str, generation: int, **fields) -> str:
+    return store_for(base_dir).write_manifest(generation, **fields)
 
 
 def read_manifest(base_dir: str, generation: Optional[int] = None) -> Dict:
-    """Read a generation's manifest; latest generation when unspecified."""
-    if generation is None:
-        gens = latest_generations(base_dir)
-        if not gens:
-            raise RestartError(f"no checkpoints under {base_dir}")
-        generation = gens[-1]
-    path = os.path.join(generation_dir(base_dir, generation), MANIFEST_NAME)
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except FileNotFoundError:
-        raise RestartError(f"no manifest at {path}") from None
+    return store_for(base_dir).read_manifest(generation)
 
 
-def latest_generations(base_dir: str) -> List[int]:
-    """Sorted generation numbers present under ``base_dir``.
-
-    The scan+sort runs once per directory state: the result is cached
-    against the base dir's mtime_ns, which changes whenever an entry is
-    added or removed.  Unrecognized entries (anything that is not a
-    ``ckpt_<int>`` generation dir or the chunk store) are warned about
-    once instead of being skipped silently.
-    """
-    if not os.path.isdir(base_dir):
-        return []
-    key = os.path.abspath(base_dir)
-    mtime = os.stat(base_dir).st_mtime_ns
-    with _CACHE_LOCK:
-        cached = _LIST_CACHE.get(key)
-        if cached is not None and cached[0] == mtime:
-            return list(cached[1])
-    gens = []
-    for name in os.listdir(base_dir):
-        if name.startswith("ckpt_"):
-            try:
-                gens.append(int(name[len("ckpt_"):]))
-                continue
-            except ValueError:
-                pass
-        if name in RESERVED_DIRNAMES or name.endswith(storeio.TMP_SUFFIX):
-            continue
-        with _CACHE_LOCK:
-            if (key, name) in _WARNED_ENTRIES:
-                continue
-            _WARNED_ENTRIES.add((key, name))
-        warnings.warn(
-            f"unrecognized entry {name!r} in checkpoint dir {base_dir} "
-            f"(expected ckpt_<generation> dirs or one of "
-            f"{RESERVED_DIRNAMES})",
-            stacklevel=2,
-        )
-    gens.sort()
-    with _CACHE_LOCK:
-        _LIST_CACHE[key] = (mtime, list(gens))
-    return gens
+def load_image(path: str,
+               expect_nranks: Optional[int] = None) -> CheckpointImage:
+    return _owner(path).load_image(path, expect_nranks)
 
 
-def _validate_generation_uncached(base_dir: str, generation: int,
-                                  require_cold: bool) -> List[str]:
-    problems: List[str] = []
-    try:
-        manifest = read_manifest(base_dir, generation)
-    except RestartError as exc:
-        return [str(exc)]
-    if require_cold and not manifest.get("cold_restartable"):
-        problems.append(
-            f"generation {generation} is not cold-restartable "
-            f"(kind={manifest.get('kind')!r})"
-        )
-    for rank in range(manifest.get("nranks", 0)):
-        path = rank_image_path(base_dir, generation, rank)
-        if not os.path.exists(path):
-            problems.append(f"no checkpoint image for rank {rank}")
-            continue
-        try:
-            header = verify_image(path)
-        except (IntegrityError, RestartError) as exc:
-            problems.append(f"rank {rank}: {exc}")
-            continue
-        if header["generation"] != generation or header["rank"] != rank:
-            problems.append(
-                f"rank {rank}: image identity mismatch "
-                f"(header says rank {header['rank']} "
-                f"generation {header['generation']})"
-            )
-    return problems
+def verify_image(path: str, deep: bool = True) -> Dict:
+    return _owner(path).verify_image(path, deep)
 
 
 def validate_generation(base_dir: str, generation: int,
                         require_cold: bool = True) -> List[str]:
-    """Why generation ``generation`` cannot be restored (empty = it can).
-
-    Checks manifest presence, cold-restartability, completeness (an
-    image for every rank), and per-image integrity — for format 5 that
-    includes every referenced chunk in the store.  Returns
-    human-readable problem strings.
-
-    Verdicts are cached per (base dir, generation) against a stat
-    signature of the generation dir and the chunk store, so repeated
-    ``restorable_generations`` calls stop re-hashing unchanged images;
-    any on-disk change (new write, corruption, pruning, GC) changes the
-    signature and forces re-validation.
-    """
-    key = os.path.abspath(base_dir)
-    sig = _stat_signature(
-        generation_dir(base_dir, generation),
-        os.path.join(base_dir, STORE_DIRNAME),
-    )
-    ckey = (generation, require_cold)
-    with _CACHE_LOCK:
-        cached = _VALIDATION_CACHE.get(key, {}).get(ckey)
-        if cached is not None and cached[0] == sig:
-            return list(cached[1])
-    problems = _validate_generation_uncached(base_dir, generation,
-                                             require_cold)
-    with _CACHE_LOCK:
-        _VALIDATION_CACHE.setdefault(key, {})[ckey] = (sig, list(problems))
-    return problems
-
-
-def restorable_generations(base_dir: str) -> List[int]:
-    """Generations that pass :func:`validate_generation`, ascending."""
-    return [
-        g for g in latest_generations(base_dir)
-        if not validate_generation(base_dir, g)
-    ]
+    return store_for(base_dir).validate(generation, require_cold)
 
 
 def latest_restorable_generation(base_dir: str) -> Optional[int]:
-    """Newest complete, integrity-verified, cold-restartable generation
-    (None when no generation qualifies)."""
-    gens = restorable_generations(base_dir)
-    return gens[-1] if gens else None
-
-
-# ----------------------------------------------------------------------
-# pruning + chunk garbage collection
-# ----------------------------------------------------------------------
-# base_dir -> {generation: pin refcount}.  A pinned generation is one an
-# async drainer is still materializing: some of its rank images (and the
-# chunks only they reference) may not be on disk yet, so pruning and
-# reference scans must treat it as live instead of racing the drainer.
-_PIN_LOCK = threading.Lock()
-_PINNED_GENS: Dict[str, Dict[int, int]] = {}
-
-
-def pin_generation(base_dir: str, generation: int) -> None:
-    """Mark ``generation`` as in-flight: :func:`prune_generations` will
-    not doom it (nor treat it as satisfying ``keep``) until unpinned."""
-    key = os.path.abspath(base_dir)
-    with _PIN_LOCK:
-        gens = _PINNED_GENS.setdefault(key, {})
-        gens[generation] = gens.get(generation, 0) + 1
-
-
-def unpin_generation(base_dir: str, generation: int) -> None:
-    key = os.path.abspath(base_dir)
-    with _PIN_LOCK:
-        gens = _PINNED_GENS.get(key)
-        if not gens:
-            return
-        c = gens.get(generation, 0) - 1
-        if c <= 0:
-            gens.pop(generation, None)
-            if not gens:
-                _PINNED_GENS.pop(key, None)
-        else:
-            gens[generation] = c
-
-
-def pinned_generations(base_dir: str) -> Set[int]:
-    with _PIN_LOCK:
-        return set(_PINNED_GENS.get(os.path.abspath(base_dir), ()))
+    return store_for(base_dir).latest_restorable()
 
 
 def referenced_chunks(base_dir: str,
-                      generations: Optional[Iterable[int]] = None) -> Set[str]:
-    """Union of chunk digests referenced by the images of
-    ``generations`` (default: every generation present)."""
-    if generations is None:
-        generations = latest_generations(base_dir)
-    refs: Set[str] = set()
-    for g in generations:
-        d = generation_dir(base_dir, g)
-        if not os.path.isdir(d):
-            continue
-        for name in os.listdir(d):
-            if name.startswith("rank_") and name.endswith(".img"):
-                for digest, _ulen in image_chunk_refs(os.path.join(d, name)):
-                    refs.add(digest)
-    return refs
-
-
-def gc_chunks(base_dir: str) -> Tuple[int, int]:
-    """Delete store chunks referenced by no remaining generation;
-    returns (chunks removed, compressed bytes reclaimed).
-
-    GC is journaled but idempotent: a crash mid-sweep leaves a pending
-    ``gc`` record and some unreferenced chunks undeleted; fsck simply
-    redoes the reference scan and finishes the sweep.
-    """
-    store = store_for(base_dir)
-    with storeio.op_context("gc"):
-        token = Journal(base_dir).begin("gc")
-        removed, reclaimed = store.gc(referenced_chunks(base_dir))
-        Journal(base_dir).retire(token)
-    if removed:
-        invalidate_checkpoint_caches(base_dir)
-    return removed, reclaimed
-
-
-def remove_generation_dir(base_dir: str, generation: int) -> None:
-    """Delete one generation directory, manifest **first**.
-
-    Ordering is the crash-safety argument: the manifest is the commit
-    marker, so unlinking it first makes the generation invisible before
-    any image disappears — a crash mid-removal leaves a manifest-less
-    directory that fsck (or a re-run prune) finishes deleting, never a
-    manifest pointing at missing images.
-    """
-    d = generation_dir(base_dir, generation)
-    storeio.unlink(os.path.join(d, MANIFEST_NAME), site="manifest")
-    try:
-        names = sorted(os.listdir(d))
-    except FileNotFoundError:
-        return
-    for name in names:
-        if name == MANIFEST_NAME:
-            continue
-        storeio.unlink(os.path.join(d, name), site="image")
-    storeio.rmdir(d, site="generation")
+                      generations: Optional[Iterable[int]] = None
+                      ) -> Set[str]:
+    return store_for(base_dir).referenced_chunks(generations)
 
 
 def prune_generations(base_dir: str, keep: int) -> Dict:
-    """Remove all but the newest ``keep`` generations, then collect
-    unreferenced chunks.  Returns a summary dict.
-
-    Generations pinned by an in-flight async drain are never doomed and
-    do not count toward ``keep`` — a half-materialized newest generation
-    must not cause the last complete one to be pruned out from under a
-    restart.
-
-    The journaled ``prune`` record names the doomed generations up
-    front; deletion (manifest-first, see :func:`remove_generation_dir`)
-    is re-runnable, so fsck finishes an interrupted prune instead of
-    rolling it back.
-    """
-    if keep < 1:
-        raise ValueError(f"keep must be >= 1, got {keep}")
-    gens = latest_generations(base_dir)
-    pinned = pinned_generations(base_dir)
-    prunable = [g for g in gens if g not in pinned]
-    doomed = prunable[:-keep] if len(prunable) > keep else []
-    with storeio.op_context("prune"):
-        token = None
-        if doomed:
-            token = Journal(base_dir).begin("prune", generations=doomed)
-        for g in doomed:
-            remove_generation_dir(base_dir, g)
-        if doomed:
-            invalidate_checkpoint_caches(base_dir)
-        removed, reclaimed = gc_chunks(base_dir)
-        Journal(base_dir).retire(token)
-    return {
-        "pruned_generations": doomed,
-        "kept_generations": [g for g in gens if g not in doomed],
-        "chunks_removed": removed,
-        "bytes_reclaimed": reclaimed,
-    }
+    return store_for(base_dir).prune(keep)

@@ -9,9 +9,9 @@ keeps its bytes and hence its sha256.  That is what makes generation
 N+1 cheap: unchanged application state re-produces the same chunk
 digests, and the store already has them.
 
-Each chunk is stored once per job under ``<ckpt_base>/chunks/`` in a
-file named by the sha256 of its *uncompressed* bytes, compressed with
-zlib at :data:`COMPRESS_LEVEL`.  Writes are atomic (unique temp name +
+Each chunk is stored once per checkpoint directory under
+``<ckpt_base>/chunks/`` in a file named by the sha256 of its
+*uncompressed* bytes, compressed with zlib at :data:`COMPRESS_LEVEL`.  Writes are atomic (unique temp name +
 ``os.replace``), so two ranks racing to store the same chunk both win:
 the content under a digest is immutable by construction.
 
@@ -21,9 +21,10 @@ forcing a full-payload re-hash at restart.  :meth:`ChunkStore.verify`
 memoizes successful checks against the chunk file's (size, mtime), so
 repeated generation validation does not re-read healthy chunks.
 
-Garbage collection is reference-based: :func:`repro.mana.checkpoint.
-gc_chunks` scans the refs of every remaining image header and calls
-:meth:`ChunkStore.gc` with the union.
+Garbage collection is reference-based: :meth:`repro.mana.checkpoint.
+CheckpointStore.gc` scans the refs of every remaining image header and
+calls :meth:`ChunkStore.gc` with the union.  A chunk store belongs to
+its directory's :class:`~repro.mana.checkpoint.CheckpointStore`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import hashlib
 import os
 import sys
 import threading
-import warnings
 import zlib
 from typing import Dict, Iterable, List, Set, Tuple
 
@@ -264,7 +264,8 @@ def digest_spans(view, spans: List[Tuple[int, int]]) -> List[str]:
 
 
 class ChunkStore:
-    """Per-job content-addressed store of compressed checkpoint chunks."""
+    """Per-directory content-addressed store of compressed checkpoint
+    chunks."""
 
     def __init__(self, base_dir: str):
         self.base_dir = base_dir
@@ -444,66 +445,3 @@ class ChunkStore:
             with self._lock:
                 self._verified.pop(digest, None)
         return removed, reclaimed
-
-    # ------------------------------------------------------------------
-    # crash-recovery hygiene
-    # ------------------------------------------------------------------
-    def sweep_stray_tmp(self, warn: bool = True) -> int:
-        """Remove leftover ``*.tmp`` files under the store dir.
-
-        A crash between writing a chunk's temp file and publishing (or
-        unlinking) it strands the temp file forever — its unique name
-        means no later writer ever reuses it.  Swept at store open
-        (:func:`store_for`) and by fsck.  Temp files whose embedded
-        writer pid is still alive are left alone (a concurrent job may
-        be mid-publish); legacy names with no parseable owner are
-        treated as dead.  Returns the number removed."""
-        if not os.path.isdir(self.dir):
-            return 0
-        removed = 0
-        for name in sorted(os.listdir(self.dir)):
-            if not name.endswith(".tmp"):
-                continue
-            if storeio.tmp_owner_alive(name):
-                continue
-            try:
-                os.remove(os.path.join(self.dir, name))
-                removed += 1
-            except OSError:
-                continue
-        if removed and warn:
-            warnings.warn(
-                f"chunk store {self.dir}: removed {removed} stray .tmp "
-                f"file(s) left by a dead writer (dirty shutdown); run "
-                f"`python -m repro fsck` for a full repair",
-                stacklevel=2,
-            )
-        return removed
-
-
-# ----------------------------------------------------------------------
-# shared per-directory instances
-# ----------------------------------------------------------------------
-_STORES: Dict[str, ChunkStore] = {}
-_STORES_LOCK = threading.Lock()
-
-
-def store_for(base_dir: str) -> ChunkStore:
-    """The (process-wide) store for a checkpoint base directory.
-
-    Sharing one instance per directory lets the verification memo span
-    the coordinator, the restart path, and generation validation.
-    """
-    key = os.path.abspath(base_dir)
-    with _STORES_LOCK:
-        store = _STORES.get(key)
-        created = store is None
-        if created:
-            store = ChunkStore(base_dir)
-            _STORES[key] = store
-    if created:
-        # Store open: clear temp files stranded by a dead writer (a
-        # crash between write-tmp and publish); live writers' temps are
-        # left untouched.
-        store.sweep_stray_tmp()
-    return store

@@ -192,12 +192,12 @@ class CheckpointCoordinator:
     def __init__(
         self,
         nranks: int,
-        ckpt_dir: str,
+        store,
         fs_profile: FilesystemProfile,
         loop_lag_window: int = 4,
         phase_timeout: float = 300.0,
         round_retries: int = 2,
-        chunk_store=None,
+        ckpt_format: int = 5,
         ckpt_cost: Optional[CheckpointCostModel] = None,
         save_workers: int = 0,
         keep_generations: Optional[int] = None,
@@ -212,19 +212,22 @@ class CheckpointCoordinator:
 
             scheduler = Scheduler(nranks)
         self.scheduler = scheduler
-        self.ckpt_dir = ckpt_dir
+        # The job's repro.mana.checkpoint.CheckpointStore: every image,
+        # manifest and prune of this coordinator's rounds goes through it
+        # (None only for a coordinator that never saves).
+        self.store = store
         self.fs_profile = fs_profile
         self.loop_lag_window = loop_lag_window
         self.phase_timeout = phase_timeout
         self.round_retries = round_retries
         self.generation = 0
 
-        # Format-5 incremental pipeline (all None/0 -> pure format 4).
-        # chunk_store: repro.mana.chunkstore.ChunkStore for this job's
-        # ckpt_dir; ckpt_cost charges virtual time from byte counts;
-        # save_workers > 1 fans per-rank encodes out to a TaskPool;
-        # keep_generations prunes + GCs after each completed round.
-        self.chunk_store = chunk_store
+        # ckpt_format: 5 = the incremental chunked pipeline, 4 = one
+        # monolithic pickle per image; ckpt_cost charges virtual time
+        # from byte counts; save_workers > 1 fans per-rank encodes out
+        # to a TaskPool; keep_generations prunes + GCs after each
+        # completed round.
+        self.ckpt_format = ckpt_format
         self.ckpt_cost = ckpt_cost or CheckpointCostModel()
         self.save_workers = save_workers
         self.keep_generations = keep_generations
@@ -240,7 +243,7 @@ class CheckpointCoordinator:
         self.async_save = async_save
         self._drainer = None
         self._drainer_lock = threading.Lock()
-        # rank -> {"path", "image", "blob"} staged this round.
+        # rank -> {"image", "blob"} staged this round.
         self._async_blobs: Dict[int, Dict] = {}
         # Rank 0's manifest fields, staged alongside its blob (the
         # drainer writes the manifest — rank 0 must not, or restarts
@@ -718,21 +721,18 @@ class CheckpointCoordinator:
     # ------------------------------------------------------------------
     def async_round(self) -> bool:
         """True when the current round snapshots + drains instead of
-        writing synchronously (needs a chunk store: the drainer writes
-        format 5 only)."""
-        return self.async_save and self.chunk_store is not None
+        writing synchronously (the drainer writes format 5 only)."""
+        return self.async_save and self.ckpt_format == 5
 
     def stage_async_blob(
-        self, rank: int, path: str, image, blob: bytes,
+        self, rank: int, image, blob: bytes,
         manifest: Optional[Dict] = None,
     ) -> None:
         """Stage one rank's pickled snapshot for the background drain.
         Rank 0 passes the ``manifest`` fields the drainer will write
         once every image of the generation is durable."""
         with self._lock:
-            self._async_blobs[rank] = {
-                "path": path, "image": image, "blob": blob,
-            }
+            self._async_blobs[rank] = {"image": image, "blob": blob}
             if manifest is not None:
                 self._async_manifest = manifest
 
@@ -744,7 +744,7 @@ class CheckpointCoordinator:
                 if d is None:
                     from repro.mana.asyncsave import AsyncSaveDrainer
 
-                    d = AsyncSaveDrainer(self)
+                    d = AsyncSaveDrainer(self, self.store)
                     self._drainer = d
         return d
 

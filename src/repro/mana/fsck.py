@@ -29,10 +29,9 @@ exactly enumerable:
    and is redone by the orphan sweep below.  Torn records (``op="?"``)
    are simply retired.
 2. *Sweep temp files* under the base, store, and generation
-   directories.  Unlike the conservative store-open sweep
-   (:meth:`repro.mana.chunkstore.ChunkStore.sweep_stray_tmp`, which
-   leaves live writers' temps alone), fsck removes **all** of them —
-   it must only run while no writer is active.
+   directories — **all** of them: fsck must only run while no writer
+   is active.  It is the only code that removes temp files; opening a
+   store (or a check-only fsck) never does.
 3. *Deep-verify referenced chunks* (decompress + sha256).  A
    hash-mismatched chunk is moved to ``<base>/quarantine/`` — kept for
    forensics, out of the store so the generations referencing it report
@@ -43,7 +42,8 @@ exactly enumerable:
 fsck is idempotent: running it twice returns a second report with
 nothing to do.  :func:`auto_repair` is the supervised-restart hook —
 it answers "was the shutdown dirty?" cheaply and runs the full repair
-only if so.
+only if so.  Both take a directory's
+:class:`~repro.mana.checkpoint.CheckpointStore` (or the directory).
 """
 
 from __future__ import annotations
@@ -52,10 +52,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.mana import checkpoint as ckpt
 from repro.mana import storeio
-from repro.mana.chunkstore import CHUNK_SUFFIX, store_for
-from repro.mana.journal import Journal
+from repro.mana.checkpoint import (
+    QUARANTINE_DIRNAME,
+    CheckpointStore,
+    store_for,
+)
+from repro.mana.chunkstore import CHUNK_SUFFIX
 from repro.util.errors import IntegrityError
 
 #: Journal ops whose pending record names a possibly-uncommitted
@@ -131,63 +134,41 @@ class FsckReport:
         )
 
 
-def _sweep_all_tmp(base_dir: str) -> int:
-    """Remove every ``*.tmp`` under the base, store, journal, and
-    generation directories — unconditional, unlike the store-open
-    sweep, because fsck runs with no writer active (a simulated
-    in-process crash leaves temps owned by *our* pid, which the
-    liveness-checking sweep would conservatively keep)."""
-    removed = 0
-    dirs = [base_dir, os.path.join(base_dir, ckpt.STORE_DIRNAME)]
-    for g in ckpt.latest_generations(base_dir):
-        dirs.append(ckpt.generation_dir(base_dir, g))
+def _stray_tmp(store: CheckpointStore) -> List[str]:
+    """Every ``*.tmp`` under the base, store, and generation
+    directories: what a writer that died between write-tmp and publish
+    left behind."""
+    dirs = [store.base_dir, store.chunks.dir]
+    dirs += [store.generation_dir(g) for g in store.generations()]
+    out = []
     for d in dirs:
         try:
             names = sorted(os.listdir(d))
         except (FileNotFoundError, NotADirectoryError):
             continue
-        for name in names:
-            if not name.endswith(storeio.TMP_SUFFIX):
-                continue
-            try:
-                os.remove(os.path.join(d, name))
-                removed += 1
-            except OSError:
-                continue
-    return removed
+        out += [os.path.join(d, n) for n in names
+                if n.endswith(storeio.TMP_SUFFIX)]
+    return out
 
 
-def _has_stray_tmp(base_dir: str) -> bool:
-    dirs = [base_dir, os.path.join(base_dir, ckpt.STORE_DIRNAME)]
-    for g in ckpt.latest_generations(base_dir):
-        dirs.append(ckpt.generation_dir(base_dir, g))
-    for d in dirs:
-        try:
-            names = os.listdir(d)
-        except (FileNotFoundError, NotADirectoryError):
-            continue
-        if any(n.endswith(storeio.TMP_SUFFIX) for n in names):
-            return True
-    return False
-
-
-def _quarantine_chunk(base_dir: str, digest: str) -> None:
+def _quarantine_chunk(store: CheckpointStore, digest: str) -> None:
     """Move a corrupt chunk out of the store, keeping its bytes for
     forensics.  After the move the referencing generations report a
     clean 'chunk missing' instead of a checksum error."""
-    qdir = os.path.join(base_dir, ckpt.QUARANTINE_DIRNAME)
+    qdir = os.path.join(store.base_dir, QUARANTINE_DIRNAME)
     os.makedirs(qdir, exist_ok=True)
-    store = store_for(base_dir)
     try:
         os.replace(
-            store.chunk_path(digest), os.path.join(qdir, digest + CHUNK_SUFFIX)
+            store.chunks.chunk_path(digest),
+            os.path.join(qdir, digest + CHUNK_SUFFIX),
         )
     except OSError:
         pass
 
 
-def fsck(base_dir: str, repair: bool = True) -> FsckReport:
-    """Check (and with ``repair``, fix) one checkpoint base directory.
+def fsck(store, repair: bool = True) -> FsckReport:
+    """Check (and with ``repair``, fix) one checkpoint directory, given
+    as its :class:`CheckpointStore` or its path.
 
     With ``repair=False`` nothing is mutated: the report describes what
     a repair pass *would* do (journal records stay pending, temps stay,
@@ -196,11 +177,12 @@ def fsck(base_dir: str, repair: bool = True) -> FsckReport:
     Must not run concurrently with an active writer on the same
     directory — it sweeps temp files unconditionally.
     """
-    report = FsckReport(base_dir=base_dir, repaired=repair)
-    if not os.path.isdir(base_dir):
+    store = store_for(store)
+    report = FsckReport(base_dir=store.base_dir, repaired=repair)
+    if not os.path.isdir(store.base_dir):
         return report
-    journal = Journal(base_dir)
-    pinned = ckpt.pinned_generations(base_dir)
+    journal = store.journal
+    pinned = store.pinned_generations()
 
     # 1. Replay the journal --------------------------------------------
     pending = journal.pending()
@@ -216,82 +198,77 @@ def fsck(base_dir: str, repair: bool = True) -> FsckReport:
             if op in _GENERATION_OPS:
                 gen = rec.get("generation")
                 if isinstance(gen, int) and gen not in pinned:
-                    manifest = os.path.join(
-                        ckpt.generation_dir(base_dir, gen), ckpt.MANIFEST_NAME
-                    )
-                    if os.path.exists(manifest):
+                    if os.path.exists(store.manifest_path(gen)):
                         if gen not in rolled_forward:
                             rolled_forward.append(gen)
                     else:
                         if gen not in rolled_back:
                             rolled_back.append(gen)
-                        ckpt.remove_generation_dir(base_dir, gen)
+                        store.remove_generation(gen)
             elif op == "prune":
                 for gen in rec.get("generations", []) or []:
                     if isinstance(gen, int) and gen not in pinned:
-                        ckpt.remove_generation_dir(base_dir, gen)
+                        store.remove_generation(gen)
                         if gen not in finished:
                             finished.append(gen)
             # "gc", torn ("?"), and unknown ops: idempotent or
             # meaningless — the orphan sweep below redoes any GC.
             journal.retire(rec["_token"])
-        ckpt.invalidate_checkpoint_caches(base_dir)
         # Manifest-less generation directories with no pending record
         # are also rollback targets: a writer can die in the window
         # between retiring its last image-save record and beginning the
         # manifest commit (or before its first journal write reached
         # disk).  With no writer active — fsck's precondition — a
         # generation without its commit marker is garbage by definition.
-        for gen in ckpt.latest_generations(base_dir):
+        for gen in store.generations():
             if gen in pinned or gen in rolled_back:
                 continue
-            manifest = os.path.join(
-                ckpt.generation_dir(base_dir, gen), ckpt.MANIFEST_NAME
-            )
-            if not os.path.exists(manifest):
+            if not os.path.exists(store.manifest_path(gen)):
                 rolled_back.append(gen)
-                ckpt.remove_generation_dir(base_dir, gen)
-        ckpt.invalidate_checkpoint_caches(base_dir)
+                store.remove_generation(gen)
     report.rolled_back_generations = sorted(rolled_back)
     report.rolled_forward_generations = sorted(rolled_forward)
     report.finished_prunes = sorted(finished)
 
     # 2. Temp-file sweep -----------------------------------------------
+    stray = _stray_tmp(store)
     if repair:
-        report.stray_tmp_removed = _sweep_all_tmp(base_dir)
+        for path in stray:
+            try:
+                os.remove(path)
+                report.stray_tmp_removed += 1
+            except OSError:
+                continue
     else:
-        report.stray_tmp_removed = 0
-        report.dirty = report.dirty or _has_stray_tmp(base_dir)
+        report.dirty = bool(stray)
 
     # 3. Deep-verify referenced chunks, quarantine mismatches ----------
-    store = store_for(base_dir)
-    referenced = ckpt.referenced_chunks(base_dir)
+    chunks = store.chunks
+    referenced = store.referenced_chunks()
     for digest in sorted(referenced):
-        if not store.contains(digest):
+        if not chunks.contains(digest):
             report.missing_chunks.append(digest)
             continue
         try:
-            store.get(digest, context="fsck")
+            chunks.get(digest, context="fsck")
         except IntegrityError:
             report.quarantined_chunks.append(digest)
             if repair:
-                _quarantine_chunk(base_dir, digest)
+                _quarantine_chunk(store, digest)
             continue
 
     # 4. Orphan-chunk removal ------------------------------------------
     if repair:
-        removed, reclaimed = store.gc(referenced)
+        removed, reclaimed = chunks.gc(referenced)
         report.orphan_chunks_removed = removed
         report.orphan_bytes_reclaimed = reclaimed
     else:
-        orphans = store.digests() - referenced - store.pinned()
+        orphans = chunks.digests() - referenced - chunks.pinned()
         report.orphan_chunks_removed = len(orphans)
 
     # 5. Restorability verdicts ----------------------------------------
-    if repair:
-        ckpt.invalidate_checkpoint_caches(base_dir)
-    for gen in ckpt.latest_generations(base_dir):
-        problems = ckpt.validate_generation(base_dir, gen)
+    for gen in store.generations():
+        problems = store.validate(gen)
         if problems:
             report.skipped_generations[gen] = problems
         else:
@@ -309,9 +286,9 @@ def fsck(base_dir: str, repair: bool = True) -> FsckReport:
     return report
 
 
-def auto_repair(base_dir: str) -> Optional[FsckReport]:
+def auto_repair(store) -> Optional[FsckReport]:
     """The supervised-restart hook: repair only if the shutdown was
-    dirty.
+    dirty (``store``: a :class:`CheckpointStore` or its path).
 
     Cheap dirtiness probe first — pending journal records, or stray
     temp files anywhere in the layout.  A clean directory returns
@@ -319,8 +296,9 @@ def auto_repair(base_dir: str) -> Optional[FsckReport]:
     chunk verification), so a supervisor restarting after an ordinary
     rank failure sees no fsck event in its trace.
     """
-    if not os.path.isdir(base_dir):
+    store = store_for(store)
+    if not os.path.isdir(store.base_dir):
         return None
-    if not Journal(base_dir).pending() and not _has_stray_tmp(base_dir):
+    if not store.journal.pending() and not _stray_tmp(store):
         return None
-    return fsck(base_dir, repair=True)
+    return fsck(store, repair=True)

@@ -39,7 +39,6 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from typing import Optional
 
 #: Suffix every temporary file ends with (unique writer id in front).
 TMP_SUFFIX = ".tmp"
@@ -114,39 +113,6 @@ def tmp_name(path: str) -> str:
     on the same final path never clobber each other's temp file, and the
     trailing ``.tmp`` keeps every stray-file filter working."""
     return f"{path}.{os.getpid()}.{threading.get_ident()}{TMP_SUFFIX}"
-
-
-def tmp_owner_pid(name: str) -> Optional[int]:
-    """Parse the writer pid out of a unique temp name (None for legacy
-    bare ``foo.tmp`` names with no embedded writer id)."""
-    if not name.endswith(TMP_SUFFIX):
-        return None
-    parts = name[: -len(TMP_SUFFIX)].rsplit(".", 2)
-    if len(parts) != 3:
-        return None
-    try:
-        int(parts[2])  # tid
-        return int(parts[1])
-    except ValueError:
-        return None
-
-
-def tmp_owner_alive(name: str) -> bool:
-    """Best-effort: does the process that owns this temp file still
-    exist?  Unparseable (legacy) names count as dead — safe to sweep."""
-    pid = tmp_owner_pid(name)
-    if pid is None or pid == os.getpid():
-        # Our own pid: the writer thread may be live; don't sweep.
-        return pid == os.getpid()
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (OverflowError, ValueError):
-        return False
-    except PermissionError:
-        return True
-    return True
 
 
 # ----------------------------------------------------------------------

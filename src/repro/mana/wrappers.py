@@ -107,7 +107,6 @@ class ManaRank:
         vid_design: str = "new",
         ggid_policy: str = "eager",
         seed: int = 0,
-        ckpt_dir: str = "/tmp/mana-ckpt",
         epoch: int = 0,
         injector=None,
     ):
@@ -119,7 +118,6 @@ class ManaRank:
         self.coordinator = coordinator
         self.vid_design = vid_design
         self.seed = seed
-        self.ckpt_dir = ckpt_dir
         self.epoch = epoch
         # Optional repro.faults.FaultInjector; None on the hot path.
         self.injector = injector
@@ -1147,15 +1145,14 @@ class ManaRank:
             # once every image is durable (and prunes afterwards) — a
             # manifest written here would mark a generation restorable
             # while its images are still draining.
-            ckpt.write_manifest(
-                self.ckpt_dir,
+            coord.store.write_manifest(
                 ticket.generation,
                 loop_target=coord.loop_target(),
                 dedup=coord.last_dedup,
                 **self._manifest_fields(ticket),
             )
             if coord.keep_generations:
-                ckpt.prune_generations(self.ckpt_dir, coord.keep_generations)
+                coord.store.prune(coord.keep_generations)
 
         if ticket.mode == CheckpointMode.RELAUNCH:
             self._relaunch_lower()
@@ -1175,9 +1172,9 @@ class ManaRank:
             raise JobPreempted(ticket.generation)
 
     def _manifest_fields(self, ticket) -> Dict:
-        """The :func:`ckpt.write_manifest` fields this rank knows; the
-        synchronous path writes them after the save barrier, the
-        asynchronous one stages them for the drainer."""
+        """The :meth:`CheckpointStore.write_manifest` fields this rank
+        knows; the synchronous path writes them after the save barrier,
+        the asynchronous one stages them for the drainer."""
         coord = self.coordinator
         # Key order is part of the manifest's bytes.
         extra = {"vid_design": self.vids.design_name}
@@ -1194,15 +1191,14 @@ class ManaRank:
         }
 
     def _write_image(self, ticket):
-        """Serialize and persist this rank's image; returns
-        ``(logical_bytes, savestats_or_None)``.
+        """Serialize and persist this rank's image into the coordinator's
+        checkpoint store; returns ``(logical_bytes, savestats_or_None)``.
 
-        With a chunk store configured the write goes through the format-5
-        incremental path (chunked, deduped, compressed) on the
-        coordinator's save worker pool; otherwise the monolithic format-4
-        path.  ``logical_bytes`` is always the logical upper-half size —
-        the quantity Table 3's filesystem model is calibrated against —
-        never the post-dedup physical bytes.
+        Format 5 writes through the incremental path (chunked, deduped,
+        compressed) on the coordinator's save worker pool; format 4 is
+        one monolithic pickle.  ``logical_bytes`` is always the logical
+        upper-half size — the quantity Table 3's filesystem model is
+        calibrated against — never the post-dedup physical bytes.
         """
         loops = dict(self._ctx._loops) if self._ctx is not None else {}
         image = ckpt.CheckpointImage(
@@ -1220,7 +1216,6 @@ class ManaRank:
             cs_count=self.cs_count,
             epoch=self.epoch,
         )
-        path = ckpt.rank_image_path(self.ckpt_dir, ticket.generation, self.rank)
         coord = self.coordinator
         savestats = None
         if coord.async_round():
@@ -1228,33 +1223,31 @@ class ManaRank:
             # consistent copy taken while every rank is parked.  The
             # encode+write moves to the coordinator's background
             # drainer; this rank resumes computing after the barrier.
-            blob = ckpt._pickle_upper_half(image)
+            blob = ckpt.pickle_upper_half(image)
             manifest = (
                 self._manifest_fields(ticket) if self.rank == 0 else None
             )
-            coord.stage_async_blob(self.rank, path, image, blob, manifest)
+            coord.stage_async_blob(self.rank, image, blob, manifest)
             nbytes = len(blob)
         else:
             # Synchronous save: compression, hashing and file writes
             # release the interpreter lock, so the rank gives its run
             # slot up while it is in them.
             with self.fabric.scheduler.released(self.rank):
-                if coord.chunk_store is not None:
+                if coord.ckpt_format == 5:
                     # The writer fans ~256 KiB chunk runs into the
                     # shared pool, so chunks of every rank interleave;
                     # faults still surface in this rank's thread.
-                    savestats = ckpt.save_chunked_image(
-                        path, image, coord.chunk_store,
-                        injector=self.injector, vtime=self.clock.now,
+                    savestats = coord.store.save(
+                        image, injector=self.injector, vtime=self.clock.now,
                         pool=coord.save_pool(),
                     )
                     nbytes = (
                         savestats["payload_bytes"] + savestats["file_bytes"]
                     )
                 else:
-                    nbytes = ckpt.save_image(
-                        path, image, injector=self.injector,
-                        vtime=self.clock.now,
+                    nbytes = coord.store.save_v4(
+                        image, injector=self.injector, vtime=self.clock.now,
                     )
         # Proxy applications hold a scaled-down working set; they declare
         # the full-size resident bytes the real application would have

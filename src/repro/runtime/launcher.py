@@ -31,17 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.fabric.network import Fabric
 from repro.impls import make_lib
 from repro.impls.facade import NativeFacade
-from repro.mana.checkpoint import (
-    CheckpointImage,
-    latest_generations,
-    latest_restorable_generation,
-    load_image,
-    pin_generation,
-    read_manifest,
-    rank_image_path,
-    unpin_generation,
-    validate_generation,
-)
+from repro.mana.checkpoint import CheckpointImage, CheckpointStore, store_for
 from repro.mana.coordinator import CheckpointCoordinator, CheckpointTicket
 from repro.mana.fsck import auto_repair
 from repro.mana.drain import redistribute_drain_buffers
@@ -95,6 +85,13 @@ class JobConfig:
     # (PROTOCOLS.md §11).  Virtual time is charged snapshot + any
     # drain-overrun instead of the full save cost.
     ckpt_async: bool = False
+
+    def __post_init__(self) -> None:
+        if self.ckpt_format not in (4, 5):
+            raise ValueError(
+                f"unknown checkpoint format {self.ckpt_format!r}; "
+                "expected 4 or 5"
+            )
 
     def resolved_ckpt_dir(self) -> str:
         if self.ckpt_dir is None:
@@ -205,6 +202,7 @@ class Job:
         app_factory: Optional[Callable[[int], object]] = None,
         images: Optional[List[CheckpointImage]] = None,
         scheduler: Optional[Scheduler] = None,
+        store: Optional[CheckpointStore] = None,
     ):
         if (app_factory is None) == (images is None):
             raise ValueError("provide exactly one of app_factory / images")
@@ -250,15 +248,14 @@ class Job:
         # Given no ckpt_dir, a MANA job makes a temporary one; wait()
         # removes it again unless a checkpoint was written into it.
         self._own_ckpt_dir = config.mana and config.ckpt_dir is None
+        #: The CheckpointStore this MANA job's rounds write into (None
+        #: for a native job).
+        self.store = None
         if config.mana:
-            store = None
-            if config.ckpt_format >= 5:
-                from repro.mana.chunkstore import store_for
-
-                store = store_for(config.resolved_ckpt_dir())
+            self.store = store or store_for(config.resolved_ckpt_dir())
             self.coordinator = CheckpointCoordinator(
                 config.nranks,
-                config.resolved_ckpt_dir(),
+                self.store,
                 cm0.filesystem,
                 loop_lag_window=config.loop_lag_window,
                 phase_timeout=(
@@ -266,7 +263,7 @@ class Job:
                     if config.ckpt_phase_timeout is not None else 300.0
                 ),
                 round_retries=config.ckpt_round_retries,
-                chunk_store=store,
+                ckpt_format=config.ckpt_format,
                 save_workers=config.ckpt_save_workers,
                 keep_generations=config.ckpt_keep_generations,
                 async_save=config.ckpt_async,
@@ -368,7 +365,6 @@ class Job:
                     vid_design=cfg.vid_design,
                     ggid_policy=cfg.ggid_policy,
                     seed=cfg.seed,
-                    ckpt_dir=cfg.resolved_ckpt_dir(),
                     epoch=cfg.epoch,
                     injector=self.injector,
                 )
@@ -491,18 +487,20 @@ class Launcher:
         while res.status == "failed":
             events.append(self._failure_event(res))
             ckpt_dir = self.config.resolved_ckpt_dir()
+            # Every restart below adopts this same store.
+            store = job.store or store_for(ckpt_dir)
             # A failed run may have died mid-mutation (pending journal
             # records, stray temp files).  Repair before choosing a
             # restore point so the fallback never lands on a
             # half-written generation; a clean directory adds no event.
-            report = auto_repair(ckpt_dir)
+            report = auto_repair(store)
             if report is not None:
                 events.append({
                     "event": "fsck",
                     "rolled_back_generations":
                         report.rolled_back_generations,
                 })
-            gen = latest_restorable_generation(ckpt_dir)
+            gen = store.latest_restorable()
             if gen is None:
                 events.append({
                     "event": "no-restorable-generation",
@@ -516,7 +514,7 @@ class Launcher:
                 })
                 break
             restarts += 1
-            skipped = [g for g in latest_generations(ckpt_dir) if g > gen]
+            skipped = [g for g in store.generations() if g > gen]
             event = {
                 "event": "restart",
                 "attempt": restarts,
@@ -531,21 +529,21 @@ class Launcher:
                 # across runs in different temp directories.
                 event["skip_reasons"] = {
                     g: [
-                        p.replace(ckpt_dir, "<ckpt>")
-                        for p in validate_generation(ckpt_dir, g)
+                        p.replace(store.base_dir, "<ckpt>")
+                        for p in store.validate(g)
                     ]
                     for g in skipped
                 }
             if policy.elastic is None:
                 events.append(event)
                 res = self.restart(
-                    ckpt_dir, gen, impl_override=policy.target_impl
+                    store, gen, impl_override=policy.target_impl
                 ).run(timeout)
             else:
                 cap = policy.capacity[
                     min(restarts - 1, len(policy.capacity) - 1)
                 ]
-                old_nranks = read_manifest(ckpt_dir, gen)["nranks"]
+                old_nranks = store.read_manifest(gen)["nranks"]
                 if policy.elastic == "shrink_on_node_loss":
                     target = min(cap, old_nranks)
                 else:  # grow_to_capacity
@@ -555,7 +553,7 @@ class Launcher:
                 event["to_nranks"] = target
                 events.append(event)
                 res = self.elastic_restart(
-                    ckpt_dir, new_nranks=target, generation=gen,
+                    store, new_nranks=target, generation=gen,
                     impl_override=policy.target_impl,
                 ).run(timeout)
             if res.status in ("completed", "preempted"):
@@ -596,11 +594,12 @@ class Launcher:
     # ------------------------------------------------------------------
     def restart(
         self,
-        ckpt_dir: str,
+        ckpt_dir,
         generation: Optional[int] = None,
         impl_override: Optional[str] = None,
     ) -> Job:
-        """Cold restart from a checkpoint directory.
+        """Cold restart from a checkpoint directory (its path or its
+        :class:`CheckpointStore`).
 
         With ``generation=None`` the newest *restorable* generation is
         chosen: complete manifest, an integrity-verified image for every
@@ -611,21 +610,20 @@ class Launcher:
         implementation — the full-interoperability extension of §9
         (checkpoint under one MPI, restart under another).
         """
-        manifest = self._resolve_manifest(ckpt_dir, generation)
+        store = store_for(ckpt_dir)
+        manifest = self._resolve_manifest(store, generation)
         gen = manifest["generation"]
         nranks = manifest["nranks"]
-        images = self._load_images(ckpt_dir, gen, nranks)
+        images = self._load_images(store, gen, nranks)
         cfg = self._restart_config(
-            ckpt_dir, nranks, impl_override or manifest["impl"],
+            store, nranks, impl_override or manifest["impl"],
             epoch=max(img.epoch for img in images) + 1,
         )
-        job = Job(cfg, images=images)
-        self._floor_generation(job, ckpt_dir)
-        return job
+        return self._restored_job(cfg, images, store)
 
     def elastic_restart(
         self,
-        ckpt_dir: str,
+        ckpt_dir,
         new_nranks: Optional[int] = None,
         generation: Optional[int] = None,
         impl_override: Optional[str] = None,
@@ -649,12 +647,13 @@ class Launcher:
         state pins the old world size (sub-communicators, cartesian
         topologies, pending requests, or a non-elastic application).
         """
-        manifest = self._resolve_manifest(ckpt_dir, generation)
+        store = store_for(ckpt_dir)
+        manifest = self._resolve_manifest(store, generation)
         gen = manifest["generation"]
         old_nranks = manifest["nranks"]
         if new_nranks is None or new_nranks == old_nranks:
             return self.restart(
-                ckpt_dir, generation=gen, impl_override=impl_override
+                store, generation=gen, impl_override=impl_override
             )
         if new_nranks < 1:
             raise ElasticRestartError(
@@ -667,7 +666,7 @@ class Launcher:
                 f"vid_design={vid_design!r}; elastic restore requires "
                 f"the 'new' (MANA) virtual-id design to remap tables"
             )
-        images = self._load_images(ckpt_dir, gen, old_nranks)
+        images = self._load_images(store, gen, old_nranks)
 
         # Step 1: repartition application state N → M.
         app_cls = type(images[0].app)
@@ -730,11 +729,10 @@ class Launcher:
         # Step 4: a fresh M-rank job adopts the synthetic images; its
         # first checkpoint is stamped with elastic provenance.
         cfg = self._restart_config(
-            ckpt_dir, new_nranks, target_impl,
+            store, new_nranks, target_impl,
             epoch=max(img.epoch for img in images) + 1,
         )
-        job = Job(cfg, images=new_images)
-        self._floor_generation(job, ckpt_dir)
+        job = self._restored_job(cfg, new_images, store)
         if job.coordinator is not None:
             job.coordinator.stamp_elastic({
                 "from_nranks": old_nranks,
@@ -747,7 +745,8 @@ class Launcher:
 
     # -- restart plumbing ----------------------------------------------
     @staticmethod
-    def _resolve_manifest(ckpt_dir: str, generation: Optional[int]) -> dict:
+    def _resolve_manifest(store: CheckpointStore,
+                          generation: Optional[int]) -> dict:
         """Resolve a restart target to its manifest.
 
         ``generation=None`` picks the newest restorable generation (or
@@ -755,21 +754,23 @@ class Launcher:
         is strict.  Either way the result must be cold-restartable.
         """
         if generation is None:
-            generation = latest_restorable_generation(ckpt_dir)
+            generation = store.latest_restorable()
             if generation is None:
-                gens = latest_generations(ckpt_dir)
+                gens = store.generations()
                 if not gens:
-                    raise RestartError(f"no checkpoints under {ckpt_dir}")
+                    raise RestartError(
+                        f"no checkpoints under {store.base_dir}"
+                    )
                 problems = [
                     f"generation {g}: {p}"
                     for g in gens
-                    for p in validate_generation(ckpt_dir, g)
+                    for p in store.validate(g)
                 ]
                 raise RestartError(
                     "no restorable checkpoint generation under "
-                    f"{ckpt_dir}: " + "; ".join(problems)
+                    f"{store.base_dir}: " + "; ".join(problems)
                 )
-        manifest = read_manifest(ckpt_dir, generation)
+        manifest = store.read_manifest(generation)
         if not manifest["cold_restartable"]:
             raise RestartError(
                 f"generation {manifest['generation']} was an in-session "
@@ -779,33 +780,31 @@ class Launcher:
         return manifest
 
     @staticmethod
-    def _load_images(ckpt_dir: str, gen: int,
+    def _load_images(store: CheckpointStore, gen: int,
                      nranks: int) -> List[CheckpointImage]:
         # Pin the generation while images stream in: a concurrent prune
         # (keep_generations GC racing a supervised fallback restore)
         # must not delete images under our feet.
-        pin_generation(ckpt_dir, gen)
-        try:
+        with store.pinned(gen):
             return [
-                load_image(
-                    rank_image_path(ckpt_dir, gen, r), expect_nranks=nranks
-                )
+                store.load_image(store.image_path(gen, r),
+                                 expect_nranks=nranks)
                 for r in range(nranks)
             ]
-        finally:
-            unpin_generation(ckpt_dir, gen)
 
     def _restart_config(
-        self, ckpt_dir: str, nranks: int, impl: str, *, epoch: int
+        self, store: CheckpointStore, nranks: int, impl: str, *, epoch: int
     ) -> JobConfig:
         return replace(self.config, nranks=nranks, impl=impl, mana=True,
-                       ckpt_dir=ckpt_dir, epoch=epoch)
+                       ckpt_dir=store.base_dir, epoch=epoch)
 
     @staticmethod
-    def _floor_generation(job: Job, ckpt_dir: str) -> None:
+    def _restored_job(cfg: JobConfig, images: List[CheckpointImage],
+                      store: CheckpointStore) -> Job:
+        job = Job(cfg, images=images, store=store)
         # New checkpoints must not clobber generations newer than the
         # one being restored (e.g. an incomplete one we skipped).
-        if job.coordinator is not None:
-            existing = latest_generations(ckpt_dir)
-            if existing:
-                job.coordinator.generation = existing[-1]
+        existing = store.generations()
+        if existing:
+            job.coordinator.generation = existing[-1]
+        return job

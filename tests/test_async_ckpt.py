@@ -8,15 +8,6 @@ import pytest
 
 from repro import JobConfig, Launcher
 from repro.faults import FaultPlan
-from repro.mana.checkpoint import (
-    generation_dir,
-    latest_generations,
-    latest_restorable_generation,
-    rank_image_path,
-    read_manifest,
-    restorable_generations,
-    validate_generation,
-)
 from tests.miniapps import RingApp
 
 NRANKS = 4
@@ -39,10 +30,10 @@ def _run(cfg, steps=STEPS):
     return job, res
 
 
-def _image_bytes(ckdir, gen):
+def _image_bytes(store, gen):
     out = {}
     for r in range(NRANKS):
-        with open(rank_image_path(ckdir, gen, r), "rb") as f:
+        with open(store.image_path(gen, r), "rb") as f:
             out[r] = f.read()
     return out
 
@@ -52,38 +43,38 @@ class TestAsyncCorrectness:
         sync_dir = str(tmp_path / "sync")
         async_dir = str(tmp_path / "async")
         _, sync_res = _run(_cfg(sync_dir, ckpt_async=False))
-        _, async_res = _run(_cfg(async_dir))
+        job, async_res = _run(_cfg(async_dir))
         assert ([a.acc[0] for a in async_res.apps()]
                 == [a.acc[0] for a in sync_res.apps()])
-        gens = latest_generations(async_dir)
+        store = job.store
+        gens = store.generations()
         assert len(gens) >= 2, gens
         # Every durable async generation is manifest-complete and marked.
-        for gen in restorable_generations(async_dir):
-            m = read_manifest(async_dir, gen)
+        for gen in store.restorable():
+            m = store.read_manifest(gen)
             assert m["extra"]["async"] is True
             assert m["dedup"]["payload_bytes"] > 0
-            validate_generation(async_dir, gen)
+            assert store.validate(gen) == []
 
     def test_first_generation_bit_identical_to_sync(self, tmp_path):
         """The snapshot happens at the same barrier state the sync path
         pickles at, so generation 1 (taken before any divergence in
         charged checkpoint durations) must be byte-for-byte the same."""
-        sync_dir = str(tmp_path / "sync")
-        async_dir = str(tmp_path / "async")
-        _run(_cfg(sync_dir, ckpt_async=False))
-        _run(_cfg(async_dir))
-        assert _image_bytes(sync_dir, 1) == _image_bytes(async_dir, 1)
+        sync_job, _ = _run(_cfg(str(tmp_path / "sync"), ckpt_async=False))
+        async_job, _ = _run(_cfg(str(tmp_path / "async")))
+        assert (_image_bytes(sync_job.store, 1)
+                == _image_bytes(async_job.store, 1))
 
     def test_async_run_is_deterministic(self, tmp_path):
-        dirs = [str(tmp_path / d) for d in ("a", "b")]
-        results = [_run(_cfg(d))[1] for d in dirs]
-        assert results[0].runtime == results[1].runtime
-        common = set(latest_generations(dirs[0])) & set(
-            latest_generations(dirs[1])
-        )
+        runs = [_run(_cfg(str(tmp_path / d))) for d in ("a", "b")]
+        (job_a, res_a), (job_b, res_b) = runs
+        assert res_a.runtime == res_b.runtime
+        common = (set(job_a.store.generations())
+                  & set(job_b.store.generations()))
         assert common
         for gen in sorted(common):
-            assert _image_bytes(dirs[0], gen) == _image_bytes(dirs[1], gen)
+            assert (_image_bytes(job_a.store, gen)
+                    == _image_bytes(job_b.store, gen))
 
     def test_restart_from_async_images(self, tmp_path):
         ckdir = str(tmp_path / "ck")
@@ -134,15 +125,15 @@ class TestAsyncPruning:
         """Generation pruning + chunk GC run behind in-flight drains;
         pinning must keep every surviving manifest-ed generation fully
         restorable."""
-        ckdir = str(tmp_path / "ck")
-        _run(_cfg(ckdir, ckpt_keep_generations=2))
-        gens = latest_generations(ckdir)
+        job, _ = _run(_cfg(str(tmp_path / "ck"), ckpt_keep_generations=2))
+        store = job.store
+        gens = store.generations()
         assert 0 < len(gens) <= 2
-        for gen in restorable_generations(ckdir):
-            validate_generation(ckdir, gen)
-        # No generation remains pinned after the job drains out.
-        from repro.mana.checkpoint import pinned_generations
-        assert pinned_generations(ckdir) == set()
+        for gen in store.restorable():
+            assert store.validate(gen) == []
+        # No generation or chunk remains pinned after the job drains out.
+        assert store.pinned_generations() == set()
+        assert store.chunks.pinned() == set()
 
 
 class TestAsyncDrainFailure:
@@ -159,9 +150,9 @@ class TestAsyncDrainFailure:
         assert events and events[0]["generation"] == 2
         # Generation 2 is gone — no partial images, no manifest.
         assert not glob.glob(
-            os.path.join(generation_dir(ckdir, 2), "rank_*")
+            os.path.join(job.store.generation_dir(2), "rank_*")
         )
-        assert 2 not in restorable_generations(ckdir)
+        assert 2 not in job.store.restorable()
         failed = [t for t in job.coordinator.interval_tickets
                   if t.error is not None]
         assert failed and "injected" in str(failed[0].error)
@@ -176,8 +167,8 @@ class TestAsyncDrainFailure:
         plan = FaultPlan().crash_in_checkpoint(
             rank=0, generation=2, site="mid-save"
         )
-        _run(_cfg(ckdir, faults=plan))
-        latest = latest_restorable_generation(ckdir)
+        job, _ = _run(_cfg(ckdir, faults=plan))
+        latest = job.store.latest_restorable()
         assert latest is not None and latest != 2
         cfg2 = _cfg(ckdir)
         job2 = Launcher(cfg2).restart(ckdir)

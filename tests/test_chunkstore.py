@@ -7,13 +7,8 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.mana.chunkstore import (
-    CHUNK_MAX,
-    CHUNK_MIN,
-    ChunkStore,
-    chunk_spans,
-    store_for,
-)
+from repro.mana.checkpoint import store_for
+from repro.mana.chunkstore import CHUNK_MAX, CHUNK_MIN, ChunkStore, chunk_spans
 from repro.util.errors import IntegrityError
 
 
@@ -134,7 +129,10 @@ class TestChunkStore:
     def test_store_for_registry_is_per_dir(self, tmp_path):
         a = store_for(str(tmp_path / "a"))
         assert store_for(str(tmp_path / "a")) is a
+        assert store_for(a) is a
         assert store_for(str(tmp_path / "b")) is not a
+        # Opening a store creates nothing on disk.
+        assert not (tmp_path / "a").exists()
 
 
 class TestGearEquivalence:

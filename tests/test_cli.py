@@ -1,5 +1,9 @@
 """CLI smoke tests (python -m repro)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import main
@@ -237,6 +241,39 @@ def test_fsck_missing_directory_exits_2(tmp_path, capsys):
         assert capsys.readouterr().out == (
             f"fsck: no such directory: {missing}\n"
         )
+
+
+def test_check_only_fsck_leaves_temp_files(tmp_path):
+    """``fsck`` without ``--repair`` mutates nothing, in a fresh process
+    too: a dead writer's chunk temp file stays, so a second check finds
+    the same dirty directory."""
+    from repro.mana.checkpoint import CheckpointImage, store_for
+
+    store = store_for(str(tmp_path / "ckpt"))
+    store.save(CheckpointImage(
+        rank=0, nranks=1, impl="mpich", kind="loop", generation=1,
+        app={"x": 1}, loops={}, vid_table=None, drain_buffer=None,
+        clock_state={}, rng_state=None, cs_count=0, epoch=0,
+    ))
+    store.write_manifest(1, nranks=1, impl="mpich", kind="loop",
+                         cold_restartable=True, loop_target=None)
+    digest = sorted(store.chunks.digests())[0]
+    # pid 99999999 is above any pid_max: the writer is long dead.
+    stray = store.chunks.chunk_path(digest) + ".99999999.1.tmp"
+    with open(stray, "wb") as f:
+        f.write(b"torn")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "fsck", store.base_dir],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "dirty" in proc.stdout
+        assert proc.stderr == ""
+        assert os.path.exists(stray)
 
 
 def test_restart_without_checkpoints_exits_1(tmp_path, capsys):

@@ -17,7 +17,7 @@ from tests.conftest import run_ranks
 
 def coord(nranks=2, lag=4):
     return CheckpointCoordinator(
-        nranks, "/tmp/coord-test", FilesystemProfile.discovery_nfsv3(),
+        nranks, None, FilesystemProfile.discovery_nfsv3(),
         loop_lag_window=lag,
     )
 

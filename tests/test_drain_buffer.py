@@ -100,7 +100,6 @@ class TestDrainIntegration:
         """A LOOP checkpoint taken while messages are in flight stores
         them in the image and replays them after cold restart."""
         from repro import JobConfig, Launcher
-        from repro.mana.checkpoint import load_image, rank_image_path
         from tests.miniapps import SkewedSendersApp
 
         base = Launcher(
@@ -120,7 +119,7 @@ class TestDrainIntegration:
         # drained messages.
         drained_total = 0
         for r in range(1, 4):
-            image = load_image(rank_image_path(ckdir, 1, r))
+            image = job.store.load_image(job.store.image_path(1, r))
             drained_total += len(image.drain_buffer)
         assert drained_total > 0, "expected in-flight messages at ckpt"
 

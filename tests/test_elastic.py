@@ -28,12 +28,7 @@ from repro.apps import Partitioner, RepartitionPlan
 from repro.apps.comd import CoMDProxy
 from repro.apps.elastic import GLOBAL_CELLS, ElasticHaloApp
 from repro.apps.sw4 import Sw4Proxy
-from repro.mana.checkpoint import (
-    latest_generations,
-    load_image,
-    rank_image_path,
-    read_manifest,
-)
+from repro.mana.checkpoint import store_for
 
 SEED = 7
 BLOCKS = 8
@@ -256,8 +251,7 @@ class TestElasticRestart:
         job.checkpoint_at_iteration("main", 4, kind="loop")
         res = job.run(60.0)
         assert res.status == "completed", res.first_error()
-        gens = latest_generations(cfg.ckpt_dir)
-        manifest = read_manifest(cfg.ckpt_dir, gens[-1])
+        manifest = job.store.read_manifest(job.store.generations()[-1])
         assert manifest["nranks"] == 4
         assert manifest["extra"]["elastic"] == {
             "from_nranks": 8, "to_nranks": 4,
@@ -301,19 +295,19 @@ class TestElasticRestart:
 # ----------------------------------------------------------------------
 class TestRankCountFailFast:
     def test_load_image_checks_expected_nranks(self, tmp_path):
-        cfg = _run_checkpointed(str(tmp_path / "ckpt"), 4)
-        path = rank_image_path(cfg.ckpt_dir, 1, 0)
+        store = store_for(_run_checkpointed(str(tmp_path / "ckpt"), 4)
+                          .ckpt_dir)
+        path = store.image_path(1, 0)
         with pytest.raises(RestartError, match="elastic restart"):
-            load_image(path, expect_nranks=8)
+            store.load_image(path, expect_nranks=8)
         # The happy path still loads.
-        assert load_image(path, expect_nranks=4).nranks == 4
+        assert store.load_image(path, expect_nranks=4).nranks == 4
 
     def test_job_rejects_wrong_image_count(self, tmp_path):
         cfg = _run_checkpointed(str(tmp_path / "ckpt"), 4)
-        images = [
-            load_image(rank_image_path(cfg.ckpt_dir, 1, r))
-            for r in range(4)
-        ]
+        store = store_for(cfg.ckpt_dir)
+        images = [store.load_image(store.image_path(1, r))
+                  for r in range(4)]
         bad = JobConfig(nranks=4, impl="mpich", mana=True,
                         ckpt_dir=cfg.ckpt_dir)
         with pytest.raises(RestartError, match="elastic restart"):
@@ -321,10 +315,9 @@ class TestRankCountFailFast:
 
     def test_job_rejects_mismatched_image_nranks(self, tmp_path):
         cfg = _run_checkpointed(str(tmp_path / "ckpt"), 4)
-        images = [
-            load_image(rank_image_path(cfg.ckpt_dir, 1, r))
-            for r in range(3)
-        ]
+        store = store_for(cfg.ckpt_dir)
+        images = [store.load_image(store.image_path(1, r))
+                  for r in range(3)]
         bad = JobConfig(nranks=3, impl="mpich", mana=True,
                         ckpt_dir=cfg.ckpt_dir)
         with pytest.raises(RestartError, match="checkpointed at nranks=4"):

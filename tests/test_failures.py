@@ -98,9 +98,7 @@ class TestCheckpointFailures:
         assert job.wait(60).status == "preempted"
 
         # Truncate one rank's image.
-        from repro.mana.checkpoint import rank_image_path
-
-        path = rank_image_path(ckdir, 1, 1)
+        path = job.store.image_path(1, 1)
         with open(path, "r+b") as f:
             f.truncate(os.path.getsize(path) // 2)
         with pytest.raises(Exception):
@@ -115,10 +113,9 @@ class TestCheckpointFailures:
         job.start()
         tk.wait(60)
         job.wait(60)
-        from repro.mana.checkpoint import rank_image_path
         from repro.util.errors import RestartError
 
-        os.remove(rank_image_path(ckdir, 1, 0))
+        os.remove(job.store.image_path(1, 0))
         with pytest.raises(RestartError, match="no checkpoint image"):
             Launcher(cfg).restart(ckdir)
 
@@ -144,18 +141,15 @@ class TestIntegrityFallback:
         job.start()
         tk.wait(60)
         assert job.wait(60).status == "preempted"
-        return ckdir, cfg
+        return job.store, cfg
 
     @pytest.mark.parametrize("corruption", ["truncate", "bitflip"])
     def test_corrupt_generation_falls_back_to_previous(
             self, tmp_path, corruption):
-        from repro.mana.checkpoint import (
-            load_image, rank_image_path, restorable_generations,
-        )
         from repro.util.errors import IntegrityError
 
-        ckdir, cfg = self._two_generations(tmp_path)
-        path = rank_image_path(ckdir, 2, 0)
+        store, cfg = self._two_generations(tmp_path)
+        path = store.image_path(2, 0)
         size = os.path.getsize(path)
         if corruption == "truncate":
             with open(path, "r+b") as f:
@@ -169,10 +163,10 @@ class TestIntegrityFallback:
                 f.write(bytes([b[0] ^ 0x01]))
             expect = "checksum mismatch"
         with pytest.raises(IntegrityError, match=expect):
-            load_image(path)
+            store.load_image(path)
         # generation 2 is no longer restorable; restart picks 1
-        assert restorable_generations(ckdir) == [1]
-        res = Launcher(cfg).restart(ckdir).run(timeout=60)
+        assert store.restorable() == [1]
+        res = Launcher(cfg).restart(store).run(timeout=60)
         assert res.status == "completed", res.first_error()
 
 

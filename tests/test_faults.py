@@ -22,17 +22,7 @@ from repro.faults.plan import (
     SITE_PRE_DRAIN,
 )
 from repro.faults.scenarios import SCENARIOS
-from repro.mana.checkpoint import (
-    CheckpointImage,
-    latest_restorable_generation,
-    load_image,
-    rank_image_path,
-    restorable_generations,
-    save_image,
-    validate_generation,
-    verify_image,
-    write_manifest,
-)
+from repro.mana.checkpoint import CheckpointImage, store_for
 from repro.util.errors import CheckpointError, IntegrityError, RestartError
 
 
@@ -89,36 +79,38 @@ def _image(rank=0, generation=1, nranks=2):
     )
 
 
-def _write_generation(base, generation, nranks=2, cold=True):
+def _write_generation(store, generation, nranks=2, cold=True):
     for r in range(nranks):
-        save_image(rank_image_path(base, generation, r),
-                   _image(rank=r, generation=generation, nranks=nranks))
-    write_manifest(base, generation, nranks=nranks, impl="mpich",
-                   kind="loop", cold_restartable=cold, loop_target=4)
+        store.save_v4(_image(rank=r, generation=generation, nranks=nranks))
+    store.write_manifest(generation, nranks=nranks, impl="mpich",
+                         kind="loop", cold_restartable=cold, loop_target=4)
 
 
 class TestImageIntegrity:
     def test_verify_ok_and_header_contents(self, tmp_path):
-        path = str(tmp_path / "r0.img")
-        nbytes = save_image(path, _image())
-        hdr = verify_image(path)
+        store = store_for(str(tmp_path))
+        nbytes = store.save_v4(_image())
+        path = store.image_path(1, 0)
+        hdr = store.verify_image(path)
         assert nbytes == os.path.getsize(path)
         assert hdr["rank"] == 0 and hdr["generation"] == 1
         assert hdr["payload_sha256"]
 
     def test_truncated_image_is_integrity_error(self, tmp_path):
-        path = str(tmp_path / "r0.img")
-        save_image(path, _image())
+        store = store_for(str(tmp_path))
+        store.save_v4(_image())
+        path = store.image_path(1, 0)
         with open(path, "r+b") as f:
             f.truncate(os.path.getsize(path) - 7)
         with pytest.raises(IntegrityError, match="truncated"):
-            verify_image(path)
+            store.verify_image(path)
         with pytest.raises(IntegrityError, match="truncated"):
-            load_image(path)
+            store.load_image(path)
 
     def test_bitflipped_payload_is_integrity_error(self, tmp_path):
-        path = str(tmp_path / "r0.img")
-        save_image(path, _image())
+        store = store_for(str(tmp_path))
+        store.save_v4(_image())
+        path = store.image_path(1, 0)
         size = os.path.getsize(path)
         with open(path, "r+b") as f:
             f.seek(size - 3)
@@ -126,40 +118,40 @@ class TestImageIntegrity:
             f.seek(size - 3)
             f.write(bytes([b[0] ^ 0xFF]))
         with pytest.raises(IntegrityError, match="checksum mismatch"):
-            load_image(path)
+            store.load_image(path)
 
     def test_unrecognized_file_is_restart_error(self, tmp_path):
         path = str(tmp_path / "junk.img")
         with open(path, "wb") as f:
             f.write(b"this is not a checkpoint image at all")
         with pytest.raises(RestartError, match="format"):
-            verify_image(path)
+            store_for(str(tmp_path)).verify_image(path)
 
     def test_validate_generation_reports_problems(self, tmp_path):
-        base = str(tmp_path)
-        assert validate_generation(base, 1) != []  # no manifest
-        _write_generation(base, 1)
-        assert validate_generation(base, 1) == []
+        store = store_for(str(tmp_path))
+        assert store.validate(1) != []  # no manifest
+        _write_generation(store, 1)
+        assert store.validate(1) == []
         # corrupt rank 1 -> named in the problem list
-        path = rank_image_path(base, 1, 1)
+        path = store.image_path(1, 1)
         with open(path, "r+b") as f:
             f.truncate(os.path.getsize(path) // 2)
-        problems = validate_generation(base, 1)
+        problems = store.validate(1)
         assert any("rank 1" in p and "truncated" in p for p in problems)
 
     def test_restorable_generation_selection(self, tmp_path):
-        base = str(tmp_path)
-        assert latest_restorable_generation(base) is None
-        _write_generation(base, 1)
-        _write_generation(base, 2)
-        _write_generation(base, 3, cold=False)  # in-session: not cold
-        assert restorable_generations(base) == [1, 2]
+        store = store_for(str(tmp_path))
+        assert store.latest_restorable() is None
+        _write_generation(store, 1)
+        _write_generation(store, 2)
+        _write_generation(store, 3, cold=False)  # in-session: not cold
+        assert store.restorable() == [1, 2]
         # bit rot in generation 2 drops it from the restorable set
-        path = rank_image_path(base, 2, 0)
+        path = store.image_path(2, 0)
         with open(path, "r+b") as f:
             f.seek(os.path.getsize(path) - 1)
             f.write(b"\x00")
-        assert latest_restorable_generation(base) == 1
+        assert store.latest_restorable() == 1
 
 
 # ----------------------------------------------------------------------
@@ -171,8 +163,7 @@ class TestCoordinatorDiagnostics:
         from repro.simtime.cost import FilesystemProfile
 
         coord = CheckpointCoordinator(
-            2, str(tmp_path), FilesystemProfile.discovery_nfsv3(),
-            phase_timeout=30.0,
+            2, None, FilesystemProfile.discovery_nfsv3(), phase_timeout=30.0,
         )
         tk = coord.request_checkpoint()
         att = coord.begin_participation(0)

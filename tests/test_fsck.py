@@ -1,9 +1,8 @@
 """Durability layer: intent journal, crash-safe publishes, and fsck.
 
 Covers the journal record lifecycle (:mod:`repro.mana.journal`), the
-unique-temp-name discipline and store-open hygiene
-(:mod:`repro.mana.storeio`, :class:`repro.mana.chunkstore.ChunkStore`),
-the :func:`repro.mana.fsck.fsck` repair rules (roll forward / roll
+unique-temp-name discipline (:mod:`repro.mana.storeio`), the
+:func:`repro.mana.fsck.fsck` repair rules (roll forward / roll
 back / finish prune / quarantine / orphan reclamation), the supervised
 auto-repair hook, and the single-bit-flip detection property of both
 image formats and the chunk store.  See docs/PROTOCOLS.md §13.
@@ -22,17 +21,8 @@ from repro.mana import storeio
 from repro.mana.checkpoint import (
     CheckpointImage,
     QUARANTINE_DIRNAME,
-    invalidate_checkpoint_caches,
-    latest_restorable_generation,
-    rank_image_path,
-    referenced_chunks,
-    restorable_generations,
-    save_chunked_blob,
-    save_image,
-    verify_image,
-    write_manifest,
+    store_for,
 )
-from repro.mana.chunkstore import ChunkStore, store_for
 from repro.mana.fsck import auto_repair, fsck
 from repro.mana.journal import Journal
 from repro.util.errors import InjectedCrash, IntegrityError, RestartError
@@ -51,17 +41,13 @@ def _blob(generation, rank, n=20_000):
     return random.Random(generation * 1000 + rank).randbytes(n)
 
 
-def _write_generation(base, generation, nranks=2):
+def _write_generation(store, generation, nranks=2):
     """One complete format-5 generation (images + manifest)."""
-    store = store_for(base)
     for r in range(nranks):
-        save_chunked_blob(
-            rank_image_path(base, generation, r),
-            _image(rank=r, generation=generation, nranks=nranks),
-            _blob(generation, r), store,
-        )
-    write_manifest(base, generation, nranks=nranks, impl="mpich",
-                   kind="loop", cold_restartable=True, loop_target=4)
+        store.save(_image(rank=r, generation=generation, nranks=nranks),
+                   _blob(generation, r))
+    store.write_manifest(generation, nranks=nranks, impl="mpich",
+                         kind="loop", cold_restartable=True, loop_target=4)
 
 
 # ----------------------------------------------------------------------
@@ -110,13 +96,13 @@ class TestJournal:
 
 
 # ----------------------------------------------------------------------
-# unique temp names + store-open hygiene
+# unique temp names
 # ----------------------------------------------------------------------
 class TestUniqueTmpNames:
     def test_tmp_name_embeds_writer_identity(self):
         name = storeio.tmp_name("/x/chunk.z")
-        assert name.endswith(storeio.TMP_SUFFIX)
-        assert storeio.tmp_owner_pid(os.path.basename(name)) == os.getpid()
+        assert name == (f"/x/chunk.z.{os.getpid()}."
+                        f"{threading.get_ident()}{storeio.TMP_SUFFIX}")
 
     def test_threads_get_distinct_tmp_names(self):
         names = {}
@@ -136,36 +122,12 @@ class TestUniqueTmpNames:
             t.join()
         assert names[0] != names[1]
 
-    def test_owner_liveness(self):
-        me = f"c.z.{os.getpid()}.1.tmp"
-        assert storeio.tmp_owner_alive(me)
-        # pid 99999999 exceeds any default pid_max: definitely dead.
-        assert not storeio.tmp_owner_alive("c.z.99999999.1.tmp")
-        # Legacy bare name: no owner recorded, treated as dead.
-        assert storeio.tmp_owner_pid("c.z.tmp") is None
-        assert not storeio.tmp_owner_alive("c.z.tmp")
-
-    def test_store_open_sweeps_dead_writers_tmp_and_warns(self, tmp_path):
-        base = str(tmp_path)
-        store = ChunkStore(base)
-        os.makedirs(store.dir)
-        dead = os.path.join(store.dir, "abc.z.99999999.7.tmp")
-        live = os.path.join(store.dir, f"abc.z.{os.getpid()}.7.tmp")
-        for p in (dead, live):
-            with open(p, "wb") as f:
-                f.write(b"partial")
-        with pytest.warns(UserWarning, match="fsck"):
-            removed = store.sweep_stray_tmp()
-        assert removed == 1
-        assert not os.path.exists(dead)
-        assert os.path.exists(live)  # conservatively kept: owner alive
-
     def test_save_leaves_no_tmp_or_pending_record(self, tmp_path):
-        base = str(tmp_path)
-        _write_generation(base, 1)
-        for dirpath, _d, files in os.walk(base):
+        store = store_for(str(tmp_path))
+        _write_generation(store, 1)
+        for dirpath, _d, files in os.walk(store.base_dir):
             assert not any(n.endswith(".tmp") for n in files), dirpath
-        assert Journal(base).pending() == []
+        assert store.journal.pending() == []
 
 
 # ----------------------------------------------------------------------
@@ -173,155 +135,147 @@ class TestUniqueTmpNames:
 # ----------------------------------------------------------------------
 class TestFsckRepair:
     def test_clean_directory_reports_clean(self, tmp_path):
-        base = str(tmp_path)
-        _write_generation(base, 1)
-        report = fsck(base)
+        store = store_for(str(tmp_path))
+        _write_generation(store, 1)
+        report = fsck(store)
         assert not report.dirty
         assert report.restorable_generations == [1]
-        assert auto_repair(base) is None
+        assert auto_repair(store) is None
         assert auto_repair(str(tmp_path / "nonexistent")) is None
 
     def test_stale_record_of_completed_generation_rolls_forward(
             self, tmp_path):
         """A writer that died *after* its generation committed must not
         cost us the generation: the record is retired, nothing deleted."""
-        base = str(tmp_path)
-        _write_generation(base, 1)
-        Journal(base).begin("image-save", generation=1, rank=0)
-        report = fsck(base)
+        store = store_for(str(tmp_path))
+        _write_generation(store, 1)
+        store.journal.begin("image-save", generation=1, rank=0)
+        report = fsck(store)
         assert report.rolled_forward_generations == [1]
         assert report.rolled_back_generations == []
         assert report.restorable_generations == [1]
-        assert Journal(base).pending() == []
+        assert store.journal.pending() == []
 
     def test_pending_record_of_uncommitted_generation_rolls_back(
             self, tmp_path):
-        base = str(tmp_path)
-        _write_generation(base, 1)
+        store = store_for(str(tmp_path))
+        _write_generation(store, 1)
         # Generation 2 died mid-save: rank 0's image landed, rank 1's
         # record is still pending, and no manifest ever committed.
-        save_chunked_blob(rank_image_path(base, 2, 0),
-                          _image(0, 2), _blob(2, 0), store_for(base))
-        Journal(base).begin("image-save", generation=2, rank=1)
-        report = fsck(base)
+        store.save(_image(0, 2), _blob(2, 0))
+        store.journal.begin("image-save", generation=2, rank=1)
+        report = fsck(store)
         assert report.rolled_back_generations == [2]
-        assert not os.path.isdir(os.path.dirname(
-            rank_image_path(base, 2, 0)))
+        assert not os.path.isdir(store.generation_dir(2))
         assert report.restorable_generations == [1]
         # The rolled-back generation's now-unreferenced chunks are gone.
-        assert store_for(base).digests() == referenced_chunks(base)
+        assert store.chunks.digests() == store.referenced_chunks()
 
     def test_manifest_less_generation_without_record_rolls_back(
             self, tmp_path):
         """Death in the window between retiring the last image record
         and journaling the manifest commit: no pending record, but the
         generation has no commit marker either."""
-        base = str(tmp_path)
-        _write_generation(base, 1)
-        store = store_for(base)
-        save_chunked_blob(rank_image_path(base, 2, 0),
-                          _image(0, 2), _blob(2, 0), store)
-        report = fsck(base)
+        store = store_for(str(tmp_path))
+        _write_generation(store, 1)
+        store.save(_image(0, 2), _blob(2, 0))
+        report = fsck(store)
         assert report.rolled_back_generations == [2]
         assert report.restorable_generations == [1]
 
     def test_pending_prune_is_finished(self, tmp_path):
-        base = str(tmp_path)
+        store = store_for(str(tmp_path))
         for g in (1, 2, 3):
-            _write_generation(base, g)
-        Journal(base).begin("prune", generations=[1])
-        report = fsck(base)
+            _write_generation(store, g)
+        store.journal.begin("prune", generations=[1])
+        report = fsck(store)
         assert report.finished_prunes == [1]
         assert report.restorable_generations == [2, 3]
 
     def test_corrupt_chunk_is_quarantined_and_generation_skipped(
             self, tmp_path):
-        base = str(tmp_path)
-        _write_generation(base, 1)
-        _write_generation(base, 2)
-        store = store_for(base)
+        store = store_for(str(tmp_path))
+        _write_generation(store, 1)
+        _write_generation(store, 2)
         # Rot one chunk referenced only by generation 2.
         only2 = sorted(
-            referenced_chunks(base, [2]) - referenced_chunks(base, [1])
+            store.referenced_chunks([2]) - store.referenced_chunks([1])
         )
         victim = only2[0]
-        path = store.chunk_path(victim)
+        path = store.chunks.chunk_path(victim)
         with open(path, "r+b") as f:
             f.seek(10)
             b = f.read(1)
             f.seek(10)
             f.write(bytes([b[0] ^ 0x40]))
-        invalidate_checkpoint_caches(base)
         # Make fsck treat it as dirty (simulated dead writer).
-        Journal(base).begin("gc")
-        report = fsck(base)
+        store.journal.begin("gc")
+        report = fsck(store)
         assert report.quarantined_chunks == [victim]
-        qfile = os.path.join(base, QUARANTINE_DIRNAME, victim + ".z")
+        qfile = os.path.join(store.base_dir, QUARANTINE_DIRNAME,
+                             victim + ".z")
         assert os.path.exists(qfile)       # kept for forensics
         assert not os.path.exists(path)    # out of the store
         # The restart fallback skips the generation referencing it.
         assert 2 in report.skipped_generations
         assert any("missing" in p for p in report.skipped_generations[2])
         assert report.restorable_generations == [1]
-        assert latest_restorable_generation(base) == 1
+        assert store.latest_restorable() == 1
 
     def test_orphan_chunks_are_reclaimed(self, tmp_path):
-        base = str(tmp_path)
-        _write_generation(base, 1)
-        store = store_for(base)
-        digest, written, reused = store.put(b"never referenced by anyone")
+        store = store_for(str(tmp_path))
+        _write_generation(store, 1)
+        digest, written, reused = store.chunks.put(
+            b"never referenced by anyone"
+        )
         assert written and not reused
-        report = fsck(base)
+        report = fsck(store)
         assert report.orphan_chunks_removed == 1
-        assert not store.contains(digest)
+        assert not store.chunks.contains(digest)
         assert report.restorable_generations == [1]
 
     def test_fsck_is_idempotent(self, tmp_path):
-        base = str(tmp_path)
-        _write_generation(base, 1)
-        save_chunked_blob(rank_image_path(base, 2, 0),
-                          _image(0, 2), _blob(2, 0), store_for(base))
-        Journal(base).begin("image-save", generation=2, rank=1)
-        first = fsck(base)
+        store = store_for(str(tmp_path))
+        _write_generation(store, 1)
+        store.save(_image(0, 2), _blob(2, 0))
+        store.journal.begin("image-save", generation=2, rank=1)
+        first = fsck(store)
         assert first.dirty
-        second = fsck(base)
+        second = fsck(store)
         assert not second.dirty
         assert second.restorable_generations == [1]
 
     def test_check_only_mode_mutates_nothing(self, tmp_path):
-        base = str(tmp_path)
-        _write_generation(base, 1)
-        save_chunked_blob(rank_image_path(base, 2, 0),
-                          _image(0, 2), _blob(2, 0), store_for(base))
-        token = Journal(base).begin("image-save", generation=2, rank=1)
-        report = fsck(base, repair=False)
+        store = store_for(str(tmp_path))
+        _write_generation(store, 1)
+        store.save(_image(0, 2), _blob(2, 0))
+        token = store.journal.begin("image-save", generation=2, rank=1)
+        report = fsck(store, repair=False)
         assert report.dirty and not report.repaired
-        assert os.path.exists(token)                        # not retired
-        assert os.path.exists(rank_image_path(base, 2, 0))  # not rolled back
+        assert os.path.exists(token)                       # not retired
+        assert os.path.exists(store.image_path(2, 0))      # not rolled back
 
     def test_crash_injection_then_fsck_restores(self, tmp_path):
         """End-to-end: kill a save at a syscall boundary, repair, and
         the prior generation must still verify."""
-        base = str(tmp_path)
-        _write_generation(base, 1)
+        store = store_for(str(tmp_path))
+        _write_generation(store, 1)
         inj = CrashPointInjector(arm_at="save.image.rename.before")
         storeio.set_injector(inj)
         try:
             with pytest.raises(InjectedCrash):
-                save_chunked_blob(rank_image_path(base, 2, 0),
-                                  _image(0, 2), _blob(2, 0),
-                                  store_for(base))
+                store.save(_image(0, 2), _blob(2, 0))
         finally:
             storeio.set_injector(None)
         # The dead writer stranded a tmp file and a pending record.
-        assert Journal(base).pending()
-        report = fsck(base)
+        assert store.journal.pending()
+        report = fsck(store)
         assert report.dirty
         assert report.rolled_back_generations == [2]
         assert report.restorable_generations == [1]
         for r in range(2):
-            verify_image(rank_image_path(base, 1, r))
-        assert not fsck(base).dirty
+            store.verify_image(store.image_path(1, r))
+        assert not fsck(store).dirty
 
 
 # ----------------------------------------------------------------------
@@ -397,10 +351,11 @@ class TestBitFlipDetection:
             f.write(bytes([b[0] ^ (1 << bit)]))
 
     def test_format4_payload_flips_detected(self, tmp_path):
-        path = str(tmp_path / "g" / "rank_00000.img")
-        save_image(path, _image())
+        store = store_for(str(tmp_path))
+        store.save_v4(_image())
+        path = store.image_path(1, 0)
         size = os.path.getsize(path)
-        header = verify_image(path)
+        header = store.verify_image(path)
         payload_start = size - header["payload_bytes"]
         rng = random.Random(0xF4)
         for _ in range(12):
@@ -408,36 +363,34 @@ class TestBitFlipDetection:
             bit = rng.randrange(8)
             self._flip(path, offset, bit)
             with pytest.raises(IntegrityError):
-                verify_image(path)
+                store.verify_image(path)
             self._flip(path, offset, bit)  # restore
-        verify_image(path)
+        store.verify_image(path)
 
     def test_format5_header_flips_detected(self, tmp_path):
-        base = str(tmp_path)
-        _write_generation(base, 1, nranks=1)
-        path = rank_image_path(base, 1, 0)
+        store = store_for(str(tmp_path))
+        _write_generation(store, 1, nranks=1)
+        path = store.image_path(1, 0)
         size = os.path.getsize(path)
         rng = random.Random(0xF5)
         offsets = {rng.randrange(size) for _ in range(12)}
         for offset in sorted(offsets):
             bit = rng.randrange(8)
             self._flip(path, offset, bit)
-            invalidate_checkpoint_caches(base)
             # Magic/length flips surface as RestartError (unrecognized
             # or truncated), everything else as IntegrityError — either
             # way the flip cannot go unnoticed.
             with pytest.raises((IntegrityError, RestartError)):
-                verify_image(path)
+                store.verify_image(path)
             self._flip(path, offset, bit)
-        verify_image(path)
+        store.verify_image(path)
 
     def test_chunk_flips_detected_including_compressed_stream(
             self, tmp_path):
-        base = str(tmp_path)
-        store = store_for(base)
+        chunks = store_for(str(tmp_path)).chunks
         payload = zlib.compress(_blob(9, 9), 0)  # poorly compressible
-        digest, _w, _r = store.put(payload)
-        path = store.chunk_path(digest)
+        digest, _w, _r = chunks.put(payload)
+        path = chunks.chunk_path(digest)
         size = os.path.getsize(path)
         rng = random.Random(0xC0)
         # Sample across the whole file: zlib stream header, the
@@ -447,6 +400,6 @@ class TestBitFlipDetection:
             bit = rng.randrange(8)
             self._flip(path, offset, bit)
             with pytest.raises(IntegrityError):
-                store.get(digest)
+                chunks.get(digest)
             self._flip(path, offset, bit)
-        store.get(digest)  # intact again
+        chunks.get(digest)  # intact again

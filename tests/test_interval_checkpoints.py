@@ -3,7 +3,6 @@
 import pytest
 
 from repro import JobConfig, Launcher
-from repro.mana.checkpoint import latest_generations
 from tests.miniapps import RingApp
 
 
@@ -22,7 +21,7 @@ def test_periodic_checkpoints_fire(tmp_path):
     res = job.run(timeout=120)
     assert res.status == "completed", res.first_error()
     # ~1.5s of app time at a 0.4s interval: several checkpoints fired.
-    gens = latest_generations(ckdir)
+    gens = job.store.generations()
     assert len(gens) >= 2, gens
     # every written generation has a ticket (one extra ticket may have
     # been armed near job end and cancelled)
@@ -44,10 +43,10 @@ def test_interval_images_cold_restartable(tmp_path):
         nranks=4, impl="mpich", mana=True, ckpt_dir=ckdir,
         ckpt_interval=0.5, loop_lag_window=2,
     )
-    res = Launcher(cfg).run(lambda r: RingApp(24, compute=0.05), timeout=120)
+    job = Launcher(cfg).launch(lambda r: RingApp(24, compute=0.05))
+    res = job.run(timeout=120)
     assert res.status == "completed", res.first_error()
-    gens = latest_generations(ckdir)
-    assert gens
+    assert job.store.generations()
 
     # Restart from the latest periodic image: re-runs the tail of the
     # job, ending in the same state.
@@ -63,6 +62,6 @@ def test_invalid_interval_rejected():
     from repro.mana.coordinator import CheckpointCoordinator
     from repro.simtime.cost import FilesystemProfile
 
-    c = CheckpointCoordinator(1, "/tmp/x", FilesystemProfile.discovery_nfsv3())
+    c = CheckpointCoordinator(1, None, FilesystemProfile.discovery_nfsv3())
     with pytest.raises(ValueError):
         c.enable_interval_checkpoints(0)

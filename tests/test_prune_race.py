@@ -1,11 +1,12 @@
 """Generation pruning racing a restart: pinned generations survive.
 
 ``Launcher.restart``/``elastic_restart`` pin the generation they are
-reading; a concurrent ``prune_generations`` + chunk GC (the
+reading (``with store.pinned(gen)``); a concurrent prune + chunk GC (the
 ``ckpt_keep_generations`` janitor of another job sharing the checkpoint
-directory) must not delete images or chunks out from under the restore —
-even when the restore targets an *older* generation than the prune would
-keep (the supervised-fallback case).
+directory, and so sharing its :class:`CheckpointStore`) must not delete
+images or chunks out from under the restore — even when the restore
+targets an *older* generation than the prune would keep (the
+supervised-fallback case).
 """
 
 from dataclasses import replace
@@ -14,14 +15,7 @@ import pytest
 
 from repro import JobConfig, Launcher
 from repro.apps.elastic import ElasticHaloApp
-from repro.mana.checkpoint import (
-    gc_chunks,
-    pin_generation,
-    pinned_generations,
-    prune_generations,
-    restorable_generations,
-    unpin_generation,
-)
+from repro.mana.checkpoint import CheckpointStore, store_for
 
 SEED = 7
 
@@ -39,37 +33,33 @@ def _two_generations(ckpt_dir: str, nranks: int = 4) -> JobConfig:
     job.checkpoint_at_iteration("main", 4, kind="loop")  # gen 2 (iter 6)
     res = job.run(60.0)
     assert res.status == "completed", res.first_error()
-    assert restorable_generations(ckpt_dir) == [1, 2]
+    assert job.store.restorable() == [1, 2]
     return cfg
 
 
 def test_prune_skips_pinned_generations(tmp_path):
-    ckpt = str(tmp_path / "ckpt")
-    _two_generations(ckpt)
-    pin_generation(ckpt, 1)
-    try:
-        prune_generations(ckpt, keep=1)
-        gc_chunks(ckpt)
+    store = store_for(str(tmp_path / "ckpt"))
+    _two_generations(store.base_dir)
+    with store.pinned(1):
+        store.prune(keep=1)
+        store.gc()
         # keep=1 would have doomed gen 1; the pin protected it.
-        assert restorable_generations(ckpt) == [1, 2]
-    finally:
-        unpin_generation(ckpt, 1)
-    prune_generations(ckpt, keep=1)
-    gc_chunks(ckpt)
-    assert restorable_generations(ckpt) == [2]
+        assert store.restorable() == [1, 2]
+    store.prune(keep=1)
+    store.gc()
+    assert store.restorable() == [2]
 
 
 def test_pins_are_refcounted(tmp_path):
-    ckpt = str(tmp_path / "ckpt")
-    _two_generations(ckpt)
-    pin_generation(ckpt, 1)
-    pin_generation(ckpt, 1)
-    unpin_generation(ckpt, 1)
-    assert 1 in pinned_generations(ckpt)   # still held once
-    prune_generations(ckpt, keep=1)
-    assert 1 in restorable_generations(ckpt)
-    unpin_generation(ckpt, 1)
-    assert 1 not in pinned_generations(ckpt)
+    store = store_for(str(tmp_path / "ckpt"))
+    _two_generations(store.base_dir)
+    with store.pinned(1):
+        with store.pinned(1):
+            pass
+        assert 1 in store.pinned_generations()   # still held once
+        store.prune(keep=1)
+        assert 1 in store.restorable()
+    assert 1 not in store.pinned_generations()
 
 
 @pytest.mark.parametrize("elastic", [False, True])
@@ -77,36 +67,35 @@ def test_restore_survives_concurrent_prune(tmp_path, monkeypatch, elastic):
     """A prune+GC fired in the middle of image loading (after the first
     rank's image is read, before the rest) cannot tear the restore: the
     restart pinned its generation first."""
-    import repro.runtime.launcher as launcher_mod
-
-    ckpt = str(tmp_path / "ckpt")
-    cfg = _two_generations(ckpt)
-    real_load = launcher_mod.load_image
+    store = store_for(str(tmp_path / "ckpt"))
+    cfg = _two_generations(store.base_dir)
+    real_load = CheckpointStore.load_image
     fired = {}
 
-    def racing_load(path, expect_nranks=None):
+    def racing_load(self, path, expect_nranks=None):
         if not fired:
             # The restore targets gen 1; an unpinned prune with keep=1
             # would delete it right here.
-            fired["prune"] = prune_generations(ckpt, keep=1)
-            fired["gc"] = gc_chunks(ckpt)
-            assert 1 in pinned_generations(ckpt)
-        return real_load(path, expect_nranks=expect_nranks)
+            fired["prune"] = store.prune(keep=1)
+            fired["gc"] = store.gc()
+            assert 1 in store.pinned_generations()
+        return real_load(self, path, expect_nranks=expect_nranks)
 
-    monkeypatch.setattr(launcher_mod, "load_image", racing_load)
+    monkeypatch.setattr(CheckpointStore, "load_image", racing_load)
     launcher = Launcher(cfg)
     if elastic:
-        job = launcher.elastic_restart(ckpt, new_nranks=2, generation=1)
+        job = launcher.elastic_restart(store.base_dir, new_nranks=2,
+                                       generation=1)
     else:
-        job = launcher.restart(ckpt, generation=1)
+        job = launcher.restart(store.base_dir, generation=1)
     assert fired, "racing prune never fired"
     res = job.run(60.0)
     assert res.status == "completed", res.first_error()
     # The pin was released once the images were in memory...
-    assert pinned_generations(ckpt) == set()
+    assert store.pinned_generations() == set()
     # ...and generation 1 survived the mid-restore prune.
-    assert 1 in restorable_generations(ckpt)
+    assert 1 in store.restorable()
     # With no restore in flight the same prune now collects it.
-    prune_generations(ckpt, keep=1)
-    gc_chunks(ckpt)
-    assert 1 not in restorable_generations(ckpt)
+    store.prune(keep=1)
+    store.gc()
+    assert 1 not in store.restorable()

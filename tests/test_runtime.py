@@ -96,6 +96,12 @@ class TestJobLifecycle:
         with pytest.raises(ValueError):
             Job(JobConfig(nranks=1), app_factory=None, images=None)
 
+    def test_ckpt_format_must_be_4_or_5(self):
+        assert JobConfig(nranks=1, ckpt_format=4).ckpt_format == 4
+        for bad in (3, 6):
+            with pytest.raises(ValueError, match="checkpoint format"):
+                JobConfig(nranks=1, ckpt_format=bad)
+
     def test_unknown_impl_rejected(self):
         with pytest.raises(ValueError, match="unknown implementation"):
             Launcher(JobConfig(nranks=1, impl="fakempi")).run(

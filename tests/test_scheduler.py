@@ -16,7 +16,7 @@ import pytest
 from repro import FaultPlan, JobConfig, MpiApplication
 from repro.apps import APP_CLASSES
 from repro.fabric.network import Fabric
-from repro.mana import checkpoint as ckpt
+from repro.mana.checkpoint import CheckpointStore
 from repro.mana.coordinator import CheckpointCoordinator
 from repro.runtime.launcher import Job
 from repro.runtime.scheduler import Scheduler
@@ -316,8 +316,7 @@ class TestAbortReachesEveryRank:
         sched = Scheduler(3, slots=1)
         fab = Fabric(3, CostModel.discovery(), scheduler=sched)
         coord = CheckpointCoordinator(
-            3, str(tmp_path), FilesystemProfile.discovery_nfsv3(),
-            scheduler=sched,
+            3, None, FilesystemProfile.discovery_nfsv3(), scheduler=sched,
         )
         hold = threading.Event()
         boom = RuntimeError("boom")
@@ -408,16 +407,16 @@ class TestSlotsStayBalanced:
         self, tmp_path, monkeypatch
     ):
         spans = []
-        real_save = ckpt.save_image
+        real_save = CheckpointStore.save_v4
 
-        def slow_save(path, image, **kwargs):
+        def slow_save(self, image, **kwargs):
             t0 = time.monotonic()
             time.sleep(0.05)        # GIL-free, like a blocked file write
-            out = real_save(path, image, **kwargs)
+            out = real_save(self, image, **kwargs)
             spans.append((t0, time.monotonic()))
             return out
 
-        monkeypatch.setattr(ckpt, "save_image", slow_save)
+        monkeypatch.setattr(CheckpointStore, "save_v4", slow_save)
         cfg = JobConfig(nranks=4, impl="mpich", mana=True, ckpt_format=4,
                         ckpt_dir=str(tmp_path))
         job = Job(cfg, app_factory=lambda r: RingApp(12),
