@@ -25,12 +25,11 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from repro.simtime.cost import CostModel
 from repro.util.errors import MpiAbort, ReproError
-from repro.util.rng import _stable_hash
 
 # Wildcards, kept numeric like the real mpi.h constants.
 ANY_SOURCE = -1
@@ -66,32 +65,14 @@ class ProbeResult:
     arrive_time: float
 
 
-@dataclass
-class _Counters:
-    """Per-destination delivery accounting (used by tests and the drain)."""
-
-    posted: int = 0
-    received: int = 0
-
-
 class Fabric:
     """Shared interconnect for one simulated MPI job."""
 
-    def __init__(self, nranks: int, cost_model: CostModel,
-                 latency_jitter: float = 0.0, jitter_seed: int = 0,
-                 scheduler=None):
+    def __init__(self, nranks: int, cost_model: CostModel, scheduler=None):
         if nranks <= 0:
             raise ValueError(f"nranks must be positive, got {nranks}")
-        if latency_jitter < 0:
-            raise ValueError(f"latency_jitter must be >= 0")
         self.nranks = nranks
         self.cost_model = cost_model
-        # Deterministic per-message latency jitter (fraction of the base
-        # network cost), keyed by the message sequence number: simulates
-        # congestion noise without sacrificing reproducibility.
-        self.latency_jitter = latency_jitter
-        self.jitter_seed = jitter_seed
-        self._jitter_n = 0
         # Optional repro.faults.FaultInjector (set by the Job when a
         # FaultPlan is installed); None on the hot path.
         self.injector = None
@@ -105,12 +86,8 @@ class Fabric:
         self.scheduler = scheduler
         self._lock = threading.Lock()
         self._queues: List[List[Message]] = [[] for _ in range(nranks)]
-        self._counters: List[_Counters] = [_Counters() for _ in range(nranks)]
         self._seq = itertools.count()
         self._aborted: Optional[BaseException] = None
-        # pairwise_sent[(src, dst)] — the count MANA's drain exchanges.
-        self._pairwise_sent: Dict[Tuple[int, int], int] = {}
-        self._pairwise_recvd: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # sending
@@ -128,17 +105,14 @@ class Fabric:
         self._check_rank(src)
         self._check_rank(dst)
         cost = self.cost_model.message_cost(len(payload))
-        if self.latency_jitter > 0.0:
-            cost *= 1.0 + self.latency_jitter * self._jitter_draw()
         if self.injector is not None:
             verdict = self.injector.on_message(src, dst, tag, len(payload))
             if verdict is not None:
                 what, seconds = verdict
                 if what == "drop":
-                    # The message is lost on the wire: never enqueued,
-                    # counters untouched.  The receiver blocks until the
-                    # job's deadline abort fires (then the supervisor
-                    # takes over).
+                    # The message is lost on the wire: never enqueued.
+                    # The receiver blocks until the job's deadline abort
+                    # fires (then the supervisor takes over).
                     return Message(
                         seq=next(self._seq), src=src, dst=dst, tag=tag,
                         context_id=context_id, payload=payload,
@@ -158,9 +132,6 @@ class Fabric:
         with self._lock:
             self._raise_if_aborted()
             self._queues[dst].append(msg)
-            self._counters[dst].posted += 1
-            key = (src, dst)
-            self._pairwise_sent[key] = self._pairwise_sent.get(key, 0) + 1
         # Only the destination can use this message.
         self.scheduler.unpark(dst)
         return msg
@@ -199,11 +170,7 @@ class Fabric:
             idx = self._find(dst, src, tag, context_id)
             if idx is None:
                 return None
-            msg = self._queues[dst].pop(idx)
-            self._counters[dst].received += 1
-            key = (msg.src, dst)
-            self._pairwise_recvd[key] = self._pairwise_recvd.get(key, 0) + 1
-            return msg
+            return self._queues[dst].pop(idx)
 
     def wait_match(
         self,
@@ -260,14 +227,6 @@ class Fabric:
             self._check_rank(dst)
             return len(self._queues[dst])
 
-    def pairwise_sent(self, src: int, dst: int) -> int:
-        with self._lock:
-            return self._pairwise_sent.get((src, dst), 0)
-
-    def pairwise_received(self, src: int, dst: int) -> int:
-        with self._lock:
-            return self._pairwise_recvd.get((src, dst), 0)
-
     # ------------------------------------------------------------------
     # failure handling
     # ------------------------------------------------------------------
@@ -295,12 +254,6 @@ class Fabric:
                 continue
             return i
         return None
-
-    def _jitter_draw(self) -> float:
-        """Uniform [0, 1) draw keyed by (seed, next message seq)."""
-        # itertools.count has no peek: a shadow counter stands in.
-        self._jitter_n += 1
-        return _stable_hash(f"{self.jitter_seed}/{self._jitter_n}") / 0xFFFFFFFF
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nranks:

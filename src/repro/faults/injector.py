@@ -4,10 +4,11 @@ The :class:`FaultInjector` is the live counterpart of a
 :class:`repro.faults.plan.FaultPlan`: it is consulted at well-defined
 hook points in the wrappers (`_enter`), the resumable-loop runner, the
 fabric (`post_send`), the coordinator (round start), and the checkpoint
-writer (`save_image`).  Every hook is a no-op unless the plan contains a
-spec for that site — and jobs with ``faults=None`` never construct an
-injector at all, so the hot path carries only a single ``is not None``
-test.
+writers (`CheckpointStore.save`, which every job's rounds use, and the
+format-4 `save_v4`, which only tests and the benchmark call).  Every
+hook is a no-op unless the plan contains a spec for that site — and
+jobs with ``faults=None`` never construct an injector at all, so the
+hot path carries only a single ``is not None`` test.
 
 One injector survives a whole *supervised session*: the fired-spec set
 persists across auto-restarts, so a one-shot crash does not re-kill the

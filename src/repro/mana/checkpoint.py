@@ -15,8 +15,7 @@ records are simply part of the saved upper half.
 
 Two on-disk formats coexist (PROTOCOLS.md §10):
 
-**Format 4** (read-side back-compat, and the write path of jobs
-configured with ``ckpt_format=4``)::
+**Format 4** (read-side back-compat; jobs no longer write it)::
 
     MAGIC (8 bytes) | header length (4 bytes, big-endian) | JSON header
     | pickle payload
@@ -445,9 +444,10 @@ class CheckpointStore:
     def save_v4(self, image: CheckpointImage, *, injector=None,
                 vtime: float = 0.0) -> int:
         """Write one rank's image in **format 4**; returns its size in
-        bytes.  One monolithic checksummed pickle per file: the write
-        path of ``ckpt_format=4`` jobs and the write-side compatibility
-        reference.
+        bytes.  One monolithic checksummed pickle per file.  Jobs write
+        format 5 only; this writer stays because the read-compatibility
+        tests build their format-4 fixtures with it and the benchmark
+        probes it (through :func:`save_image`).
 
         Crash-safe: the bytes land in a unique temp file and are
         atomically renamed, so the final path either holds a complete

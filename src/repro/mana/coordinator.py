@@ -30,14 +30,14 @@ Every wait below parks in the job's run-slot scheduler
 gate lock is held across a park.
 
 Hardening (PROTOCOLS.md §9): the four phase rendezvous are custom
-gates rather than ``threading.Barrier`` so that (a) waits park under a
-configurable ``phase_timeout``, (b) a timeout produces a *descriptive*
+gates rather than ``threading.Barrier`` so that (a) waits park under
+:data:`PHASE_TIMEOUT_S`, (b) a timeout produces a *descriptive*
 error naming the stuck phase and the outstanding ranks instead of a
 broken-barrier trace, and (c) a round can be **aborted and retried**: when a stall is
 detected (or injected), :meth:`abort_round` releases every parked rank
 with :class:`CheckpointRoundAborted`, bumps the round attempt, and —
-while ``round_retries`` remain — leaves the same ticket armed so the
-ranks immediately re-run the round.
+while :data:`ROUND_RETRIES` retries remain — leaves the same ticket
+armed so the ranks immediately re-run the round.
 """
 
 from __future__ import annotations
@@ -48,12 +48,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.mana.checkpoint import dedup_summary
-from repro.simtime.cost import (
-    CheckpointCostModel,
-    FilesystemProfile,
-    checkpoint_time,
-)
+from repro.simtime.cost import CheckpointCostModel, FilesystemProfile
 from repro.util.errors import CheckpointError, CheckpointRoundAborted
+
+#: Real-time bound on one rank's wait at a phase gate.
+PHASE_TIMEOUT_S = 300.0
+#: Aborted attempts of one round that are retried before its ticket fails.
+ROUND_RETRIES = 2
+#: Why a checkpoint cannot run once every rank has finalized.
+_FINALIZED = "all ranks reached MPI_Finalize first"
 
 
 class CheckpointKind:
@@ -195,10 +198,6 @@ class CheckpointCoordinator:
         store,
         fs_profile: FilesystemProfile,
         loop_lag_window: int = 4,
-        phase_timeout: float = 300.0,
-        round_retries: int = 2,
-        ckpt_format: int = 5,
-        ckpt_cost: Optional[CheckpointCostModel] = None,
         save_workers: int = 0,
         keep_generations: Optional[int] = None,
         async_save: bool = False,
@@ -218,17 +217,12 @@ class CheckpointCoordinator:
         self.store = store
         self.fs_profile = fs_profile
         self.loop_lag_window = loop_lag_window
-        self.phase_timeout = phase_timeout
-        self.round_retries = round_retries
         self.generation = 0
 
-        # ckpt_format: 5 = the incremental chunked pipeline, 4 = one
-        # monolithic pickle per image; ckpt_cost charges virtual time
-        # from byte counts; save_workers > 1 fans per-rank encodes out
-        # to a TaskPool; keep_generations prunes + GCs after each
-        # completed round.
-        self.ckpt_format = ckpt_format
-        self.ckpt_cost = ckpt_cost or CheckpointCostModel()
+        # ckpt_cost charges virtual time from byte counts; save_workers
+        # > 1 fans per-rank encodes out to a TaskPool; keep_generations
+        # prunes + GCs after each completed round.
+        self.ckpt_cost = CheckpointCostModel()
         self.save_workers = save_workers
         self.keep_generations = keep_generations
         self._save_pool = None
@@ -236,10 +230,10 @@ class CheckpointCoordinator:
         #: Dedup summary of the most recent completed round (or None).
         self.last_dedup: Optional[Dict] = None
 
-        # Asynchronous (snapshot + background drain) saves, format 5
-        # only.  Ranks stage their pickled snapshots at the save barrier
-        # and resume; a single background drainer encodes and writes
-        # them (PROTOCOLS.md §11).
+        # Asynchronous (snapshot + background drain) saves.  Ranks stage
+        # their pickled snapshots at the save barrier and resume; a
+        # single background drainer encodes and writes them
+        # (PROTOCOLS.md §11).
         self.async_save = async_save
         self._drainer = None
         self._drainer_lock = threading.Lock()
@@ -283,7 +277,7 @@ class CheckpointCoordinator:
         # every abort_round; ranks capture it at begin_participation and
         # every phase call re-checks it.
         self._round_attempt = 0
-        self._retries_left = round_retries
+        self._retries_left = ROUND_RETRIES
         self.round_events: List[dict] = []
 
         # Per-checkpoint scratch (filled by ranks, read by gate actions).
@@ -367,7 +361,7 @@ class CheckpointCoordinator:
         ):
             raise ValueError(f"unknown checkpoint mode {mode!r}")
         with self._lock:
-            self._raise_if_aborted()
+            self._raise_if_closed_locked()
             if self._intent is not None:
                 raise CheckpointError(
                     "a checkpoint is already in progress; wait for its "
@@ -389,7 +383,7 @@ class CheckpointCoordinator:
         self._rank_bytes.clear()
         self._rank_savestats.clear()
         self._round_attempt = 0
-        self._retries_left = self.round_retries
+        self._retries_left = ROUND_RETRIES
         self._intent = ticket
 
     def _notify_intent(self) -> None:
@@ -409,7 +403,7 @@ class CheckpointCoordinator:
         ``loop_name`` first reaches ``iteration``.  Deterministic — no
         wall-clock race with the job."""
         with self._lock:
-            self._raise_if_aborted()
+            self._raise_if_closed_locked()
             self.generation += 1
             ticket = CheckpointTicket(self.generation, kind, mode,
                                       _coord=self)
@@ -504,8 +498,7 @@ class CheckpointCoordinator:
                         self._ckpt_disabled = True
                         for t in self._take_pending_locked():
                             t.fail(CheckpointError(
-                                "checkpoint cancelled: all ranks "
-                                "reached MPI_Finalize first"
+                                f"checkpoint cancelled: {_FINALIZED}"
                             ))
                         # Only the last registration lets the ranks
                         # waiting below proceed; earlier ones wake nobody.
@@ -665,13 +658,13 @@ class CheckpointCoordinator:
             self._raise_if_aborted()
             self._rank_clocks[rank] = clock_now
             self._phase = "quiesce"
-        self._g_quiesce.wait(rank, timeout=self.phase_timeout)
+        self._g_quiesce.wait(rank, timeout=PHASE_TIMEOUT_S)
         self._check_attempt(attempt)
 
     def drained(self, rank: int = 0, attempt: int = 0) -> None:
         self._check_attempt(attempt)
         self._phase = "drain"
-        self._g_drained.wait(rank, timeout=self.phase_timeout)
+        self._g_drained.wait(rank, timeout=PHASE_TIMEOUT_S)
         self._check_attempt(attempt)
 
     def saved(self, rank: int, image_bytes: int, attempt: int = 0,
@@ -687,7 +680,7 @@ class CheckpointCoordinator:
             if stats is not None:
                 self._rank_savestats[rank] = stats
             self._phase = "save"
-        self._g_saved.wait(rank, timeout=self.phase_timeout)
+        self._g_saved.wait(rank, timeout=PHASE_TIMEOUT_S)
         self._check_attempt(attempt)
 
     # ------------------------------------------------------------------
@@ -721,8 +714,8 @@ class CheckpointCoordinator:
     # ------------------------------------------------------------------
     def async_round(self) -> bool:
         """True when the current round snapshots + drains instead of
-        writing synchronously (the drainer writes format 5 only)."""
-        return self.async_save and self.ckpt_format == 5
+        writing synchronously."""
+        return self.async_save
 
     def stage_async_blob(
         self, rank: int, image, blob: bytes,
@@ -748,16 +741,6 @@ class CheckpointCoordinator:
                     self._drainer = d
         return d
 
-    def drain_async(self, timeout: Optional[float] = None):
-        """Block (wall-clock) until any in-flight background drain has
-        finished; returns the drainer's last-drain summary or None.
-        Virtual time is unaffected — only the *next* checkpoint charges
-        drain overrun."""
-        d = self._drainer
-        if d is None:
-            return None
-        return d.wait_idle(timeout)
-
     def _shutdown_drainer(self) -> None:
         with self._drainer_lock:
             d, self._drainer = self._drainer, None
@@ -766,7 +749,7 @@ class CheckpointCoordinator:
 
     def resumed(self, rank: int = 0, attempt: int = 0) -> None:
         self._phase = "resume"
-        self._g_resumed.wait(rank, timeout=self.phase_timeout)
+        self._g_resumed.wait(rank, timeout=PHASE_TIMEOUT_S)
         # No attempt check: the round is complete once the resume gate
         # opens (_on_resumed already cleared the intent).
 
@@ -845,27 +828,17 @@ class CheckpointCoordinator:
         if self._async_blobs:
             self._on_saved_async(sizes, mean)
             return
-        stats = self._rank_savestats
-        dedup = None
-        if stats and len(stats) == len(sizes):
-            # Format-5 round: charge the incremental pipeline's analytic
-            # cost.
-            dedup = dedup_summary(stats.values())
-            self._ckpt_duration = self.ckpt_cost.save_time(
-                self.fs_profile, self.nranks, int(mean),
-                self._written_logical(dedup, mean),
-            )
-        else:
-            # Format-4 round: the monolithic Table 3 cost.
-            self._ckpt_duration = checkpoint_time(
-                self.fs_profile, self.nranks, int(mean)
-            )
+        # Charge the incremental pipeline's analytic cost.
+        dedup = dedup_summary(self._rank_savestats.values())
+        self._ckpt_duration = self.ckpt_cost.save_time(
+            self.fs_profile, self.nranks, int(mean),
+            self._written_logical(dedup, mean),
+        )
         self.last_dedup = dedup
         t = self._intent
         if t is not None:
             t.result.update(self._ticket_result(sizes, mean))
-            if dedup is not None:
-                t.result["dedup"] = dedup
+            t.result["dedup"] = dedup
 
     def _on_saved_async(self, sizes: List[int], mean: float) -> None:
         """Gate action of the save barrier in an **async** round: charge
@@ -1041,6 +1014,13 @@ class CheckpointCoordinator:
     def _raise_if_aborted(self) -> None:
         if self._aborted is not None:
             raise self._aborted
+
+    def _raise_if_closed_locked(self) -> None:
+        """Refuse a new checkpoint request once the job aborted or every
+        rank finalized.  Caller holds self._lock."""
+        self._raise_if_aborted()
+        if self._ckpt_disabled:
+            raise CheckpointError(f"cannot checkpoint: {_FINALIZED}")
 
     def _take_pending_locked(self, disarm: bool = True
                              ) -> List[CheckpointTicket]:

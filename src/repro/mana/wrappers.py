@@ -1194,11 +1194,11 @@ class ManaRank:
         """Serialize and persist this rank's image into the coordinator's
         checkpoint store; returns ``(logical_bytes, savestats_or_None)``.
 
-        Format 5 writes through the incremental path (chunked, deduped,
-        compressed) on the coordinator's save worker pool; format 4 is
-        one monolithic pickle.  ``logical_bytes`` is always the logical
-        upper-half size — the quantity Table 3's filesystem model is
-        calibrated against — never the post-dedup physical bytes.
+        The image goes through the incremental path (chunked, deduped,
+        compressed) on the coordinator's save worker pool.
+        ``logical_bytes`` is always the logical upper-half size — the
+        quantity Table 3's filesystem model is calibrated against —
+        never the post-dedup physical bytes.
         """
         loops = dict(self._ctx._loops) if self._ctx is not None else {}
         image = ckpt.CheckpointImage(
@@ -1234,21 +1234,14 @@ class ManaRank:
             # release the interpreter lock, so the rank gives its run
             # slot up while it is in them.
             with self.fabric.scheduler.released(self.rank):
-                if coord.ckpt_format == 5:
-                    # The writer fans ~256 KiB chunk runs into the
-                    # shared pool, so chunks of every rank interleave;
-                    # faults still surface in this rank's thread.
-                    savestats = coord.store.save(
-                        image, injector=self.injector, vtime=self.clock.now,
-                        pool=coord.save_pool(),
-                    )
-                    nbytes = (
-                        savestats["payload_bytes"] + savestats["file_bytes"]
-                    )
-                else:
-                    nbytes = coord.store.save_v4(
-                        image, injector=self.injector, vtime=self.clock.now,
-                    )
+                # The writer fans ~256 KiB chunk runs into the shared
+                # pool, so chunks of every rank interleave; faults still
+                # surface in this rank's thread.
+                savestats = coord.store.save(
+                    image, injector=self.injector, vtime=self.clock.now,
+                    pool=coord.save_pool(),
+                )
+            nbytes = savestats["payload_bytes"] + savestats["file_bytes"]
         # Proxy applications hold a scaled-down working set; they declare
         # the full-size resident bytes the real application would have
         # checkpointed (Table 3 image sizes).  Accounting — not storage.

@@ -21,7 +21,7 @@ must survive the process park at loop boundaries.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Optional
 
 
 class MpiApplication:
@@ -44,8 +44,3 @@ class MpiApplication:
         """Return an error string if final state is inconsistent, else
         None.  Called by the harness after a job completes."""
         return None
-
-    def progress_summary(self) -> Dict[str, Any]:
-        """Small picklable dict describing progress (used in tests to
-        compare checkpointed vs uninterrupted executions)."""
-        return {}

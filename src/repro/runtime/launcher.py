@@ -63,34 +63,29 @@ class JobConfig:
     ckpt_dir: Optional[str] = None   # default: fresh temp dir
     loop_lag_window: int = 8
     ckpt_interval: Optional[float] = None  # periodic ckpt, virtual seconds
-    epoch: int = 0                   # bumped by restarts
     deadline: float = 300.0          # real-time safety net
     # Fault injection: a repro.faults.FaultPlan (or the FaultInjector the
     # Job wrapped it into — shared across supervised restarts so fired
     # one-shot faults never re-fire).  None keeps every hook off the
     # hot path.
     faults: Optional[object] = None
-    # Coordinator hardening knobs (None/default = coordinator defaults).
-    ckpt_phase_timeout: Optional[float] = None
-    ckpt_round_retries: int = 2
-    # Checkpoint image format: 5 = incremental chunked/deduped/compressed
-    # (the default pipeline); 4 = monolithic pickle (the legacy writer;
-    # old images stay loadable regardless).
+    # Checkpoint image format written: only 5 (incremental chunked,
+    # deduped, compressed); format-4 images stay loadable.  A field only
+    # because existing callers pass ckpt_format=5.
     ckpt_format: int = 5
     ckpt_save_workers: int = 0       # >1 pools chunk-run encodes/writes
     ckpt_keep_generations: Optional[int] = None  # prune + GC after saves
-    # Asynchronous saves (format 5 only): ranks snapshot their pickled
-    # state at the barrier and resume; a background drainer encodes and
-    # writes the generation while the application computes
-    # (PROTOCOLS.md §11).  Virtual time is charged snapshot + any
+    # Asynchronous saves: ranks snapshot their pickled state at the
+    # barrier and resume; a background drainer encodes and writes the
+    # generation while the application computes (PROTOCOLS.md §11).  Virtual time is charged snapshot + any
     # drain-overrun instead of the full save cost.
     ckpt_async: bool = False
 
     def __post_init__(self) -> None:
-        if self.ckpt_format not in (4, 5):
+        if self.ckpt_format != 5:
             raise ValueError(
                 f"unknown checkpoint format {self.ckpt_format!r}; "
-                "expected 4 or 5"
+                "only format 5 is written"
             )
 
     def resolved_ckpt_dir(self) -> str:
@@ -228,6 +223,9 @@ class Job:
         self.config = config
         self.app_factory = app_factory
         self.images = images
+        #: Lower-half incarnation: one past the adopted images' (all
+        #: ranks relaunch together, so they share one), 0 on a cold start.
+        self.epoch = max((img.epoch for img in images or ()), default=-1) + 1
         cm0 = cost_model_for(config.platform, config.impl)
         # Run slots for the rank threads, shared by the fabric and the
         # coordinator (tests pass one with a fixed slot count).
@@ -258,12 +256,6 @@ class Job:
                 self.store,
                 cm0.filesystem,
                 loop_lag_window=config.loop_lag_window,
-                phase_timeout=(
-                    config.ckpt_phase_timeout
-                    if config.ckpt_phase_timeout is not None else 300.0
-                ),
-                round_retries=config.ckpt_round_retries,
-                ckpt_format=config.ckpt_format,
                 save_workers=config.ckpt_save_workers,
                 keep_generations=config.ckpt_keep_generations,
                 async_save=config.ckpt_async,
@@ -365,7 +357,7 @@ class Job:
                     vid_design=cfg.vid_design,
                     ggid_policy=cfg.ggid_policy,
                     seed=cfg.seed,
-                    epoch=cfg.epoch,
+                    epoch=self.epoch,
                     injector=self.injector,
                 )
                 self.manas[rank] = mana
@@ -374,7 +366,7 @@ class Job:
             else:
                 lib = make_lib(
                     cfg.impl, self.fabric, rank, clock, cost_model,
-                    epoch=cfg.epoch, seed=cfg.seed,
+                    epoch=self.epoch, seed=cfg.seed,
                 )
                 lib.init()
                 MPI = NativeFacade(lib)
@@ -616,8 +608,7 @@ class Launcher:
         nranks = manifest["nranks"]
         images = self._load_images(store, gen, nranks)
         cfg = self._restart_config(
-            store, nranks, impl_override or manifest["impl"],
-            epoch=max(img.epoch for img in images) + 1,
+            store, nranks, impl_override or manifest["impl"]
         )
         return self._restored_job(cfg, images, store)
 
@@ -727,11 +718,12 @@ class Launcher:
             ))
 
         # Step 4: a fresh M-rank job adopts the synthetic images; its
-        # first checkpoint is stamped with elastic provenance.
-        cfg = self._restart_config(
-            store, new_nranks, target_impl,
-            epoch=max(img.epoch for img in images) + 1,
-        )
+        # first checkpoint is stamped with elastic provenance.  The job
+        # derives its epoch from the seed images, which must carry the
+        # old world's (all ranks share one).
+        assert (max(img.epoch for img in new_images)
+                == max(img.epoch for img in images)), "ranks disagree on epoch"
+        cfg = self._restart_config(store, new_nranks, target_impl)
         job = self._restored_job(cfg, new_images, store)
         if job.coordinator is not None:
             job.coordinator.stamp_elastic({
@@ -793,10 +785,10 @@ class Launcher:
             ]
 
     def _restart_config(
-        self, store: CheckpointStore, nranks: int, impl: str, *, epoch: int
+        self, store: CheckpointStore, nranks: int, impl: str
     ) -> JobConfig:
         return replace(self.config, nranks=nranks, impl=impl, mana=True,
-                       ckpt_dir=store.base_dir, epoch=epoch)
+                       ckpt_dir=store.base_dir)
 
     @staticmethod
     def _restored_job(cfg: JobConfig, images: List[CheckpointImage],

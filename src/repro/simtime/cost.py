@@ -19,7 +19,6 @@ they are not per-application fudge factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -281,23 +280,3 @@ class CheckpointCostModel:
         return self.save_time(
             fs, nranks, logical_per_rank, written_per_rank
         ) - fs.fixed_overhead * self.snapshot_overhead_fraction
-
-    def restore_time(
-        self,
-        fs: FilesystemProfile,
-        nranks: int,
-        logical_per_rank: int,
-    ) -> float:
-        """Restore always reads the full logical payload back (chunk
-        reads + decompress + per-chunk verify)."""
-        return checkpoint_time(fs, nranks, logical_per_rank) + (
-            logical_per_rank / self.hash_bandwidth
-        )
-
-
-def platform_table() -> Dict[str, CostModel]:
-    """Named platforms used by the harness."""
-    return {
-        "discovery": CostModel.discovery(),
-        "perlmutter": CostModel.perlmutter(),
-    }

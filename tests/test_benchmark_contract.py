@@ -61,8 +61,9 @@ def test_benchmark_runs_against_this_tree():
     )
 
 
-#: How ``benchmarks/perf`` calls the checkpoint store: (module, name,
-#: positional argument count, keyword names).  A method counts ``self``.
+#: How ``benchmarks/perf`` calls the checkpoint store, the job
+#: configuration and the fabric: (module, name, positional argument
+#: count, keyword names).  A method counts ``self``.
 CALLS = [
     ("repro.mana.checkpoint", "save_chunked_image", 3, ()),
     ("repro.mana.checkpoint", "save_image", 2, ()),
@@ -96,6 +97,13 @@ CALLS = [
     ("repro.mana.journal", "Journal.pending", 1, ()),
     ("repro.mana.fsck", "fsck", 1, ("repair",)),
     ("repro.mana.fsck", "auto_repair", 1, ()),
+    ("repro.runtime", "JobConfig", 0,
+     ("nranks", "impl", "mana", "seed", "ckpt_dir", "loop_lag_window",
+      "deadline", "faults", "ckpt_format", "ckpt_keep_generations",
+      "ckpt_async", "ckpt_save_workers")),
+    ("repro.fabric.network", "Fabric", 2, ()),
+    ("repro.fabric.network", "Fabric.post_send", 7, ()),
+    ("repro.fabric.network", "Fabric.try_match", 5, ()),
 ]
 
 

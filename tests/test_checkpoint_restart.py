@@ -195,17 +195,22 @@ def test_loop_checkpoint_past_end_is_cancelled():
 
 
 def test_checkpoint_after_completion_is_cancelled():
+    """Once every rank finalized no round can run: a request is refused
+    at once, before wait() and after it, instead of returning a ticket
+    that can only time out; a refusal uses up no generation number."""
     job = Launcher(JobConfig(nranks=NRANKS, impl="mpich", mana=True)).launch(
         lambda r: RingApp(6)
     )
-    res = job.start().wait(120)
-    assert res.status == "completed"
-    ticket = job.request_checkpoint()
-    # the job already cancelled pending work at wait(); a fresh request
-    # must fail fast at the next wait() rather than hang
-    job.coordinator.cancel_pending("test cleanup")
-    with pytest.raises(CheckpointError):
-        ticket.wait(5)
+    job.start()
+    job._join_all(120.0)            # every rank finalized, no wait() yet
+    generation = job.coordinator.generation
+    for _ in range(2):              # before wait(), then after it
+        with pytest.raises(CheckpointError, match="MPI_Finalize first"):
+            job.request_checkpoint()
+        with pytest.raises(CheckpointError, match="MPI_Finalize first"):
+            job.checkpoint_at_iteration("main", 1)
+        assert job.wait(120).status == "completed"
+    assert job.coordinator.generation == generation
 
 
 def test_clock_includes_checkpoint_cost():

@@ -73,24 +73,27 @@ def test_aliases_survive_relaunch():
     )
 
 
-def test_virtual_ids_stable_while_lazy_pointers_move():
-    """Across two sessions the lazy physical pointers differ, but the
+def _int8_ids(job):
+    """Run ``job``; rank 0's epoch and MPI_INT8_T's virtual and physical
+    ids."""
+    res = job.run(timeout=60)
+    assert res.status == "completed", res.first_error()
+    mana = job.manas[0]
+    vid = mana.vids.constant_vid("MPI_INT8_T")
+    return mana.epoch, VirtualIdTable.extract(vid), mana.vids.lookup(vid).phys
+
+
+def test_virtual_ids_stable_while_lazy_pointers_move(tmp_path):
+    """Across two sessions — a cold start and a cold restart from its
+    checkpoint — the lazy physical pointers may differ, but the
     name-derived virtual ids are identical."""
-    vids = []
-    for epoch in (0, 1):
-        job = Launcher(
-            JobConfig(nranks=2, impl="exampi", mana=True, epoch=epoch)
-        ).launch(lambda r: AliasApp())
-        res = job.run(timeout=60)
-        assert res.status == "completed", res.first_error()
-        mana = job.manas[0]
-        vids.append(
-            (
-                VirtualIdTable.extract(mana.vids.constant_vid("MPI_INT8_T")),
-                mana.vids.lookup(mana.vids.constant_vid("MPI_INT8_T")).phys,
-            )
-        )
-    (vid_a, phys_a), (vid_b, phys_b) = vids
+    launcher = Launcher(JobConfig(nranks=2, impl="exampi", mana=True,
+                                  ckpt_dir=str(tmp_path), loop_lag_window=2))
+    job = launcher.launch(lambda r: AliasApp())
+    job.checkpoint_at_iteration("main", 3, kind="loop")
+    epoch_a, vid_a, phys_a = _int8_ids(job)
+    epoch_b, vid_b, phys_b = _int8_ids(launcher.restart(str(tmp_path)))
+    assert (epoch_a, epoch_b) == (0, 1)
     assert vid_a == vid_b           # virtual: stable by name
     # physical enum values of primitives are session-stable in ExaMPI
     # (the enum is part of its source); ops/groups pointers move instead.

@@ -104,16 +104,6 @@ class TestCounters:
         fab.try_match(1, 0, 1, 10)
         assert fab.in_flight() == 1
 
-    def test_pairwise_counts(self, fab):
-        post(fab, 0, 1)
-        post(fab, 0, 1)
-        post(fab, 2, 1)
-        assert fab.pairwise_sent(0, 1) == 2
-        assert fab.pairwise_sent(2, 1) == 1
-        assert fab.pairwise_received(0, 1) == 0
-        fab.try_match(1, 0, ANY_TAG, 10)
-        assert fab.pairwise_received(0, 1) == 1
-
 
 class TestWaitMatch:
     def test_wait_returns_when_available(self, fab):

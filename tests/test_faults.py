@@ -163,7 +163,7 @@ class TestCoordinatorDiagnostics:
         from repro.simtime.cost import FilesystemProfile
 
         coord = CheckpointCoordinator(
-            2, None, FilesystemProfile.discovery_nfsv3(), phase_timeout=30.0,
+            2, None, FilesystemProfile.discovery_nfsv3()
         )
         tk = coord.request_checkpoint()
         att = coord.begin_participation(0)
@@ -185,6 +185,40 @@ class TestCoordinatorDiagnostics:
         assert "outstanding ranks [1]" in msg
         coord.abort(RuntimeError("test teardown"))
         t.join(5)
+
+    def test_gate_timeout_names_phase_and_ranks(self, monkeypatch):
+        from repro.mana import coordinator
+        from repro.simtime.cost import FilesystemProfile
+
+        monkeypatch.setattr(coordinator, "PHASE_TIMEOUT_S", 0.2)
+        coord = coordinator.CheckpointCoordinator(
+            2, None, FilesystemProfile.discovery_nfsv3()
+        )
+        coord.request_checkpoint()
+        att = coord.begin_participation(0)
+        with pytest.raises(
+            CheckpointError,
+            match=r"checkpoint phase 'quiesce' timed out .*: arrived ranks "
+                  r"\[0\], outstanding ranks \[1\]",
+        ):
+            coord.quiesce(0, 1.0, att)  # rank 1 never arrives
+
+    def test_round_fails_once_its_retries_are_spent(self, tmp_path):
+        from repro.faults.scenarios import SurvivorApp, _config
+
+        plan = FaultPlan(seed=7)
+        for attempt in (1, 2, 3):
+            plan.abort_round(generation=1, attempt=attempt)
+        cfg = _config(str(tmp_path), 7, plan)
+        job = Launcher(cfg).launch(lambda r: SurvivorApp())
+        tk = job.checkpoint_at_iteration("main", 2, kind="loop")
+        res = job.run(60.0)
+        assert res.status == "completed", res.first_error()
+        with pytest.raises(CheckpointError,
+                           match=r"failed after 3 aborted attempt\(s\)"):
+            tk.wait(0)
+        assert [e["retrying"] for e in job.coordinator.round_events] == \
+            [True, True, False]
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from repro import JobConfig, Launcher
-from repro.fabric.network import Fabric
-from repro.simtime.cost import CostModel
 from repro.util.errors import MpiError
 from tests.conftest import facade_world, run_ranks
 from repro import MpiApplication
@@ -117,30 +115,6 @@ class TestReduceErrors:
         out = np.zeros(3)
         MPI.allreduce(np.arange(3.0), out, 1, c, MPI.SUM, MPI.COMM_SELF)
         assert out.tolist() == [0.0, 1.0, 2.0]
-
-
-class TestFabricJitter:
-    def test_jitter_perturbs_arrival(self):
-        cm = CostModel.discovery()
-        plain = Fabric(2, cm)
-        noisy = Fabric(2, cm, latency_jitter=0.5, jitter_seed=3)
-        m0 = plain.post_send(0, 1, 1, 0, b"x" * 100, 0.0)
-        m1 = noisy.post_send(0, 1, 1, 0, b"x" * 100, 0.0)
-        assert m1.arrive_time > m0.arrive_time  # jitter only adds
-
-    def test_jitter_deterministic_by_seed(self):
-        cm = CostModel.discovery()
-        a = Fabric(2, cm, latency_jitter=0.5, jitter_seed=7)
-        b = Fabric(2, cm, latency_jitter=0.5, jitter_seed=7)
-        for _ in range(5):
-            assert (
-                a.post_send(0, 1, 1, 0, b"y", 0.0).arrive_time
-                == b.post_send(0, 1, 1, 0, b"y", 0.0).arrive_time
-            )
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            Fabric(2, CostModel.discovery(), latency_jitter=-0.1)
 
 
 class TestConcurrentJobs:

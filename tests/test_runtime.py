@@ -96,11 +96,15 @@ class TestJobLifecycle:
         with pytest.raises(ValueError):
             Job(JobConfig(nranks=1), app_factory=None, images=None)
 
-    def test_ckpt_format_must_be_4_or_5(self):
-        assert JobConfig(nranks=1, ckpt_format=4).ckpt_format == 4
-        for bad in (3, 6):
+    def test_ckpt_format_must_be_5(self):
+        assert JobConfig(nranks=1, ckpt_format=5).ckpt_format == 5
+        for bad in (3, 4, 6):
             with pytest.raises(ValueError, match="checkpoint format"):
                 JobConfig(nranks=1, ckpt_format=bad)
+
+    def test_epoch_is_not_configurable(self):
+        with pytest.raises(TypeError, match="epoch"):
+            JobConfig(nranks=1, epoch=1)
 
     def test_unknown_impl_rejected(self):
         with pytest.raises(ValueError, match="unknown implementation"):

@@ -407,7 +407,7 @@ class TestSlotsStayBalanced:
         self, tmp_path, monkeypatch
     ):
         spans = []
-        real_save = CheckpointStore.save_v4
+        real_save = CheckpointStore.save
 
         def slow_save(self, image, **kwargs):
             t0 = time.monotonic()
@@ -416,8 +416,8 @@ class TestSlotsStayBalanced:
             spans.append((t0, time.monotonic()))
             return out
 
-        monkeypatch.setattr(CheckpointStore, "save_v4", slow_save)
-        cfg = JobConfig(nranks=4, impl="mpich", mana=True, ckpt_format=4,
+        monkeypatch.setattr(CheckpointStore, "save", slow_save)
+        cfg = JobConfig(nranks=4, impl="mpich", mana=True,
                         ckpt_dir=str(tmp_path))
         job = Job(cfg, app_factory=lambda r: RingApp(12),
                   scheduler=Scheduler(4, slots=1))
