@@ -9,9 +9,11 @@ The envelope/contents protocol (``MPI_Type_get_envelope`` /
 a derived type can be decoded recursively down to named types, which is
 how MANA reconstructs user datatypes at restart (paper §5, category 2).
 
-Packing is vectorized: a descriptor compiles once into a block table
-(``(offset, nbytes)`` pairs for one element), and ``pack``/``unpack``
-turn that into a flat uint8 index array reused across calls.
+Packing is vectorized: on its first ``pack``/``unpack`` a descriptor
+compiles, in numpy and without a Python loop per block, into one
+:class:`PackPlan` (dense flag, size, extent, and the byte index of every
+data byte of one element).  Descriptors are immutable, so the plan is
+kept for their lifetime; it is never pickled.
 """
 
 from __future__ import annotations
@@ -48,19 +50,72 @@ class Contents:
     datatypes: Tuple["TypeDescriptor", ...]
 
 
+@dataclass(frozen=True, eq=False)
+class PackPlan:
+    """One descriptor's typemap, compiled for packing.
+
+    ``index`` holds the byte offset of every data byte of one element, in
+    typemap order; it is empty when ``dense`` (packing is then a slice).
+    ``low``/``top`` are its smallest and largest entries.
+    """
+
+    dense: bool
+    size: int
+    extent: int
+    index: np.ndarray
+    low: int
+    top: int
+
+    def touched(self, nbytes: int) -> Tuple[Union[slice, np.ndarray], int]:
+        """Where the first ``nbytes`` data bytes of consecutive elements
+        lie in the caller's buffer (element ``e`` starts at
+        ``e * extent``): an index for ``raw[...]``, and the largest
+        buffer index it reaches."""
+        if self.dense:
+            return slice(0, nbytes), nbytes - 1
+        if nbytes <= 0:
+            return self.index[:0], -1
+        # Types whose typemap reaches below the buffer origin cannot be
+        # addressed in the flat-array model.
+        if self.low < 0:
+            raise MpiError(
+                "types with a negative lower bound are not supported by "
+                "the simulated buffers",
+                error_class="MPI_ERR_TYPE",
+            )
+        full, part = divmod(nbytes, self.size)
+        if full == 1:
+            idx = self.index
+        else:
+            starts = np.arange(full, dtype=np.int64) * self.extent
+            idx = (starts[:, None] + self.index[None, :]).reshape(-1)
+        # A type with data never has a negative extent, so the last full
+        # element holds the largest index.
+        largest = self.top + (full - 1) * self.extent if full else -1
+        if part:
+            tail = self.index[:part] + full * self.extent
+            idx = np.concatenate([idx, tail])
+            largest = max(largest, int(tail.max()))
+        return idx, largest
+
+
 class TypeDescriptor:
     """Abstract base of the datatype algebra."""
 
-    # Per-instance caches (descriptors are immutable after construction):
-    # the compiled block table and the most recent flat index array.
-    _blocks_cache: Optional[np.ndarray] = None
-    _flat_cache: Optional[Tuple[int, np.ndarray]] = None
+    # Compiled on first use (descriptors are immutable after construction).
+    _compiled: Optional[PackPlan] = None
 
-    def compiled_blocks(self) -> np.ndarray:
-        """Cached :meth:`blocks` — packing compiles the typemap once."""
-        if self._blocks_cache is None:
-            self._blocks_cache = self.blocks()
-        return self._blocks_cache
+    def plan(self) -> PackPlan:
+        """The descriptor's :class:`PackPlan`, compiled once."""
+        if self._compiled is None:
+            self._compiled = _compile(self)
+        return self._compiled
+
+    def __getstate__(self) -> dict:
+        # The plan is derived data: MANA pickles descriptors into images.
+        state = self.__dict__.copy()
+        state.pop("_compiled", None)
+        return state
 
     # -- geometry -------------------------------------------------------
     def size(self) -> int:
@@ -94,60 +149,12 @@ class TypeDescriptor:
         negative for exotic strides; callers use lower_bound)."""
         raise NotImplementedError
 
-    def _flat_byte_indices(self, count: int) -> np.ndarray:
-        """Absolute byte indices (into the caller's buffer) touched by
-        ``count`` consecutive elements, in typemap order.  Cached for the
-        most recent ``count`` (halo exchanges repeat the same shape)."""
-        if self._flat_cache is not None and self._flat_cache[0] == count:
-            return self._flat_cache[1]
-        blocks = self.compiled_blocks()
-        ext = self.extent()
-        if blocks.size == 0 or count == 0:
-            return np.empty(0, dtype=np.int64)
-        # Expand each (offset, length) block into its byte indices.
-        per_elem = np.concatenate(
-            [np.arange(off, off + ln, dtype=np.int64) for off, ln in blocks]
-        )
-        # Element e starts at e * extent; typemap offsets are absolute
-        # from the buffer origin (MPI semantics).  Types whose typemap
-        # reaches below the buffer (negative lower bound) cannot be
-        # addressed in the flat-array model.
-        starts = np.arange(count, dtype=np.int64) * ext
-        idx = (starts[:, None] + per_elem[None, :]).reshape(-1)
-        if idx.size and idx.min() < 0:
-            raise MpiError(
-                "types with a negative lower bound are not supported by "
-                "the simulated buffers",
-                error_class="MPI_ERR_TYPE",
-            )
-        self._flat_cache = (count, idx)
-        return idx
-
-    def is_dense(self) -> bool:
-        """True when one element is a single contiguous block starting at
-        its lower bound and extent == size (so packing is a memcpy)."""
-        blocks = self.compiled_blocks()
-        return (
-            blocks.shape[0] == 1
-            and self.lower_bound() == 0
-            and int(blocks[0, 0]) == 0
-            and int(blocks[0, 1]) == self.size() == self.extent()
-        )
-
     def pack(self, buf: np.ndarray, count: int) -> bytes:
         """Gather ``count`` elements from ``buf`` into contiguous bytes."""
         raw = _as_bytes(buf)
-        if self.is_dense():
-            nbytes = count * self.size()
-            if nbytes > raw.size:
-                raise MpiError(
-                    f"pack: buffer of {raw.size} bytes too small for "
-                    f"{count} x {self!r}",
-                    error_class="MPI_ERR_BUFFER",
-                )
-            return raw[:nbytes].tobytes()
-        idx = self._flat_byte_indices(count)
-        if idx.size and (idx[-1] >= raw.size or idx.min() < 0):
+        plan = self.plan()
+        idx, largest = plan.touched(count * plan.size)
+        if largest >= raw.size:
             raise MpiError(
                 f"pack: buffer of {raw.size} bytes too small for "
                 f"{count} x {self!r}",
@@ -162,29 +169,15 @@ class TypeDescriptor:
         than ``count`` elements of this type can absorb.
         """
         raw = _as_bytes(buf)
-        capacity = self.size() * count
-        if len(payload) > capacity:
-            raise TruncationError(
-                f"message of {len(payload)} bytes truncated: receive "
-                f"buffer holds {count} x {self.size()} bytes"
-            )
+        plan = self.plan()
         nbytes = len(payload)
-        if nbytes == 0:
-            return 0
-        if self.is_dense():
-            if nbytes > raw.size:
-                raise MpiError(
-                    f"unpack: buffer of {raw.size} bytes too small",
-                    error_class="MPI_ERR_BUFFER",
-                )
-            raw[:nbytes] = np.frombuffer(payload, dtype=np.uint8)
-            return nbytes
-        full, part = divmod(nbytes, self.size())
-        idx = self._flat_byte_indices(full)
-        if part:
-            tail = self._flat_byte_indices(full + 1)[idx.size : idx.size + part]
-            idx = np.concatenate([idx, tail])
-        if idx.size and idx[-1] >= raw.size:
+        if nbytes > plan.size * count:
+            raise TruncationError(
+                f"message of {nbytes} bytes truncated: receive "
+                f"buffer holds {count} x {plan.size} bytes"
+            )
+        idx, largest = plan.touched(nbytes)
+        if largest >= raw.size:
             raise MpiError(
                 f"unpack: buffer of {raw.size} bytes too small",
                 error_class="MPI_ERR_BUFFER",
@@ -381,13 +374,11 @@ class IndexedType(TypeDescriptor):
         return sum(self.blocklengths) * self.base.size()
 
     def _elem_offsets(self) -> np.ndarray:
-        ext = self.base.extent()
-        out: List[np.ndarray] = []
-        for bl, disp in zip(self.blocklengths, self.displacements):
-            out.append((disp + np.arange(bl, dtype=np.int64)) * ext)
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
+        runs = _runs(
+            np.array(self.displacements, dtype=np.int64),
+            np.array(self.blocklengths, dtype=np.int64),
+        )
+        return runs * self.base.extent()
 
     def lower_bound(self) -> int:
         offs = self._elem_offsets()
@@ -486,7 +477,7 @@ class StructType(TypeDescriptor):
             parts.append(_offset_blocks(base, offs))
         if not parts:
             return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(parts)
+        return _merge_blocks(np.concatenate(parts))
 
     def signature(self) -> Tuple:
         return (
@@ -526,14 +517,40 @@ def _merge_blocks(blocks: np.ndarray) -> np.ndarray:
     """Merge byte blocks that are exactly adjacent (in typemap order)."""
     if blocks.shape[0] <= 1:
         return blocks
-    merged = [list(blocks[0])]
-    for off, ln in blocks[1:]:
-        last = merged[-1]
-        if last[0] + last[1] == off:
-            last[1] += ln
-        else:
-            merged.append([off, ln])
-    return np.array(merged, dtype=np.int64)
+    offs, lens = blocks[:, 0], blocks[:, 1]
+    # A block starts a run unless it begins where its predecessor ends.
+    starts = np.flatnonzero(
+        np.concatenate(([True], offs[1:] != offs[:-1] + lens[:-1]))
+    )
+    return np.stack([offs[starts], np.add.reduceat(lens, starts)], axis=1)
+
+
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lens)])``
+    without a Python loop."""
+    return np.arange(lens.sum(), dtype=np.int64) + np.repeat(
+        starts - (np.cumsum(lens) - lens), lens
+    )
+
+
+def _compile(desc: TypeDescriptor) -> PackPlan:
+    """Build ``desc``'s plan.  Dense means one element is a single
+    contiguous block at the buffer origin with extent == size, so packing
+    is a memcpy."""
+    blocks = desc.blocks()
+    size, extent = desc.size(), desc.extent()
+    dense = (
+        blocks.shape[0] == 1
+        and desc.lower_bound() == 0
+        and int(blocks[0, 0]) == 0
+        and int(blocks[0, 1]) == size == extent
+    )
+    if dense:
+        index = np.empty(0, dtype=np.int64)
+    else:
+        index = _runs(blocks[:, 0], blocks[:, 1])
+    low, top = (int(index.min()), int(index.max())) if index.size else (0, -1)
+    return PackPlan(dense, size, extent, index, low, top)
 
 
 def _as_bytes(buf: np.ndarray) -> np.ndarray:
