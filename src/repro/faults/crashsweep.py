@@ -9,19 +9,22 @@ state with nothing leaked.  This module turns that claim into a sweep:
 1. **Baseline.**  Build a small store with two complete generations
    (two ranks, seeded payloads with cross-generation overlap so chunk
    dedup is exercised).
-2. **Enumerate.**  Run the full mutation batch — a synchronous
+2. **Enumerate.**  Run the full mutation batch through the real
+   commit path, :meth:`CheckpointStore.commit` — a synchronous
    generation save, an async-drain-style generation (``drain`` context,
-   pinned chunks, ``drain-finalize`` journal record), a prune to
-   ``keep=2``, and a chunk GC — under a recording
-   :class:`repro.faults.CrashPointInjector` and collect every named
-   crash point that fires (``<context>.<site>.<when>``; well over 40
-   distinct names across the save/drain/gc/prune contexts).
+   pinned chunks) committed with a prune to ``keep=2``, and a chunk
+   GC — under a recording :class:`repro.faults.CrashPointInjector` and
+   collect every named crash point that fires
+   (``<context>.<site>.<when>``; 96 distinct names across the
+   save/drain/gc/prune contexts, pinned in ``tests/crash_points.txt``).
 3. **Sweep.**  For each point: fresh copy of the baseline, injector
    armed at that point, run the mutation until it dies
    (:class:`repro.util.errors.InjectedCrash`; all later store
    operations raise too, so no ``finally`` block can tidy up), then run
    :func:`repro.mana.fsck.fsck` and assert the invariants:
 
+   * a check-only fsck run first predicted the repair: the same dirty
+     flag and the same rolled-back generations;
    * every generation fsck reports restorable reassembles
      **bit-identically** to the payload originally written;
    * the newest restorable generation is at least the pre-mutation
@@ -103,13 +106,15 @@ def expected_blobs() -> Dict[int, Dict[int, bytes]]:
 # ----------------------------------------------------------------------
 # store construction and mutation
 # ----------------------------------------------------------------------
+#: The manifest fields every sweep generation commits.
+_MANIFEST = {"nranks": NRANKS, "impl": "sim", "kind": "cold",
+             "cold_restartable": True, "loop_target": None}
+
+
 def _write_generation(store: CheckpointStore, generation: int) -> None:
     for rank in range(NRANKS):
         store.save(_image(rank, generation), _blob(generation, rank))
-    store.write_manifest(
-        generation, nranks=NRANKS, impl="sim", kind="cold",
-        cold_restartable=True, loop_target=None,
-    )
+    store.commit(generation, _MANIFEST)
 
 
 def build_baseline(store: CheckpointStore) -> None:
@@ -122,23 +127,17 @@ def build_baseline(store: CheckpointStore) -> None:
 def mutate(store: CheckpointStore) -> None:
     """The full batch of journaled store mutations the sweep kills.
 
-    Mirrors one supervised job's store activity: a synchronous save
-    round (generation 3), an async-drain finalize (generation 4, under
-    the ``drain`` operation context with the drainer's ``drain-finalize``
-    journal record and pinned chunk publishes), a prune to
-    ``PRUNE_KEEP``, and a final chunk GC.
+    Mirrors one supervised job's store activity through the real
+    commit path, :meth:`CheckpointStore.commit`: a synchronous save
+    round (generation 3), an async drain (generation 4, under the
+    ``drain`` operation context with pinned chunk publishes, committed
+    with a prune to ``PRUNE_KEEP``), and a final chunk GC.
     """
     _write_generation(store, 3)
     with storeio.op_context("drain"):
         for rank in range(NRANKS):
             store.save(_image(rank, 4), _blob(4, rank), pin=True)
-        fin = store.journal.begin("drain-finalize", generation=4)
-        store.write_manifest(
-            4, nranks=NRANKS, impl="sim", kind="cold",
-            cold_restartable=True, loop_target=None,
-        )
-        store.prune(PRUNE_KEEP)
-        store.journal.retire(fin)
+        store.commit(4, _MANIFEST, PRUNE_KEEP)
     store.gc()
 
 
@@ -205,7 +204,14 @@ def check_point(point: str, baseline: str, workdir: str,
         storeio.set_injector(None)
 
     problems: List[str] = []
+    # 0. A check-only pass predicts what the repair then does.
+    check = fsck(store, repair=False)
     report = fsck(store, repair=True)
+    predicted = (check.dirty, check.rolled_back_generations)
+    found = (report.dirty, report.rolled_back_generations)
+    if predicted != found:
+        problems.append(f"check-only fsck predicted (dirty, rolled back) "
+                        f"{predicted}; the repair found {found}")
     # 1. Bit-identical payloads for everything fsck calls restorable.
     for g in report.restorable_generations:
         try:

@@ -225,16 +225,20 @@ def _injection_points(path: str, data: bytes, image: CheckpointImage,
 _RUN_BYTES = 256 * 1024
 
 
-def _store_chunk_run(store: ChunkStore, view, run) -> Tuple[int, List[str]]:
+def _store_chunk_run(store: ChunkStore, view, run,
+                     context: str) -> Tuple[int, List[str]]:
     """Compress+store one run of (digest, start, end) items serially;
-    returns (bytes_written, digests new to the store)."""
+    returns (bytes_written, digests new to the store).  ``context`` is
+    the saver's operation context: a pool worker thread has none of its
+    own, so its crash points are named after the save it serves."""
     written = 0
     new_digests: List[str] = []
-    for d, s, e in run:
-        nbytes, reused = store.put_known(d, view[s:e])
-        if not reused:
-            written += nbytes
-            new_digests.append(d)
+    with storeio.op_context(context):
+        for d, s, e in run:
+            nbytes, reused = store.put_known(d, view[s:e])
+            if not reused:
+                written += nbytes
+                new_digests.append(d)
     return written, new_digests
 
 
@@ -419,20 +423,27 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # pins
     # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def pinned(self, generation: int):
-        """Hold ``generation`` in flight for the ``with`` block:
+    def pin(self, generation: int) -> None:
+        """Hold ``generation`` in flight until a matching :meth:`unpin`:
         :meth:`prune` neither dooms it nor counts it toward ``keep``,
         and fsck leaves it alone.  Pins are refcounted."""
         with self._lock:
             self._pins[generation] = self._pins.get(generation, 0) + 1
+
+    def unpin(self, generation: int) -> None:
+        with self._lock:
+            n = self._pins.pop(generation) - 1
+            if n:
+                self._pins[generation] = n
+
+    @contextlib.contextmanager
+    def pinned(self, generation: int):
+        """:meth:`pin` ``generation`` for the ``with`` block."""
+        self.pin(generation)
         try:
             yield
         finally:
-            with self._lock:
-                n = self._pins.pop(generation) - 1
-                if n:
-                    self._pins[generation] = n
+            self.unpin(generation)
 
     def pinned_generations(self) -> Set[int]:
         with self._lock:
@@ -552,12 +563,14 @@ class CheckpointStore:
                     run, size = [], 0
             if run:
                 runs.append(run)
+            context = storeio.current_context()
             if pool is not None and len(runs) > 1:
-                results = pool.gather(
-                    [(_store_chunk_run, self.chunks, view, r) for r in runs]
-                )
+                results = pool.gather([
+                    (_store_chunk_run, self.chunks, view, r, context)
+                    for r in runs
+                ])
             else:
-                results = [_store_chunk_run(self.chunks, view, r)
+                results = [_store_chunk_run(self.chunks, view, r, context)
                            for r in runs]
             written = sum(w for w, _ in results)
             new_digests = [d for _, nd in results for d in nd]
@@ -595,8 +608,8 @@ class CheckpointStore:
         extra: Optional[Dict] = None,
         dedup: Optional[Dict] = None,
     ) -> str:
-        """Job-level manifest, written once (by rank 0, or the async
-        drainer) per generation; returns its path.
+        """Job-level manifest, written once per generation (by
+        :meth:`commit`); returns its path.
 
         Atomic like the images: a generation with a manifest at its
         final path is by construction complete (the manifest is written
@@ -635,6 +648,24 @@ class CheckpointStore:
         storeio.rename(tmp, path, site="manifest")
         self.journal.retire(token)
         return path
+
+    def commit(self, generation: int, manifest_fields: Dict,
+               keep: Optional[int] = None, *, unpin: bool = False) -> None:
+        """Commit a round's generation once every rank image is durable:
+        :meth:`write_manifest`, then :meth:`prune` to ``keep`` if set.
+        The coordinator's save-gate action calls it in a sync round, the
+        drainer in an async one; nothing else writes a round's manifest.
+
+        ``unpin`` drops the caller's :meth:`pin` (an async drain writes
+        under one) after the manifest write and before the prune, so
+        the new generation counts toward ``keep``."""
+        try:
+            self.write_manifest(generation, **manifest_fields)
+        finally:
+            if unpin:
+                self.unpin(generation)
+        if keep:
+            self.prune(keep)
 
     # ------------------------------------------------------------------
     # read side

@@ -84,6 +84,12 @@ class CheckpointTicket:
     error: Optional[BaseException] = None
     # Backref for diagnostics only (phase snapshot on timeout).
     _coord: Optional[object] = field(default=None, repr=False, compare=False)
+    # Halves of the round still unreported once its save gate opened:
+    # the commit settling and the ranks passing resume (see settle).
+    _halves: int = field(default=2, repr=False, compare=False)
+    _halves_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def wait(self, timeout: float = 300.0) -> Dict:
         if not self._done.wait(timeout):
@@ -103,6 +109,18 @@ class CheckpointTicket:
         if self.error is None:
             self.error = error
         self._done.set()
+
+    def settle(self) -> None:
+        """Report one half of the round's completion: its commit settled
+        (done or failed), or its ranks passed resume — in whichever
+        order.  The second report completes the ticket, so
+        ``request_checkpoint``'s one-in-flight check never sees a done
+        ticket whose round still holds gates or writes its generation."""
+        with self._halves_lock:
+            self._halves -= 1
+            done = self._halves == 0
+        if done:
+            self._done.set()
 
 
 class _PhaseGate:
@@ -227,8 +245,6 @@ class CheckpointCoordinator:
         self.keep_generations = keep_generations
         self._save_pool = None
         self._save_pool_lock = threading.Lock()
-        #: Dedup summary of the most recent completed round (or None).
-        self.last_dedup: Optional[Dict] = None
 
         # Asynchronous (snapshot + background drain) saves.  Ranks stage
         # their pickled snapshots at the save barrier and resume; a
@@ -239,17 +255,15 @@ class CheckpointCoordinator:
         self._drainer_lock = threading.Lock()
         # rank -> {"image", "blob"} staged this round.
         self._async_blobs: Dict[int, Dict] = {}
-        # Rank 0's manifest fields, staged alongside its blob (the
-        # drainer writes the manifest — rank 0 must not, or restarts
-        # could see a manifest whose images are still draining).
-        self._async_manifest: Optional[Dict] = None
-        # Set by _on_resumed once the round's ranks pass the resume
-        # gate; the drainer completes the ticket only after it fires.
-        self._async_resume_event: Optional[threading.Event] = None
-        # Modeled timing of the drain in flight: {"generation",
-        # "start_vtime", "logical_mean"} — consumed by the *next*
-        # round's overrun accounting.
-        self._drain_pending: Optional[Dict] = None
+        # Rank 0's manifest fields, handed over at the save gate; the
+        # gate action commits them (sync) or passes them to the drainer.
+        self._manifest_fields: Optional[Dict] = None
+        # The ticket whose resume half is still owed: set by the save
+        # gate action, reported by the resume gate action (or an abort).
+        self._resume_owed: Optional[CheckpointTicket] = None
+        # (ticket, modeled start vtime) of the drain in flight — what
+        # the *next* round's overrun accounting charges against.
+        self._drain_pending: Optional[Tuple[CheckpointTicket, float]] = None
 
         self._lock = threading.Lock()
         self._intent: Optional[CheckpointTicket] = None
@@ -559,7 +573,7 @@ class CheckpointCoordinator:
             t.fail(CheckpointError(f"loop checkpoint cancelled: {reason}"))
 
     # ------------------------------------------------------------------
-    # round lifecycle (called from ManaRank.checkpoint_participate)
+    # round lifecycle (called from repro.mana.participate)
     # ------------------------------------------------------------------
     def begin_participation(self, rank: int) -> int:
         """A rank is entering the checkpoint round: returns the round
@@ -612,9 +626,8 @@ class CheckpointCoordinator:
             self._rank_bytes.clear()
             self._rank_savestats.clear()
             self._async_blobs.clear()
-            self._async_manifest = None
-            ev = self._async_resume_event
-            self._async_resume_event = None
+            self._manifest_fields = None
+            owed, self._resume_owed = self._resume_owed, None
             self._phase = "idle"
             if retrying:
                 self._retries_left -= 1
@@ -628,10 +641,8 @@ class CheckpointCoordinator:
                     f"{reason}"
                 ))
         # Outside the coordinator lock (gate actions may take it).
-        if ev is not None:
-            # A drain job was already submitted for this round: unblock
-            # the drainer (it completes the ticket idempotently).
-            ev.set()
+        if owed is not None:
+            owed.settle()   # these ranks will not pass this resume
         for g in self._gates:
             g.release()
         self._notify_intent()
@@ -648,7 +659,7 @@ class CheckpointCoordinator:
                 )
 
     # ------------------------------------------------------------------
-    # phase gates (called from ManaRank.checkpoint_participate)
+    # phase gates (called from repro.mana.participate)
     # ------------------------------------------------------------------
     def quiesce(self, rank: int, clock_now: float, attempt: int = 0) -> None:
         # Pre-wait check: a rank whose round was already aborted must not
@@ -668,17 +679,21 @@ class CheckpointCoordinator:
         self._check_attempt(attempt)
 
     def saved(self, rank: int, image_bytes: int, attempt: int = 0,
-              stats: Optional[Dict] = None) -> None:
+              stats: Optional[Dict] = None,
+              manifest: Optional[Dict] = None) -> None:
         """``image_bytes`` stays the rank's *logical* upper-half size
         (what Table 3 models); format-5 ``stats`` carry the physical
         write accounting (chunks written/reused, bytes written) that the
-        cost model and the dedup report consume."""
+        cost model and the dedup report consume.  Rank 0 hands over the
+        ``manifest`` fields it knows; the gate action commits them."""
         self._check_attempt(attempt)
         with self._lock:
             self._raise_if_aborted()
             self._rank_bytes[rank] = image_bytes
             if stats is not None:
                 self._rank_savestats[rank] = stats
+            if manifest is not None:
+                self._manifest_fields = manifest
             self._phase = "save"
         self._g_saved.wait(rank, timeout=PHASE_TIMEOUT_S)
         self._check_attempt(attempt)
@@ -712,22 +727,10 @@ class CheckpointCoordinator:
     # ------------------------------------------------------------------
     # asynchronous saves (snapshot + background drain)
     # ------------------------------------------------------------------
-    def async_round(self) -> bool:
-        """True when the current round snapshots + drains instead of
-        writing synchronously."""
-        return self.async_save
-
-    def stage_async_blob(
-        self, rank: int, image, blob: bytes,
-        manifest: Optional[Dict] = None,
-    ) -> None:
-        """Stage one rank's pickled snapshot for the background drain.
-        Rank 0 passes the ``manifest`` fields the drainer will write
-        once every image of the generation is durable."""
+    def stage_async_blob(self, rank: int, image, blob: bytes) -> None:
+        """Stage one rank's pickled snapshot for the background drain."""
         with self._lock:
             self._async_blobs[rank] = {"image": image, "blob": blob}
-            if manifest is not None:
-                self._async_manifest = manifest
 
     def _ensure_drainer(self):
         d = self._drainer
@@ -823,10 +826,19 @@ class CheckpointCoordinator:
         }
 
     def _on_saved(self) -> None:
+        """Gate action of the save barrier: every rank's image is durable
+        (sync) or staged (async).  Commits the generation — here, or by
+        handing it to the drainer — and leaves the ticket owing its
+        resume half."""
         sizes = list(self._rank_bytes.values())
         mean = sum(sizes) / len(sizes) if sizes else 0
-        if self._async_blobs:
-            self._on_saved_async(sizes, mean)
+        t = self._intent
+        fields = dict(self._manifest_fields, loop_target=self._loop_target)
+        with self._lock:
+            self._manifest_fields = None
+            self._resume_owed = t
+        if self.async_save:
+            self._on_saved_async(t, sizes, mean, fields)
             return
         # Charge the incremental pipeline's analytic cost.
         dedup = dedup_summary(self._rank_savestats.values())
@@ -834,13 +846,14 @@ class CheckpointCoordinator:
             self.fs_profile, self.nranks, int(mean),
             self._written_logical(dedup, mean),
         )
-        self.last_dedup = dedup
-        t = self._intent
-        if t is not None:
-            t.result.update(self._ticket_result(sizes, mean))
-            t.result["dedup"] = dedup
+        t.result.update(self._ticket_result(sizes, mean))
+        t.result["dedup"] = dedup
+        self.store.commit(t.generation, dict(fields, dedup=dedup),
+                          self.keep_generations)
+        t.settle()
 
-    def _on_saved_async(self, sizes: List[int], mean: float) -> None:
+    def _on_saved_async(self, t: CheckpointTicket, sizes: List[int],
+                        mean: float, fields: Dict) -> None:
         """Gate action of the save barrier in an **async** round: charge
         only snapshot + drain-overrun to virtual time, hand the staged
         blobs to the background drainer, and release the ranks.
@@ -854,70 +867,44 @@ class CheckpointCoordinator:
         measurement, so recovery traces stay deterministic no matter
         how fast the drainer actually ran.
         """
-        t = self._intent
         drainer = self._ensure_drainer()
-        prev = drainer.wait_idle()
+        drainer.wait_idle()
         start = self._ckpt_start_time
         overrun = 0.0
-        pend = self._drain_pending
-        if (
-            pend is not None
-            and prev is not None
-            and prev.get("generation") == pend["generation"]
-            and prev.get("dedup") is not None
-        ):
-            drain_t = self.ckpt_cost.drain_time(
-                self.fs_profile, self.nranks, int(pend["logical_mean"]),
-                self._written_logical(prev["dedup"], pend["logical_mean"]),
-            )
-            overrun = max(0.0, pend["start_vtime"] + drain_t - start)
+        if self._drain_pending is not None:
+            prev, prev_start = self._drain_pending
+            # No modeled drain_time: that drain failed, nothing to wait.
+            if "drain_time" in prev.result:
+                overrun = max(
+                    0.0, prev_start + prev.result["drain_time"] - start
+                )
         snap_t = self.ckpt_cost.snapshot_time(
             self.fs_profile, self.nranks, int(mean)
         )
         self._ckpt_duration = overrun + snap_t
-        self._drain_pending = {
-            "generation": t.generation if t is not None else self.generation,
-            "start_vtime": start + self._ckpt_duration,
-            "logical_mean": mean,
-        }
-        resume_event = threading.Event()
-        self._async_resume_event = resume_event
-        manifest = self._async_manifest
-        self._async_manifest = None
-        if manifest is not None:
-            manifest.setdefault("loop_target", self._loop_target)
+        self._drain_pending = (t, start + self._ckpt_duration)
         blobs = dict(self._async_blobs)
         self._async_blobs = {}
-        if t is not None:
-            t.result.update(self._ticket_result(sizes, mean))
-            t.result.update({"async": True, "snapshot_time": snap_t,
-                             "drain_overrun": overrun})
+        t.result.update(self._ticket_result(sizes, mean))
+        t.result.update({"async": True, "snapshot_time": snap_t,
+                         "drain_overrun": overrun})
         from repro.mana.asyncsave import DrainJob
 
         drainer.submit(DrainJob(
-            generation=t.generation if t is not None else self.generation,
             ticket=t,
             ranks=blobs,
-            manifest=manifest,
-            resume_event=resume_event,
+            manifest=fields,
             vtime=start,
             logical_mean=mean,
         ))
 
     def _on_resumed(self) -> None:
         with self._lock:
-            t = self._intent
             self._intent = None
             self._phase = "idle"
-            ev = self._async_resume_event
-            self._async_resume_event = None
-        if ev is not None:
-            # Async round: the ranks are free, but the ticket completes
-            # only when the drainer has made the generation durable.
-            ev.set()
-            return
-        if t is not None:
-            t._done.set()
+            owed, self._resume_owed = self._resume_owed, None
+        if owed is not None:
+            owed.settle()
 
     # ------------------------------------------------------------------
     # trivial-barrier service for two-phase collectives
@@ -1004,11 +991,12 @@ class CheckpointCoordinator:
         # Every parked rank — barrier, finalize, fabric wait — must see
         # the abort.
         self.scheduler.unpark_all()
-        # Release a drainer parked on the resume event of a round that
-        # will never resume (it checks _aborted and completes).
-        ev = self._async_resume_event
-        if ev is not None:
-            ev.set()
+        # A round whose ranks will never pass resume owes that half no
+        # more.
+        with self._lock:
+            owed, self._resume_owed = self._resume_owed, None
+        if owed is not None:
+            owed.settle()
         self._shutdown_save_pool()
 
     def _raise_if_aborted(self) -> None:

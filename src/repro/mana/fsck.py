@@ -20,14 +20,17 @@ exactly enumerable:
 :func:`fsck` repairs all of it with one pass, driven by the journal:
 
 1. *Replay the journal.*  For each pending ``image-save`` /
-   ``manifest-commit`` / ``drain-finalize`` record: if the named
-   generation has a manifest at its final path the mutation completed —
-   roll **forward** by retiring the record; otherwise the generation is
-   invisible by construction — roll **back** by deleting its directory.
-   Pending ``prune`` records name their doomed generations, and
-   deletion is re-runnable, so fsck finishes them; ``gc`` is idempotent
-   and is redone by the orphan sweep below.  Torn records (``op="?"``)
-   are simply retired.
+   ``manifest-commit`` record (or ``drain-finalize``, from stores
+   written by older versions): if the named generation has a manifest
+   at its final path the mutation completed — roll **forward** by
+   retiring the record; otherwise the generation is invisible by
+   construction — roll **back** by deleting its directory.  Pending
+   ``prune`` records name their doomed generations, and deletion is
+   re-runnable, so fsck finishes them; ``gc`` is idempotent and is
+   redone by the orphan sweep below.  Torn records (``op="?"``) are
+   simply retired.  Any other unpinned generation without a manifest
+   is rolled back too: a writer that dies between its last image and
+   the manifest commit leaves no pending record.
 2. *Sweep temp files* under the base, store, and generation
    directories — **all** of them: fsck must only run while no writer
    is active.  It is the only code that removes temp files; opening a
@@ -40,10 +43,13 @@ exactly enumerable:
 5. *Report* which generations are restorable and why the rest are not.
 
 fsck is idempotent: running it twice returns a second report with
-nothing to do.  :func:`auto_repair` is the supervised-restart hook —
-it answers "was the shutdown dirty?" cheaply and runs the full repair
-only if so.  Both take a directory's
-:class:`~repro.mana.checkpoint.CheckpointStore` (or the directory).
+nothing to do.  A check-only pass (``repair=False``) walks the same
+decisions without acting on them, so it reports the dirty flag,
+rolled-back generations and finished prunes the repair would.
+:func:`auto_repair` is the supervised-restart hook — it answers "was
+the shutdown dirty?" cheaply and runs the full repair only if so.
+Both take a directory's :class:`~repro.mana.checkpoint.CheckpointStore`
+(or the directory).
 """
 
 from __future__ import annotations
@@ -62,7 +68,9 @@ from repro.mana.chunkstore import CHUNK_SUFFIX
 from repro.util.errors import IntegrityError
 
 #: Journal ops whose pending record names a possibly-uncommitted
-#: generation (roll forward iff its manifest is on disk).
+#: generation (roll forward iff its manifest is on disk).  Nothing
+#: writes ``drain-finalize`` any more; stores from older versions may
+#: still hold one.
 _GENERATION_OPS = ("image-save", "manifest-commit", "drain-finalize")
 
 
@@ -189,45 +197,47 @@ def fsck(store, repair: bool = True) -> FsckReport:
     report.pending_records = [
         {k: v for k, v in rec.items() if k != "_token"} for rec in pending
     ]
-    rolled_back: List[int] = []
-    rolled_forward: List[int] = []
-    finished: List[int] = []
-    if repair:
-        for rec in pending:
-            op = rec.get("op")
-            if op in _GENERATION_OPS:
-                gen = rec.get("generation")
+    back, forward, finished = set(), set(), set()
+    # A check-only pass takes the same decisions without acting on
+    # them; ``gone`` stands in for the deletions it skips.
+    gone = set()
+
+    def remove(gen: int, into: set) -> None:
+        into.add(gen)
+        gone.add(gen)
+        if repair:
+            store.remove_generation(gen)
+
+    def committed(gen: int) -> bool:
+        return gen not in gone and os.path.exists(store.manifest_path(gen))
+
+    for rec in pending:
+        op, gen = rec.get("op"), rec.get("generation")
+        if op in _GENERATION_OPS:
+            if isinstance(gen, int) and gen not in pinned:
+                if committed(gen):
+                    forward.add(gen)
+                else:
+                    remove(gen, back)
+        elif op == "prune":
+            for gen in rec.get("generations", []) or []:
                 if isinstance(gen, int) and gen not in pinned:
-                    if os.path.exists(store.manifest_path(gen)):
-                        if gen not in rolled_forward:
-                            rolled_forward.append(gen)
-                    else:
-                        if gen not in rolled_back:
-                            rolled_back.append(gen)
-                        store.remove_generation(gen)
-            elif op == "prune":
-                for gen in rec.get("generations", []) or []:
-                    if isinstance(gen, int) and gen not in pinned:
-                        store.remove_generation(gen)
-                        if gen not in finished:
-                            finished.append(gen)
-            # "gc", torn ("?"), and unknown ops: idempotent or
-            # meaningless — the orphan sweep below redoes any GC.
+                    remove(gen, finished)
+        # "gc", torn ("?"), and unknown ops: idempotent or
+        # meaningless — the orphan sweep below redoes any GC.
+        if repair:
             journal.retire(rec["_token"])
-        # Manifest-less generation directories with no pending record
-        # are also rollback targets: a writer can die in the window
-        # between retiring its last image-save record and beginning the
-        # manifest commit (or before its first journal write reached
-        # disk).  With no writer active — fsck's precondition — a
-        # generation without its commit marker is garbage by definition.
-        for gen in store.generations():
-            if gen in pinned or gen in rolled_back:
-                continue
-            if not os.path.exists(store.manifest_path(gen)):
-                rolled_back.append(gen)
-                store.remove_generation(gen)
-    report.rolled_back_generations = sorted(rolled_back)
-    report.rolled_forward_generations = sorted(rolled_forward)
+    # Manifest-less generation directories with no pending record are
+    # also rollback targets: a writer can die in the window between
+    # retiring its last image-save record and beginning the manifest
+    # commit (or before its first journal write reached disk).  With no
+    # writer active — fsck's precondition — a generation without its
+    # commit marker is garbage by definition.
+    for gen in store.generations():
+        if gen not in pinned and gen not in gone and not committed(gen):
+            remove(gen, back)
+    report.rolled_back_generations = sorted(back)
+    report.rolled_forward_generations = sorted(forward)
     report.finished_prunes = sorted(finished)
 
     # 2. Temp-file sweep -----------------------------------------------
@@ -290,15 +300,22 @@ def auto_repair(store) -> Optional[FsckReport]:
     """The supervised-restart hook: repair only if the shutdown was
     dirty (``store``: a :class:`CheckpointStore` or its path).
 
-    Cheap dirtiness probe first — pending journal records, or stray
-    temp files anywhere in the layout.  A clean directory returns
-    ``None`` without mutating anything (and without the cost of a deep
-    chunk verification), so a supervisor restarting after an ordinary
-    rank failure sees no fsck event in its trace.
+    Cheap dirtiness probe first — pending journal records, stray temp
+    files anywhere in the layout, or an unpinned generation directory
+    without a manifest (a writer that died between its last image and
+    the manifest commit leaves no record behind).  A clean directory
+    returns ``None`` without mutating anything (and without the cost of
+    a deep chunk verification), so a supervisor restarting after an
+    ordinary rank failure sees no fsck event in its trace.
     """
     store = store_for(store)
     if not os.path.isdir(store.base_dir):
         return None
-    if not store.journal.pending() and not _stray_tmp(store):
+    pinned = store.pinned_generations()
+    uncommitted = any(
+        not os.path.exists(store.manifest_path(g))
+        for g in store.generations() if g not in pinned
+    )
+    if not (store.journal.pending() or _stray_tmp(store) or uncommitted):
         return None
     return fsck(store, repair=True)

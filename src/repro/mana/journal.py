@@ -2,18 +2,20 @@
 
 Every multi-step store mutation — a rank image save (which publishes
 chunks and then an image header), a generation manifest commit, chunk
-GC, generation pruning, an async drain finalize — *begins* by writing a
+GC, generation pruning — *begins* by writing a
 tiny JSON record under ``<ckpt_base>/journal/`` and *retires* (unlinks)
 it only once the mutation is fully durable.  A crash in between leaves
 the record pending, and a pending record is exactly what tells
 :mod:`repro.mana.fsck` that the store shut down dirty and which
 mutation to roll back or forward:
 
-* ``image-save`` / ``manifest-commit`` / ``drain-finalize`` — if the
-  named generation has a manifest at its final path it is complete
-  (the manifest is always written last): roll *forward* by retiring the
-  record.  Otherwise the generation is invisible by construction: roll
-  *back* by deleting its directory.
+* ``image-save`` / ``manifest-commit`` — if the named generation has a
+  manifest at its final path it is complete (the manifest is always
+  written last): roll *forward* by retiring the record.  Otherwise the
+  generation is invisible by construction: roll *back* by deleting its
+  directory.  ``drain-finalize``, which older versions' async drainer
+  wrapped around its manifest commit and prune, is no longer written;
+  fsck still applies the same rule to it.
 * ``prune`` — the record names the doomed generations; deletion is
   re-runnable, so fsck simply finishes it.
 * ``gc`` — reference-scan-and-delete is idempotent; fsck redoes it.

@@ -155,13 +155,15 @@ def allgather_blob(lib: BaseMpiLib, obj) -> List:
         return pickle.loads(rbuf.tobytes())
     gathered: List = [None] * lib.nranks
     gathered[0] = obj
-    for _ in range(lib.nranks - 1):
-        st = lib.probe(C.ANY_SOURCE, _REPLAY_TAG, world)
+    # Rank order, not arrival order: each probe + recv merges the
+    # sender's virtual time into rank 0's clock and then charges two
+    # library calls, so the order of the merges shows in the clock —
+    # in arrival order it followed wall-clock timing.
+    for src in range(1, lib.nranks):
+        st = lib.probe(src, _REPLAY_TAG, world)
         rbuf = np.empty(st.count_bytes, dtype=np.uint8)
-        st2 = lib.recv(
-            rbuf, st.count_bytes, byte_t, st.source, _REPLAY_TAG, world
-        )
-        gathered[st2.source] = pickle.loads(rbuf.tobytes())
+        lib.recv(rbuf, st.count_bytes, byte_t, src, _REPLAY_TAG, world)
+        gathered[src] = pickle.loads(rbuf.tobytes())
     out = pickle.dumps(gathered, protocol=pickle.HIGHEST_PROTOCOL)
     obuf = np.frombuffer(out, dtype=np.uint8).copy()
     for dst in range(1, lib.nranks):

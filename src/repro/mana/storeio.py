@@ -24,7 +24,8 @@ The *context* half of a point name comes from a thread-local stack:
 :func:`op_context` labels whether the mutation runs under the
 synchronous save path (``"save"``, the default), the async drainer
 (``"drain"``), chunk garbage collection (``"gc"``), or generation
-pruning (``"prune"``).
+pruning (``"prune"``).  A save that fans its chunk publishes out to a
+worker pool hands its context to the workers with the work.
 
 Crash semantics: a dead injector (one that already fired) raises from
 *every* subsequent hook, so once a simulated process dies mid-mutation

@@ -34,25 +34,23 @@ with logic of their own are written out.  Every wrapper keeps one rule:
 *no handle is translated before the two-phase barrier* — a RELAUNCH
 round run from inside it rebuilds the lower half, so an earlier
 physical id would name an object of the discarded library.
+
+The rank side of a checkpoint round, which a wrapper enters from a safe
+point, lives in :mod:`repro.mana.participate`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.impls import make_lib
 from repro.impls.facade import _CONSTANT_ATTRS, _NULL_ATTRS, FacadeBase
 from repro.mana import checkpoint as ckpt
 from repro.mana import constants as mana_constants
+from repro.mana import participate
 from repro.mana import replay as replay_mod
-from repro.mana.coordinator import (
-    CheckpointCoordinator,
-    CheckpointKind,
-    CheckpointMode,
-)
-from repro.mana.drain import DrainBuffer, run_drain
+from repro.mana.coordinator import CheckpointCoordinator
+from repro.mana.drain import DrainBuffer
 from repro.mana.legacy import LegacyVirtualIdMaps
 from repro.mana.records import (
     CommRecord,
@@ -81,13 +79,7 @@ from repro.mpi.datatypes import TypeDescriptor
 from repro.mpi.objects import CartInfo, Status
 from repro.simtime.clock import VirtualClock
 from repro.simtime.cost import CostModel
-from repro.util.errors import (
-    CheckpointRoundAborted,
-    InvalidHandleError,
-    JobPreempted,
-    MpiError,
-    RestartError,
-)
+from repro.util.errors import InvalidHandleError, MpiError
 from repro.util.registry import USER_OPS
 
 _MAX_POLL_CHARGES = 100_000  # cap on analytically charged polls per wait
@@ -226,6 +218,9 @@ class ManaRank:
             n * self.call_weight * self.cost_model.library_call_cost(),
             "mana-overhead",
         )
+
+    # The rank side of an armed checkpoint round, run from safe points.
+    checkpoint_participate = participate.checkpoint_participate
 
     def _maybe_checkpoint(self) -> None:
         coord = self.coordinator
@@ -1082,183 +1077,6 @@ class ManaRank:
         rec, info = self._cart_info(comm_v)
         my = rec.world_ranks.index(self.rank)
         return info.shift(my, direction, disp)
-
-    # ------------------------------------------------------------------
-    # checkpoint participation (the rank side of the coordinator dance)
-    # ------------------------------------------------------------------
-    def checkpoint_participate(self) -> None:
-        """Run this rank's part of a checkpoint.  Called from any safe
-        point; returns when the job resumes (or raises JobPreempted).
-
-        An aborted round (injected coordinator stall, or a failure
-        detected mid-round) surfaces as :class:`CheckpointRoundAborted`
-        out of the phase calls; while the coordinator keeps the same
-        ticket armed — it bounds retries — this rank simply re-enters
-        the round."""
-        coord = self.coordinator
-        while True:
-            ticket = coord.intent
-            if ticket is None:
-                return
-            try:
-                self._participate_once(ticket)
-                return
-            except CheckpointRoundAborted:
-                self._active_ticket = None
-                # Re-read the intent: the coordinator either re-armed the
-                # same ticket (retry the round) or failed it (return to
-                # the application).
-                continue
-
-    def _participate_once(self, ticket) -> None:
-        """One attempt at the quiesce → drain → save → resume round."""
-        coord = self.coordinator
-        self._active_ticket = ticket
-        attempt = coord.begin_participation(self.rank)
-
-        coord.quiesce(self.rank, self.clock.now, attempt)
-        if self.injector is not None:
-            self.injector.crash_point(
-                "pre-drain", self.rank, ticket.generation, self.clock.now
-            )
-        # From here until resume, every lower-half call is MANA-internal
-        # (the app is parked); record the delta to audit the paper's
-        # Section 5 required-subset claim.
-        calls_before = dict(self.lower.call_counts)
-        run_drain(self)
-        if self.injector is not None:
-            self.injector.crash_point(
-                "post-drain", self.rank, ticket.generation, self.clock.now
-            )
-        coord.drained(self.rank, attempt)
-
-        nbytes, savestats = self._write_image(ticket)
-        coord.saved(self.rank, nbytes, attempt, stats=savestats)
-
-        # Charge the checkpoint's cost to virtual time (Table 3 model).
-        start, duration = coord.checkpoint_timing()
-        self.clock.merge(start)
-        self.clock.advance(duration, "checkpoint")
-
-        if self.rank == 0 and not coord.async_round():
-            # Async rounds: the background drainer writes the manifest
-            # once every image is durable (and prunes afterwards) — a
-            # manifest written here would mark a generation restorable
-            # while its images are still draining.
-            coord.store.write_manifest(
-                ticket.generation,
-                loop_target=coord.loop_target(),
-                dedup=coord.last_dedup,
-                **self._manifest_fields(ticket),
-            )
-            if coord.keep_generations:
-                coord.store.prune(coord.keep_generations)
-
-        if ticket.mode == CheckpointMode.RELAUNCH:
-            self._relaunch_lower()
-            # Replay ran against a brand-new library: audit it all.
-            self.last_internal_calls = dict(self.lower.call_counts)
-        else:
-            self.last_internal_calls = {
-                name: n - calls_before.get(name, 0)
-                for name, n in self.lower.call_counts.items()
-                if n > calls_before.get(name, 0)
-            }
-
-        coord.resumed(self.rank, attempt)
-        self._active_ticket = None
-
-        if ticket.mode == CheckpointMode.EXIT:
-            raise JobPreempted(ticket.generation)
-
-    def _manifest_fields(self, ticket) -> Dict:
-        """The :meth:`CheckpointStore.write_manifest` fields this rank
-        knows; the synchronous path writes them after the save barrier,
-        the asynchronous one stages them for the drainer."""
-        coord = self.coordinator
-        # Key order is part of the manifest's bytes.
-        extra = {"vid_design": self.vids.design_name}
-        if coord.async_round():
-            extra["async"] = True
-        if coord.elastic_provenance is not None:
-            extra["elastic"] = dict(coord.elastic_provenance)
-        return {
-            "nranks": self.fabric.nranks,
-            "impl": self.impl_name,
-            "kind": ticket.kind,
-            "cold_restartable": ticket.kind == CheckpointKind.LOOP,
-            "extra": extra,
-        }
-
-    def _write_image(self, ticket):
-        """Serialize and persist this rank's image into the coordinator's
-        checkpoint store; returns ``(logical_bytes, savestats_or_None)``.
-
-        The image goes through the incremental path (chunked, deduped,
-        compressed) on the coordinator's save worker pool.
-        ``logical_bytes`` is always the logical upper-half size — the
-        quantity Table 3's filesystem model is calibrated against —
-        never the post-dedup physical bytes.
-        """
-        loops = dict(self._ctx._loops) if self._ctx is not None else {}
-        image = ckpt.CheckpointImage(
-            rank=self.rank,
-            nranks=self.fabric.nranks,
-            impl=self.impl_name,
-            kind=ticket.kind,
-            generation=ticket.generation,
-            app=self._app,
-            loops=loops,
-            vid_table=self.vids,
-            drain_buffer=self.drain_buffer,
-            clock_state=self.clock.get_state(),
-            rng_state=None,
-            cs_count=self.cs_count,
-            epoch=self.epoch,
-        )
-        coord = self.coordinator
-        savestats = None
-        if coord.async_round():
-            # Async save: the pickle below IS the snapshot — a cheap,
-            # consistent copy taken while every rank is parked.  The
-            # encode+write moves to the coordinator's background
-            # drainer; this rank resumes computing after the barrier.
-            blob = ckpt.pickle_upper_half(image)
-            manifest = (
-                self._manifest_fields(ticket) if self.rank == 0 else None
-            )
-            coord.stage_async_blob(self.rank, image, blob, manifest)
-            nbytes = len(blob)
-        else:
-            # Synchronous save: compression, hashing and file writes
-            # release the interpreter lock, so the rank gives its run
-            # slot up while it is in them.
-            with self.fabric.scheduler.released(self.rank):
-                # The writer fans ~256 KiB chunk runs into the shared
-                # pool, so chunks of every rank interleave; faults still
-                # surface in this rank's thread.
-                savestats = coord.store.save(
-                    image, injector=self.injector, vtime=self.clock.now,
-                    pool=coord.save_pool(),
-                )
-            nbytes = savestats["payload_bytes"] + savestats["file_bytes"]
-        # Proxy applications hold a scaled-down working set; they declare
-        # the full-size resident bytes the real application would have
-        # checkpointed (Table 3 image sizes).  Accounting — not storage.
-        extra = getattr(self._app, "simulated_state_bytes", 0) or 0
-        return nbytes + int(extra), savestats
-
-    def _relaunch_lower(self) -> None:
-        """Discard the lower half and rebuild it — the restart path of
-        Figure 1, exercised without killing the process."""
-        self.lower.shutdown()
-        self.epoch += 1
-        self._launch_lower()
-        # Invalidate every physical binding, then replay.
-        for entry in list(self.vids.entries()):
-            if entry.phys is not None:
-                self.vids.set_phys(self.vids.embed(entry.vid), None)
-        replay_mod.replay_all(self)
 
 
 # ----------------------------------------------------------------------

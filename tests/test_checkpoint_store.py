@@ -12,10 +12,15 @@ import sys
 import threading
 from dataclasses import replace
 
+import pytest
+
 from repro import FaultPlan, JobConfig, Launcher
 from repro.apps.elastic import ElasticHaloApp
+from repro.faults.crashpoints import CrashPointInjector
+from repro.mana import storeio
 from repro.mana.checkpoint import CheckpointImage, CheckpointStore, store_for
 from repro.runtime import RestartPolicy
+from repro.util.errors import InjectedCrash
 
 SEED = 7
 
@@ -143,6 +148,63 @@ class TestPins:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert store.pinned_generations() == set()
+
+
+_FIELDS = {"nranks": 1, "impl": "mpich", "kind": "loop",
+           "cold_restartable": True, "loop_target": None}
+
+
+def _save(store, generation):
+    store.save(CheckpointImage(
+        rank=0, nranks=1, impl="mpich", kind="loop", generation=generation,
+        app={"x": generation}, loops={}, vid_table=None, drain_buffer=None,
+        clock_state={}, rng_state=None, cs_count=0, epoch=0,
+    ))
+
+
+class TestCommit:
+    def test_commit_writes_the_manifest_then_prunes(self, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        for g in (1, 2, 3):
+            _save(store, g)
+            store.commit(g, dict(_FIELDS, dedup={"chunks_written": g}), 2)
+        assert store.generations() == [2, 3]
+        assert store.restorable() == [2, 3]
+        manifest = store.read_manifest(3)
+        assert manifest["dedup"] == {"chunks_written": 3}
+        assert list(manifest) == [
+            "format_version", "generation", "nranks", "impl", "kind",
+            "cold_restartable", "loop_target", "extra", "dedup",
+        ]
+        assert store.journal.pending() == []
+
+    def test_writer_pin_drops_before_the_prune(self, tmp_path):
+        """An async drain writes under a pin; its commit drops the pin
+        once the manifest is durable, so the new generation counts
+        toward ``keep`` — exactly as in a synchronous round."""
+        store = CheckpointStore(str(tmp_path))
+        for g in (1, 2):
+            _save(store, g)
+            store.commit(g, _FIELDS)
+        store.pin(3)
+        _save(store, 3)
+        store.commit(3, _FIELDS, 2, unpin=True)
+        assert store.pinned_generations() == set()
+        assert store.generations() == [2, 3]
+
+    def test_failed_manifest_write_still_drops_the_pin(self, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        store.pin(1)
+        _save(store, 1)
+        storeio.set_injector(
+            CrashPointInjector(arm_at="save.manifest.rename.before"))
+        try:
+            with pytest.raises(InjectedCrash):
+                store.commit(1, _FIELDS, 1, unpin=True)
+        finally:
+            storeio.set_injector(None)
+        assert store.pinned_generations() == set()
+        assert not os.path.exists(store.manifest_path(1))
 
 
 class TestOpeningIsReadOnly:

@@ -137,7 +137,7 @@ SMOKE_STDOUT = {
         "bit-identically\n"
     ),
     "crash": (
-        "crash points : 102 enumerated across contexts "
+        "crash points : 96 enumerated across contexts "
         "[drain, gc, prune, save]; 24 killed\n"
         "restore/repair: ok (every kill left the store restorable or "
         "fsck-repairable, zero leaks)\n"

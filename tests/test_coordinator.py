@@ -29,6 +29,15 @@ class TestTickets:
         assert c.intent is t
         assert c.should_park_now()
 
+    def test_ticket_completes_on_its_second_half(self):
+        """A round's commit and its resume report in either order; the
+        ticket completes on whichever comes last."""
+        t = coord().request_checkpoint()
+        t.settle()
+        assert not t._done.is_set()
+        t.settle()
+        assert t.wait(0) is t.result
+
     def test_second_request_while_busy_rejected(self):
         c = coord()
         c.request_checkpoint()

@@ -9,16 +9,29 @@ exhaustive all-points sweep is ``slow``-marked (same code path as
 ``python -m repro smoke crash --points 0``).
 """
 
+import pathlib
+import random
+
 import pytest
 
 from repro.faults.crashpoints import CrashPointInjector
 from repro.faults.crashsweep import (
+    _image,
     enumerate_crash_points,
     run_sweep,
     select_subset,
 )
+from repro.harness.parallel import TaskPool
 from repro.mana import storeio
+from repro.mana.checkpoint import CheckpointStore
 from repro.util.errors import InjectedCrash
+
+#: The sweep's point names in first-seen order.  Re-record with
+#: ``PYTHONPATH=src python -c "import tempfile; from
+#: repro.faults.crashsweep import enumerate_crash_points as e;
+#: d = tempfile.TemporaryDirectory(); print('\n'.join(e(d.name)))"
+#: > tests/crash_points.txt``
+_CRASH_POINTS = pathlib.Path(__file__).with_name("crash_points.txt")
 
 
 # ----------------------------------------------------------------------
@@ -90,6 +103,12 @@ class TestEnumeration:
                   if p.endswith(".after")}
         assert befores == afters
 
+    def test_points_match_the_recorded_list(self, tmp_path):
+        """Point names change only on purpose: after an intended change,
+        re-record ``tests/crash_points.txt`` (see ``_CRASH_POINTS``)."""
+        recorded = _CRASH_POINTS.read_text().split()
+        assert enumerate_crash_points(str(tmp_path)) == recorded
+
     def test_enumeration_is_deterministic(self, tmp_path):
         a = enumerate_crash_points(str(tmp_path / "a"))
         b = enumerate_crash_points(str(tmp_path / "b"))
@@ -104,6 +123,25 @@ class TestEnumeration:
         # The spread reaches past the first context's points.
         assert len({p.split(".")[0] for p in sub}) >= 2
         assert select_subset(points, 10_000) == points
+
+
+    def test_pooled_drain_names_its_chunk_points_drain(self, tmp_path):
+        """Chunk runs fanned out to the save pool keep the saver's
+        operation context: a drain's chunk publishes are ``drain.*``."""
+        store = CheckpointStore(str(tmp_path))
+        blob = random.Random(5).randbytes(1 << 20)
+        inj = CrashPointInjector()
+        pool = TaskPool(2, name="t-drain-ctx")
+        storeio.set_injector(inj)
+        try:
+            with storeio.op_context("drain"):
+                store.save(_image(0, 1), blob, pool=pool, pin=True)
+        finally:
+            storeio.set_injector(None)
+            pool.shutdown()
+        chunk = [p for p in inj.points if ".chunk." in p]
+        assert "drain.chunk.link.before" in chunk
+        assert [p for p in chunk if not p.startswith("drain.")] == []
 
 
 # ----------------------------------------------------------------------

@@ -183,6 +183,69 @@ class TestFsckRepair:
         assert report.rolled_back_generations == [2]
         assert report.restorable_generations == [1]
 
+    @pytest.mark.parametrize("committed", [True, False])
+    def test_pending_drain_finalize_record_rolls_forward_or_back(
+            self, tmp_path, committed):
+        """Stores written by older versions journal an async commit as
+        ``drain-finalize``; fsck still treats it like ``manifest-commit``."""
+        store = store_for(str(tmp_path))
+        _write_generation(store, 1)
+        if committed:
+            _write_generation(store, 2)
+        else:
+            store.save(_image(0, 2), _blob(2, 0))
+            store.save(_image(1, 2), _blob(2, 1))
+        store.journal.begin("drain-finalize", generation=2)
+        report = fsck(store)
+        assert report.rolled_forward_generations == ([2] if committed
+                                                     else [])
+        assert report.rolled_back_generations == ([] if committed else [2])
+        assert report.restorable_generations == ([1, 2] if committed
+                                                 else [1])
+        assert store.journal.pending() == []
+
+    def test_crash_before_manifest_commit_is_seen_by_probe_and_check(
+            self, tmp_path):
+        """A writer that dies just before journaling the manifest commit
+        leaves no pending record: every image record is retired.  The
+        auto-repair probe and a check-only fsck must still see the
+        manifest-less generation the repair rolls back."""
+        from repro.faults.crashsweep import build_baseline, mutate
+
+        store = store_for(str(tmp_path))
+        build_baseline(store)
+        inj = CrashPointInjector(
+            arm_at="save.journal.manifest-commit.write.before")
+        storeio.set_injector(inj)
+        try:
+            with pytest.raises(InjectedCrash):
+                mutate(store)
+        finally:
+            storeio.set_injector(None)
+        assert store.generations() == [1, 2, 3]
+        assert store.journal.pending() == []
+        check = fsck(store, repair=False)
+        assert check.dirty
+        assert check.rolled_back_generations == [3]
+        assert store.generations() == [1, 2, 3]           # nothing mutated
+        report = auto_repair(store)
+        assert report is not None and report.repaired
+        assert report.rolled_back_generations == [3]
+        assert store.generations() == [1, 2]
+        assert auto_repair(store) is None
+
+    def test_check_only_mode_predicts_finished_prune(self, tmp_path):
+        store = store_for(str(tmp_path))
+        for g in (1, 2, 3):
+            _write_generation(store, g)
+        store.journal.begin("prune", generations=[1])
+        check = fsck(store, repair=False)
+        assert check.finished_prunes == [1]
+        assert check.rolled_back_generations == []
+        assert os.path.isdir(store.generation_dir(1))
+        report = fsck(store)
+        assert report.finished_prunes == check.finished_prunes
+
     def test_pending_prune_is_finished(self, tmp_path):
         store = store_for(str(tmp_path))
         for g in (1, 2, 3):

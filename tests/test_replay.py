@@ -4,6 +4,8 @@ decode_datatype/create_datatype use only the §5 standard-call subset, so
 they must work identically on every implementation.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,25 @@ class TestAllgatherBlob:
         out = run_ranks(nranks, body)
         expect = [{"rank": r, "data": list(range(r))} for r in range(nranks)]
         assert all(o == expect for o in out)
+
+    def test_rank_zero_clock_ignores_arrival_order(self):
+        """Rank 0 takes the blobs in rank order, so its virtual clock —
+        and every rank's, through the broadcast back — is the same
+        whichever sender's message reaches it first in wall-clock."""
+        def clocks(first):
+            _, lib_for = make_world(3, "openmpi")
+
+            def body(r):
+                lib = lib_for(r)
+                lib.clock.advance(1e-5 * r, "compute")   # offset clocks
+                if r not in (0, first):
+                    time.sleep(0.1)      # the other sender arrives later
+                allgather_blob(lib, r)
+                return lib.clock.now
+
+            return run_ranks(3, body)
+
+        assert clocks(first=1) == clocks(first=2)
 
     def test_large_objects(self):
         _, lib_for = make_world(3, "mpich")
