@@ -1,10 +1,11 @@
 """Syscall-boundary crash injection for the checkpoint store.
 
 The :class:`CrashPointInjector` is the adversary of the durability
-layer (PROTOCOLS.md §13).  Installed into :mod:`repro.mana.storeio`
-via :func:`repro.mana.storeio.set_injector`, it sees every named
-crash point — ``<context>.<site>.<before|after>`` around each
-write/fsync/rename/link/unlink in the save, drain, gc, and prune
+layer (PROTOCOLS.md §13).  Given to a store as the injector of its
+:class:`repro.mana.storeio.StoreIO` (``CheckpointStore(dir,
+io=StoreIO(injector=inj))``), it sees every named crash point of that
+store — ``<context>.<site>.<before|after>`` around each
+write/fsync/rename/link/unlink in the save, drain, gc, prune and fsck
 paths — and can either *record* them (enumeration mode) or *kill* the
 mutation at one of them (armed mode).
 
@@ -18,10 +19,10 @@ asserts that for *every* such point the store either still restores
 the previous generation bit-identically or ``repro fsck`` repairs it
 to a restorable state with zero leaked chunks.
 
-This injector is deliberately standalone — not wired through
-:class:`repro.faults.FaultPlan` — because it mutates process-global
-shim state; install/remove it explicitly around the mutation under
-test (the sweep and the tests use ``try/finally``).
+This injector is standalone — not wired through
+:class:`repro.faults.FaultPlan` — because it belongs to a store, not to
+a job: the store under test carries it, and a store opened afterwards
+without it is the rebooted process that runs fsck.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class CrashPointInjector:
 
     # ------------------------------------------------------------------
     def hit(self, name: str) -> None:
-        """Called by the storeio shim at every crash point."""
+        """Called by a :class:`~repro.mana.storeio.StoreIO` at every
+        crash point."""
         with self._lock:
             if self.dead:
                 raise InjectedCrash(

@@ -13,7 +13,8 @@ state with nothing leaked.  This module turns that claim into a sweep:
    commit path, :meth:`CheckpointStore.commit` — a synchronous
    generation save, an async-drain-style generation (``drain`` context,
    pinned chunks) committed with a prune to ``keep=2``, and a chunk
-   GC — under a recording :class:`repro.faults.CrashPointInjector` and
+   GC — on a store whose own :class:`repro.mana.storeio.StoreIO`
+   carries a recording :class:`repro.faults.CrashPointInjector`, and
    collect every named crash point that fires
    (``<context>.<site>.<when>``; 96 distinct names across the
    save/drain/gc/prune contexts, pinned in ``tests/crash_points.txt``).
@@ -21,7 +22,8 @@ state with nothing leaked.  This module turns that claim into a sweep:
    armed at that point, run the mutation until it dies
    (:class:`repro.util.errors.InjectedCrash`; all later store
    operations raise too, so no ``finally`` block can tidy up), then run
-   :func:`repro.mana.fsck.fsck` and assert the invariants:
+   :func:`repro.mana.fsck.fsck` on a freshly opened store — the
+   rebooted process — and assert the invariants:
 
    * a check-only fsck run first predicted the repair: the same dirty
      flag and the same rolled-back generations;
@@ -53,6 +55,7 @@ from repro.mana.checkpoint import (
     image_chunk_refs,
 )
 from repro.mana.fsck import fsck
+from repro.mana.storeio import StoreIO
 from repro.util.errors import InjectedCrash, IntegrityError, RestartError
 
 NRANKS = 2
@@ -118,7 +121,7 @@ def _write_generation(store: CheckpointStore, generation: int) -> None:
 
 
 def build_baseline(store: CheckpointStore) -> None:
-    """Two complete generations, no injector installed."""
+    """Two complete generations, written with no injector."""
     os.makedirs(store.base_dir, exist_ok=True)
     for g in BASELINE_GENS:
         _write_generation(store, g)
@@ -129,15 +132,15 @@ def mutate(store: CheckpointStore) -> None:
 
     Mirrors one supervised job's store activity through the real
     commit path, :meth:`CheckpointStore.commit`: a synchronous save
-    round (generation 3), an async drain (generation 4, under the
+    round (generation 3), an async drain (generation 4, in the
     ``drain`` operation context with pinned chunk publishes, committed
     with a prune to ``PRUNE_KEEP``), and a final chunk GC.
     """
     _write_generation(store, 3)
-    with storeio.op_context("drain"):
-        for rank in range(NRANKS):
-            store.save(_image(rank, 4), _blob(4, rank), pin=True)
-        store.commit(4, _MANIFEST, PRUNE_KEEP)
+    for rank in range(NRANKS):
+        store.save(_image(rank, 4), _blob(4, rank), pin=True,
+                   context="drain")
+    store.commit(4, _MANIFEST, PRUNE_KEEP, context="drain")
     store.gc()
 
 
@@ -145,14 +148,10 @@ def enumerate_crash_points(workdir: str) -> List[str]:
     """Every crash-point name the mutation batch fires, first-seen
     order.  Deterministic: the payloads, chunking, and mutation order
     are all seeded/sorted."""
-    store = CheckpointStore(os.path.join(workdir, "enum"))
-    build_baseline(store)
+    base = os.path.join(workdir, "enum")
+    build_baseline(CheckpointStore(base))
     inj = CrashPointInjector()  # record mode: never crashes
-    storeio.set_injector(inj)
-    try:
-        mutate(store)
-    finally:
-        storeio.set_injector(None)
+    mutate(CheckpointStore(base, io=StoreIO(injector=inj)))
     return list(inj.points)
 
 
@@ -191,18 +190,14 @@ def check_point(point: str, baseline: str, workdir: str,
     sub = hashlib.sha256(point.encode()).hexdigest()[:16]
     work = os.path.join(workdir, f"pt-{sub}")
     shutil.copytree(baseline, work)
-    store = CheckpointStore(work)
-
-    inj = CrashPointInjector(arm_at=point)
-    storeio.set_injector(inj)
     crashed = False
     try:
-        mutate(store)
+        mutate(CheckpointStore(
+            work, io=StoreIO(injector=CrashPointInjector(arm_at=point))))
     except InjectedCrash:
         crashed = True
-    finally:
-        storeio.set_injector(None)
 
+    store = CheckpointStore(work)   # the rebooted process
     problems: List[str] = []
     # 0. A check-only pass predicts what the repair then does.
     check = fsck(store, repair=False)

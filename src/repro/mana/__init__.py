@@ -35,7 +35,7 @@ from repro.mana.coordinator import CheckpointCoordinator, CheckpointKind
 from repro.mana.checkpoint import CheckpointImage, CheckpointStore, store_for
 from repro.mana.chunkstore import ChunkStore, chunk_spans
 
-__all__ = [
+__all__ = (
     "VirtualIdTable",
     "VidEntry",
     "GgidPolicy",
@@ -49,4 +49,4 @@ __all__ = [
     "ChunkStore",
     "chunk_spans",
     "store_for",
-]
+)

@@ -46,7 +46,6 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.mana import storeio
 from repro.mana.checkpoint import dedup_summary
 
 
@@ -113,12 +112,12 @@ class AsyncSaveDrainer:
     def _drain_one(self, job: DrainJob) -> None:
         coord, store = self.coordinator, self.store
         t = job.ticket
-        # Everything the drainer writes is labeled with the "drain"
-        # operation context, so its crash points are named drain.* and a
+        # Everything the drainer writes passes the "drain" operation
+        # context, so its crash points are named drain.* and a
         # crash-injection sweep can target the async path separately
         # from the synchronous save path.
         busy = max(1, coord.save_workers)   # this thread, or its pool
-        with storeio.op_context("drain"), coord.scheduler.lent(busy):
+        with coord.scheduler.lent(busy):
             store.pin(t.generation)   # dropped by the commit, or below
             try:
                 pool = coord.save_pool()
@@ -126,7 +125,7 @@ class AsyncSaveDrainer:
                     store.save(
                         item["image"], item["blob"],
                         injector=coord.injector, vtime=job.vtime,
-                        pool=pool, pin=True,
+                        pool=pool, pin=True, context="drain",
                     )
                     for _, item in sorted(job.ranks.items())
                 ])
@@ -145,7 +144,8 @@ class AsyncSaveDrainer:
                 )
                 try:
                     store.commit(t.generation, dict(job.manifest, dedup=dedup),
-                                 coord.keep_generations, unpin=True)
+                                 coord.keep_generations, unpin=True,
+                                 context="drain")
                 except Exception as exc:  # repairing it is fsck's job
                     t.error = t.error or exc
         t.settle()
@@ -158,12 +158,13 @@ class AsyncSaveDrainer:
         next GC)."""
         coord, store = self.coordinator, self.store
         generation = job.ticket.generation
-        store.remove_generation(generation)
+        store.remove_generation(generation, "drain")
         # The rollback happened in-process — the drainer survives the
         # fault — so this generation's pending image-save records must
         # be retired here, or a later fsck would mistake the *handled*
         # fault for a dirty shutdown.
-        store.journal.retire_matching(op="image-save", generation=generation)
+        store.journal.retire_matching(op="image-save", generation=generation,
+                                      context="drain")
         coord.round_events.append({
             "event": "async-drain-failed",
             "generation": generation,

@@ -229,16 +229,15 @@ def _store_chunk_run(store: ChunkStore, view, run,
                      context: str) -> Tuple[int, List[str]]:
     """Compress+store one run of (digest, start, end) items serially;
     returns (bytes_written, digests new to the store).  ``context`` is
-    the saver's operation context: a pool worker thread has none of its
-    own, so its crash points are named after the save it serves."""
+    the saver's operation context, so a pool worker's crash points are
+    named after the save it serves."""
     written = 0
     new_digests: List[str] = []
-    with storeio.op_context(context):
-        for d, s, e in run:
-            nbytes, reused = store.put_known(d, view[s:e])
-            if not reused:
-                written += nbytes
-                new_digests.append(d)
+    for d, s, e in run:
+        nbytes, reused = store.put_known(d, view[s:e], context)
+        if not reused:
+            written += nbytes
+            new_digests.append(d)
     return written, new_digests
 
 
@@ -348,9 +347,16 @@ class CheckpointStore:
 
     Owns the directory's layout (``ckpt_NNNN`` generation dirs, rank
     image paths, manifests), its :class:`ChunkStore` (``chunks``) and
-    :class:`Journal` (``journal``), refcounted generation pins, the
-    warn-once set of unrecognized entries, and the validation-verdict
-    memo.  Constructing one touches nothing on disk.
+    :class:`Journal` (``journal``), the :class:`~repro.mana.storeio.
+    StoreIO` both write through (``io``: its durability mode and crash
+    injector; the process default unless given), refcounted generation
+    pins, the warn-once set of unrecognized entries, and the
+    validation-verdict memo.  Constructing one touches nothing on disk.
+
+    Every mutating method names the operation it serves — its
+    ``context``, the first half of each crash point it fires: ``save``
+    (default) or ``drain`` for :meth:`save` and :meth:`commit`; ``gc``
+    and ``prune`` name themselves; fsck passes ``fsck``.
 
     Everything that saves, restores, prunes or repairs a directory is
     handed its store: two jobs sharing a directory share pins (through
@@ -358,10 +364,12 @@ class CheckpointStore:
     chunk store's verification memo.
     """
 
-    def __init__(self, base_dir: str):
+    def __init__(self, base_dir: str,
+                 io: Optional[storeio.StoreIO] = None):
         self.base_dir = base_dir
-        self.chunks = ChunkStore(base_dir)
-        self.journal = Journal(base_dir)
+        self.io = io or storeio.DEFAULT
+        self.chunks = ChunkStore(base_dir, self.io)
+        self.journal = Journal(base_dir, self.io)
         self._lock = threading.Lock()
         # generation -> pin refcount.  A pinned generation is being
         # written (async drain) or read (restart): some of its images
@@ -480,8 +488,8 @@ class CheckpointStore:
         if injector is not None:
             _injection_points(path, data, image, injector, vtime)
         tmp = storeio.tmp_name(path)
-        storeio.write_file(tmp, data, site="image.tmp")
-        storeio.rename(tmp, path, site="image")  # atomic: no torn images
+        self.io.write_file(tmp, data, "image.tmp", "save")
+        self.io.rename(tmp, path, "image", "save")  # atomic: no torn images
         self.journal.retire(token)
         if injector is not None:
             # Post-rename bit rot / torn-write simulation on the final file.
@@ -490,7 +498,7 @@ class CheckpointStore:
 
     def save(self, image: CheckpointImage, blob: Optional[bytes] = None, *,
              injector=None, vtime: float = 0.0, pool=None,
-             pin: bool = False) -> Dict:
+             pin: bool = False, context: str = "save") -> Dict:
         """Write one rank's image in **format 5**: chunks into the chunk
         store, a small header-only image file at its layout path.
 
@@ -519,7 +527,8 @@ class CheckpointStore:
         chunk digests are refcount-pinned in the chunk store until the
         image header reaches its final path, keeping a concurrent GC
         from deleting chunks whose referencing header is not yet visible
-        on disk.
+        on disk.  ``context`` names the operation (``"save"``, or
+        ``"drain"`` from the async drainer) in every crash point fired.
         """
         if blob is None:
             blob = pickle_upper_half(image)
@@ -537,8 +546,8 @@ class CheckpointStore:
         # orphaned chunk is invisible (content-addressed, unreferenced)
         # until GC or fsck reclaims it.
         token = self.journal.begin(
-            "image-save", generation=image.generation, rank=image.rank,
-            format=5,
+            "image-save", context=context, generation=image.generation,
+            rank=image.rank, format=5,
         )
         if injector is not None:
             _injection_points(path, data, image, injector, vtime)
@@ -563,7 +572,6 @@ class CheckpointStore:
                     run, size = [], 0
             if run:
                 runs.append(run)
-            context = storeio.current_context()
             if pool is not None and len(runs) > 1:
                 results = pool.gather([
                     (_store_chunk_run, self.chunks, view, r, context)
@@ -575,12 +583,12 @@ class CheckpointStore:
             written = sum(w for w, _ in results)
             new_digests = [d for _, nd in results for d in nd]
             tmp = storeio.tmp_name(path)
-            storeio.write_file(tmp, data, site="image.tmp")
-            storeio.rename(tmp, path, site="image")
+            self.io.write_file(tmp, data, "image.tmp", context)
+            self.io.rename(tmp, path, "image", context)
         finally:
             if pin:
                 self.chunks.unpin(seen)
-        self.journal.retire(token)
+        self.journal.retire(token, context)
         if injector is not None:
             injector.after_save(path, image.rank, image.generation)
             injector.after_chunked_save(
@@ -607,6 +615,7 @@ class CheckpointStore:
         loop_target: Optional[int],
         extra: Optional[Dict] = None,
         dedup: Optional[Dict] = None,
+        context: str = "save",
     ) -> str:
         """Job-level manifest, written once per generation (by
         :meth:`commit`); returns its path.
@@ -639,18 +648,18 @@ class CheckpointStore:
         # leaves a pending record for fsck, which rolls forward (manifest
         # landed) or back (it did not — the generation is invisible
         # either way).
-        token = self.journal.begin("manifest-commit", generation=generation)
+        token = self.journal.begin("manifest-commit", context=context,
+                                   generation=generation)
         tmp = storeio.tmp_name(path)
-        storeio.write_file(
-            tmp, json.dumps(doc, indent=2).encode("utf-8"),
-            site="manifest.tmp",
-        )
-        storeio.rename(tmp, path, site="manifest")
-        self.journal.retire(token)
+        self.io.write_file(tmp, json.dumps(doc, indent=2).encode("utf-8"),
+                           "manifest.tmp", context)
+        self.io.rename(tmp, path, "manifest", context)
+        self.journal.retire(token, context)
         return path
 
     def commit(self, generation: int, manifest_fields: Dict,
-               keep: Optional[int] = None, *, unpin: bool = False) -> None:
+               keep: Optional[int] = None, *, unpin: bool = False,
+               context: str = "save") -> None:
         """Commit a round's generation once every rank image is durable:
         :meth:`write_manifest`, then :meth:`prune` to ``keep`` if set.
         The coordinator's save-gate action calls it in a sync round, the
@@ -658,9 +667,11 @@ class CheckpointStore:
 
         ``unpin`` drops the caller's :meth:`pin` (an async drain writes
         under one) after the manifest write and before the prune, so
-        the new generation counts toward ``keep``."""
+        the new generation counts toward ``keep``.  ``context`` names
+        the manifest write's crash points; the prune names its own."""
         try:
-            self.write_manifest(generation, **manifest_fields)
+            self.write_manifest(generation, context=context,
+                                **manifest_fields)
         finally:
             if unpin:
                 self.unpin(generation)
@@ -874,13 +885,12 @@ class CheckpointStore:
         pending ``gc`` record and some unreferenced chunks undeleted;
         fsck simply redoes the reference scan and finishes the sweep.
         """
-        with storeio.op_context("gc"):
-            token = self.journal.begin("gc")
-            removed, reclaimed = self.chunks.gc(self.referenced_chunks())
-            self.journal.retire(token)
+        token = self.journal.begin("gc", context="gc")
+        removed, reclaimed = self.chunks.gc(self.referenced_chunks(), "gc")
+        self.journal.retire(token, "gc")
         return removed, reclaimed
 
-    def remove_generation(self, generation: int) -> None:
+    def remove_generation(self, generation: int, context: str) -> None:
         """Delete one generation directory, manifest **first**.
 
         Ordering is the crash-safety argument: the manifest is the
@@ -888,9 +898,11 @@ class CheckpointStore:
         invisible before any image disappears — a crash mid-removal
         leaves a manifest-less directory that fsck (or a re-run prune)
         finishes deleting, never a manifest pointing at missing images.
+        ``context`` names the operation removing it (``prune``,
+        ``drain`` or ``fsck``).
         """
         d = self.generation_dir(generation)
-        storeio.unlink(self.manifest_path(generation), site="manifest")
+        self.io.unlink(self.manifest_path(generation), "manifest", context)
         try:
             names = sorted(os.listdir(d))
         except FileNotFoundError:
@@ -898,8 +910,8 @@ class CheckpointStore:
         for name in names:
             if name == MANIFEST_NAME:
                 continue
-            storeio.unlink(os.path.join(d, name), site="image")
-        storeio.rmdir(d, site="generation")
+            self.io.unlink(os.path.join(d, name), "image", context)
+        self.io.rmdir(d, "generation", context)
 
     def prune(self, keep: int) -> Dict:
         """Remove all but the newest ``keep`` generations, then collect
@@ -920,14 +932,14 @@ class CheckpointStore:
         pinned = self.pinned_generations()
         prunable = [g for g in gens if g not in pinned]
         doomed = prunable[:-keep] if len(prunable) > keep else []
-        with storeio.op_context("prune"):
-            token = None
-            if doomed:
-                token = self.journal.begin("prune", generations=doomed)
-            for g in doomed:
-                self.remove_generation(g)
-            removed, reclaimed = self.gc()
-            self.journal.retire(token)
+        token = None
+        if doomed:
+            token = self.journal.begin("prune", context="prune",
+                                       generations=doomed)
+        for g in doomed:
+            self.remove_generation(g, "prune")
+        removed, reclaimed = self.gc()
+        self.journal.retire(token, "prune")
         return {
             "pruned_generations": doomed,
             "kept_generations": [g for g in gens if g not in doomed],

@@ -34,7 +34,7 @@ import os
 import sys
 import threading
 import zlib
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.mana import storeio
 from repro.util.errors import IntegrityError
@@ -99,12 +99,11 @@ if _np is not None:
     #: result as uint8 lands them in input order) — half the gather
     #: count of a byte-at-a-time lookup, and the 128 KiB table stays
     #: cache-resident.
-    _idx = _np.arange(65536, dtype=_np.uint32)
+    #: Row ``b1``, column ``b0`` of the 256x256 outer table.
     _GEAR8_PAIR = (
-        _GEAR8[_idx & 0xFF].astype(_np.uint16)
-        | (_GEAR8[_idx >> 8].astype(_np.uint16) << _np.uint16(8))
-    )
-    del _idx
+        (_GEAR8.astype(_np.uint16)[:, None] << _np.uint16(8))
+        | _GEAR8[None, :]
+    ).ravel()
 else:  # pragma: no cover - exercised via the pure-python fallback tests
     _GEAR8 = None
     _GEAR8_PAIR = None
@@ -267,8 +266,10 @@ class ChunkStore:
     """Per-directory content-addressed store of compressed checkpoint
     chunks."""
 
-    def __init__(self, base_dir: str):
+    def __init__(self, base_dir: str, io: Optional[storeio.StoreIO] = None):
         self.base_dir = base_dir
+        #: Shimmed syscalls (the owning store's, else the process default).
+        self.io = io or storeio.DEFAULT
         self._lock = threading.Lock()
         # digest -> (size, mtime_ns) of the chunk file when it last
         # passed a full decompress+hash verification.
@@ -298,10 +299,11 @@ class ChunkStore:
         written, reused = self.put_known(digest, data)
         return digest, written, reused
 
-    def put_known(self, digest: str, data) -> Tuple[int, bool]:
+    def put_known(self, digest: str, data,
+                  context: str = "save") -> Tuple[int, bool]:
         """Store a chunk whose sha256 the caller already computed (the
-        format-5 writer batch-hashes all spans up front); returns
-        (bytes_written, reused)."""
+        format-5 writer batch-hashes all spans up front) on behalf of the
+        operation ``context``; returns (bytes_written, reused)."""
         path = self.chunk_path(digest)
         if os.path.exists(path):
             return 0, True
@@ -314,13 +316,13 @@ class ChunkStore:
         # double-counted bytes would make checkpoint durations — hence
         # recovery traces — scheduling-dependent.)
         tmp = storeio.tmp_name(path)
-        storeio.write_file(tmp, comp, site="chunk.tmp")
+        self.io.write_file(tmp, comp, "chunk.tmp", context)
         try:
-            storeio.link(tmp, path, site="chunk")
+            self.io.link(tmp, path, "chunk", context)
         except FileExistsError:
             return 0, True
         finally:
-            storeio.unlink(tmp, site="chunk.tmp", missing_ok=True)
+            self.io.unlink(tmp, "chunk.tmp", context)
         with self._lock:
             st = os.stat(path)
             self._verified[digest] = (st.st_size, st.st_mtime_ns)
@@ -426,10 +428,11 @@ class ChunkStore:
         with self._lock:
             return set(self._pins)
 
-    def gc(self, referenced: Iterable[str]) -> Tuple[int, int]:
+    def gc(self, referenced: Iterable[str],
+           context: str = "gc") -> Tuple[int, int]:
         """Delete chunks not in ``referenced``; returns (removed count,
         reclaimed compressed bytes).  Pinned chunks (in-flight async
-        drains) are always kept."""
+        drains) are always kept.  A repair passes ``context="fsck"``."""
         keep = set(referenced) | self.pinned()
         removed = 0
         reclaimed = 0
@@ -437,7 +440,7 @@ class ChunkStore:
             path = self.chunk_path(digest)
             try:
                 size = os.path.getsize(path)
-                storeio.unlink(path, site="chunk", missing_ok=False)
+                self.io.unlink(path, "chunk", context, missing_ok=False)
                 reclaimed += size
                 removed += 1
             except OSError:

@@ -42,10 +42,12 @@ exactly enumerable:
 4. *Remove orphan chunks* (reference scan over the surviving images).
 5. *Report* which generations are restorable and why the rest are not.
 
-fsck is idempotent: running it twice returns a second report with
-nothing to do.  A check-only pass (``repair=False``) walks the same
-decisions without acting on them, so it reports the dirty flag,
-rolled-back generations and finished prunes the repair would.
+Every mutation a repair makes through the store's shim names its
+crash points ``fsck.*``.  fsck is idempotent: running it twice returns
+a second report with nothing to do.  A check-only pass
+(``repair=False``) walks the same decisions without acting on them, so
+it reports the dirty flag, rolled-back generations and finished prunes
+the repair would.
 :func:`auto_repair` is the supervised-restart hook — it answers "was
 the shutdown dirty?" cheaply and runs the full repair only if so.
 Both take a directory's :class:`~repro.mana.checkpoint.CheckpointStore`
@@ -206,7 +208,7 @@ def fsck(store, repair: bool = True) -> FsckReport:
         into.add(gen)
         gone.add(gen)
         if repair:
-            store.remove_generation(gen)
+            store.remove_generation(gen, "fsck")
 
     def committed(gen: int) -> bool:
         return gen not in gone and os.path.exists(store.manifest_path(gen))
@@ -226,7 +228,7 @@ def fsck(store, repair: bool = True) -> FsckReport:
         # "gc", torn ("?"), and unknown ops: idempotent or
         # meaningless — the orphan sweep below redoes any GC.
         if repair:
-            journal.retire(rec["_token"])
+            journal.retire(rec["_token"], "fsck")
     # Manifest-less generation directories with no pending record are
     # also rollback targets: a writer can die in the window between
     # retiring its last image-save record and beginning the manifest
@@ -269,7 +271,7 @@ def fsck(store, repair: bool = True) -> FsckReport:
 
     # 4. Orphan-chunk removal ------------------------------------------
     if repair:
-        removed, reclaimed = chunks.gc(referenced)
+        removed, reclaimed = chunks.gc(referenced, "fsck")
         report.orphan_chunks_removed = removed
         report.orphan_bytes_reclaimed = reclaimed
     else:

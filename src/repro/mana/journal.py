@@ -23,10 +23,14 @@ mutation to roll back or forward:
 Record files are uniquely named (``<seq>-<op>-<pid>-<tid>.json``), so
 concurrent writers — rank threads in one job, or several jobs sharing a
 store — never collide, and the journal needs no locking beyond the
-filesystem's.  Records are written through :mod:`repro.mana.storeio`,
-so the journal's own syscalls are themselves crash points: a record
-torn by a crash *during its own write* parses as ``op="?"`` and is
-retired by fsck like any other stale record.
+filesystem's.  Records are written through the owning store's
+:class:`repro.mana.storeio.StoreIO`, so the journal's own syscalls are
+themselves crash points named after the caller's operation context: a
+record torn by a crash *during its own write* parses as ``op="?"`` and
+is retired by fsck like any other stale record.
+
+The record sequence number is the one piece of state shared by every
+journal in the process (see :data:`_SEQ`).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import threading
 from typing import Dict, List, Optional
 
 from repro.mana import storeio
@@ -41,26 +46,32 @@ from repro.mana import storeio
 JOURNAL_DIRNAME = "journal"
 
 #: In-process sequence numbers give records a stable sort order within
-#: one writer process; cross-process uniqueness comes from the pid.
+#: one writer process; cross-process uniqueness comes from the pid.  The
+#: counter is process-wide, not per journal: several store objects may
+#: be open on one directory (a reopened store after a crash, a sweep's
+#: second view), and fsck replays records oldest-first by name, so a
+#: second object's counter restarting at 1 would sort its new records
+#: before the stale ones.
 _SEQ = itertools.count(1)
 
 
 class Journal:
-    """The intent journal of one checkpoint base directory."""
+    """The intent journal of one checkpoint base directory, written
+    through ``io`` (the owning store's, else the process default)."""
 
-    def __init__(self, base_dir: str):
+    def __init__(self, base_dir: str, io: Optional[storeio.StoreIO] = None):
         self.base_dir = base_dir
         self.dir = os.path.join(base_dir, JOURNAL_DIRNAME)
+        self.io = io or storeio.DEFAULT
 
     # ------------------------------------------------------------------
-    def begin(self, op: str, **fields) -> str:
-        """Write a pending record for ``op``; returns the retire token.
+    def begin(self, op: str, *, context: str = "save", **fields) -> str:
+        """Write a pending record for ``op`` on behalf of the operation
+        ``context``; returns the retire token.
 
         The record is durable (fsync discipline) before this returns, so
         the mutation it announces can never outrun it to disk."""
         os.makedirs(self.dir, exist_ok=True)
-        import threading
-
         name = (
             f"{next(_SEQ):06d}-{op}-{os.getpid()}-"
             f"{threading.get_ident()}.json"
@@ -68,20 +79,19 @@ class Journal:
         path = os.path.join(self.dir, name)
         doc = dict(fields)
         doc["op"] = op
-        storeio.write_file(
-            path,
-            json.dumps(doc, sort_keys=True).encode("utf-8"),
-            site=f"journal.{op}",
+        self.io.write_file(
+            path, json.dumps(doc, sort_keys=True).encode("utf-8"),
+            f"journal.{op}", context,
         )
         return path
 
-    def retire(self, token: Optional[str]) -> None:
+    def retire(self, token: Optional[str], context: str = "save") -> None:
         """Remove a record once its mutation is fully durable (tolerates
         an already-retired token: fsck may have gotten there first)."""
         if token is None:
             return
         op = self._op_of(token)
-        storeio.unlink(token, site=f"journal-retire.{op}", missing_ok=True)
+        self.io.unlink(token, f"journal-retire.{op}", context)
 
     # ------------------------------------------------------------------
     def pending(self) -> List[Dict]:
@@ -110,7 +120,8 @@ class Journal:
         return out
 
     def retire_matching(self, op: Optional[str] = None,
-                        generation: Optional[int] = None) -> int:
+                        generation: Optional[int] = None,
+                        context: str = "save") -> int:
         """Retire every pending record matching ``op`` and/or
         ``generation`` (used by the async drainer when it abandons a
         generation: the rollback happened in-process, so the records
@@ -121,7 +132,7 @@ class Journal:
                 continue
             if generation is not None and rec.get("generation") != generation:
                 continue
-            self.retire(rec["_token"])
+            self.retire(rec["_token"], context)
             n += 1
         return n
 

@@ -152,13 +152,3 @@ class RequestRecord:
     persistent: bool = False
     active: bool = False
 
-
-#: map record class -> HandleKind string (import-cycle-free)
-RECORD_KINDS = {
-    "CommRecord": "comm",
-    "GroupRecord": "group",
-    "DatatypeRecord": "datatype",
-    "OpRecord": "op",
-    "RequestRecord": "request",
-    "ConstantRecord": "constant",
-}

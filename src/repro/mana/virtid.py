@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.mana.records import (
@@ -71,14 +72,13 @@ from repro.util.rng import _stable_hash
 VID_LAYOUT = BitField(32, [("kind", 3), ("index", 29)])
 INDEX_MASK = (1 << 29) - 1
 
-KIND_TAGS = {
+KIND_TAGS = MappingProxyType({
     HandleKind.COMM: 1,
     HandleKind.GROUP: 2,
     HandleKind.DATATYPE: 3,
     HandleKind.OP: 4,
     HandleKind.REQUEST: 5,
-}
-TAG_KINDS = {v: k for k, v in KIND_TAGS.items()}
+})
 
 #: High-word tag for 64-bit embeddings: "MANA" in ASCII.
 MANA_MAGIC = 0x4D414E41

@@ -41,6 +41,7 @@ point, lives in :mod:`repro.mana.participate`.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.impls import make_lib
@@ -1083,11 +1084,11 @@ class ManaRank:
 # the wrappers with no logic of their own: rows of repro.mpi.api's table
 # ----------------------------------------------------------------------
 # How a "free" row refuses a predefined constant, per handle kind.
-_FREE_REFUSALS = {
+_FREE_REFUSALS = MappingProxyType({
     GROUP: ("cannot free {}", "MPI_ERR_GROUP"),
     DTYPE: ("cannot free predefined type {}", "MPI_ERR_TYPE"),
     OP: ("cannot free predefined op {}", "MPI_ERR_OP"),
-}
+})
 
 
 def _make_wrapper(name: str, sig: Sig) -> Callable:
@@ -1143,15 +1144,19 @@ def _make_wrapper(name: str, sig: Sig) -> Callable:
     return wrapper
 
 
-for _name in sorted(MPI_FUNCTIONS):
-    _sig = SIGNATURES.get(_name)
-    assert (_sig is None) == (_name in vars(ManaRank)), (
-        f"{_name} needs exactly one of a SIGNATURES row and a ManaRank def"
-    )
-    if _sig is not None:
-        _fn = _make_wrapper(_name, _sig)
-        _fn.__name__, _fn.__qualname__ = _name, f"ManaRank.{_name}"
-        setattr(ManaRank, _name, _fn)
+def _install_row_wrappers() -> None:
+    for name in sorted(MPI_FUNCTIONS):
+        sig = SIGNATURES.get(name)
+        assert (sig is None) == (name in vars(ManaRank)), (
+            f"{name} needs exactly one of a SIGNATURES row and a ManaRank def"
+        )
+        if sig is not None:
+            fn = _make_wrapper(name, sig)
+            fn.__name__, fn.__qualname__ = name, f"ManaRank.{name}"
+            setattr(ManaRank, name, fn)
+
+
+_install_row_wrappers()
 
 
 class ManaFacade(FacadeBase):

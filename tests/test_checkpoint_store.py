@@ -1,12 +1,14 @@
 """One :class:`CheckpointStore` per checkpoint directory.
 
 All state about a directory — layout, chunk store, journal, generation
-pins, the warn-once set and the verdict memo — lives on its store, so
-two directories in one process cannot see each other, a finished job
+pins, the warn-once set, the verdict memo and its I/O settings
+(durability mode and crash injector) — lives on its store, so two
+directories in one process cannot see each other, a finished job
 leaves no pin behind, and opening or reading a store changes nothing on
 disk.
 """
 
+import collections
 import os
 import sys
 import threading
@@ -19,6 +21,7 @@ from repro.apps.elastic import ElasticHaloApp
 from repro.faults.crashpoints import CrashPointInjector
 from repro.mana import storeio
 from repro.mana.checkpoint import CheckpointImage, CheckpointStore, store_for
+from repro.mana.storeio import StoreIO
 from repro.runtime import RestartPolicy
 from repro.util.errors import InjectedCrash
 
@@ -193,18 +196,96 @@ class TestCommit:
         assert store.generations() == [2, 3]
 
     def test_failed_manifest_write_still_drops_the_pin(self, tmp_path):
-        store = CheckpointStore(str(tmp_path))
+        store = CheckpointStore(str(tmp_path), io=StoreIO(
+            injector=CrashPointInjector(arm_at="save.manifest.rename.before")))
         store.pin(1)
         _save(store, 1)
-        storeio.set_injector(
-            CrashPointInjector(arm_at="save.manifest.rename.before"))
-        try:
-            with pytest.raises(InjectedCrash):
-                store.commit(1, _FIELDS, 1, unpin=True)
-        finally:
-            storeio.set_injector(None)
+        with pytest.raises(InjectedCrash):
+            store.commit(1, _FIELDS, 1, unpin=True)
         assert store.pinned_generations() == set()
         assert not os.path.exists(store.manifest_path(1))
+
+
+def _count_fsyncs(monkeypatch):
+    """Patch ``os.fsync`` to count calls per thread name."""
+    calls = collections.Counter()
+    real = os.fsync
+
+    def fsync(fd):
+        calls[threading.current_thread().name] += 1
+        return real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return calls
+
+
+class TestStoreIO:
+    def test_two_stores_keep_their_own_mode_and_injector(
+            self, tmp_path, monkeypatch):
+        """Two stores run at once in one process: a strict store with a
+        recording injector, and a fast one whose injector kills its save.
+        The death and the fast mode stay with the store that has them."""
+        fsyncs = _count_fsyncs(monkeypatch)
+        rec = CrashPointInjector()
+        a = CheckpointStore(str(tmp_path / "a"),
+                            io=StoreIO("strict", injector=rec))
+        b = CheckpointStore(str(tmp_path / "b"), io=StoreIO(
+            injector=CrashPointInjector(arm_at="save.image.rename.before")))
+        start, b_done = threading.Barrier(2), threading.Event()
+        errors = {}
+
+        def run_a():
+            start.wait()
+            _save(a, 1)
+            b_done.wait()               # B died while A was writing
+            a.commit(1, _FIELDS)
+
+        def run_b():
+            start.wait()
+            try:
+                _save(b, 1)
+            except InjectedCrash as exc:
+                errors["b"] = exc
+            finally:
+                b_done.set()
+
+        threads = [threading.Thread(target=run_a, name="a"),
+                   threading.Thread(target=run_b, name="b")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert isinstance(errors.get("b"), InjectedCrash)
+        assert b.io.injector.dead and not rec.dead
+        assert "save.manifest.rename.after" in rec.points
+        a.verify_image(a.image_path(1, 0))
+        assert a.restorable() == [1]
+        assert fsyncs["a"] > 0 and fsyncs["b"] == 0
+
+    def test_process_default_reaches_stores_without_their_own_io(
+            self, tmp_path, monkeypatch):
+        """The module-level settings act on the process default: a store
+        opened before or after them follows both; a store with its own
+        ``io`` follows neither."""
+        fsyncs = _count_fsyncs(monkeypatch)
+        me = threading.current_thread().name
+        before = store_for(str(tmp_path / "before"))
+        own = CheckpointStore(str(tmp_path / "own"), io=StoreIO())
+        rec = CrashPointInjector()
+        storeio.set_durability("strict")
+        storeio.set_injector(rec)
+        try:
+            after = CheckpointStore(str(tmp_path / "after"))
+            for store, follows in ((before, True), (own, False),
+                                   (after, True)):
+                hits, synced = sum(rec.counts.values()), fsyncs[me]
+                _save(store, 1)
+                assert (sum(rec.counts.values()) > hits) == follows
+                assert (fsyncs[me] > synced) == follows
+        finally:
+            storeio.set_injector(None)
+            storeio.set_durability("fast")
 
 
 class TestOpeningIsReadOnly:

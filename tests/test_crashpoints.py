@@ -24,6 +24,7 @@ from repro.faults.crashsweep import (
 from repro.harness.parallel import TaskPool
 from repro.mana import storeio
 from repro.mana.checkpoint import CheckpointStore
+from repro.mana.storeio import StoreIO
 from repro.util.errors import InjectedCrash
 
 #: The sweep's point names in first-seen order.  Re-record with
@@ -128,16 +129,14 @@ class TestEnumeration:
     def test_pooled_drain_names_its_chunk_points_drain(self, tmp_path):
         """Chunk runs fanned out to the save pool keep the saver's
         operation context: a drain's chunk publishes are ``drain.*``."""
-        store = CheckpointStore(str(tmp_path))
-        blob = random.Random(5).randbytes(1 << 20)
         inj = CrashPointInjector()
+        store = CheckpointStore(str(tmp_path), io=StoreIO(injector=inj))
+        blob = random.Random(5).randbytes(1 << 20)
         pool = TaskPool(2, name="t-drain-ctx")
-        storeio.set_injector(inj)
         try:
-            with storeio.op_context("drain"):
-                store.save(_image(0, 1), blob, pool=pool, pin=True)
+            store.save(_image(0, 1), blob, pool=pool, pin=True,
+                       context="drain")
         finally:
-            storeio.set_injector(None)
             pool.shutdown()
         chunk = [p for p in inj.points if ".chunk." in p]
         assert "drain.chunk.link.before" in chunk

@@ -20,11 +20,13 @@ from repro.faults.crashpoints import CrashPointInjector
 from repro.mana import storeio
 from repro.mana.checkpoint import (
     CheckpointImage,
+    CheckpointStore,
     QUARANTINE_DIRNAME,
     store_for,
 )
 from repro.mana.fsck import auto_repair, fsck
 from repro.mana.journal import Journal
+from repro.mana.storeio import StoreIO
 from repro.util.errors import InjectedCrash, IntegrityError, RestartError
 
 
@@ -39,6 +41,13 @@ def _image(rank=0, generation=1, nranks=2):
 
 def _blob(generation, rank, n=20_000):
     return random.Random(generation * 1000 + rank).randbytes(n)
+
+
+def _dying_store(tmp_path, point):
+    """A second view of the directory whose writes die at ``point``:
+    the crashing process.  The test's own store is the rebooted one."""
+    return CheckpointStore(
+        str(tmp_path), io=StoreIO(injector=CrashPointInjector(arm_at=point)))
 
 
 def _write_generation(store, generation, nranks=2):
@@ -214,14 +223,9 @@ class TestFsckRepair:
 
         store = store_for(str(tmp_path))
         build_baseline(store)
-        inj = CrashPointInjector(
-            arm_at="save.journal.manifest-commit.write.before")
-        storeio.set_injector(inj)
-        try:
-            with pytest.raises(InjectedCrash):
-                mutate(store)
-        finally:
-            storeio.set_injector(None)
+        with pytest.raises(InjectedCrash):
+            mutate(_dying_store(
+                tmp_path, "save.journal.manifest-commit.write.before"))
         assert store.generations() == [1, 2, 3]
         assert store.journal.pending() == []
         check = fsck(store, repair=False)
@@ -233,6 +237,22 @@ class TestFsckRepair:
         assert report.rolled_back_generations == [3]
         assert store.generations() == [1, 2]
         assert auto_repair(store) is None
+
+    def test_repair_names_its_crash_points_fsck(self, tmp_path):
+        """A repair's own mutations are ``fsck.*`` points, so a crash
+        during fsck can be targeted apart from the save path."""
+        from repro.faults.crashsweep import build_baseline, mutate
+
+        build_baseline(CheckpointStore(str(tmp_path)))
+        with pytest.raises(InjectedCrash):
+            mutate(_dying_store(tmp_path, "drain.image.rename.before"))
+        rec = CrashPointInjector()
+        report = fsck(CheckpointStore(str(tmp_path), io=StoreIO(injector=rec)))
+        assert report.rolled_back_generations == [4]
+        assert {"fsck.manifest.unlink.before", "fsck.image.unlink.before",
+                "fsck.generation.rmdir.before", "fsck.chunk.unlink.before",
+                "fsck.journal-retire.image.unlink.before"} <= set(rec.points)
+        assert [p for p in rec.points if not p.startswith("fsck.")] == []
 
     def test_check_only_mode_predicts_finished_prune(self, tmp_path):
         store = store_for(str(tmp_path))
@@ -323,13 +343,9 @@ class TestFsckRepair:
         the prior generation must still verify."""
         store = store_for(str(tmp_path))
         _write_generation(store, 1)
-        inj = CrashPointInjector(arm_at="save.image.rename.before")
-        storeio.set_injector(inj)
-        try:
-            with pytest.raises(InjectedCrash):
-                store.save(_image(0, 2), _blob(2, 0))
-        finally:
-            storeio.set_injector(None)
+        with pytest.raises(InjectedCrash):
+            _dying_store(tmp_path, "save.image.rename.before").save(
+                _image(0, 2), _blob(2, 0))
         # The dead writer stranded a tmp file and a pending record.
         assert store.journal.pending()
         report = fsck(store)
