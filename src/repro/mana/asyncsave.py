@@ -2,19 +2,20 @@
 
 The synchronous save path keeps every rank parked while its chunks are
 hashed, compressed, and written.  The async path (PROTOCOLS.md §11)
-splits the round at the save barrier: each rank *snapshots* — stages the
-already-pickled bytes of its upper half with the coordinator — and
-resumes computing; this module's single drainer thread then encodes and
-writes the whole generation in the background and commits it with
-:meth:`CheckpointStore.commit` — the same call the coordinator's
-save-gate action makes in a synchronous round.
+splits the round at the save barrier: each rank *snapshots* — hands the
+already-pickled bytes of its upper half to the coordinator in its
+``saved`` call — and resumes computing; this module's single drainer
+thread then encodes and writes the whole generation in the background
+and commits it with :meth:`CheckpointStore.commit` — the same call the
+coordinator's save-gate action makes in a synchronous round.
 
 Invariants the drainer maintains:
 
 * **At most one drain in flight.**  The coordinator's save-gate action
   waits (wall-clock) for the previous drain before admitting the next
   round — natural back-pressure, and the reason the virtual-time
-  *overrun* accounting needs to consider only one outstanding drain.
+  *overrun* accounting (:meth:`AsyncSaveDrainer.overrun`) needs to
+  consider only the previous drain.
 * **No half-visible generations.**  The generation is pinned
   (:meth:`CheckpointStore.pin`) before its first image is written and
   chunk digests are chunk-store-pinned while their referencing header
@@ -44,7 +45,7 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.mana.checkpoint import dedup_summary
 
@@ -63,6 +64,8 @@ class DrainJob:
     manifest: Dict
     #: Virtual time of the snapshot barrier (fault-hook timestamps).
     vtime: float
+    #: Modeled virtual time the drain starts (the snapshot's end).
+    drain_start: float
     #: Mean logical bytes per rank (drain_time modeling in the result).
     logical_mean: float
 
@@ -77,6 +80,9 @@ class AsyncSaveDrainer:
         self._q: "queue.Queue[Optional[DrainJob]]" = queue.Queue()
         self._idle = threading.Event()
         self._idle.set()
+        # (ticket, drain_start) of the latest drain submitted — what the
+        # next round's overrun accounting charges against.
+        self._previous: Optional[Tuple[object, float]] = None
         self._thread = threading.Thread(
             target=self._run, name="ckpt-drain", daemon=True
         )
@@ -85,7 +91,23 @@ class AsyncSaveDrainer:
     # ------------------------------------------------------------------
     def submit(self, job: DrainJob) -> None:
         self._idle.clear()
+        self._previous = (job.ticket, job.drain_start)
         self._q.put(job)
+
+    def overrun(self, vtime: float) -> float:
+        """Virtual time a round snapshotting at ``vtime`` waits for the
+        previous drain: that drain's modeled completion (its start +
+        ``drain_time`` over its byte counts) minus ``vtime`` — analytic,
+        never a wall-clock measurement, so recovery traces stay
+        deterministic however fast the drainer actually ran.  Valid once
+        :meth:`wait_idle` returned."""
+        if self._previous is None:
+            return 0.0
+        prev, start = self._previous
+        # No modeled drain_time: that drain failed, nothing to wait.
+        if "drain_time" not in prev.result:
+            return 0.0
+        return max(0.0, start + prev.result["drain_time"] - vtime)
 
     def wait_idle(self, timeout: Optional[float] = None) -> None:
         """Block until no drain is in flight."""

@@ -29,15 +29,25 @@ Every wait below parks in the job's run-slot scheduler
 (:mod:`repro.runtime.scheduler`, PROTOCOLS.md §8); no coordinator or
 gate lock is held across a park.
 
+Each armed checkpoint is one :class:`_Round` (PROTOCOLS.md §4): its
+ticket, its LOOP election and its retry budget, plus an
+:class:`_Attempt` that collects what the ranks report at the gates.
+Arming a round creates it — and takes its generation number, so
+generations are numbered in the order rounds run; an abort starts a
+new attempt inside it; the resume gate, a cancel and finalize drop it.
+A resumable loop reaches the coordinator through two calls,
+:meth:`CheckpointCoordinator.loop_top` and
+:meth:`CheckpointCoordinator.loop_end`.
+
 Hardening (PROTOCOLS.md §9): the four phase rendezvous are custom
 gates rather than ``threading.Barrier`` so that (a) waits park under
 :data:`PHASE_TIMEOUT_S`, (b) a timeout produces a *descriptive*
 error naming the stuck phase and the outstanding ranks instead of a
 broken-barrier trace, and (c) a round can be **aborted and retried**: when a stall is
 detected (or injected), :meth:`abort_round` releases every parked rank
-with :class:`CheckpointRoundAborted`, bumps the round attempt, and —
-while :data:`ROUND_RETRIES` retries remain — leaves the same ticket
-armed so the ranks immediately re-run the round.
+with :class:`CheckpointRoundAborted`, starts the round's next attempt,
+and — while :data:`ROUND_RETRIES` retries remain — leaves the same
+ticket armed so the ranks immediately re-run the round.
 """
 
 from __future__ import annotations
@@ -74,9 +84,10 @@ class CheckpointMode:
 
 @dataclass
 class CheckpointTicket:
-    """Handle returned to whoever requested a checkpoint."""
+    """Handle returned to whoever requested a checkpoint.  A trigger's
+    ticket has ``generation=None`` until its round is armed."""
 
-    generation: int
+    generation: Optional[int]
     kind: str
     mode: str
     _done: threading.Event = field(default_factory=threading.Event)
@@ -96,9 +107,13 @@ class CheckpointTicket:
             detail = ""
             if self._coord is not None:
                 detail = "; " + self._coord.phase_snapshot()
+            what = (
+                "checkpoint trigger (not fired yet)" if self.generation is None
+                else f"checkpoint generation {self.generation}"
+            )
             raise CheckpointError(
-                f"checkpoint generation {self.generation} did not complete "
-                f"in time (waited {timeout:.0f}s){detail}"
+                f"{what} did not complete in time (waited {timeout:.0f}s)"
+                f"{detail}"
             )
         if self.error is not None:
             raise self.error
@@ -207,6 +222,41 @@ class _PhaseGate:
             self._open_locked()
 
 
+class _Attempt:
+    """One attempt at a round: what its ranks report at the gates, and
+    the token each rank carries through its phase calls.  An abort
+    replaces the round's attempt, so nothing an aborted attempt
+    collected — nor a late report into it — reaches the retry."""
+
+    def __init__(self, number: int = 0):
+        self.number = number
+        self.clocks: Dict[int, float] = {}    # rank -> vtime at quiesce
+        self.image_bytes: Dict[int, int] = {}  # rank -> logical bytes
+        self.savestats: Dict[int, Dict] = {}  # rank -> format-5 stats
+        self.snapshots: Dict[int, Dict] = {}  # rank -> {"image", "blob"}
+        self.manifest: Optional[Dict] = None  # rank 0's manifest fields
+        self.gate: Optional[_PhaseGate] = None  # the gate last entered
+        # Set by the quiesce / save gate actions; ranks charge them.
+        self.start = 0.0
+        self.duration = 0.0
+        # The save gate opened, so the ticket's resume half is owed.
+        self.resume_owed = False
+
+
+class _Round:
+    """One armed checkpoint: its ticket, its LOOP election and its
+    retry budget, plus the attempt in progress."""
+
+    def __init__(self, ticket: CheckpointTicket,
+                 loop_name: Optional[str] = None,
+                 loop_target: Optional[int] = None):
+        self.ticket = ticket
+        self.loop_name = loop_name
+        self.loop_target = loop_target
+        self.retries_left = ROUND_RETRIES
+        self.attempt = _Attempt()
+
+
 class CheckpointCoordinator:
     """Sequences the global checkpoint phases for one simulated job."""
 
@@ -246,27 +296,17 @@ class CheckpointCoordinator:
         self._save_pool = None
         self._save_pool_lock = threading.Lock()
 
-        # Asynchronous (snapshot + background drain) saves.  Ranks stage
-        # their pickled snapshots at the save barrier and resume; a
+        # Asynchronous (snapshot + background drain) saves.  Ranks hand
+        # their pickled snapshots over at the save barrier and resume; a
         # single background drainer encodes and writes them
         # (PROTOCOLS.md §11).
         self.async_save = async_save
         self._drainer = None
         self._drainer_lock = threading.Lock()
-        # rank -> {"image", "blob"} staged this round.
-        self._async_blobs: Dict[int, Dict] = {}
-        # Rank 0's manifest fields, handed over at the save gate; the
-        # gate action commits them (sync) or passes them to the drainer.
-        self._manifest_fields: Optional[Dict] = None
-        # The ticket whose resume half is still owed: set by the save
-        # gate action, reported by the resume gate action (or an abort).
-        self._resume_owed: Optional[CheckpointTicket] = None
-        # (ticket, modeled start vtime) of the drain in flight — what
-        # the *next* round's overrun accounting charges against.
-        self._drain_pending: Optional[Tuple[CheckpointTicket, float]] = None
 
         self._lock = threading.Lock()
-        self._intent: Optional[CheckpointTicket] = None
+        # The armed round, None between rounds.
+        self._round: Optional[_Round] = None
         self._aborted: Optional[BaseException] = None
         # Optional fault injector (repro.faults.FaultInjector); consulted
         # at round start for injected coordinator stalls.
@@ -284,27 +324,7 @@ class CheckpointCoordinator:
         self._gates = (
             self._g_quiesce, self._g_drained, self._g_saved, self._g_resumed,
         )
-        # Coarse phase label for diagnostics (phase_snapshot).
-        self._phase = "idle"
-
-        # Round abort/retry state: the attempt counter increments on
-        # every abort_round; ranks capture it at begin_participation and
-        # every phase call re-checks it.
-        self._round_attempt = 0
-        self._retries_left = ROUND_RETRIES
         self.round_events: List[dict] = []
-
-        # Per-checkpoint scratch (filled by ranks, read by gate actions).
-        self._rank_clocks: Dict[int, float] = {}
-        self._rank_bytes: Dict[int, int] = {}
-        # Per-rank format-5 save statistics (chunks written/reused etc.).
-        self._rank_savestats: Dict[int, Dict] = {}
-        self._ckpt_start_time = 0.0
-        self._ckpt_duration = 0.0
-
-        # LOOP-kind election state.
-        self._loop_target: Optional[int] = None
-        self._loop_name: Optional[str] = None
 
         # Deferred triggers: arm a checkpoint when a loop reaches an
         # iteration (deterministic alternative to wall-clock requests).
@@ -376,31 +396,27 @@ class CheckpointCoordinator:
             raise ValueError(f"unknown checkpoint mode {mode!r}")
         with self._lock:
             self._raise_if_closed_locked()
-            if self._intent is not None:
+            if self._round is not None:
                 raise CheckpointError(
                     "a checkpoint is already in progress; wait for its "
                     "ticket before requesting another"
                 )
-            self.generation += 1
-            ticket = CheckpointTicket(self.generation, kind, mode,
-                                      _coord=self)
-            self._arm_round_locked(ticket)
-        self._notify_intent()
+            ticket = CheckpointTicket(None, kind, mode, _coord=self)
+            self._arm_locked(ticket)
+        self._wake_parked()
         return ticket
 
-    def _arm_round_locked(self, ticket: CheckpointTicket) -> None:
-        """Install ``ticket`` as the active intent and reset per-round
-        scratch.  Caller holds self._lock."""
-        self._loop_target = None
-        self._loop_name = None
-        self._rank_clocks.clear()
-        self._rank_bytes.clear()
-        self._rank_savestats.clear()
-        self._round_attempt = 0
-        self._retries_left = ROUND_RETRIES
-        self._intent = ticket
+    def _arm_locked(self, ticket: CheckpointTicket,
+                    loop_name: Optional[str] = None,
+                    loop_target: Optional[int] = None) -> None:
+        """Start ``ticket``'s round, numbering its generation now: the
+        order rounds run in is the order of their generations.  Caller
+        holds self._lock and has checked that no round is armed."""
+        self.generation += 1
+        ticket.generation = self.generation
+        self._round = _Round(ticket, loop_name, loop_target)
 
-    def _notify_intent(self) -> None:
+    def _wake_parked(self) -> None:
         """Intent was just armed (or a round aborted): any parked rank —
         in a fabric wait, the trivial barrier or finalize — may have to
         act on it."""
@@ -415,12 +431,11 @@ class CheckpointCoordinator:
     ) -> CheckpointTicket:
         """Arm a checkpoint that fires when any rank's resumable loop
         ``loop_name`` first reaches ``iteration``.  Deterministic — no
-        wall-clock race with the job."""
+        wall-clock race with the job.  The ticket's generation is
+        numbered when the trigger fires."""
         with self._lock:
             self._raise_if_closed_locked()
-            self.generation += 1
-            ticket = CheckpointTicket(self.generation, kind, mode,
-                                      _coord=self)
+            ticket = CheckpointTicket(None, kind, mode, _coord=self)
             self._pending_triggers.append(
                 {"loop": loop_name, "iteration": iteration, "ticket": ticket}
             )
@@ -437,65 +452,19 @@ class CheckpointCoordinator:
             self._interval = interval
             self._interval_mode = mode
 
-    def note_loop_progress(
-        self, loop_name: str, iteration: int, vtime: Optional[float] = None
-    ) -> None:
-        """Called by ctx.loop at every iteration top (cheap when no
-        triggers are armed)."""
-        if not self._pending_triggers and self._interval is None:
-            return
-        armed = False
-        with self._lock:
-            if self._intent is not None or self._ckpt_disabled:
-                return
-            for trig in self._pending_triggers:
-                if trig["loop"] == loop_name and iteration >= trig["iteration"]:
-                    self._pending_triggers.remove(trig)
-                    self._arm_round_locked(trig["ticket"])
-                    if trig["ticket"].kind == CheckpointKind.LOOP:
-                        # Deterministic election: the park target derives
-                        # from the trigger's iteration, not from whichever
-                        # rank happens to poll first after arming.
-                        self._loop_target = (
-                            max(iteration, trig["iteration"])
-                            + self.loop_lag_window
-                        )
-                        self._loop_name = loop_name
-                    armed = True
-                    break
-            if (
-                not armed
-                and self._interval is not None
-                and vtime is not None
-                and vtime - self._last_ckpt_vtime >= self._interval
-            ):
-                self._last_ckpt_vtime = vtime
-                self.generation += 1
-                ticket = CheckpointTicket(
-                    self.generation, CheckpointKind.LOOP,
-                    self._interval_mode, _coord=self,
-                )
-                self.interval_tickets.append(ticket)
-                self._arm_round_locked(ticket)
-                armed = True
-        if armed:
-            self._notify_intent()
-
     @property
     def intent(self) -> Optional[CheckpointTicket]:
-        return self._intent
-
-    def intent_kind(self) -> Optional[str]:
-        t = self._intent
-        return None if t is None else t.kind
+        """The armed round's ticket, None between rounds."""
+        r = self._round
+        return None if r is None else r.ticket
 
     def should_park_now(self) -> bool:
         """True when an IN_SESSION checkpoint wants this rank to park at
         the current (arbitrary) safe point."""
         if self._ckpt_disabled:
             return False
-        t = self._intent
-        return t is not None and t.kind == CheckpointKind.IN_SESSION
+        r = self._round
+        return r is not None and r.ticket.kind == CheckpointKind.IN_SESSION
 
     def finalize_rank(self, rank: int, park_check) -> None:
         """MPI_Finalize under MANA: the rank stays available for
@@ -527,76 +496,113 @@ class CheckpointCoordinator:
             park_check()
 
     # ------------------------------------------------------------------
-    # LOOP-kind election
+    # resumable loops (called from RankContext.loop)
     # ------------------------------------------------------------------
-    def loop_poll(self, loop_name: str, iteration: int) -> bool:
-        """Called by every rank at each resumable-loop iteration top.
+    def loop_top(self, loop_name: str, iteration: int, vtime: float) -> bool:
+        """Called by every rank at each resumable-loop iteration top:
+        fires a due trigger or interval checkpoint, then returns True
+        exactly when this rank should park here for a LOOP round.
 
-        Elects a common target iteration (first observer's iteration plus
-        the lag window) and returns True exactly when this rank should
-        park.  Requires the application's rank skew to stay below the lag
-        window (our proxy apps synchronize at least every few iterations).
-        """
-        t = self._intent
-        if t is None or t.kind != CheckpointKind.LOOP:
+        A LOOP round elects a common target iteration — the trigger's
+        iteration, or else the first observer's, plus the lag window.
+        Requires the application's rank skew to stay below the lag
+        window (our proxy apps synchronize at least every few
+        iterations)."""
+        if self._pending_triggers or self._interval is not None:
+            self._fire_due(loop_name, iteration, vtime)
+        r = self._round
+        if r is None or r.ticket.kind != CheckpointKind.LOOP:
             return False
         with self._lock:
-            if self._intent is not t:  # completed meanwhile
+            if self._round is not r:  # completed meanwhile
                 return False
-            if self._loop_target is None:
-                self._loop_target = iteration + self.loop_lag_window
-                self._loop_name = loop_name
-            if self._loop_name != loop_name:
+            if r.loop_target is None:
+                r.loop_target = iteration + self.loop_lag_window
+                r.loop_name = loop_name
+            if r.loop_name != loop_name:
                 return False  # a different loop; not the elected one
-            if iteration > self._loop_target:
+            if iteration > r.loop_target:
                 raise CheckpointError(
                     f"rank skew exceeded the loop lag window: iteration "
-                    f"{iteration} > target {self._loop_target}; increase "
+                    f"{iteration} > target {r.loop_target}; increase "
                     f"loop_lag_window"
                 )
-            return iteration == self._loop_target
+            return iteration == r.loop_target
 
-    def loop_target(self) -> Optional[int]:
-        return self._loop_target
-
-    def loop_cancel(self, reason: str) -> None:
-        """Cancel a LOOP-kind checkpoint that can no longer be honored
-        (the elected iteration lies beyond the loop's end).  Idempotent;
-        every rank takes this path because loop bounds are uniform."""
+    def _fire_due(self, loop_name: str, iteration: int, vtime: float) -> None:
+        """Arm the first trigger due at this iteration, else an interval
+        checkpoint that is due at ``vtime``."""
         with self._lock:
-            t = self._intent
-            if t is None or t.kind != CheckpointKind.LOOP:
+            if self._round is not None or self._ckpt_disabled:
                 return
-            self._intent = None
-            self._loop_target = None
-            self._loop_name = None
-            t.fail(CheckpointError(f"loop checkpoint cancelled: {reason}"))
+            for trig in self._pending_triggers:
+                if trig["loop"] == loop_name and iteration >= trig["iteration"]:
+                    self._pending_triggers.remove(trig)
+                    ticket, target = trig["ticket"], None
+                    if ticket.kind == CheckpointKind.LOOP:
+                        # Deterministic election: the park target derives
+                        # from the trigger's iteration, not from whichever
+                        # rank happens to poll first after arming.
+                        target = (max(iteration, trig["iteration"])
+                                  + self.loop_lag_window)
+                    self._arm_locked(ticket, loop_name, target)
+                    break
+            else:
+                if (self._interval is None
+                        or vtime - self._last_ckpt_vtime < self._interval):
+                    return
+                self._last_ckpt_vtime = vtime
+                ticket = CheckpointTicket(
+                    None, CheckpointKind.LOOP, self._interval_mode,
+                    _coord=self,
+                )
+                self.interval_tickets.append(ticket)
+                self._arm_locked(ticket)
+        self._wake_parked()
+
+    def loop_end(self, loop_name: str, n: int) -> None:
+        """Called by every rank when loop ``loop_name`` ends after ``n``
+        iterations: a LOOP round elected there at an iteration ``>= n``
+        can never be honored, so it is cancelled.  Idempotent; every
+        rank takes this path because loop bounds are uniform."""
+        r = self._round
+        if r is None or r.loop_target is None:
+            return
+        with self._lock:
+            if (self._round is not r or r.loop_name != loop_name
+                    or r.loop_target < n):
+                return
+            self._round = None
+            r.ticket.fail(CheckpointError(
+                f"loop checkpoint cancelled: loop {loop_name!r} ended at "
+                f"{n} before reaching elected checkpoint iteration "
+                f"{r.loop_target}"
+            ))
 
     # ------------------------------------------------------------------
     # round lifecycle (called from repro.mana.participate)
     # ------------------------------------------------------------------
-    def begin_participation(self, rank: int) -> int:
-        """A rank is entering the checkpoint round: returns the round
-        attempt it must carry through every phase call.  May raise
-        :class:`CheckpointRoundAborted` when an injected coordinator
-        stall aborts the round at its start."""
+    def begin_participation(self, rank: int) -> _Attempt:
+        """A rank is entering the checkpoint round: returns the round's
+        current attempt, the token it must carry through every phase
+        call.  May raise :class:`CheckpointRoundAborted` when an
+        injected coordinator stall aborts the round at its start."""
         with self._lock:
             self._raise_if_aborted()
-            t = self._intent
-            if t is None:
+            r = self._round
+            if r is None:
                 raise CheckpointRoundAborted(
                     "checkpoint intent disarmed before the round started"
                 )
-            attempt = self._round_attempt
-            generation = t.generation
+            attempt = r.attempt
+            generation = r.ticket.generation
+        number = attempt.number + 1
         if self.injector is not None and self.injector.round_abort_requested(
-            generation, attempt + 1
+            generation, number
         ):
-            self.abort_round(
-                f"injected coordinator stall on attempt {attempt + 1}"
-            )
+            self.abort_round(f"injected coordinator stall on attempt {number}")
             raise CheckpointRoundAborted(
-                f"checkpoint round {generation} attempt {attempt + 1} "
+                f"checkpoint round {generation} attempt {number} "
                 f"aborted: injected coordinator stall"
             )
         return attempt
@@ -605,98 +611,100 @@ class CheckpointCoordinator:
         """Abort the in-flight checkpoint round: every rank parked at a
         phase gate is released and re-checks its attempt (raising
         :class:`CheckpointRoundAborted`).  While retries remain the same
-        ticket stays armed, so ranks re-run the round immediately;
-        otherwise the ticket fails with a descriptive error."""
+        ticket stays armed with a fresh attempt, so ranks re-run the
+        round immediately; otherwise the ticket fails with a descriptive
+        error."""
         with self._lock:
-            if self._aborted is not None:
+            r = self._round
+            if self._aborted is not None or r is None:
                 return
-            t = self._intent
-            if t is None:
-                return
-            self._round_attempt += 1
-            retrying = self._retries_left > 0
+            owed = r.attempt.resume_owed
+            r.attempt = _Attempt(r.attempt.number + 1)
+            retrying = r.retries_left > 0
+            t = r.ticket
             self.round_events.append({
                 "event": "round-abort",
                 "generation": t.generation,
-                "attempt": self._round_attempt,
+                "attempt": r.attempt.number,
                 "reason": reason,
                 "retrying": retrying,
             })
-            self._rank_clocks.clear()
-            self._rank_bytes.clear()
-            self._rank_savestats.clear()
-            self._async_blobs.clear()
-            self._manifest_fields = None
-            owed, self._resume_owed = self._resume_owed, None
-            self._phase = "idle"
             if retrying:
-                self._retries_left -= 1
+                r.retries_left -= 1
             else:
-                self._intent = None
-                self._loop_target = None
-                self._loop_name = None
+                self._round = None
                 t.fail(CheckpointError(
                     f"checkpoint generation {t.generation} failed "
-                    f"after {self._round_attempt} aborted attempt(s): "
+                    f"after {r.attempt.number} aborted attempt(s): "
                     f"{reason}"
                 ))
         # Outside the coordinator lock (gate actions may take it).
-        if owed is not None:
-            owed.settle()   # these ranks will not pass this resume
+        if owed:
+            t.settle()   # these ranks will not pass this resume
         for g in self._gates:
             g.release()
-        self._notify_intent()
+        self._wake_parked()
 
-    def _check_attempt(self, attempt: int) -> None:
-        """Raise when the round was aborted since this rank captured
-        ``attempt`` (before or while it waited at a gate)."""
+    def _check_attempt(self, attempt: _Attempt) -> None:
+        """Raise when the round was aborted since this rank's
+        ``attempt`` began (before or while it waited at a gate)."""
         with self._lock:
             self._raise_if_aborted()
-            if attempt != self._round_attempt:
+            r = self._round
+            if r is None or r.attempt is not attempt:
                 raise CheckpointRoundAborted(
-                    f"checkpoint round aborted (attempt {attempt + 1} "
-                    f"superseded by {self._round_attempt + 1})"
+                    f"checkpoint round aborted (attempt "
+                    f"{attempt.number + 1} superseded)"
                 )
+
+    def _pass_gate(self, gate: _PhaseGate, rank: int, attempt: _Attempt,
+                   recheck: bool = True) -> None:
+        """Check → wait → check.  A rank whose attempt was already
+        aborted must not enqueue at ``gate`` (it would open with mixed
+        attempts); one that an abort released raises instead of going
+        on."""
+        self._check_attempt(attempt)
+        attempt.gate = gate
+        gate.wait(rank, timeout=PHASE_TIMEOUT_S)
+        if recheck:
+            self._check_attempt(attempt)
 
     # ------------------------------------------------------------------
     # phase gates (called from repro.mana.participate)
     # ------------------------------------------------------------------
-    def quiesce(self, rank: int, clock_now: float, attempt: int = 0) -> None:
-        # Pre-wait check: a rank whose round was already aborted must not
-        # enqueue at the gate (it would open with mixed attempts).
-        self._check_attempt(attempt)
-        with self._lock:
-            self._raise_if_aborted()
-            self._rank_clocks[rank] = clock_now
-            self._phase = "quiesce"
-        self._g_quiesce.wait(rank, timeout=PHASE_TIMEOUT_S)
-        self._check_attempt(attempt)
+    def quiesce(self, rank: int, clock_now: float, attempt: _Attempt) -> None:
+        attempt.clocks[rank] = clock_now
+        self._pass_gate(self._g_quiesce, rank, attempt)
 
-    def drained(self, rank: int = 0, attempt: int = 0) -> None:
-        self._check_attempt(attempt)
-        self._phase = "drain"
-        self._g_drained.wait(rank, timeout=PHASE_TIMEOUT_S)
-        self._check_attempt(attempt)
+    def drained(self, rank: int, attempt: _Attempt) -> None:
+        self._pass_gate(self._g_drained, rank, attempt)
 
-    def saved(self, rank: int, image_bytes: int, attempt: int = 0,
+    def saved(self, rank: int, image_bytes: int, attempt: _Attempt,
               stats: Optional[Dict] = None,
+              snapshot: Optional[Dict] = None,
               manifest: Optional[Dict] = None) -> None:
-        """``image_bytes`` stays the rank's *logical* upper-half size
-        (what Table 3 models); format-5 ``stats`` carry the physical
-        write accounting (chunks written/reused, bytes written) that the
-        cost model and the dedup report consume.  Rank 0 hands over the
-        ``manifest`` fields it knows; the gate action commits them."""
-        self._check_attempt(attempt)
-        with self._lock:
-            self._raise_if_aborted()
-            self._rank_bytes[rank] = image_bytes
-            if stats is not None:
-                self._rank_savestats[rank] = stats
-            if manifest is not None:
-                self._manifest_fields = manifest
-            self._phase = "save"
-        self._g_saved.wait(rank, timeout=PHASE_TIMEOUT_S)
-        self._check_attempt(attempt)
+        """Everything a rank reports for the save gate.  ``image_bytes``
+        stays the rank's *logical* upper-half size (what Table 3
+        models); a synchronous round's format-5 ``stats`` carry the
+        physical write accounting (chunks written/reused, bytes written)
+        that the cost model and the dedup report consume; an async
+        round's ``snapshot`` is the rank's ``{"image", "blob"}`` for the
+        drainer.  Rank 0 hands over the ``manifest`` fields it knows;
+        the gate action commits them.  After the gate, ``attempt.start``
+        and ``attempt.duration`` are the round's checkpoint timing."""
+        attempt.image_bytes[rank] = image_bytes
+        if stats is not None:
+            attempt.savestats[rank] = stats
+        if snapshot is not None:
+            attempt.snapshots[rank] = snapshot
+        if manifest is not None:
+            attempt.manifest = manifest
+        self._pass_gate(self._g_saved, rank, attempt)
+
+    def resumed(self, rank: int, attempt: _Attempt) -> None:
+        # No check after the gate: the round is complete once the resume
+        # gate opens (_on_resumed already dropped it).
+        self._pass_gate(self._g_resumed, rank, attempt, recheck=False)
 
     # ------------------------------------------------------------------
     # parallel save fan-out
@@ -727,11 +735,6 @@ class CheckpointCoordinator:
     # ------------------------------------------------------------------
     # asynchronous saves (snapshot + background drain)
     # ------------------------------------------------------------------
-    def stage_async_blob(self, rank: int, image, blob: bytes) -> None:
-        """Stage one rank's pickled snapshot for the background drain."""
-        with self._lock:
-            self._async_blobs[rank] = {"image": image, "blob": blob}
-
     def _ensure_drainer(self):
         d = self._drainer
         if d is None:
@@ -750,17 +753,6 @@ class CheckpointCoordinator:
         if d is not None:
             d.shutdown()
 
-    def resumed(self, rank: int = 0, attempt: int = 0) -> None:
-        self._phase = "resume"
-        self._g_resumed.wait(rank, timeout=PHASE_TIMEOUT_S)
-        # No attempt check: the round is complete once the resume gate
-        # opens (_on_resumed already cleared the intent).
-
-    def checkpoint_timing(self) -> Tuple[float, float]:
-        """(global start time, duration) of the checkpoint in progress —
-        valid after the saved barrier."""
-        return self._ckpt_start_time, self._ckpt_duration
-
     def phase_snapshot(self) -> str:
         """One-line description of where the checkpoint round stands —
         used by timeout errors to name the stuck phase and ranks.
@@ -770,20 +762,16 @@ class CheckpointCoordinator:
         async drainer is still busy — enough to diagnose a hang from
         the exception text alone.
         """
-        phase = self._phase
+        r = self._round
+        gate = None if r is None else r.attempt.gate
+        phase = "idle" if gate is None else gate.name
         bits = [f"coordinator phase {phase!r}"]
-        t = self._intent
-        if t is not None:
+        if r is not None:
+            t = r.ticket
             round_desc = f"generation {t.generation} ({t.kind}/{t.mode}"
-            if self._round_attempt:
-                round_desc += f", retry attempt {self._round_attempt + 1}"
+            if r.attempt.number:
+                round_desc += f", retry attempt {r.attempt.number + 1}"
             bits.append(round_desc + ")")
-        gate = {
-            "quiesce": self._g_quiesce,
-            "drain": self._g_drained,
-            "save": self._g_saved,
-            "resume": self._g_resumed,
-        }.get(phase)
         if gate is not None:
             arrived = gate.arrived_ranks()
             outstanding = sorted(set(range(self.nranks)) - set(arrived))
@@ -796,7 +784,8 @@ class CheckpointCoordinator:
         return "; ".join(bits)
 
     def _on_quiesced(self) -> None:
-        self._ckpt_start_time = max(self._rank_clocks.values())
+        a = self._round.attempt
+        a.start = max(a.clocks.values())
 
     @staticmethod
     def _written_logical(dedup: Dict, logical_mean: float) -> int:
@@ -807,104 +796,89 @@ class CheckpointCoordinator:
         frac = dedup["bytes_written"] / payload if payload else 1.0
         return int(logical_mean * min(1.0, frac))
 
-    def _ticket_result(self, sizes: List[int], mean: float) -> Dict:
+    @staticmethod
+    def _ticket_result(r: _Round, sizes: List[int], mean: float) -> Dict:
         """What a ticket reports once the round's cost is known."""
-        t = self._intent
+        t, duration = r.ticket, r.attempt.duration
         return {
             "generation": t.generation,
             "kind": t.kind,
             "mode": t.mode,
             "bytes_per_rank": sizes,
             "mean_bytes_per_rank": mean,
-            "ckpt_time": self._ckpt_duration,
+            "ckpt_time": duration,
             "mb_per_s_per_rank": (
-                mean / self._ckpt_duration / 1e6
-                if self._ckpt_duration > 0
-                else float("inf")
+                mean / duration / 1e6 if duration > 0 else float("inf")
             ),
-            "loop_target": self._loop_target,
+            "loop_target": r.loop_target,
         }
 
     def _on_saved(self) -> None:
         """Gate action of the save barrier: every rank's image is durable
-        (sync) or staged (async).  Commits the generation — here, or by
-        handing it to the drainer — and leaves the ticket owing its
+        (sync) or snapshotted (async).  Commits the generation — here, or
+        by handing it to the drainer — and leaves the ticket owing its
         resume half."""
-        sizes = list(self._rank_bytes.values())
+        r = self._round
+        a, t = r.attempt, r.ticket
+        sizes = list(a.image_bytes.values())
         mean = sum(sizes) / len(sizes) if sizes else 0
-        t = self._intent
-        fields = dict(self._manifest_fields, loop_target=self._loop_target)
+        fields = dict(a.manifest, loop_target=r.loop_target)
         with self._lock:
-            self._manifest_fields = None
-            self._resume_owed = t
+            a.resume_owed = True
         if self.async_save:
-            self._on_saved_async(t, sizes, mean, fields)
+            self._on_saved_async(r, sizes, mean, fields)
             return
         # Charge the incremental pipeline's analytic cost.
-        dedup = dedup_summary(self._rank_savestats.values())
-        self._ckpt_duration = self.ckpt_cost.save_time(
+        dedup = dedup_summary(a.savestats.values())
+        a.duration = self.ckpt_cost.save_time(
             self.fs_profile, self.nranks, int(mean),
             self._written_logical(dedup, mean),
         )
-        t.result.update(self._ticket_result(sizes, mean))
+        t.result.update(self._ticket_result(r, sizes, mean))
         t.result["dedup"] = dedup
         self.store.commit(t.generation, dict(fields, dedup=dedup),
                           self.keep_generations)
         t.settle()
 
-    def _on_saved_async(self, t: CheckpointTicket, sizes: List[int],
+    def _on_saved_async(self, r: _Round, sizes: List[int],
                         mean: float, fields: Dict) -> None:
         """Gate action of the save barrier in an **async** round: charge
-        only snapshot + drain-overrun to virtual time, hand the staged
-        blobs to the background drainer, and release the ranks.
+        only snapshot + drain-overrun to virtual time, hand the
+        snapshots to the background drainer, and release the ranks.
 
         Back-pressure first: at most one drain is ever in flight, so
         the last-arriving rank blocks (wall-clock only) until the
-        previous generation's drain has settled.  The *overrun* charged
-        to virtual time is analytic — the previous drain's modeled
-        completion (its start vtime + ``drain_time`` over its byte
-        counts) minus this round's start — never a wall-clock
-        measurement, so recovery traces stay deterministic no matter
-        how fast the drainer actually ran.
+        previous generation's drain has settled; the drainer then
+        knows the virtual-time *overrun* that drain imposes on this
+        round (:meth:`AsyncSaveDrainer.overrun`).
         """
+        a, t = r.attempt, r.ticket
         drainer = self._ensure_drainer()
         drainer.wait_idle()
-        start = self._ckpt_start_time
-        overrun = 0.0
-        if self._drain_pending is not None:
-            prev, prev_start = self._drain_pending
-            # No modeled drain_time: that drain failed, nothing to wait.
-            if "drain_time" in prev.result:
-                overrun = max(
-                    0.0, prev_start + prev.result["drain_time"] - start
-                )
+        overrun = drainer.overrun(a.start)
         snap_t = self.ckpt_cost.snapshot_time(
             self.fs_profile, self.nranks, int(mean)
         )
-        self._ckpt_duration = overrun + snap_t
-        self._drain_pending = (t, start + self._ckpt_duration)
-        blobs = dict(self._async_blobs)
-        self._async_blobs = {}
-        t.result.update(self._ticket_result(sizes, mean))
+        a.duration = overrun + snap_t
+        t.result.update(self._ticket_result(r, sizes, mean))
         t.result.update({"async": True, "snapshot_time": snap_t,
                          "drain_overrun": overrun})
         from repro.mana.asyncsave import DrainJob
 
         drainer.submit(DrainJob(
             ticket=t,
-            ranks=blobs,
+            ranks=a.snapshots,
             manifest=fields,
-            vtime=start,
+            vtime=a.start,
+            drain_start=a.start + a.duration,
             logical_mean=mean,
         ))
 
     def _on_resumed(self) -> None:
         with self._lock:
-            self._intent = None
-            self._phase = "idle"
-            owed, self._resume_owed = self._resume_owed, None
-        if owed is not None:
-            owed.settle()
+            r, self._round = self._round, None
+        if r is not None and r.attempt.resume_owed:
+            r.ticket.settle()
 
     # ------------------------------------------------------------------
     # trivial-barrier service for two-phase collectives
@@ -981,22 +955,24 @@ class CheckpointCoordinator:
     def abort(self, exc: Optional[BaseException] = None) -> None:
         with self._lock:
             self._aborted = exc or CheckpointError("job aborted")
-            # The intent stays armed: ranks parked at a gate must raise
+            # The round stays armed: ranks parked at a gate must raise
             # the abort, not return as if the round were over.
             for t in self._take_pending_locked(disarm=False):
                 t.fail(self._aborted)
+            # A round whose ranks will never pass resume owes that half
+            # no more.
+            r = self._round
+            owed = r is not None and r.attempt.resume_owed
+            if owed:
+                r.attempt.resume_owed = False
         # Outside the coordinator lock (gate actions may take it).
         for g in self._gates:
             g.break_(self._aborted)
         # Every parked rank — barrier, finalize, fabric wait — must see
         # the abort.
         self.scheduler.unpark_all()
-        # A round whose ranks will never pass resume owes that half no
-        # more.
-        with self._lock:
-            owed, self._resume_owed = self._resume_owed, None
-        if owed is not None:
-            owed.settle()
+        if owed:
+            r.ticket.settle()
         self._shutdown_save_pool()
 
     def _raise_if_aborted(self) -> None:
@@ -1012,13 +988,13 @@ class CheckpointCoordinator:
 
     def _take_pending_locked(self, disarm: bool = True
                              ) -> List[CheckpointTicket]:
-        """The tickets of every unfired trigger and of the armed intent;
-        the triggers are dropped, the intent too with ``disarm``.  Caller
+        """The tickets of every unfired trigger and of the armed round;
+        the triggers are dropped, the round too with ``disarm``.  Caller
         holds self._lock."""
         tickets = [tr["ticket"] for tr in self._pending_triggers]
         self._pending_triggers.clear()
-        if self._intent is not None:
-            tickets.append(self._intent)
+        if self._round is not None:
+            tickets.append(self._round.ticket)
             if disarm:
-                self._intent = None
+                self._round = None
         return tickets

@@ -1,7 +1,7 @@
 """The rank side of a checkpoint round (PROTOCOLS.md §4): quiesce →
 drain → save → resume, one coordinator phase gate after each step.
 
-A rank drains its own messages, writes (async: stages) its own image
+A rank drains its own messages, writes (async: snapshots) its own image
 and, in a RELAUNCH round, rebuilds its own lower half.  The global
 steps are the coordinator's: its save-gate action commits the
 generation (:meth:`CheckpointStore.commit`, itself or through the
@@ -38,16 +38,15 @@ def checkpoint_participate(mana) -> None:
             _participate_once(mana, ticket)
             return
         except CheckpointRoundAborted:
-            mana._active_ticket = None
             # Re-read the intent: the coordinator either re-armed the
             # same ticket (retry the round) or failed it (return to the
             # application).
+            continue
 
 
 def _participate_once(mana, ticket) -> None:
     """One attempt at the quiesce → drain → save → resume round."""
     coord = mana.coordinator
-    mana._active_ticket = ticket
     attempt = coord.begin_participation(mana.rank)
 
     coord.quiesce(mana.rank, mana.clock.now, attempt)
@@ -66,16 +65,15 @@ def _participate_once(mana, ticket) -> None:
         )
     coord.drained(mana.rank, attempt)
 
-    nbytes, savestats = _write_image(mana, ticket)
+    nbytes, stats, snapshot = _write_image(mana, ticket)
     coord.saved(
-        mana.rank, nbytes, attempt, stats=savestats,
-        manifest=_manifest_fields(mana, ticket) if mana.rank == 0 else None,
+        mana.rank, nbytes, attempt, stats=stats, snapshot=snapshot,
+        manifest=_rank0_manifest(mana, ticket) if mana.rank == 0 else None,
     )
 
     # Charge the checkpoint's cost to virtual time (Table 3 model).
-    start, duration = coord.checkpoint_timing()
-    mana.clock.merge(start)
-    mana.clock.advance(duration, "checkpoint")
+    mana.clock.merge(attempt.start)
+    mana.clock.advance(attempt.duration, "checkpoint")
 
     if ticket.mode == CheckpointMode.RELAUNCH:
         _relaunch_lower(mana)
@@ -89,13 +87,12 @@ def _participate_once(mana, ticket) -> None:
         }
 
     coord.resumed(mana.rank, attempt)
-    mana._active_ticket = None
 
     if ticket.mode == CheckpointMode.EXIT:
         raise JobPreempted(ticket.generation)
 
 
-def _manifest_fields(mana, ticket) -> Dict:
+def _rank0_manifest(mana, ticket) -> Dict:
     """The :meth:`CheckpointStore.write_manifest` fields a rank knows;
     rank 0 hands them to the coordinator at the save gate, which adds
     the loop target and the round's dedup summary and commits."""
@@ -116,8 +113,9 @@ def _manifest_fields(mana, ticket) -> Dict:
 
 
 def _write_image(mana, ticket):
-    """Serialize and persist this rank's image into the coordinator's
-    checkpoint store; returns ``(logical_bytes, savestats_or_None)``.
+    """Serialize this rank's image and persist it into the coordinator's
+    checkpoint store — or, in an async round, snapshot it; returns
+    ``(logical_bytes, savestats, snapshot)``, one of the last two None.
 
     The image goes through the incremental path (chunked, deduped,
     compressed) on the coordinator's save worker pool.
@@ -142,14 +140,14 @@ def _write_image(mana, ticket):
         epoch=mana.epoch,
     )
     coord = mana.coordinator
-    savestats = None
+    savestats = snapshot = None
     if coord.async_save:
         # Async save: the pickle below IS the snapshot — a cheap,
         # consistent copy taken while every rank is parked.  The
         # encode+write moves to the coordinator's background drainer;
         # this rank resumes computing after the barrier.
         blob = ckpt.pickle_upper_half(image)
-        coord.stage_async_blob(mana.rank, image, blob)
+        snapshot = {"image": image, "blob": blob}
         nbytes = len(blob)
     else:
         # Synchronous save: compression, hashing and file writes
@@ -168,7 +166,7 @@ def _write_image(mana, ticket):
     # the full-size resident bytes the real application would have
     # checkpointed (Table 3 image sizes).  Accounting — not storage.
     extra = getattr(mana._app, "simulated_state_bytes", 0) or 0
-    return nbytes + int(extra), savestats
+    return nbytes + int(extra), savestats, snapshot
 
 
 def _relaunch_lower(mana) -> None:

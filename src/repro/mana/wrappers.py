@@ -138,7 +138,6 @@ class ManaRank:
         self._app = None           # the upper half (set by the runtime)
         self._ctx = None
         self._app_initialized = False
-        self._active_ticket = None
         # Functions MANA itself called in the lower half during the most
         # recent checkpoint (drain/save) or restart (replay).
         self.last_internal_calls: dict = {}

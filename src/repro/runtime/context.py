@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
-from repro.mana.coordinator import CheckpointKind
 from repro.simtime.clock import VirtualClock
 from repro.simtime.cost import CostModel
 
@@ -96,30 +95,16 @@ class RankContext:
             yield i
             i += 1
             self._loops[name] = i
-        # If a LOOP-kind checkpoint elected a target beyond the end of
-        # this loop, it can never be honored: cancel it (uniform bounds
-        # mean every rank takes this same path).
         if self.mana is not None and self.mana.coordinator is not None:
-            coord = self.mana.coordinator
-            if coord.intent_kind() == CheckpointKind.LOOP:
-                target = coord.loop_target()
-                if target is not None and target >= n:
-                    coord.loop_cancel(
-                        f"loop {name!r} ended at {n} before reaching "
-                        f"elected checkpoint iteration {target}"
-                    )
+            self.mana.coordinator.loop_end(name, n)
 
     def _checkpoint_poll(self, name: str, iteration: int) -> None:
         mana = self.mana
         if mana is None or mana.coordinator is None:
             return
-        coord = mana.coordinator
-        coord.note_loop_progress(name, iteration, self.clock.now)
-        kind = coord.intent_kind()
-        if kind == CheckpointKind.LOOP:
-            if coord.loop_poll(name, iteration):
-                mana.checkpoint_participate()
-        elif kind is not None:
+        if mana.coordinator.loop_top(name, iteration, self.clock.now):
+            mana.checkpoint_participate()
+        else:
             mana._maybe_checkpoint()
 
     # ------------------------------------------------------------------

@@ -307,3 +307,25 @@ def test_relaunch_inside_allreduce_barrier_legacy(impl):
     """Legacy lookups return entry copies; a collective must not use a
     physical id read before its barrier rebuilt the lower half."""
     assert _relaunch_inside_barrier("allreduce", impl, "legacy") == [3.0, 3.0]
+
+
+@pytest.mark.parametrize("keep", [None, 1])
+def test_generations_are_numbered_in_commit_order(tmp_path, keep):
+    """Triggers armed out of order: a generation number is taken when a
+    round starts, so the newest generation holds the newest state — the
+    one a generation-less restart resumes and the one ``keep=1`` keeps."""
+    ckdir = str(tmp_path / "ck")
+    cfg = JobConfig(nranks=NRANKS, impl="mpich", mana=True, ckpt_dir=ckdir,
+                    loop_lag_window=2, ckpt_keep_generations=keep)
+    job = Launcher(cfg).launch(lambda r: RingApp(20))
+    late = job.checkpoint_at_iteration("main", 12, kind="loop")
+    early = job.checkpoint_at_iteration("main", 4, kind="loop")
+    res = job.run(120)
+    assert res.status == "completed", res.first_error()
+    assert [(t.generation, t.wait(0)["loop_target"])
+            for t in (early, late)] == [(1, 6), (2, 14)]
+    assert job.store.generations() == ([1, 2] if keep is None else [2])
+    assert job.store.latest_restorable() == 2
+    restarted = Launcher(cfg).restart(ckdir)
+    assert [img.loops for img in restarted.images] == [{"main": 14}] * NRANKS
+    assert restarted.run(120).status == "completed"

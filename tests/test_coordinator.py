@@ -11,7 +11,7 @@ from repro.mana.coordinator import (
     CheckpointMode,
 )
 from repro.simtime.cost import FilesystemProfile
-from repro.util.errors import CheckpointError
+from repro.util.errors import CheckpointError, CheckpointRoundAborted
 from tests.conftest import run_ranks
 
 
@@ -89,32 +89,43 @@ class TestTriggers:
     def test_trigger_fires_on_iteration(self):
         c = coord()
         t = c.checkpoint_at_iteration("main", 5)
-        c.note_loop_progress("main", 4)
+        c.loop_top("main", 4, 0.0)
         assert c.intent is None
-        c.note_loop_progress("main", 5)
+        c.loop_top("main", 5, 0.0)
         assert c.intent is t
 
     def test_trigger_fires_past_iteration(self):
         c = coord()
         t = c.checkpoint_at_iteration("main", 5)
-        c.note_loop_progress("main", 9)
+        c.loop_top("main", 9, 0.0)
         assert c.intent is t
 
     def test_trigger_loop_name_scoped(self):
         c = coord()
         c.checkpoint_at_iteration("outer", 5)
-        c.note_loop_progress("inner", 10)
+        c.loop_top("inner", 10, 0.0)
         assert c.intent is None
 
     def test_only_one_trigger_fires_at_a_time(self):
         c = coord()
         t1 = c.checkpoint_at_iteration("main", 1)
         t2 = c.checkpoint_at_iteration("main", 2)
-        c.note_loop_progress("main", 5)
+        c.loop_top("main", 5, 0.0)
         assert c.intent is t1
-        c.note_loop_progress("main", 6)  # t1 still in progress
+        c.loop_top("main", 6, 0.0)  # t1 still in progress
         assert c.intent is t1
+        assert t2.generation is None  # numbered when its round is armed
+        c._on_resumed()  # t1's round ends at its resume gate
+        c.loop_top("main", 7, 0.0)
+        assert c.intent is t2
         assert t2.generation == t1.generation + 1
+
+    def test_unfired_trigger_wait_timeout(self):
+        c = coord()
+        t = c.checkpoint_at_iteration("main", 5)
+        with pytest.raises(CheckpointError,
+                           match=r"trigger \(not fired yet\) did not complete"):
+            t.wait(0.05)
 
     def test_cancel_pending_covers_triggers(self):
         c = coord()
@@ -128,38 +139,85 @@ class TestLoopElection:
     def test_target_is_first_observer_plus_lag(self):
         c = coord(lag=4)
         c.request_checkpoint(kind=CheckpointKind.LOOP)
-        assert c.loop_poll("main", 10) is False
-        assert c.loop_target() == 14
-        assert c.loop_poll("main", 13) is False
-        assert c.loop_poll("main", 14) is True
+        assert c.loop_top("main", 10, 0.0) is False
+        assert c._round.loop_target == 14
+        assert c.loop_top("main", 13, 0.0) is False
+        assert c.loop_top("main", 14, 0.0) is True
 
     def test_skew_beyond_lag_detected(self):
         c = coord(lag=2)
         c.request_checkpoint(kind=CheckpointKind.LOOP)
-        c.loop_poll("main", 10)
+        c.loop_top("main", 10, 0.0)
         with pytest.raises(CheckpointError, match="skew"):
-            c.loop_poll("main", 13)
+            c.loop_top("main", 13, 0.0)
 
     def test_non_loop_intent_ignores_poll(self):
         c = coord()
         c.request_checkpoint(kind=CheckpointKind.IN_SESSION)
-        assert c.loop_poll("main", 3) is False
-        assert c.loop_target() is None
+        assert c.loop_top("main", 3, 0.0) is False
+        assert c._round.loop_target is None
 
     def test_other_loop_not_elected(self):
         c = coord()
         c.request_checkpoint(kind=CheckpointKind.LOOP)
-        c.loop_poll("main", 10)
-        assert c.loop_poll("side", 14) is False
+        c.loop_top("main", 10, 0.0)
+        assert c.loop_top("side", 14, 0.0) is False
 
     def test_loop_cancel(self):
         c = coord()
         t = c.request_checkpoint(kind=CheckpointKind.LOOP)
-        c.loop_poll("main", 10)
-        c.loop_cancel("loop ended")
+        c.loop_top("main", 10, 0.0)
+        c.loop_end("main", 12)
         with pytest.raises(CheckpointError, match="cancelled"):
             t.wait(1)
         assert c.intent is None
+
+    def test_end_of_another_loop_keeps_the_round(self):
+        c = coord()
+        t = c.request_checkpoint(kind=CheckpointKind.LOOP)
+        c.loop_top("main", 10, 0.0)
+        c.loop_end("side", 12)
+        c.loop_end("main", 15)           # target 14 lies inside the loop
+        assert c.intent is t
+
+
+class TestRoundRetry:
+    def test_retry_sees_nothing_from_the_aborted_attempt(self):
+        """An abort starts a fresh attempt: the retry's start time comes
+        from its own quiesce clocks only, and no snapshot or manifest
+        reported in the aborted attempt reaches the retry."""
+        c = coord(nranks=2)
+        c.request_checkpoint()
+        first = c.begin_participation(0)
+        errors = []
+
+        def rank0_first_attempt():
+            try:
+                c.quiesce(0, 5.0, first)
+            except CheckpointRoundAborted as exc:
+                errors.append(exc)
+
+        th = threading.Thread(target=rank0_first_attempt)
+        th.start()
+        deadline = time.monotonic() + 5
+        while c._g_quiesce.arrived_ranks() != [0]:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        # A late report into the aborted attempt must not leak either.
+        first.snapshots[0] = {"image": None, "blob": b"stale"}
+        first.manifest = {"stale": True}
+        c.abort_round("test stall")
+        th.join(5)
+        assert errors and not th.is_alive()
+
+        retry = [c.begin_participation(r) for r in (0, 1)]
+        assert retry[0] is retry[1] is not first
+        run_ranks(2, lambda r: c.quiesce(r, (1.0, 2.0)[r], retry[r]),
+                  timeout=10)
+        assert retry[0].start == 2.0
+        assert retry[0].snapshots == {} and retry[0].manifest is None
+        assert c.round_events[-1]["attempt"] == 1
+        c.abort(RuntimeError("test teardown"))
 
 
 class TestFinalize:
