@@ -26,7 +26,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from repro.simtime.cost import CostModel
 from repro.util.errors import MpiAbort, ReproError
@@ -34,6 +34,8 @@ from repro.util.errors import MpiAbort, ReproError
 # Wildcards, kept numeric like the real mpi.h constants.
 ANY_SOURCE = -1
 ANY_TAG = -1
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -143,12 +145,35 @@ class Fabric:
                       timeout: Optional[float] = None) -> None:
         """Park ``rank`` until something it may be waiting for happens:
         a message posted to it, checkpoint intent, an abort (or
-        ``timeout`` elapses).  Wrapper poll loops check their completion
-        condition, call this, and check again — the wake-up may be
+        ``timeout`` elapses).  MANA's wait loop checks its completion
+        condition, calls this, and checks again — the wake-up may be
         stale.  Virtual-time poll costs are charged analytically, so
         results do not depend on it (see mana/wrappers.py)."""
         if self._aborted is None:
             self.scheduler.park(rank, timeout)
+
+    def wait_for(self, rank: int, attempt: Callable[[], Optional[T]],
+                 deadline: float) -> T:
+        """Block ``rank`` (in real time) until ``attempt()`` returns
+        something other than None, and return that.
+
+        The lower half's one blocking primitive: ``attempt`` must not
+        block, and it is re-tried after every wake-up (a message for
+        ``rank``, an abort — which the fabric calls inside ``attempt``
+        then raise).  ``deadline`` real seconds without success is a
+        simulated deadlock."""
+        end = time.monotonic() + deadline
+        while True:
+            out = attempt()
+            if out is not None:
+                return out
+            remaining = end - time.monotonic()
+            if remaining <= 0:
+                raise ReproError(
+                    f"rank {rank}: blocking call made no progress in "
+                    f"{deadline:g} s — simulated deadlock?"
+                )
+            self.scheduler.park(rank, remaining)
 
     # ------------------------------------------------------------------
     # matching / receiving
@@ -171,37 +196,6 @@ class Fabric:
             if idx is None:
                 return None
             return self._queues[dst].pop(idx)
-
-    def wait_match(
-        self,
-        dst: int,
-        src: int,
-        tag: int,
-        context_id: int,
-        *,
-        should_stop: Optional[Callable[[], bool]] = None,
-        deadline: Optional[float] = None,
-    ) -> Optional[Message]:
-        """Block (in real time) until a matching message is available.
-
-        ``should_stop`` lets a caller break out when it is woken without
-        a message; in that case None is returned.  ``deadline`` is a
-        real-time guard against simulated deadlocks.
-        """
-        end = None if deadline is None else time.monotonic() + deadline
-        while True:
-            msg = self.try_match(dst, src, tag, context_id)
-            if msg is not None:
-                return msg
-            if should_stop is not None and should_stop():
-                return None
-            remaining = None if end is None else end - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise ReproError(
-                    f"rank {dst}: receive (src={src}, tag={tag}, "
-                    f"ctx={context_id}) timed out — simulated deadlock?"
-                )
-            self.scheduler.park(dst, remaining)
 
     def iprobe(
         self, dst: int, src: int, tag: int, context_id: int

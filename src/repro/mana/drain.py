@@ -232,8 +232,8 @@ def _test_pending_recvs(mana) -> bool:
             continue
         if rec.completed or rec.kind != "recv":
             continue
-        if rec.persistent and not rec.active:
-            continue  # inactive persistent: nothing outstanding
+        if rec.inactive:
+            continue  # nothing outstanding
         if entry.phys is None:
             continue  # not posted in this lower half (will re-post at restart)
         flag, st = lib.test(entry.phys)

@@ -152,3 +152,7 @@ class RequestRecord:
     persistent: bool = False
     active: bool = False
 
+    @property
+    def inactive(self) -> bool:
+        """A persistent request with no started cycle outstanding."""
+        return self.persistent and not self.active

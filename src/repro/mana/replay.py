@@ -286,25 +286,10 @@ def replay_all(mana) -> Dict[str, int]:
             )
             vids.set_phys(vids.embed(entry.vid), phys)
             if rec.active and not rec.completed and rec.kind == "recv":
-                src_world = (
-                    C.ANY_SOURCE
-                    if rec.peer == C.ANY_SOURCE
-                    else comm_entry.record.world_ranks[rec.peer]
-                )
-                drained = mana.drain_buffer.match(
-                    comm_entry.vid, src_world, rec.tag
-                )
-                if drained is not None:
-                    desc = mana.descriptor_of(dt_entry)
-                    desc.unpack(drained.payload, rec.buf, rec.count)
-                    rec.completed = True
-                    from repro.mpi.objects import Status
-
-                    rec.status = Status(
-                        source=drained.src_comm_rank,
-                        tag=drained.tag,
-                        count_bytes=drained.nbytes,
-                    )
+                # A drained message wins over a fresh start.
+                st = mana._recv_request_from_drain(rec)
+                if st is not None:
+                    rec.completed, rec.status = True, st
                 else:
                     lib.start(phys)
             counts[HandleKind.REQUEST] += 1
@@ -313,31 +298,17 @@ def replay_all(mana) -> Dict[str, int]:
             continue
         if rec.kind != "recv":
             continue
-        comm_entry = vids.lookup(vids.embed(rec.comm_vid), HandleKind.COMM)
-        dt_entry = vids.lookup(vids.embed(rec.datatype_vid), HandleKind.DATATYPE)
         # The drain buffer wins over a fresh post: a message drained at
         # checkpoint time may be the one this request was waiting for.
-        src_world = (
-            C.ANY_SOURCE
-            if rec.peer == C.ANY_SOURCE
-            else comm_entry.record.world_ranks[rec.peer]
-        )
-        drained = mana.drain_buffer.match(
-            comm_entry.vid, src_world, rec.tag
-        )
-        if drained is not None:
-            desc = mana.descriptor_of(dt_entry)
-            desc.unpack(drained.payload, rec.buf, rec.count)
-            rec.completed = True
-            from repro.mpi.objects import Status
-
-            rec.status = Status(
-                source=drained.src_comm_rank,
-                tag=drained.tag,
-                count_bytes=drained.nbytes,
-            )
+        st = mana._recv_request_from_drain(rec)
+        if st is not None:
+            rec.completed, rec.status = True, st
             vids.set_phys(vids.embed(entry.vid), None)
         else:
+            comm_entry = vids.lookup(vids.embed(rec.comm_vid), HandleKind.COMM)
+            dt_entry = vids.lookup(
+                vids.embed(rec.datatype_vid), HandleKind.DATATYPE
+            )
             vids.set_phys(
                 vids.embed(entry.vid),
                 lib.irecv(

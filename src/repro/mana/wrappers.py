@@ -10,16 +10,20 @@ Every MPI call an application makes lands here.  A wrapper:
 5. wraps any newly created physical object in a fresh virtual id with a
    reconstruction record, and returns virtual handles to the app.
 
-Blocking operations never block inside the lower half: they are
-implemented as ``MPI_Iprobe``/``MPI_Test`` polling loops (this is what
-guarantees "no MPI process is blocked in a call to the lower half at the
-time of checkpoint", §2.1).  The *virtual* cost of polling is charged
+Blocking operations never block inside the lower half: every one —
+``recv``, ``probe``, ``wait``, ``waitall``, ``waitany`` — runs in one
+loop, :meth:`ManaRank._block`, that retries a non-blocking
+``MPI_Iprobe``/``MPI_Test`` step and serves an armed checkpoint between
+tries (this is what guarantees "no MPI process is blocked in a call to
+the lower half at the time of checkpoint", §2.1).  Every completion
+function progresses a request through one step,
+:meth:`ManaRank._progress`.  The *virtual* cost of polling is charged
 analytically — ``wait_time / poll_cycle`` extra crossings — so reported
 times are deterministic regardless of host scheduling, while still
 reproducing the mechanism behind Open MPI's higher overhead (slower
 network calls → longer waits → more polls, §6.1).  In *real* time the
-loops are event-driven: instead of sleeping a fixed poll interval they
-park in the job's scheduler (unparked by message arrival, abort, or
+loop is event-driven: instead of sleeping a fixed poll interval it
+parks in the job's scheduler (unparked by message arrival, abort, or
 checkpoint-intent arming), so blocking-heavy runs stop burning
 wall-clock without changing any reported number.
 
@@ -84,6 +88,10 @@ from repro.util.errors import InvalidHandleError, MpiError
 from repro.util.registry import USER_OPS
 
 _MAX_POLL_CHARGES = 100_000  # cap on analytically charged polls per wait
+
+
+def _drained_status(msg) -> Status:
+    return Status(source=msg.src_comm_rank, tag=msg.tag, count_bytes=msg.nbytes)
 
 
 class ManaRank:
@@ -227,6 +235,32 @@ class ManaRank:
         if coord is not None and coord.should_park_now():
             self.checkpoint_participate()
 
+    def _block(self, what: str, attempt: Callable,
+               drained: Optional[Callable] = None, extra_calls: int = 1):
+        """MANA's one blocking loop: each try runs ``drained`` (MANA's
+        drain buffer, for calls it can serve), then ``attempt`` (an
+        Iprobe/Test step that never blocks) until one returns non-None;
+        between tries, :meth:`_await_activity`.  Only a lower-half
+        completion is charged: ``extra_calls`` library calls (the
+        Iprobe/Test that found it) plus one crossing per poll cycle the
+        virtual wait spanned."""
+        t_enter = self.clock.now
+        while True:
+            if drained is not None:
+                out = drained()
+                if out is not None:
+                    return out
+            out = attempt()
+            if out is not None:
+                self._extra_lib_calls(extra_calls)
+                wait = self.clock.now - t_enter
+                n = min(int(wait / self.cost_model.mana.poll_cycle),
+                        _MAX_POLL_CHARGES)
+                if n > 0:
+                    self._cross(n, weighted=False)
+                return out
+            self._await_activity(what)
+
     def _await_activity(self, what: str) -> None:
         """Nothing to complete yet: serve an armed checkpoint, then sleep
         until the fabric changes (PROTOCOLS §8)."""
@@ -234,17 +268,6 @@ class ManaRank:
         self.fabric.wait_activity(self.rank)
         if self.fabric.aborted:
             raise MpiError(f"job aborted during {what}", "MPI_ERR_OTHER")
-
-    def _charge_wait_polls(self, t_enter: float) -> None:
-        """Analytic polling cost: one extra crossing per poll cycle the
-        virtual wait spanned (MANA calls MPI_Test/MPI_Iprobe in a loop
-        while wrapping blocking completion)."""
-        wait = self.clock.now - t_enter
-        if wait <= 0:
-            return
-        n = min(int(wait / self.cost_model.mana.poll_cycle), _MAX_POLL_CHARGES)
-        if n > 0:
-            self._cross(n, weighted=False)
 
     # ------------------------------------------------------------------
     # translation helpers
@@ -502,11 +525,16 @@ class ManaRank:
         )
         if msg is None:
             return None
-        desc = self.descriptor_of(dt_entry)
-        desc.unpack(msg.payload, buf, count)
-        return Status(
-            source=msg.src_comm_rank, tag=msg.tag, count_bytes=msg.nbytes
+        self.descriptor_of(dt_entry).unpack(msg.payload, buf, count)
+        return _drained_status(msg)
+
+    def _peek_drain(self, comm_entry, source: int, tag: int
+                    ) -> Optional[Status]:
+        msg = self.drain_buffer.match(
+            comm_entry.vid, self._src_world(comm_entry, source), tag,
+            remove=False,
         )
+        return None if msg is None else _drained_status(msg)
 
     def _comm_of(self, rec: RequestRecord):
         return self.vids.lookup(self.vids.embed(rec.comm_vid), HandleKind.COMM)
@@ -526,31 +554,29 @@ class ManaRank:
         self._enter()
         if source == C.PROC_NULL:
             return Status(source=C.PROC_NULL, tag=C.ANY_TAG)
-        t_enter = self.clock.now
-        while True:
-            # Check, then park: an arrival in between leaves a permit
-            # that makes wait_activity return at once (PROTOCOLS §8).
-            # The analytic poll cost below is what the *results* see;
-            # the real-time loop merely sleeps until something changes.
-            centry = self._comm(comm_v)
-            dentry = self._dtype(dtype_v)
-            st = self._recv_from_drain(
-                centry, dentry, buf, count, source, tag
+
+        def drained() -> Optional[Status]:
+            return self._recv_from_drain(
+                self._comm(comm_v), self._dtype(dtype_v), buf, count,
+                source, tag,
             )
-            if st is not None:
-                return st
+
+        def attempt() -> Optional[Status]:
+            # Iprobe, then a Recv that cannot block (charged: the Iprobe).
+            centry = self._comm(comm_v)
             flag, pst = BaseMpiLib.iprobe.__wrapped__(
                 self.lower, source, tag, centry.phys
             )
-            if flag:
-                st = self.lower.recv(
-                    buf, count, dentry.phys, pst.source, pst.tag, centry.phys
-                )
-                self._count_recv(centry, st.source)
-                self._extra_lib_calls(1)  # the Iprobe preceding the Recv
-                self._charge_wait_polls(t_enter)
-                return st
-            self._await_activity("recv")
+            if not flag:
+                return None
+            st = self.lower.recv(
+                buf, count, self._dtype(dtype_v).phys, pst.source, pst.tag,
+                centry.phys,
+            )
+            self._count_recv(centry, st.source)
+            return st
+
+        return self._block("recv", attempt, drained)
 
     def isend(
         self, buf, count: int, dtype_v: int, dest: int, tag: int, comm_v: int
@@ -694,165 +720,121 @@ class ManaRank:
             self.lower.request_free(entry.phys)
         self.vids.remove(request_v)
 
-    def test(self, request_v: int) -> Tuple[bool, Status]:
-        self._enter()
-        return self._test_impl(request_v)
-
-    def _finish_cycle(self, request_v: int, rec: RequestRecord,
-                      st: Status) -> Tuple[bool, Status]:
-        """Deliver a completion: persistent requests go inactive,
-        ordinary requests retire their virtual id."""
-        if rec.persistent:
-            rec.active = False
-            rec.completed = False
-            rec.status = None
-            return True, st
-        self.vids.remove(request_v)
-        return True, st
-
-    def _test_impl(self, request_v: int) -> Tuple[bool, Status]:
+    def _progress(self, request_v: int, retire: bool = True
+                  ) -> Optional[Status]:
+        """The one request-progress step of every completion wrapper:
+        progress the request (MPI_Test in the lower half, or MANA's drain
+        buffer for a receive not posted in this lower half) and return
+        its status once complete, else None.  An inactive persistent
+        request is complete with an empty status.  ``retire`` delivers a
+        completion: a persistent request goes inactive, an ordinary one
+        gives up its virtual id."""
         entry = self.vids.lookup(request_v, HandleKind.REQUEST)
         rec: RequestRecord = entry.record
-        if rec.persistent and not rec.active:
-            return True, Status()  # inactive persistent: trivially done
-        if rec.completed:
-            return self._finish_cycle(request_v, rec, rec.status or Status())
-        if entry.phys is None:
-            # Pending but not posted in this lower half: the message can
-            # only be in the drain buffer.
-            st = self._recv_request_from_drain(rec)
+        if rec.inactive:
+            return Status()
+        if not rec.completed:
+            if entry.phys is None:
+                st = self._recv_request_from_drain(rec)
+            else:
+                flag, st = BaseMpiLib.test.__wrapped__(self.lower, entry.phys)
+                if not flag:
+                    return None
+                if not (retire or rec.persistent):
+                    # The lower request is retired; the vid outlives it.
+                    self.vids.set_phys(request_v, None)
+                if rec.kind == "recv":
+                    self._count_recv(self._comm_of(rec), st.source)
             if st is None:
-                return False, Status()
-            return self._finish_cycle(request_v, rec, st)
-        flag, st = BaseMpiLib.test.__wrapped__(self.lower, entry.phys)
-        if not flag:
-            return False, Status()
-        if rec.kind == "recv":
-            self._count_recv(self._comm_of(rec), st.source)
-        return self._finish_cycle(request_v, rec, st)
+                return None
+            rec.completed, rec.status = True, st
+        st = rec.status or Status()
+        if retire:
+            if rec.persistent:
+                rec.active = rec.completed = False
+                rec.status = None
+            else:
+                self.vids.remove(request_v)
+        return st
+
+    def test(self, request_v: int) -> Tuple[bool, Status]:
+        self._enter()
+        st = self._progress(request_v)
+        return (False, Status()) if st is None else (True, st)
 
     def wait(self, request_v: int) -> Status:
         self._enter()
-        t_enter = self.clock.now
-        while True:
-            flag, st = self._test_impl(request_v)
-            if flag:
-                self._extra_lib_calls(1)  # the MPI_Test that completed it
-                self._charge_wait_polls(t_enter)
-                return st
-            self._await_activity("wait")
+        return self._block("wait", lambda: self._progress(request_v))
 
     def waitall(self, requests: Sequence[int]) -> List[Status]:
         self._enter()
-        t_enter = self.clock.now
         statuses: List[Optional[Status]] = [None] * len(requests)
-        pending = set(range(len(requests)))
-        while pending:
-            progressed = False
-            for i in list(pending):
-                flag, st = self._test_impl(requests[i])
-                if flag:
-                    statuses[i] = st
-                    pending.discard(i)
-                    progressed = True
-            if pending and not progressed:
-                self._await_activity("waitall")
-        self._extra_lib_calls(len(requests))
-        self._charge_wait_polls(t_enter)
-        return [s if s is not None else Status() for s in statuses]
+
+        def attempt() -> Optional[List[Status]]:
+            for i, r in enumerate(requests):
+                if statuses[i] is None:
+                    statuses[i] = self._progress(r)
+            return None if None in statuses else statuses
+
+        return self._block("waitall", attempt, extra_calls=len(requests))
 
     def testall(self, requests: Sequence[int]) -> Tuple[bool, List[Status]]:
         self._enter()
-        # Progress every incomplete request; completion is recorded in
-        # the records, but virtual ids are only retired when ALL complete
-        # (matching MPI_Testall's all-or-nothing contract).
-        all_done = True
-        for r in requests:
-            entry = self.vids.lookup(r, HandleKind.REQUEST)
-            rec: RequestRecord = entry.record
-            if rec.completed or (rec.persistent and not rec.active):
-                continue
-            if entry.phys is None:
-                st = self._recv_request_from_drain(rec)
-                if st is not None:
-                    rec.completed = True
-                    rec.status = st
-                else:
-                    all_done = False
-                continue
-            flag, st = BaseMpiLib.test.__wrapped__(self.lower, entry.phys)
-            if flag:
-                rec.completed = True
-                rec.status = st
-                if not rec.persistent:
-                    self.vids.set_phys(r, None)
-                if rec.kind == "recv":
-                    self._count_recv(self._comm_of(rec), st.source)
-            else:
-                all_done = False
-        if not all_done:
+        # Progress every request, but retire none unless all are complete
+        # (MPI_Testall's all-or-nothing contract).
+        statuses = [self._progress(r, retire=False) for r in requests]
+        if None in statuses:
             return False, []
-        statuses = []
-        for r in list(requests):
-            flag, st = self._test_impl(r)
-            statuses.append(st)
+        for r in requests:
+            self._progress(r)
         return True, statuses
+
+    def _first_complete(
+        self, requests: Sequence[int]
+    ) -> Optional[Tuple[int, Status]]:
+        """(index, status) of the first active request that completes,
+        retired; ``(UNDEFINED, Status())`` when no request is active
+        (inactive ones are ignored, MPI-3.1 §3.7.5); None otherwise."""
+        active = False
+        for i, r in enumerate(requests):
+            if self.vids.lookup(r, HandleKind.REQUEST).record.inactive:
+                continue
+            active = True
+            st = self._progress(r)
+            if st is not None:
+                return i, st
+        return None if active else (C.UNDEFINED, Status())
 
     def waitany(self, requests: Sequence[int]) -> Tuple[int, Status]:
         self._enter()
-        if not requests:
-            raise MpiError("waitany on empty request list", "MPI_ERR_REQUEST")
-        t_enter = self.clock.now
-        while True:
-            for i, r in enumerate(requests):
-                flag, st = self._test_impl(r)
-                if flag:
-                    self._extra_lib_calls(1)
-                    self._charge_wait_polls(t_enter)
-                    return i, st
-            self._await_activity("waitany")
+        return self._block("waitany", lambda: self._first_complete(requests))
 
     def testany(self, requests: Sequence[int]) -> Tuple[bool, int, Status]:
         self._enter()
-        for i, r in enumerate(requests):
-            flag, st = self._test_impl(r)
-            if flag:
-                return True, i, st
-        return False, C.UNDEFINED, Status()
+        done = self._first_complete(requests)
+        return (False, C.UNDEFINED, Status()) if done is None else (True, *done)
 
     def iprobe(self, source: int, tag: int, comm_v: int) -> Tuple[bool, Status]:
         self._enter()
         centry = self._comm(comm_v)
-        msg = self.drain_buffer.match(
-            centry.vid, self._src_world(centry, source), tag, remove=False
-        )
-        if msg is not None:
-            return True, Status(
-                source=msg.src_comm_rank, tag=msg.tag, count_bytes=msg.nbytes
-            )
+        st = self._peek_drain(centry, source, tag)
+        if st is not None:
+            return True, st
         return self.lower.iprobe(source, tag, centry.phys)
 
     def probe(self, source: int, tag: int, comm_v: int) -> Status:
         self._enter()
-        t_enter = self.clock.now
-        while True:
-            centry = self._comm(comm_v)
-            msg = self.drain_buffer.match(
-                centry.vid, self._src_world(centry, source), tag, remove=False
-            )
-            if msg is not None:
-                return Status(
-                    source=msg.src_comm_rank, tag=msg.tag,
-                    count_bytes=msg.nbytes,
-                )
+
+        def attempt() -> Optional[Status]:
             flag, st = BaseMpiLib.iprobe.__wrapped__(
-                self.lower, source, tag, centry.phys
+                self.lower, source, tag, self._comm(comm_v).phys
             )
-            if flag:
-                self._extra_lib_calls(1)
-                self._charge_wait_polls(t_enter)
-                return st
-            self._await_activity("probe")
+            return st if flag else None
+
+        return self._block(
+            "probe", attempt,
+            lambda: self._peek_drain(self._comm(comm_v), source, tag),
+        )
 
     def sendrecv(
         self,

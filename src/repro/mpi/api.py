@@ -580,14 +580,24 @@ class BaseMpiLib:
             return Status(source=C.PROC_NULL, tag=C.ANY_TAG)
         d = self._dtype(datatype)
         d.check_committed()
-        src_world = (
-            C.ANY_SOURCE if source == C.ANY_SOURCE else c.world_rank_of(source)
-        )
-        msg = self.fabric.wait_match(
-            self.world_rank, src_world, tag, c.context_id,
-            deadline=self._deadline(),
-        )
+        msg = self._block(lambda: self._take(c, source, tag))
         return self._complete_recv(c, d, buf, count, msg)
+
+    def _block(self, attempt: Callable):
+        """Every blocking call of the library, collectives' receives
+        included: retry ``attempt`` until it returns non-None, under the
+        deadlock deadline."""
+        return self.fabric.wait_for(self.world_rank, attempt, self._deadline())
+
+    def _source(self, c: CommObject, source: int) -> int:
+        """The world rank a comm-rank source (or ANY_SOURCE) names."""
+        return C.ANY_SOURCE if source == C.ANY_SOURCE else c.world_rank_of(source)
+
+    def _take(self, c: CommObject, source: int, tag: int) -> Optional[Message]:
+        """Dequeue the oldest message for (source, tag) on ``c``, or None."""
+        return self.fabric.try_match(
+            self.world_rank, self._source(c, source), tag, c.context_id
+        )
 
     def _complete_recv(
         self, c: CommObject, d: DatatypeObject, buf, count, msg: Message
@@ -700,50 +710,33 @@ class BaseMpiLib:
     @mpi_call
     def test(self, request: int) -> Tuple[bool, Status]:
         req = self._request(request)
-        if req.persistent and not req.active:
-            return True, Status()  # inactive persistent: trivially done
-        if req.complete:
-            self._retire(request, req)
-            return True, req.status
-        assert req.kind == RequestObject.RECV
-        c = req.comm
-        src_world = (
-            C.ANY_SOURCE
-            if req.peer == C.ANY_SOURCE
-            else c.world_rank_of(req.peer)
-        )
-        msg = self.fabric.try_match(
-            self.world_rank, src_world, req.tag, c.context_id
-        )
-        if msg is None:
+        if req.inactive:
+            return True, Status()
+        if not self._try_complete(req):
             return False, Status()
-        status = self._complete_recv(c, req.datatype, req.buf, req.count, msg)
-        req.mark_complete(status)
         self._retire(request, req)
-        return True, status
+        return True, req.status
+
+    def _try_complete(self, req: RequestObject) -> bool:
+        """The one progress step of every completion function: match an
+        active receive's message if one is there (never blocks, never
+        retires); True once the request is complete."""
+        if not req.complete:
+            msg = self._take(req.comm, req.peer, req.tag)
+            if msg is not None:
+                req.mark_complete(self._complete_recv(
+                    req.comm, req.datatype, req.buf, req.count, msg
+                ))
+        return req.complete
 
     @mpi_call
     def wait(self, request: int) -> Status:
         req = self._request(request)
-        if req.persistent and not req.active:
+        if req.inactive:
             return Status()
-        if req.complete:
-            self._retire(request, req)
-            return req.status
-        c = req.comm
-        src_world = (
-            C.ANY_SOURCE
-            if req.peer == C.ANY_SOURCE
-            else c.world_rank_of(req.peer)
-        )
-        msg = self.fabric.wait_match(
-            self.world_rank, src_world, req.tag, c.context_id,
-            deadline=self._deadline(),
-        )
-        status = self._complete_recv(c, req.datatype, req.buf, req.count, msg)
-        req.mark_complete(status)
+        self._block(lambda: self._try_complete(req) or None)
         self._retire(request, req)
-        return status
+        return req.status
 
     @mpi_call
     def waitall(self, requests: Sequence[int]) -> List[Status]:
@@ -751,37 +744,20 @@ class BaseMpiLib:
 
     @mpi_call
     def testall(self, requests: Sequence[int]) -> Tuple[bool, List[Status]]:
-        # Nondestructive unless all complete, per the standard.
-        pending = [self._request(r) for r in requests]
-        if all(r.complete for r in pending):
-            statuses = []
-            for h, r in zip(requests, pending):
-                statuses.append(r.status)
-                self._retire(h, r)
-            return True, statuses
-        # Try to progress receives opportunistically.
-        for r in pending:
-            if not r.complete and r.kind == RequestObject.RECV:
-                c = r.comm
-                src_world = (
-                    C.ANY_SOURCE
-                    if r.peer == C.ANY_SOURCE
-                    else c.world_rank_of(r.peer)
-                )
-                msg = self.fabric.try_match(
-                    self.world_rank, src_world, r.tag, c.context_id
-                )
-                if msg is not None:
-                    r.mark_complete(
-                        self._complete_recv(c, r.datatype, r.buf, r.count, msg)
-                    )
-        if all(r.complete for r in pending):
-            statuses = []
-            for h, r in zip(requests, pending):
-                statuses.append(r.status)
-                self._retire(h, r)
-            return True, statuses
-        return False, []
+        # Progress every active request (a list, so none is skipped), but
+        # retire none unless all are complete (MPI_Testall is
+        # all-or-nothing); inactive ones count as complete, empty status.
+        reqs = [self._request(r) for r in requests]
+        if not all([q.inactive or self._try_complete(q) for q in reqs]):
+            return False, []
+        statuses = []
+        for h, q in zip(requests, reqs):
+            if q.inactive:
+                statuses.append(Status())
+            else:
+                self._retire(h, q)
+                statuses.append(q.status)
+        return True, statuses
 
     def _retire(self, handle: int, req: RequestObject) -> None:
         if req.persistent:
@@ -798,29 +774,27 @@ class BaseMpiLib:
     def iprobe(
         self, source: int, tag: int, comm: int
     ) -> Tuple[bool, Status]:
+        st = self._peek(self._comm(comm), source, tag)
+        return (False, Status()) if st is None else (True, st)
+
+    @mpi_call
+    def probe(self, source: int, tag: int, comm: int) -> Status:
         c = self._comm(comm)
-        src_world = (
-            C.ANY_SOURCE if source == C.ANY_SOURCE else c.world_rank_of(source)
+        return self._block(lambda: self._peek(c, source, tag))
+
+    def _peek(self, c: CommObject, source: int, tag: int) -> Optional[Status]:
+        """The status of the oldest message for (source, tag) on ``c``,
+        left in place; None if there is none."""
+        res = self.fabric.iprobe(
+            self.world_rank, self._source(c, source), tag, c.context_id
         )
-        res = self.fabric.iprobe(self.world_rank, src_world, tag, c.context_id)
         if res is None:
-            return False, Status()
-        return True, Status(
+            return None
+        return Status(
             source=c.group.rank_of(res.src),
             tag=res.tag,
             count_bytes=res.nbytes,
         )
-
-    @mpi_call
-    def probe(self, source: int, tag: int, comm: int) -> Status:
-        # Blocking probe built on iprobe (keeps the fabric API minimal).
-        # Event-driven: park instead of spinning; an arrival between the
-        # check and the park leaves a permit, so the park returns at once.
-        while True:
-            flag, status = self.iprobe.__wrapped__(self, source, tag, comm)
-            if flag:
-                return status
-            self.fabric.wait_activity(self.world_rank)
 
     @mpi_call
     def sendrecv(
@@ -838,25 +812,30 @@ class BaseMpiLib:
     def waitany(self, requests: Sequence[int]) -> Tuple[int, Status]:
         """MPI_Waitany: block until one request completes; returns its
         index and status."""
-        if not requests:
-            raise MpiError("waitany on empty request list", "MPI_ERR_REQUEST")
-        while True:
-            for i, r in enumerate(requests):
-                flag, st = self.test.__wrapped__(self, r)
-                if flag:
-                    return i, st
-            self.fabric.wait_activity(self.world_rank)
-            if self.fabric.aborted:
-                raise MpiError("job aborted during waitany", "MPI_ERR_OTHER")
+        return self._block(lambda: self._first_complete(requests))
 
     @mpi_call
     def testany(self, requests: Sequence[int]) -> Tuple[bool, int, Status]:
         """MPI_Testany: (flag, index, status) for the first completable."""
-        for i, r in enumerate(requests):
-            flag, st = self.test.__wrapped__(self, r)
-            if flag:
-                return True, i, st
-        return False, C.UNDEFINED, Status()
+        done = self._first_complete(requests)
+        return (False, C.UNDEFINED, Status()) if done is None else (True, *done)
+
+    def _first_complete(
+        self, requests: Sequence[int]
+    ) -> Optional[Tuple[int, Status]]:
+        """(index, status) of the first active request that completes,
+        retired; ``(UNDEFINED, Status())`` when no request is active
+        (inactive ones are ignored, MPI-3.1 §3.7.5); None otherwise."""
+        active = False
+        for i, h in enumerate(requests):
+            req = self._request(h)
+            if req.inactive:
+                continue
+            active = True
+            if self._try_complete(req):
+                self._retire(h, req)
+                return i, req.status
+        return None if active else (C.UNDEFINED, Status())
 
     @mpi_call
     def pack(

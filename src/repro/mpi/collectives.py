@@ -48,12 +48,9 @@ def _send_raw(lib, comm: CommObject, dst: int, tag: int, payload: bytes) -> None
 
 
 def _recv_raw(lib, comm: CommObject, src: int, tag: int) -> bytes:
-    msg = lib.fabric.wait_match(
-        lib.world_rank,
-        comm.world_rank_of(src),
-        tag,
-        _coll_ctx(comm),
-        deadline=lib._deadline(),
+    src_world, ctx = comm.world_rank_of(src), _coll_ctx(comm)
+    msg = lib._block(
+        lambda: lib.fabric.try_match(lib.world_rank, src_world, tag, ctx)
     )
     lib.clock.merge(msg.arrive_time)
     return msg.payload
@@ -446,15 +443,7 @@ def allgather_obj(lib, comm: CommObject, obj) -> List:
         blob = _recv_raw(lib, comm, 0, tag)
         return pickle.loads(blob)
     for i in range(1, size):
-        msg = lib.fabric.wait_match(
-            lib.world_rank,
-            comm.world_rank_of(i),
-            tag,
-            _coll_ctx(comm),
-            deadline=lib._deadline(),
-        )
-        lib.clock.merge(msg.arrive_time)
-        results[i] = pickle.loads(msg.payload)
+        results[i] = pickle.loads(_recv_raw(lib, comm, i, tag))
     blob = pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
     for i in range(1, size):
         _send_raw(lib, comm, i, tag, blob)

@@ -194,6 +194,11 @@ class RequestObject:
         self.active = False
         self._lock = threading.Lock()
 
+    @property
+    def inactive(self) -> bool:
+        """A persistent request with no started cycle outstanding."""
+        return self.persistent and not self.active
+
     def mark_complete(self, status: Status) -> None:
         with self._lock:
             self.complete = True

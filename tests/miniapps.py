@@ -154,3 +154,115 @@ class CommChurnApp(MpiApplication):
             self.sum_of_sizes += MPI.comm_size(sub)
             MPI.barrier(sub)
             MPI.comm_free(sub)
+
+
+class PointToPointApp(MpiApplication):
+    """Two ranks calling every hand-written point-to-point wrapper."""
+
+    name = "p2p-golden"
+
+    def __init__(self):
+        self.seen = []
+
+    def run(self, ctx):
+        MPI = ctx.MPI
+        w, D = MPI.COMM_WORLD, MPI.DOUBLE
+        r = ctx.rank
+        peer, null = 1 - r, MPI.PROC_NULL
+        x = np.array([10.0 * r + 1])
+        y = np.zeros(1)
+        seen = self.seen
+
+        def got(st):
+            seen.append([st.source, st.tag, st.count_bytes, float(y[0])])
+
+        # PROC_NULL: every call completes at once, moving nothing.
+        MPI.send(x, 1, D, null, 0, w)
+        got(MPI.recv(y, 1, D, null, 0, w))
+        got(MPI.wait(MPI.irecv(y, 1, D, null, 0, w)))
+        seen.append(MPI.test(MPI.isend(x, 1, D, null, 0, w))[0])
+        got(MPI.sendrecv(x, 1, D, null, 0, y, 1, D, null, 0, w))
+        for init in (MPI.send_init, MPI.recv_init):
+            p = init(x, 1, D, null, 0, w)
+            MPI.start(p)
+            got(MPI.wait(p))
+            MPI.request_free(p)
+
+        # Blocking exchange, then probes.
+        if r == 0:
+            MPI.send(x, 1, D, peer, 1, w)
+            got(MPI.recv(y, 1, D, peer, 2, w))
+        else:
+            got(MPI.recv(y, 1, D, peer, 1, w))
+            MPI.send(x, 1, D, peer, 2, w)
+        got(MPI.sendrecv(x, 1, D, peer, 3, y, 1, D, peer, 3, w))
+        MPI.send(x, 1, D, peer, 4, w)
+        got(MPI.probe(peer, 4, w))
+        seen.append(MPI.iprobe(peer, 4, w)[0])
+        seen.append(MPI.iprobe(peer, 5, w)[0])
+        got(MPI.recv(y, 1, D, peer, 4, w))
+
+        # Nonblocking completions, each outcome fixed by a barrier.
+        q = MPI.irecv(y, 1, D, peer, 5, w)
+        seen.append(MPI.test(q)[0])
+        reqs = [MPI.irecv(y, 1, D, peer, 6, w), MPI.irecv(y, 1, D, peer, 7, w)]
+        seen.append(MPI.testall(reqs)[0])
+        seen.append(MPI.testany(reqs)[:2])
+        MPI.barrier(w)
+        s = MPI.isend(x, 1, D, peer, 5, w)
+        MPI.send(x, 1, D, peer, 6, w)
+        MPI.send(x, 1, D, peer, 7, w)
+        MPI.barrier(w)
+        flag, st = MPI.test(q)
+        seen.append(flag)
+        got(st)
+        seen.append(MPI.test(s)[0])
+        flag, i, st = MPI.testany(reqs)
+        seen.append([flag, i])
+        got(st)
+        flag, sts = MPI.testall(reqs[1:])
+        seen.append(flag)
+        for st in sts:
+            got(st)
+
+        # Blocking completions over lists.
+        reqs = [MPI.irecv(y, 1, D, peer, 8, w), MPI.irecv(y, 1, D, peer, 9, w)]
+        MPI.send(x, 1, D, peer, 9, w)
+        i, st = MPI.waitany(reqs)
+        seen.append(i)
+        got(st)
+        MPI.barrier(w)
+        MPI.send(x, 1, D, peer, 8, w)
+        for st in MPI.waitall([reqs[0], MPI.isend(x, 1, D, peer, 10, w)]):
+            got(st)
+        got(MPI.recv(y, 1, D, peer, 10, w))
+
+        # Persistent requests: startall/waitall cycles, start/wait, free.
+        pr = MPI.recv_init(y, 1, D, peer, 11, w)
+        ps = MPI.send_init(x, 1, D, peer, 11, w)
+        for _ in range(2):
+            MPI.startall([pr, ps])
+            for st in MPI.waitall([pr, ps]):
+                got(st)
+        MPI.start(pr)
+        MPI.start(ps)
+        got(MPI.wait(ps))
+        got(MPI.wait(pr))
+        seen.append(MPI.test(pr)[0])
+        MPI.request_free(pr)
+        MPI.request_free(ps)
+
+        # Across a LOOP round: tag 12 is in flight, tag 13's irecv is
+        # pending, tag 14's irecv has its message in flight.
+        late = MPI.irecv(y, 1, D, peer, 13, w)
+        early = MPI.irecv(np.zeros(1), 1, D, peer, 14, w)
+        MPI.send(x, 1, D, peer, 12, w)
+        MPI.send(x, 1, D, peer, 14, w)
+        for _ in ctx.loop("main", 12):
+            MPI.barrier(w)
+        got(MPI.probe(peer, 12, w))
+        seen.append(MPI.iprobe(peer, 12, w)[0])
+        got(MPI.recv(y, 1, D, peer, 12, w))
+        MPI.send(x, 1, D, peer, 13, w)
+        got(MPI.wait(late))
+        got(MPI.wait(early))

@@ -114,17 +114,13 @@ class TestWaitMatch:
 
         t = threading.Thread(target=sender)
         t.start()
-        m = fab.wait_match(1, 0, 4, 10, deadline=5.0)
+        m = fab.wait_for(1, lambda: fab.try_match(1, 0, 4, 10), 5.0)
         t.join()
         assert m.payload == b"later"
 
-    def test_wait_should_stop(self, fab):
-        m = fab.wait_match(1, 0, 4, 10, should_stop=lambda: True)
-        assert m is None
-
     def test_wait_deadline_raises(self, fab):
         with pytest.raises(ReproError, match="deadlock"):
-            fab.wait_match(1, 0, 4, 10, deadline=0.2)
+            fab.wait_for(1, lambda: fab.try_match(1, 0, 4, 10), 0.2)
 
 
 class TestAbort:
@@ -135,7 +131,7 @@ class TestAbort:
 
         def waiter():
             try:
-                fab.wait_match(1, 0, 4, 10, deadline=10.0)
+                fab.wait_for(1, lambda: fab.try_match(1, 0, 4, 10), 10.0)
             except MpiAbort as exc:
                 caught.append(exc)
 
@@ -201,12 +197,12 @@ class TestPerRankWakeups:
         stop = []
         out = []
 
+        def attempt():
+            return fab8.try_match(5, 0, 4, 10) or ("stopped" if stop else None)
+
         def waiter():
             try:
-                out.append(fab8.wait_match(
-                    5, 0, 4, 10, should_stop=lambda: bool(stop),
-                    deadline=30.0,
-                ))
+                out.append(fab8.wait_for(5, attempt, 30.0))
             except MpiAbort as exc:
                 out.append(exc)
 
@@ -222,3 +218,7 @@ class TestPerRankWakeups:
         assert not t.is_alive() and len(out) == 1
         if release == "post":
             assert out[0].dst == 5 and out[0].tag == 4
+        elif release == "wake":
+            assert out[0] == "stopped"
+        else:
+            assert isinstance(out[0], MpiAbort)

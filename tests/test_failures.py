@@ -194,3 +194,26 @@ class TestFabricFailures:
             api.BaseMpiLib._deadline = orig
         assert res.status == "failed"
         assert "deadlock" in res.first_error()
+
+    @pytest.mark.parametrize("call", ["probe", "waitany"])
+    def test_deadlocked_probe_and_waitany_detected(self, call, monkeypatch):
+        class DeadlockApp(MpiApplication):
+            def run(self, ctx):
+                if ctx.rank == 0:
+                    MPI = ctx.MPI
+                    w = MPI.COMM_WORLD
+                    if call == "probe":
+                        MPI.probe(1, 99, w)
+                    else:
+                        MPI.waitany([MPI.irecv(np.zeros(1), 1, MPI.DOUBLE,
+                                               1, 99, w)])
+
+        import repro.mpi.api as api
+
+        # The guard (1 s) must fire well before the job's own timeout.
+        monkeypatch.setattr(api.BaseMpiLib, "_deadline", lambda self: 1.0)
+        res = Launcher(JobConfig(nranks=2, impl="mpich", mana=False)).run(
+            lambda r: DeadlockApp(), timeout=5
+        )
+        assert res.status == "failed"
+        assert "deadlock" in res.first_error()

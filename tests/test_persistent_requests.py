@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import JobConfig, Launcher, MpiApplication
+from repro.mpi.constants import UNDEFINED as MPI_UNDEFINED
+from repro.mpi.objects import Status
 from repro.util.errors import MpiError
 from tests.conftest import ALL_IMPLS, facade_world, run_ranks
 
@@ -170,3 +172,64 @@ class TestPersistentUnderMana:
         assert [a.history for a in res2.apps()] == [
             a.history for a in base.apps()
         ]
+
+
+class InactiveInListsApp(MpiApplication):
+    """Rank 0 mixes a never-started persistent receive ``P`` into
+    any-of/all-of lists with an ordinary receive; rank 1 sends only
+    after barriers that fix each outcome."""
+
+    name = "inactive-in-lists"
+
+    def __init__(self):
+        self.seen = {}
+
+    def run(self, ctx):
+        MPI = ctx.MPI
+        w, D = MPI.COMM_WORLD, MPI.DOUBLE
+        if ctx.rank == 1:
+            MPI.barrier(w)
+            MPI.send(np.array([7.0]), 1, D, 0, 5, w)
+            MPI.send(np.array([8.0]), 1, D, 0, 6, w)
+            MPI.barrier(w)
+            return
+        seen = self.seen
+        buf = np.zeros(1)
+        p = MPI.recv_init(np.zeros(1), 1, D, 1, 9, w)
+        r = MPI.irecv(buf, 1, D, 1, 5, w)
+        seen["testany before the send"] = MPI.testany([p, r])[:2]
+        MPI.barrier(w)
+        i, st = MPI.waitany([p, r])
+        seen["waitany"] = (i, st.tag, float(buf[0]))
+        r = MPI.irecv(buf, 1, D, 1, 6, w)
+        MPI.barrier(w)
+        flag, sts = MPI.testall([p, r])
+        seen["testall after the send"] = (flag, [s.tag for s in sts])
+        seen["testany, none active"] = MPI.testany([p])
+        seen["testany, empty"] = MPI.testany([])
+        seen["waitany, none active"] = MPI.waitany([p])
+        seen["waitany, empty"] = MPI.waitany([])
+        MPI.request_free(p)
+
+
+class TestInactiveInLists:
+    """MPI-3.1 §3.7.5: inactive handles in an any-of/all-of list are
+    ignored; with no active handle at all, waitany returns
+    ``MPI_UNDEFINED`` and testany returns flag true with it."""
+
+    @pytest.mark.parametrize("mana", [False, True], ids=["native", "mana"])
+    def test_inactive_persistent_requests_are_ignored(self, impl_name, mana):
+        res = Launcher(JobConfig(nranks=2, impl=impl_name, mana=mana)).run(
+            lambda r: InactiveInListsApp(), timeout=60
+        )
+        assert res.status == "completed", res.first_error()
+        undefined, empty = MPI_UNDEFINED, Status()
+        assert res.apps()[0].seen == {
+            "testany before the send": (False, undefined),
+            "waitany": (1, 5, 7.0),
+            "testall after the send": (True, [empty.tag, 6]),
+            "testany, none active": (True, undefined, empty),
+            "testany, empty": (True, undefined, empty),
+            "waitany, none active": (undefined, empty),
+            "waitany, empty": (undefined, empty),
+        }

@@ -323,7 +323,8 @@ class TestAbortReachesEveryRank:
 
         def blocked(rank):
             if how == "fabric":
-                fab.wait_match(rank, 0, 4, 10, deadline=30.0)
+                fab.wait_for(rank, lambda: fab.try_match(rank, 0, 4, 10),
+                             30.0)
             else:
                 coord.trivial_barrier(
                     ("g", 0), 1, rank, (0, 1, 2), lambda: None
