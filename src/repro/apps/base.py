@@ -53,12 +53,6 @@ class WorkloadSpec:
     # harness runs multiple trials.
     os_noise: float = 0.004
 
-    def scaled(self, blocks: int) -> "WorkloadSpec":
-        """Same workload with a different number of blocks (for tests)."""
-        from dataclasses import replace
-
-        return replace(self, blocks=blocks)
-
 
 def grid_dims(nranks: int, ndims: int = 3) -> Tuple[int, ...]:
     """Near-cubic process grid (MPI_Dims_create semantics)."""

@@ -81,10 +81,3 @@ class CrashPointInjector:
         """Clear the dead flag — the 'reboot' before running fsck."""
         with self._lock:
             self.dead = False
-
-    def reset(self) -> None:
-        with self._lock:
-            self.points.clear()
-            self.counts.clear()
-            self.dead = False
-            self.crashed_at = None

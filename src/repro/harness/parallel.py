@@ -140,9 +140,3 @@ class TaskPool:
         if not self._closed:
             self._closed = True
             self._pool.shutdown(wait=wait)
-
-    def __enter__(self) -> "TaskPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

@@ -27,6 +27,3 @@ class CrayMpiLib(MpichLib):
         return TwoLevelHandleSpace(
             epoch=self.epoch, builtin_salt=self.BUILTIN_SALT
         )
-
-    def get_processor_name(self) -> str:  # pragma: no cover - cosmetic
-        return f"nid{self.world_rank // 64:06d}"

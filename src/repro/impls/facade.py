@@ -43,7 +43,7 @@ _NULL_ATTRS = {
 }
 
 class FacadeBase:
-    """Shared scalar constants and introspection for both facades."""
+    """Shared scalar constants for both facades."""
 
     COMM_TYPE_SHARED = C.COMM_TYPE_SHARED
     ANY_SOURCE = C.ANY_SOURCE
@@ -65,14 +65,6 @@ class NativeFacade(FacadeBase):
 
     def __init__(self, lib: BaseMpiLib):
         self._lib = lib
-
-    @property
-    def impl_name(self) -> str:
-        return self._lib.name
-
-    @property
-    def handle_bits(self) -> int:
-        return self._lib.handles.handle_bits
 
     def __getattr__(self, attr: str) -> Any:
         # Called only when normal lookup fails: constants and functions.

@@ -1151,14 +1151,6 @@ class ManaFacade(FacadeBase):
     def __init__(self, mana: ManaRank):
         self._mana = mana
 
-    @property
-    def impl_name(self) -> str:
-        return self._mana.impl_name
-
-    @property
-    def handle_bits(self) -> int:
-        return self._mana.lower.handles.handle_bits
-
     def __getattr__(self, attr: str):
         mana = object.__getattribute__(self, "_mana")
         const = _CONSTANT_ATTRS.get(attr)

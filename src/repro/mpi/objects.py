@@ -37,10 +37,6 @@ class CartInfo:
     dims: Tuple[int, ...]
     periods: Tuple[bool, ...]
 
-    @property
-    def ndims(self) -> int:
-        return len(self.dims)
-
     def coords_of(self, rank: int) -> Tuple[int, ...]:
         coords = []
         for extent in reversed(self.dims):

@@ -122,7 +122,3 @@ class RankContext:
     def barrier(self) -> None:
         """Convenience: barrier on COMM_WORLD through the facade."""
         self.MPI.barrier(self.MPI.COMM_WORLD)
-
-    @property
-    def wtime(self) -> float:
-        return self.clock.now

@@ -57,6 +57,3 @@ class VirtualClock:
     def set_state(self, state: Dict[str, Any]) -> None:
         self.now = float(state["now"])
         self._accounts = dict(state["accounts"])
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"VirtualClock(now={self.now:.6f})"

@@ -17,7 +17,7 @@ from repro.util.errors import (
     CheckpointError,
     RestartError,
 )
-from repro.util.bits import BitField, pack_fields, unpack_fields, mask
+from repro.util.bits import BitField, mask
 from repro.util.registry import OpRegistry, FunctionRegistry
 from repro.util.rng import DeterministicRng
 
@@ -32,8 +32,6 @@ __all__ = [
     "CheckpointError",
     "RestartError",
     "BitField",
-    "pack_fields",
-    "unpack_fields",
     "mask",
     "OpRegistry",
     "FunctionRegistry",

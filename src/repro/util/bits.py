@@ -112,13 +112,3 @@ class BitField:
                 )
             word = (word & ~(mask(f.width) << f.shift)) | (v << f.shift)
         return word
-
-
-def pack_fields(layout: BitField, **values: int) -> int:
-    """Functional alias for :meth:`BitField.pack`."""
-    return layout.pack(**values)
-
-
-def unpack_fields(layout: BitField, word: int) -> Dict[str, int]:
-    """Functional alias for :meth:`BitField.unpack`."""
-    return layout.unpack(word)

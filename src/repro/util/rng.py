@@ -32,17 +32,11 @@ class DeterministicRng:
     def integers(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))
 
-    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
-        return float(self._gen.normal(loc, scale))
-
     def array_uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 
     def array_normal(self, shape, loc: float = 0.0, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(loc, scale, size=shape)
-
-    def shuffle(self, seq) -> None:
-        self._gen.shuffle(seq)
 
     # -- checkpoint support ---------------------------------------------
     def get_state(self) -> Dict[str, Any]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime import MpiApplication
+from repro.util.errors import MpiError
 from repro.util.registry import user_op
 
 
@@ -266,3 +267,128 @@ class PointToPointApp(MpiApplication):
         MPI.send(x, 1, D, peer, 13, w)
         got(MPI.wait(late))
         got(MPI.wait(early))
+
+
+class EntryPointsApp(MpiApplication):
+    """Three ranks calling the MPI entry points that no other test
+    reaches; ``seen`` holds every value they return, so a native run and
+    a MANA run can be compared value by value.  A refused call records
+    its exception class and MPI error class (ExaMPI lacks ``type_dup``
+    and ``cart_create``; a freed keyval is an error everywhere)."""
+
+    name = "entry-points"
+
+    def __init__(self):
+        self.seen = []
+
+    def run(self, ctx):
+        MPI = ctx.MPI
+        w, D = MPI.COMM_WORLD, MPI.DOUBLE
+        r, n = ctx.rank, ctx.nranks
+        seen = self.seen
+
+        def refused(call, *args):
+            try:
+                return call(*args)
+            except MpiError as exc:
+                seen.append([type(exc).__name__, exc.error_class])
+                return None
+
+        t0 = MPI.wtime()
+        seen.append([MPI.initialized(), MPI.finalized(),
+                     MPI.get_processor_name()])
+        rev = MPI.comm_split(w, 0, n - r)
+        seen.append([MPI.comm_rank(w), MPI.comm_rank(rev)])
+        cart = refused(MPI.cart_create, w, [n], [True])
+        if cart is not None:
+            seen.append([MPI.cart_rank(cart, [c]) for c in range(-1, n + 1)])
+
+        # get_count for a named and a vector type.
+        vec = MPI.type_vector(2, 1, 2, D)
+        MPI.type_commit(vec)
+        y = np.zeros(4)
+        st = MPI.sendrecv(np.arange(4.0) + 10 * r, 4, D, (r + 1) % n, 1,
+                          y, 4, D, (r - 1) % n, 1, w)
+        seen.append([MPI.get_count(st, D), MPI.get_count(st, vec),
+                     y.tolist()])
+
+        # A send/recv through a duplicated type.
+        dup = refused(MPI.type_dup, vec)
+        if dup is not None:
+            y = np.zeros(4)
+            st = MPI.sendrecv(np.arange(4.0) + 10 * r, 1, dup, (r + 1) % n, 2,
+                              y, 1, dup, (r - 1) % n, 2, w)
+            seen.append([st.source, st.tag, st.count_bytes, y.tolist()])
+
+        # Contents of a vector, and of a struct holding a derived type.
+        ints, addrs, inner = MPI.type_get_contents(vec)
+        seen.append([list(ints), list(addrs), [h == D for h in inner]])
+        struct = MPI.type_create_struct([1, 1], [0, 8], [D, vec])
+        ints, addrs, inner = MPI.type_get_contents(struct)
+        env = MPI.type_get_envelope(inner[1])
+        seen.append([list(ints), list(addrs), [h == D for h in inner],
+                     MPI.type_size(inner[1]), env.combiner,
+                     env.num_integers, env.num_datatypes])
+
+        # Attributes: set, delete, get, free the keyval, set again.
+        kv = MPI.comm_create_keyval()
+        MPI.comm_set_attr(w, kv, f"rank-{r}")
+        MPI.comm_delete_attr(w, kv)
+        seen.append(list(MPI.comm_get_attr(w, kv)))
+        MPI.comm_free_keyval(kv)
+        refused(MPI.comm_set_attr, w, kv, "freed")
+
+        # MINLOC over (value, index) pairs; ranks 1 and 2 tie.
+        pair = np.zeros(1, dtype=[("value", "f8"), ("index", "i4")])
+        pair["value"] = 3.0 if r == 0 else 1.0
+        pair["index"] = r
+        out = np.zeros_like(pair)
+        MPI.allreduce(pair, out, 1, MPI.DOUBLE_INT, MPI.MINLOC, w)
+        seen.append([float(out["value"][0]), int(out["index"][0])])
+        seen.append(MPI.wtime() >= t0)
+
+
+class DrainedRestartApp(MpiApplication):
+    """Rank 1 sends two messages before the loop; rank 0 receives them
+    after it, one with ``irecv`` + ``test`` and one with a persistent
+    ``recv_init`` + ``start`` + ``test``.  A LOOP checkpoint inside the
+    loop drains both messages; after a cold restart they are served from
+    MANA's drain buffer.  ``early`` creates rank 0's two requests before
+    the loop instead (the irecv is then completed by the drain itself)."""
+
+    name = "drained-restart"
+
+    def __init__(self, early: bool = False):
+        self.early = early
+        self.first = np.zeros(1)
+        self.second = np.zeros(1)
+        self.seen = []
+
+    def setup(self, ctx):
+        MPI = ctx.MPI
+        w, D = MPI.COMM_WORLD, MPI.DOUBLE
+        if ctx.rank == 1:
+            MPI.send(np.array([1.5]), 1, D, 0, 1, w)
+            MPI.send(np.array([2.5]), 1, D, 0, 2, w)
+        elif self.early:
+            self._post(MPI)
+
+    def _post(self, MPI):
+        w, D = MPI.COMM_WORLD, MPI.DOUBLE
+        self.req = MPI.irecv(self.first, 1, D, 1, 1, w)
+        self.preq = MPI.recv_init(self.second, 1, D, 1, 2, w)
+
+    def run(self, ctx):
+        MPI = ctx.MPI
+        for _ in ctx.loop("main", 12):
+            MPI.barrier(MPI.COMM_WORLD)
+        if ctx.rank != 0:
+            return
+        if not self.early:
+            self._post(MPI)
+        MPI.start(self.preq)
+        for req in (self.req, self.preq):
+            flag, st = MPI.test(req)
+            self.seen.append([flag, st.source, st.tag, st.count_bytes])
+        MPI.request_free(self.preq)
+        self.seen.append([float(self.first[0]), float(self.second[0])])

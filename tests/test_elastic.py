@@ -201,6 +201,8 @@ def _cold_state(nranks: int, impl: str = "mpich", tmp_path=None) -> dict:
 
 
 def _restored_state(res) -> dict:
+    # Every restored rank finished every block, with a full history.
+    assert [a.validate(None) for a in res.apps()] == [None] * len(res.ranks)
     return {
         "checksums": [a.checksum for a in res.apps()],
         "history": [list(a.history) for a in res.apps()],
