@@ -43,7 +43,7 @@ All writes are atomic (temp file + rename) — an interrupted save never
 leaves a torn image or chunk at a final path.
 
 Everything about one checkpoint directory — its layout, chunk store,
-journal, generation pins and memos — is one :class:`CheckpointStore`.
+journal and generation pins — is one :class:`CheckpointStore`.
 :func:`store_for` hands out the one instance per directory; opening a
 store reads nothing and writes nothing.
 """
@@ -111,25 +111,6 @@ class CheckpointImage:
     # Logical size of the saved upper half (set by load_image; used for
     # the restart-time model).  Not serialized.
     stored_bytes: int = 0
-
-
-def _stat_signature(*dirs: str) -> tuple:
-    """(name, size, mtime_ns) of every regular file under ``dirs`` —
-    cheap (one scandir per dir) but sensitive to truncation, bit flips
-    (mtime), additions, and deletions."""
-    sig = []
-    for d in dirs:
-        try:
-            with os.scandir(d) as it:
-                for e in it:
-                    try:
-                        st = e.stat(follow_symlinks=False)
-                    except OSError:
-                        continue
-                    sig.append((d, e.name, st.st_size, st.st_mtime_ns))
-        except FileNotFoundError:
-            sig.append((d, None, -1, -1))
-    return tuple(sorted(sig))
 
 
 # ----------------------------------------------------------------------
@@ -350,8 +331,8 @@ class CheckpointStore:
     :class:`Journal` (``journal``), the :class:`~repro.mana.storeio.
     StoreIO` both write through (``io``: its durability mode and crash
     injector; the process default unless given), refcounted generation
-    pins, the warn-once set of unrecognized entries, and the
-    validation-verdict memo.  Constructing one touches nothing on disk.
+    pins and the warn-once set of unrecognized entries.  Constructing
+    one touches nothing on disk.
 
     Every mutating method names the operation it serves — its
     ``context``, the first half of each crash point it fires: ``save``
@@ -377,11 +358,6 @@ class CheckpointStore:
         # fsck treat it as live.
         self._pins: Dict[int, int] = {}
         self._warned: Set[str] = set()
-        # (generation, require_cold) -> (stat signature, problems): a
-        # verdict is reused while nothing in the generation dir or the
-        # chunk store changed (new writes, pruning, GC and in-place
-        # corruption all change the signature).
-        self._verdicts: Dict[Tuple[int, bool], Tuple[tuple, List[str]]] = {}
 
     # ------------------------------------------------------------------
     # layout
@@ -818,24 +794,11 @@ class CheckpointStore:
         Checks manifest presence, cold-restartability, completeness (an
         image for every rank), and per-image integrity — for format 5
         that includes every referenced chunk in the store.  Returns
-        human-readable problem strings.  The verdict is memoized against
-        a stat signature of the generation dir and the chunk store, so
-        repeated restorability questions stop re-hashing unchanged
-        images.
+        human-readable problem strings.  Every call checks the disk
+        afresh; only chunk hashing is memoized, per chunk file
+        (:meth:`ChunkStore.verify`), so asking again re-stats an
+        unchanged image's chunks but never re-hashes them.
         """
-        sig = _stat_signature(self.generation_dir(generation),
-                              self.chunks.dir)
-        key = (generation, require_cold)
-        with self._lock:
-            cached = self._verdicts.get(key)
-        if cached is not None and cached[0] == sig:
-            return list(cached[1])
-        problems = self._problems(generation, require_cold)
-        with self._lock:
-            self._verdicts[key] = (sig, list(problems))
-        return problems
-
-    def _problems(self, generation: int, require_cold: bool) -> List[str]:
         problems: List[str] = []
         try:
             manifest = self.read_manifest(generation)
@@ -870,9 +833,10 @@ class CheckpointStore:
 
     def latest_restorable(self) -> Optional[int]:
         """Newest complete, integrity-verified, cold-restartable
-        generation (None when no generation qualifies)."""
-        gens = self.restorable()
-        return gens[-1] if gens else None
+        generation (None when no generation qualifies).  Validates
+        newest-first and stops at the first that passes."""
+        return next((g for g in reversed(self.generations())
+                     if not self.validate(g)), None)
 
     # ------------------------------------------------------------------
     # pruning + chunk garbage collection

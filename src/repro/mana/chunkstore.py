@@ -37,7 +37,7 @@ import zlib
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.mana import storeio
-from repro.util.errors import IntegrityError
+from repro.util.errors import IntegrityError, MissingChunkError
 
 try:  # numpy vectorizes the rolling hash; fall back to pure python
     import numpy as _np
@@ -270,6 +270,10 @@ class ChunkStore:
         self.base_dir = base_dir
         #: Shimmed syscalls (the owning store's, else the process default).
         self.io = io or storeio.DEFAULT
+        self.dir = os.path.join(base_dir, STORE_DIRNAME)
+        # chunk_path is on every read and write: join once, concatenate
+        # per call (same strings as joining each time).
+        self._prefix = os.path.join(self.dir, "")
         self._lock = threading.Lock()
         # digest -> (size, mtime_ns) of the chunk file when it last
         # passed a full decompress+hash verification.
@@ -279,12 +283,8 @@ class ChunkStore:
         # referenced.
         self._pins: Dict[str, int] = {}
 
-    @property
-    def dir(self) -> str:
-        return os.path.join(self.base_dir, STORE_DIRNAME)
-
     def chunk_path(self, digest: str) -> str:
-        return os.path.join(self.dir, digest + CHUNK_SUFFIX)
+        return self._prefix + digest + CHUNK_SUFFIX
 
     # ------------------------------------------------------------------
     # write side
@@ -338,8 +338,9 @@ class ChunkStore:
         try:
             with open(path, "rb") as f:
                 comp = f.read()
+                st = os.fstat(f.fileno())
         except FileNotFoundError:
-            raise IntegrityError(
+            raise MissingChunkError(
                 f"{where}chunk {digest[:12]}… missing from store "
                 f"{self.dir}"
             ) from None
@@ -357,28 +358,22 @@ class ChunkStore:
                 f"(bit rot or torn write): sha256 {actual[:12]}…"
             )
         with self._lock:
-            st = os.stat(path)
             self._verified[digest] = (st.st_size, st.st_mtime_ns)
         return data
 
     def verify(self, digest: str, context: str = "") -> None:
         """Like :meth:`get` but memoized: a chunk whose file stat is
         unchanged since its last successful verification is trusted."""
-        path = self.chunk_path(digest)
         try:
-            st = os.stat(path)
+            st = os.stat(self.chunk_path(digest))
         except FileNotFoundError:
-            raise IntegrityError(
-                f"{context + ': ' if context else ''}chunk "
-                f"{digest[:12]}… missing from store {self.dir}"
-            ) from None
-        with self._lock:
-            if self._verified.get(digest) == (st.st_size, st.st_mtime_ns):
-                return
+            pass  # get() reports it missing
+        else:
+            with self._lock:
+                if self._verified.get(digest) == (st.st_size,
+                                                  st.st_mtime_ns):
+                    return
         self.get(digest, context)
-
-    def contains(self, digest: str) -> bool:
-        return os.path.exists(self.chunk_path(digest))
 
     # ------------------------------------------------------------------
     # accounting / garbage collection

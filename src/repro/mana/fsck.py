@@ -67,7 +67,7 @@ from repro.mana.checkpoint import (
     store_for,
 )
 from repro.mana.chunkstore import CHUNK_SUFFIX
-from repro.util.errors import IntegrityError
+from repro.util.errors import IntegrityError, MissingChunkError
 
 #: Journal ops whose pending record names a possibly-uncommitted
 #: generation (roll forward iff its manifest is on disk).  Nothing
@@ -258,16 +258,14 @@ def fsck(store, repair: bool = True) -> FsckReport:
     chunks = store.chunks
     referenced = store.referenced_chunks()
     for digest in sorted(referenced):
-        if not chunks.contains(digest):
-            report.missing_chunks.append(digest)
-            continue
         try:
             chunks.get(digest, context="fsck")
+        except MissingChunkError:
+            report.missing_chunks.append(digest)
         except IntegrityError:
             report.quarantined_chunks.append(digest)
             if repair:
                 _quarantine_chunk(store, digest)
-            continue
 
     # 4. Orphan-chunk removal ------------------------------------------
     if repair:

@@ -111,6 +111,10 @@ class IntegrityError(RestartError):
     checksum mismatch, or unrecognized header."""
 
 
+class MissingChunkError(IntegrityError):
+    """A chunk an image references is not in the chunk store."""
+
+
 class ElasticRestartError(RestartError):
     """An N-rank checkpoint cannot be restored onto M ranks.
 

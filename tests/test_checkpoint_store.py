@@ -1,11 +1,10 @@
 """One :class:`CheckpointStore` per checkpoint directory.
 
 All state about a directory — layout, chunk store, journal, generation
-pins, the warn-once set, the verdict memo and its I/O settings
-(durability mode and crash injector) — lives on its store, so two
-directories in one process cannot see each other, a finished job
-leaves no pin behind, and opening or reading a store changes nothing on
-disk.
+pins, the warn-once set and its I/O settings (durability mode and
+crash injector) — lives on its store, so two directories in one
+process cannot see each other, a finished job leaves no pin behind,
+and opening or reading a store changes nothing on disk.
 """
 
 import collections

@@ -181,13 +181,14 @@ class TestChunkCorruption:
 
 
 class TestCaches:
-    def test_validation_result_is_cached_until_disk_changes(self, tmp_path):
+    def test_clean_verdict_then_in_place_bit_flip_is_reported(self, tmp_path):
         store = store_for(str(tmp_path))
         save_gen(store, 1)
         assert store.validate(1) == []
-        # Cached verdict: identical list on an unchanged dir.
+        # Asking again on an unchanged dir gives the same clean verdict.
         assert store.validate(1) == []
-        # An on-disk change (corruption) invalidates via stat signature.
+        # A bit flip in place changes the chunk file's mtime, so the
+        # per-chunk verify memo no longer trusts it and re-hashes.
         refs = image_chunk_refs(store.image_path(1, 0))
         path = store.chunks.chunk_path(refs[0][0])
         with open(path, "r+b") as f:
@@ -196,6 +197,39 @@ class TestCaches:
             f.seek(10)
             f.write(bytes([b[0] ^ 0xFF]))
         assert store.validate(1)
+
+    def test_truncated_image_after_clean_verdict_is_reported(self, tmp_path):
+        store = store_for(str(tmp_path))
+        save_gen(store, 1)
+        assert store.validate(1) == []
+        path = store.image_path(1, 0)
+        with open(path, "r+b") as f:
+            f.truncate(os.path.getsize(path) // 2)
+        problems = store.validate(1)
+        assert any(p.startswith("rank 0:") for p in problems), problems
+
+    def test_pick_stops_at_newest_restorable(self, tmp_path, monkeypatch):
+        store = store_for(str(tmp_path))
+        rng = np.random.default_rng(11)
+        for g in (1, 2, 3, 4):
+            save_gen(store, g, app={
+                "state": rng.integers(0, 256, size=200_000, dtype=np.uint8)
+            })
+        # Torn newer generations: 5 lost its manifest, 6 a rank image.
+        save_gen(store, 5)
+        os.remove(store.manifest_path(5))
+        save_gen(store, 6)
+        os.remove(store.image_path(6, 1))
+        validated = []
+        real = store.validate
+
+        def spy(generation, require_cold=True):
+            validated.append(generation)
+            return real(generation, require_cold)
+
+        monkeypatch.setattr(store, "validate", spy)
+        assert store.latest_restorable() == 4
+        assert validated == [6, 5, 4]
 
     def test_latest_generations_tracks_new_writes(self, tmp_path):
         store = store_for(str(tmp_path))

@@ -314,7 +314,7 @@ class TestFsckRepair:
         assert written and not reused
         report = fsck(store)
         assert report.orphan_chunks_removed == 1
-        assert not store.chunks.contains(digest)
+        assert digest not in store.chunks.digests()
         assert report.restorable_generations == [1]
 
     def test_fsck_is_idempotent(self, tmp_path):
