@@ -33,7 +33,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.mana.records import CommRecord, RequestRecord
+from repro.mana.records import RequestRecord
 from repro.mpi import constants as C
 from repro.mpi.api import HandleKind
 from repro.mpi.objects import Status
@@ -151,10 +151,8 @@ def run_drain(mana) -> int:
     # Step 3: exchange cumulative send counts.
     sent = np.zeros(nranks, dtype=np.int64)
     for entry in mana.vids.entries(HandleKind.COMM):
-        rec = entry.record
-        if isinstance(rec, CommRecord):
-            for dst_world, n in rec.sent_to.items():
-                sent[dst_world] += n
+        for dst_world, n in entry.record.sent_to.items():
+            sent[dst_world] += n
     expected = np.zeros(nranks, dtype=np.int64)
     lib.alltoall(sent, 1, int64_phys, expected, 1, int64_phys, world_phys)
 
@@ -168,7 +166,7 @@ def run_drain(mana) -> int:
         progressed = _test_pending_recvs(mana)
         for entry in list(mana.vids.entries(HandleKind.COMM)):
             rec = entry.record
-            if not isinstance(rec, CommRecord) or entry.phys is None:
+            if entry.phys is None:
                 continue
             while True:
                 flag, st = lib.iprobe(C.ANY_SOURCE, C.ANY_TAG, entry.phys)
@@ -214,10 +212,8 @@ def run_drain(mana) -> int:
 def _received_counts(mana, nranks: int) -> np.ndarray:
     received = np.zeros(nranks, dtype=np.int64)
     for entry in mana.vids.entries(HandleKind.COMM):
-        rec = entry.record
-        if isinstance(rec, CommRecord):
-            for src_world, n in rec.received_from.items():
-                received[src_world] += n
+        for src_world, n in entry.record.received_from.items():
+            received[src_world] += n
     return received
 
 
@@ -244,12 +240,6 @@ def _test_pending_recvs(mana) -> bool:
                 # The lib request is retired; persistent ones stay bound
                 # (the lib object merely went inactive).
                 mana.vids.set_phys(mana.vids.embed(entry.vid), None)
-            comm_entry = mana.vids.lookup(mana.vids.embed(rec.comm_vid))
-            crec = comm_entry.record
-            if isinstance(crec, CommRecord) and st.source >= 0:
-                src_world = crec.world_ranks[st.source]
-                crec.received_from[src_world] = (
-                    crec.received_from.get(src_world, 0) + 1
-                )
+            mana._count_recv(mana._comm_of(rec), st.source)
             progressed = True
     return progressed

@@ -221,7 +221,7 @@ def replay_all(mana) -> Dict[str, int]:
     global_keys = sorted({k for keys in all_keys for k in keys})
     by_key = {}
     for entry in vids.entries(HandleKind.COMM):
-        if entry.constant_name is None and isinstance(entry.record, CommRecord):
+        if entry.constant_name is None:
             by_key[entry.record.key()] = entry
     for key in global_keys:
         entry = by_key.get(key)
@@ -269,53 +269,32 @@ def replay_all(mana) -> Dict[str, int]:
 
     # Phase 5: requests.  Persistent requests are re-created with
     # *_init (and re-started if a cycle was outstanding); ordinary
-    # pending receives are re-posted with Irecv.
+    # pending receives are re-posted with Irecv.  None of them can match
+    # a message in the drain buffer (PROTOCOLS.md §4), so none is served
+    # from it here.
     for entry in vids.entries(HandleKind.REQUEST):
         rec = entry.record
         if not isinstance(rec, RequestRecord):
             continue
-        if rec.persistent:
-            comm_entry = vids.lookup(vids.embed(rec.comm_vid), HandleKind.COMM)
-            dt_entry = vids.lookup(
-                vids.embed(rec.datatype_vid), HandleKind.DATATYPE
-            )
-            init = lib.send_init if rec.kind == "send" else lib.recv_init
-            phys = init(
-                rec.buf, rec.count, dt_entry.phys, rec.peer, rec.tag,
-                comm_entry.phys,
-            )
-            vids.set_phys(vids.embed(entry.vid), phys)
-            if rec.active and not rec.completed and rec.kind == "recv":
-                # A drained message wins over a fresh start.
-                st = mana._recv_request_from_drain(rec)
-                if st is not None:
-                    rec.completed, rec.status = True, st
-                else:
-                    lib.start(phys)
-            counts[HandleKind.REQUEST] += 1
+        if not rec.persistent and (rec.completed or rec.kind != "recv"):
             continue
-        if rec.completed:
-            continue
-        if rec.kind != "recv":
-            continue
-        # The drain buffer wins over a fresh post: a message drained at
-        # checkpoint time may be the one this request was waiting for.
-        st = mana._recv_request_from_drain(rec)
-        if st is not None:
-            rec.completed, rec.status = True, st
-            vids.set_phys(vids.embed(entry.vid), None)
+        comm_entry = vids.lookup(vids.embed(rec.comm_vid), HandleKind.COMM)
+        dt_entry = vids.lookup(
+            vids.embed(rec.datatype_vid), HandleKind.DATATYPE
+        )
+        if not rec.persistent:
+            post = lib.irecv
+        elif rec.kind == "send":
+            post = lib.send_init
         else:
-            comm_entry = vids.lookup(vids.embed(rec.comm_vid), HandleKind.COMM)
-            dt_entry = vids.lookup(
-                vids.embed(rec.datatype_vid), HandleKind.DATATYPE
-            )
-            vids.set_phys(
-                vids.embed(entry.vid),
-                lib.irecv(
-                    rec.buf, rec.count, dt_entry.phys, rec.peer, rec.tag,
-                    comm_entry.phys,
-                ),
-            )
+            post = lib.recv_init
+        phys = post(
+            rec.buf, rec.count, dt_entry.phys, rec.peer, rec.tag,
+            comm_entry.phys,
+        )
+        vids.set_phys(vids.embed(entry.vid), phys)
+        if rec.active and not rec.completed and rec.kind == "recv":
+            lib.start(phys)  # a persistent receive's outstanding cycle
         counts[HandleKind.REQUEST] += 1
 
     vids.rebuild_reverse()

@@ -28,26 +28,14 @@ computes the ggid at communicator creation, ``lazy`` defers it to
 checkpoint time, ``hybrid`` defers but caches by membership so
 create/free loops pay the hash at most once per distinct membership.
 
-Hot-path fast lane
-------------------
-``lookup``/``phys`` are called on every wrapper crossing — millions of
-times per simulated job — so the table keeps two small caches in front
-of the full translation path:
-
-* an *entry cache* mapping an application-held vhandle (either embedding
-  width) directly to its live :class:`VidEntry`, skipping ``extract``;
-* per-kind *phys caches* (one dict per handle kind, precomputed at
-  construction) so ``phys(vhandle, kind)`` on the hot wrapper paths is a
-  single dict hit that also enforces the kind check by construction.
-
-Invalidation protocol (docs/PROTOCOLS.md §8): ``set_phys`` and
-``remove`` evict both embedding widths of the affected vid from every
-cache; ``rebuild_reverse`` (the restart-replay epilogue) and any
-``handle_bits`` change (a lower-half swap, possibly to a different
-implementation) clear everything and bump ``cache_epoch``.  The caches
-never survive pickling.  ``lookup_count`` is incremented exactly once
-per translation whether served fast or slow, so the §6.3 ablation
-numbers are unchanged.
+Translation
+-----------
+``lookup`` is the one translation path: ``extract`` the vid from
+either embedding width, one ``_entries`` get, the kind check.  ``phys``
+is ``lookup`` plus the binding check.  Nothing is cached in front of
+``_entries``, so a lower-half swap (bootstrap, relaunch, cross-impl
+restart) needs no fence: replay rebinds each entry through ``set_phys``
+and the next translation reads the new physical id.
 """
 
 from __future__ import annotations
@@ -139,7 +127,6 @@ class VirtualIdTable:
     ):
         if ggid_policy not in GgidPolicy.ALL:
             raise ValueError(f"unknown ggid policy {ggid_policy!r}")
-        self._init_fast_lane()
         self.handle_bits = handle_bits
         self.ggid_policy = ggid_policy
         self.clock = clock  # charged for ggid hashing when set
@@ -155,51 +142,11 @@ class VirtualIdTable:
         # cycles — required by the two-phase collective barrier.  Stored
         # here so it is checkpointed with the table.
         self.membership_incarnations: Dict[Tuple[int, ...], int] = {}
-        # instrumentation for the lookup-cost ablation
-        self.lookup_count = 0
         # Wrapper-level attribute keyvals (MPI_Comm_create_keyval):
         # persisted with the table so keyvals held in application state
         # stay valid across cold restarts.
         self.live_keyvals: set = set()
         self.next_keyval: int = 1
-
-    # ------------------------------------------------------------------
-    # hot-path fast lane (see module docstring for the protocol)
-    # ------------------------------------------------------------------
-    def _init_fast_lane(self) -> None:
-        # vhandle (either width) -> live VidEntry
-        self._fast: Dict[int, VidEntry] = {}
-        # per-kind dispatch: kind (or None) -> {vhandle: phys}
-        self._physcache: Dict[Optional[str], Dict[int, int]] = {
-            None: {}, **{k: {} for k in HandleKind.ALL}
-        }
-        self.cache_hits = 0
-        self.cache_epoch = 0
-
-    @property
-    def handle_bits(self) -> int:
-        return self._handle_bits
-
-    @handle_bits.setter
-    def handle_bits(self, bits: int) -> None:
-        # A width change means the lower half was swapped (bootstrap,
-        # relaunch, or cross-impl restart): nothing cached can be trusted.
-        self._handle_bits = bits
-        self.invalidate_cache()
-
-    def invalidate_cache(self) -> None:
-        """Drop every fast-lane entry and start a new cache epoch."""
-        self._fast.clear()
-        for c in self._physcache.values():
-            c.clear()
-        self.cache_epoch += 1
-
-    def _invalidate(self, vid: int) -> None:
-        """Evict one vid — under both embedding widths — from all caches."""
-        for key in (vid, (MANA_MAGIC << 32) | vid):
-            self._fast.pop(key, None)
-            for c in self._physcache.values():
-                c.pop(key, None)
 
     # ------------------------------------------------------------------
     # embedding (paper §4.2: vid occupies the first 32 bits of the
@@ -336,16 +283,6 @@ class VirtualIdTable:
     def lookup(self, vhandle: int, kind: Optional[str] = None) -> VidEntry:
         """Virtual handle -> entry.  One lookup returns record, physical
         id, and MANA metadata together (§4.1 problem 3, solved)."""
-        entry = self._fast.get(vhandle)
-        if entry is not None and (kind is None or entry.kind == kind):
-            self.lookup_count += 1
-            self.cache_hits += 1
-            return entry
-        return self._lookup_slow(vhandle, kind)
-
-    def _lookup_slow(self, vhandle: int, kind: Optional[str]) -> VidEntry:
-        """The full translation path (and the fast lane's fill side)."""
-        self.lookup_count += 1
         vid = self.extract(vhandle)
         entry = self._entries.get(vid)
         if entry is None:
@@ -357,38 +294,28 @@ class VirtualIdTable:
             raise InvalidHandleError(
                 f"virtual id {vid:#010x} is a {entry.kind}, not a {kind}"
             )
-        self._fast[vhandle] = entry
         return entry
 
     def phys(self, vhandle: int, kind: Optional[str] = None) -> int:
-        p = self._physcache[kind].get(vhandle)
-        if p is not None:
-            self.lookup_count += 1
-            self.cache_hits += 1
-            return p
-        entry = self._lookup_slow(vhandle, kind)
+        entry = self.lookup(vhandle, kind)
         if entry.phys is None:
             raise InvalidHandleError(
                 f"virtual id {entry.vid:#010x} ({entry.kind}) has no "
                 f"physical binding — replay incomplete after restart?"
             )
-        self._physcache[kind][vhandle] = entry.phys
         return entry.phys
 
     def set_phys(self, vhandle: int, phys: Optional[int]) -> None:
-        entry = self._lookup_slow(vhandle, None)
-        old = entry.phys
-        if old is not None:
-            self._reverse.pop((entry.kind, old), None)
+        entry = self.lookup(vhandle)
+        if entry.phys is not None:
+            self._reverse.pop((entry.kind, entry.phys), None)
         entry.phys = phys
-        self._invalidate(entry.vid)
         if phys is not None:
             self._reverse[(entry.kind, phys)] = entry.vid
 
     def vid_of_phys(self, kind: str, phys: int) -> Optional[int]:
         """Reverse translation, O(1) in the new design (§4.1 problem 5:
         the old design's was O(n)).  Returns an embedded handle."""
-        self.lookup_count += 1
         vid = self._reverse.get((kind, phys))
         return None if vid is None else self.embed(vid)
 
@@ -401,7 +328,6 @@ class VirtualIdTable:
         entry = self._entries.pop(vid, None)
         if entry is None:
             raise InvalidHandleError(f"double free of virtual id {vid:#010x}")
-        self._invalidate(vid)
         if entry.phys is not None:
             self._reverse.pop((entry.kind, entry.phys), None)
         if entry.constant_name is not None:
@@ -425,41 +351,51 @@ class VirtualIdTable:
         return len(self._entries)
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_reverse"] = {}  # physical ids die with the lower half
-        state["_seq"] = None
-        state["_seq_value"] = max(
-            (e.creation_seq for e in self._entries.values()), default=0
-        )
-        state["clock"] = None
-        # The fast lane never survives pickling: a restored table faces a
-        # brand-new lower half with all-new physical ids.
-        state.pop("_fast", None)
-        state.pop("_physcache", None)
-        # Volatile instrumentation never enters the image: poll-loop
-        # iteration counts are wall-clock-scheduling-dependent, and any
-        # such byte in the payload would make format-5 chunk digests —
-        # and hence checkpoint durations — nondeterministic.
-        state["lookup_count"] = 0
-        state["cache_hits"] = 0
-        state["cache_epoch"] = 0
-        return state
+        # This state is image bytes, and the virtual checkpoint timings
+        # follow from them, so it keeps the layout of the table that had
+        # a translation cache: these keys in this order, its three
+        # counters written as 0, and the width under ``_handle_bits``.
+        return {
+            "cache_hits": 0,
+            "cache_epoch": 0,
+            "_handle_bits": self.handle_bits,
+            "ggid_policy": self.ggid_policy,
+            "clock": None,
+            "_entries": self._entries,
+            "_reverse": {},  # physical ids die with the lower half
+            "_constants": self._constants,
+            "_seq": None,
+            "_next_index": self._next_index,
+            "_ggid_cache": self._ggid_cache,
+            "membership_incarnations": self.membership_incarnations,
+            "lookup_count": 0,
+            "live_keyvals": self.live_keyvals,
+            "next_keyval": self.next_keyval,
+            "_seq_value": max(
+                (e.creation_seq for e in self._entries.values()), default=0
+            ),
+        }
 
     def __setstate__(self, state):
-        seq_value = state.pop("_seq_value", 0)
-        self.__dict__.update(state)
-        self._seq = itertools.count(seq_value + 1)
-        self._init_fast_lane()
+        self.handle_bits = state["_handle_bits"]
+        self.ggid_policy = state["ggid_policy"]
+        self.clock = None
         # The one place insertion order can disagree with creation order:
         # images written by older code.  Sort once, here, not per entries().
         self._entries = dict(sorted(
-            self._entries.items(), key=lambda kv: kv[1].creation_seq
+            state["_entries"].items(), key=lambda kv: kv[1].creation_seq
         ))
+        self._reverse = {}
+        self._constants = state["_constants"]
+        self._seq = itertools.count(state["_seq_value"] + 1)
+        self._next_index = state["_next_index"]
+        self._ggid_cache = state["_ggid_cache"]
+        self.membership_incarnations = state["membership_incarnations"]
+        self.live_keyvals = state["live_keyvals"]
+        self.next_keyval = state["next_keyval"]
 
     def rebuild_reverse(self) -> None:
-        """Recompute the reverse map after replay rebinds physical ids;
-        also the restart-replay cache fence."""
-        self.invalidate_cache()
+        """Recompute the reverse map after replay rebinds physical ids."""
         self._reverse = {
             (e.kind, e.phys): e.vid
             for e in self._entries.values()
@@ -583,4 +519,3 @@ def remap_world(
         incs[new_key] = max(incs.get(new_key, 0), n)
     table.membership_incarnations = incs
     table._ggid_cache = {}
-    table.invalidate_cache()

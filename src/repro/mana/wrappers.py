@@ -370,7 +370,7 @@ class ManaRank:
             entry = self.vids.lookup(vh)
             if entry.phys is None:
                 # Rebind on demand (e.g. right after a restart) — through
-                # set_phys so the fast lane and reverse map stay coherent.
+                # set_phys so the reverse map stays coherent.
                 self.vids.set_phys(vh, self.lower.constant(name))
             return vh
         phys = self.lower.constant(name)
@@ -416,33 +416,20 @@ class ManaRank:
     # ------------------------------------------------------------------
     def comm_rank(self, comm_v: int) -> int:
         self._enter()
-        entry = self._comm(comm_v)
-        rec = entry.record
-        if isinstance(rec, CommRecord):
-            # Served from MANA's own record (one lookup, no lower call
-            # needed — the §4.1-problem-3 win in action).
-            return rec.world_ranks.index(self.rank)
-        return self.lower.comm_rank(entry.phys)
+        # Served from MANA's own record (one lookup, no lower call
+        # needed — the §4.1-problem-3 win in action).
+        return self._comm(comm_v).record.world_ranks.index(self.rank)
 
     def comm_size(self, comm_v: int) -> int:
         self._enter()
-        entry = self._comm(comm_v)
-        rec = entry.record
-        if isinstance(rec, CommRecord):
-            return len(rec.world_ranks)
-        return self.lower.comm_size(entry.phys)
+        return len(self._comm(comm_v).record.world_ranks)
 
     def comm_group(self, comm_v: int) -> int:
         self._enter()
         entry = self._comm(comm_v)
         phys_group = self.lower.comm_group(entry.phys)
-        world_ranks = (
-            entry.record.world_ranks
-            if isinstance(entry.record, CommRecord)
-            else self._world_ranks_of_comm(entry.phys)
-        )
         return self.vids.attach(
-            HandleKind.GROUP, GroupRecord(world_ranks), phys_group
+            HandleKind.GROUP, GroupRecord(entry.record.world_ranks), phys_group
         )
 
     def comm_dup(self, comm_v: int) -> int:
@@ -488,13 +475,12 @@ class ManaRank:
     # ------------------------------------------------------------------
     def _count_send(self, comm_entry, dest_comm_rank: int) -> None:
         rec = comm_entry.record
-        if isinstance(rec, CommRecord):
-            w = rec.world_ranks[dest_comm_rank]
-            rec.sent_to[w] = rec.sent_to.get(w, 0) + 1
+        w = rec.world_ranks[dest_comm_rank]
+        rec.sent_to[w] = rec.sent_to.get(w, 0) + 1
 
     def _count_recv(self, comm_entry, src_comm_rank: int) -> None:
         rec = comm_entry.record
-        if isinstance(rec, CommRecord) and src_comm_rank >= 0:
+        if src_comm_rank >= 0:
             w = rec.world_ranks[src_comm_rank]
             rec.received_from[w] = rec.received_from.get(w, 0) + 1
 
@@ -512,10 +498,7 @@ class ManaRank:
     def _src_world(self, comm_entry, source: int) -> int:
         if source == C.ANY_SOURCE:
             return C.ANY_SOURCE
-        rec = comm_entry.record
-        if isinstance(rec, CommRecord):
-            return rec.world_ranks[source]
-        return source
+        return comm_entry.record.world_ranks[source]
 
     def _recv_from_drain(
         self, comm_entry, dt_entry, buf, count: int, source: int, tag: int
@@ -869,7 +852,7 @@ class ManaRank:
         """Trivial barrier before the real collective (checkpoint never
         splits a communicator's ranks across a collective boundary)."""
         rec = comm_entry.record
-        if not isinstance(rec, CommRecord) or len(rec.world_ranks) == 1:
+        if len(rec.world_ranks) == 1:
             self._maybe_checkpoint()
             return
         if self.coordinator is None:
@@ -981,11 +964,7 @@ class ManaRank:
     # on implementations whose native attribute support is missing.
 
     def _comm_attrs(self, comm_v: int) -> dict:
-        entry = self._comm(comm_v)
-        rec = entry.record
-        if not isinstance(rec, CommRecord):
-            raise MpiError("not an attribute-capable comm", "MPI_ERR_COMM")
-        return rec.attributes
+        return self._comm(comm_v).record.attributes
 
     def comm_create_keyval(self) -> int:
         self._enter()
@@ -1032,9 +1011,8 @@ class ManaRank:
         return self._attach_comm(phys, name="cart", cart=cart)
 
     def _cart_info(self, comm_v: int) -> Tuple[CommRecord, CartInfo]:
-        entry = self._comm(comm_v)
-        rec = entry.record
-        if not isinstance(rec, CommRecord) or rec.cart is None:
+        rec = self._comm(comm_v).record
+        if rec.cart is None:
             raise MpiError(
                 "communicator has no cartesian topology", "MPI_ERR_TOPOLOGY"
             )
