@@ -2,10 +2,9 @@
 
 Real MANA inherits a coordinator process from DMTCP: a socket-connected
 daemon that broadcasts checkpoint requests and sequences the global
-phases.  Here the coordinator is a shared object with reusable phase
-gates; it carries *no application or MPI data* — everything
-payload-bearing flows through the lower-half MPI library, as in the
-real system.
+phases.  Here the coordinator is a shared object; it carries *no
+application or MPI data* — everything payload-bearing flows through the
+lower-half MPI library, as in the real system.
 
 Two checkpoint kinds (DESIGN.md §1, restart modes):
 
@@ -17,37 +16,35 @@ Two checkpoint kinds (DESIGN.md §1, restart modes):
   common future loop iteration and park exactly there; the image is
   cold-restartable: a brand-new session can resume it.
 
-The coordinator also hosts the *trivial barrier* used by collective
-wrappers (two-phase collectives): ranks register arrival at
-(communicator key, sequence) and park until the arrival that completes
-the member set unparks them, remaining responsive to checkpoint intent
-while they wait.  Arrival is
-idempotent, so a rank that detours into a checkpoint and comes back
-re-enters safely.
-
-Every wait below parks in the job's run-slot scheduler
-(:mod:`repro.runtime.scheduler`, PROTOCOLS.md §8); no coordinator or
-gate lock is held across a park.
+Every rendezvous is one :class:`_Meeting` of a fixed member set, and
+every rank waits for one in one loop, :meth:`CheckpointCoordinator._meet`
+(PROTOCOLS.md §8): the four phase gates of a round attempt, the
+*trivial barrier* that two-phase collectives cross at (communicator
+key, sequence), and the finalize fence.  The arrival that completes a
+meeting runs its action and unparks the others; no coordinator or
+meeting lock is held across a park.  A barrier or finalize waiter stays
+responsive to checkpoint intent: it leaves the arrival set before it
+detours into a round and arrives again afterwards, so a completed set
+never holds a rank that is inside a checkpoint.
 
 Each armed checkpoint is one :class:`_Round` (PROTOCOLS.md §4): its
 ticket, its LOOP election and its retry budget, plus an
-:class:`_Attempt` that collects what the ranks report at the gates.
-Arming a round creates it — and takes its generation number, so
-generations are numbered in the order rounds run; an abort starts a
-new attempt inside it; the resume gate, a cancel and finalize drop it.
-A resumable loop reaches the coordinator through two calls,
+:class:`_Attempt` that owns the four gates and collects what the ranks
+report at them.  Arming a round creates it — and takes its generation
+number, so generations are numbered in the order rounds run; an abort
+starts a new attempt inside it; the resume gate, a cancel and finalize
+drop it.  A resumable loop reaches the coordinator through two calls,
 :meth:`CheckpointCoordinator.loop_top` and
 :meth:`CheckpointCoordinator.loop_end`.
 
-Hardening (PROTOCOLS.md §9): the four phase rendezvous are custom
-gates rather than ``threading.Barrier`` so that (a) waits park under
-:data:`PHASE_TIMEOUT_S`, (b) a timeout produces a *descriptive*
-error naming the stuck phase and the outstanding ranks instead of a
-broken-barrier trace, and (c) a round can be **aborted and retried**: when a stall is
-detected (or injected), :meth:`abort_round` releases every parked rank
-with :class:`CheckpointRoundAborted`, starts the round's next attempt,
-and — while :data:`ROUND_RETRIES` retries remain — leaves the same
-ticket armed so the ranks immediately re-run the round.
+Hardening (PROTOCOLS.md §9): a gate wait parks under
+:data:`PHASE_TIMEOUT_S`, and a timeout produces a *descriptive* error
+naming the stuck phase and the outstanding ranks.  A round can be
+**aborted and retried**: when a stall is detected (or injected),
+:meth:`abort_round` releases the superseded attempt's gates — every
+rank parked there raises :class:`CheckpointRoundAborted` — and, while
+:data:`ROUND_RETRIES` retries remain, leaves the same ticket armed with
+a fresh attempt so the ranks immediately re-run the round.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.mana.checkpoint import dedup_summary
 from repro.simtime.cost import CheckpointCostModel, FilesystemProfile
@@ -138,104 +135,51 @@ class CheckpointTicket:
             self._done.set()
 
 
-class _PhaseGate:
-    """A reusable all-ranks rendezvous with diagnostics.
+class _Meeting:
+    """One rendezvous of a fixed member set: a phase gate of one round
+    attempt, one trivial barrier, or the finalize fence.  A meeting
+    happens once — the arrival that completes ``arrived`` sets ``done``
+    and runs ``action`` — and :meth:`CheckpointCoordinator._meet` is the
+    one loop that waits for it.
 
-    Unlike ``threading.Barrier``, a gate (a) tracks *which* ranks have
-    arrived, so a timeout names the stragglers; (b) parks its waiters in
-    the scheduler, where the last arriver unparks exactly them; and
-    (c) can be :meth:`release`-d — waiters return without the gate
-    action running, and the caller's attempt check converts that into a
-    :class:`CheckpointRoundAborted` retry.  :meth:`break_` is terminal:
-    every current and future waiter raises the abort exception.
-
-    Lock ordering: the gate lock may be held while the last arriver's
-    ``action`` takes the coordinator lock (gate → coordinator).  Abort
-    paths therefore touch gates only *after* dropping the coordinator
-    lock.
+    Lock ordering: the meeting lock may be held while ``action`` takes
+    the coordinator lock (meeting → coordinator).  Abort paths therefore
+    touch meetings only *after* dropping the coordinator lock.
     """
 
-    def __init__(self, name: str, parties: int, scheduler,
+    def __init__(self, name: str, members: Iterable[int],
                  action: Optional[Callable[[], None]] = None):
         self.name = name
-        self.parties = parties
-        self.scheduler = scheduler
+        self.members = frozenset(members)
         self.action = action
-        self._lock = threading.Lock()
-        self._arrived: Set[int] = set()
-        self._cycle = 0
-        self._broken: Optional[BaseException] = None
+        self.arrived: Set[int] = set()
+        self.done = False
+        self.lock = threading.Lock()
 
     def arrived_ranks(self) -> List[int]:
-        with self._lock:
-            return sorted(self._arrived)
-
-    def wait(self, rank: int, timeout: float = 300.0) -> None:
-        deadline = time.monotonic() + timeout
-        cycle = None
-        while True:
-            with self._lock:
-                if self._broken is not None:
-                    raise self._broken
-                if cycle is None:
-                    cycle = self._cycle
-                    self._arrived.add(rank)
-                    if len(self._arrived) >= self.parties:
-                        # Last arriver: run the gate action, open the gate.
-                        if self.action is not None:
-                            self.action()
-                        self._arrived.discard(rank)
-                        self._open_locked()
-                        return
-                elif self._cycle != cycle:
-                    return
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    outstanding = sorted(
-                        set(range(self.parties)) - self._arrived
-                    )
-                    raise CheckpointError(
-                        f"checkpoint phase {self.name!r} timed out after "
-                        f"{timeout:.0f}s: arrived ranks "
-                        f"{sorted(self._arrived)}, outstanding ranks "
-                        f"{outstanding}"
-                    )
-            self.scheduler.park(rank, remaining)
-
-    def _open_locked(self) -> None:
-        """Start the next cycle and unpark this one's waiters."""
-        self._cycle += 1
-        for rank in sorted(self._arrived):
-            self.scheduler.unpark(rank)
-        self._arrived.clear()
-
-    def release(self) -> None:
-        """Open the gate without running the action (round abort): every
-        waiter returns and re-checks its round attempt."""
-        with self._lock:
-            self._open_locked()
-
-    def break_(self, exc: BaseException) -> None:
-        """Terminal abort: current and future waiters raise ``exc``."""
-        with self._lock:
-            self._broken = exc
-            self._open_locked()
+        with self.lock:
+            return sorted(self.arrived)
 
 
 class _Attempt:
-    """One attempt at a round: what its ranks report at the gates, and
-    the token each rank carries through its phase calls.  An abort
-    replaces the round's attempt, so nothing an aborted attempt
-    collected — nor a late report into it — reaches the retry."""
+    """One attempt at a round: its four phase gates, what its ranks
+    report at them, and the token each rank carries through its phase
+    calls.  An abort replaces the round's attempt, so nothing an aborted
+    attempt collected — nor a late report into it — reaches the retry."""
 
-    def __init__(self, number: int = 0):
+    def __init__(self, coord: "CheckpointCoordinator", number: int = 0):
         self.number = number
+        ranks = range(coord.nranks)
+        self.quiesce = _Meeting("quiesce", ranks, coord._on_quiesced)
+        self.drain = _Meeting("drain", ranks)
+        self.save = _Meeting("save", ranks, coord._on_saved)
+        self.resume = _Meeting("resume", ranks, coord._on_resumed)
         self.clocks: Dict[int, float] = {}    # rank -> vtime at quiesce
         self.image_bytes: Dict[int, int] = {}  # rank -> logical bytes
         self.savestats: Dict[int, Dict] = {}  # rank -> format-5 stats
         self.snapshots: Dict[int, Dict] = {}  # rank -> {"image", "blob"}
         self.manifest: Optional[Dict] = None  # rank 0's manifest fields
-        self.gate: Optional[_PhaseGate] = None  # the gate last entered
+        self.gate: Optional[_Meeting] = None  # the gate last entered
         # Set by the quiesce / save gate actions; ranks charge them.
         self.start = 0.0
         self.duration = 0.0
@@ -247,14 +191,14 @@ class _Round:
     """One armed checkpoint: its ticket, its LOOP election and its
     retry budget, plus the attempt in progress."""
 
-    def __init__(self, ticket: CheckpointTicket,
+    def __init__(self, ticket: CheckpointTicket, attempt: _Attempt,
                  loop_name: Optional[str] = None,
                  loop_target: Optional[int] = None):
         self.ticket = ticket
         self.loop_name = loop_name
         self.loop_target = loop_target
         self.retries_left = ROUND_RETRIES
-        self.attempt = _Attempt()
+        self.attempt = attempt
 
 
 class CheckpointCoordinator:
@@ -312,18 +256,6 @@ class CheckpointCoordinator:
         # at round start for injected coordinator stalls.
         self.injector = None
 
-        # Phase gates (reusable).  quiesce -> drained -> saved -> resumed.
-        self._g_quiesce = _PhaseGate(
-            "quiesce", nranks, scheduler, self._on_quiesced
-        )
-        self._g_drained = _PhaseGate("drain", nranks, scheduler)
-        self._g_saved = _PhaseGate("save", nranks, scheduler, self._on_saved)
-        self._g_resumed = _PhaseGate(
-            "resume", nranks, scheduler, self._on_resumed
-        )
-        self._gates = (
-            self._g_quiesce, self._g_drained, self._g_saved, self._g_resumed,
-        )
         self.round_events: List[dict] = []
 
         # Deferred triggers: arm a checkpoint when a loop reaches an
@@ -338,13 +270,16 @@ class CheckpointCoordinator:
         self._last_ckpt_vtime = 0.0
         self.interval_tickets: list = []
 
-        # Trivial-barrier service: (comm_key, seq) -> set of arrived ranks.
+        # Trivial barriers in progress: (comm_key, seq) -> its meeting,
+        # forgotten when it completes.  Its own lock keeps collectives
+        # off the coordinator lock.
         self._tb_lock = threading.Lock()
-        self._tb_arrivals: Dict[Tuple, Set[int]] = {}
+        self._barriers: Dict[Tuple, _Meeting] = {}
 
-        # Finalize tracking: once every rank reaches MPI_Finalize,
+        # The finalize fence: once every rank reaches MPI_Finalize,
         # checkpointing is disabled for good.
-        self._finalized: Set[int] = set()
+        self._finalize = _Meeting("finalize", range(nranks),
+                                  self._on_all_finalized)
         self._ckpt_disabled = False
 
         # Elastic-restore provenance (PROTOCOLS.md §12, step 4): set by
@@ -414,7 +349,7 @@ class CheckpointCoordinator:
         holds self._lock and has checked that no round is armed."""
         self.generation += 1
         ticket.generation = self.generation
-        self._round = _Round(ticket, loop_name, loop_target)
+        self._round = _Round(ticket, _Attempt(self), loop_name, loop_target)
 
     def _wake_parked(self) -> None:
         """Intent was just armed (or a round aborted): any parked rank —
@@ -469,31 +404,21 @@ class CheckpointCoordinator:
     def finalize_rank(self, rank: int, park_check) -> None:
         """MPI_Finalize under MANA: the rank stays available for
         checkpoints until *every* rank has finalized (the moral of real
-        MANA keeping its checkpoint thread alive until teardown).  When
-        the last rank arrives, checkpointing is disabled and any armed
-        but unstarted request is cancelled."""
-        while True:
-            with self._lock:
-                self._raise_if_aborted()
-                self._finalized.add(rank)
-                if len(self._finalized) == self.nranks:
-                    if not self._ckpt_disabled:
-                        self._ckpt_disabled = True
-                        for t in self._take_pending_locked():
-                            t.fail(CheckpointError(
-                                f"checkpoint cancelled: {_FINALIZED}"
-                            ))
-                        # Only the last registration lets the ranks
-                        # waiting below proceed; earlier ones wake nobody.
-                        for other in sorted(self._finalized - {rank}):
-                            self.scheduler.unpark(other)
-                    return
-                want_park = self.should_park_now()
-            if not want_park:
-                # Nothing to park for: sleep until the last rank
-                # finalizes, intent arms or the job aborts.
-                self.scheduler.park(rank)
-            park_check()
+        MANA keeping its checkpoint thread alive until teardown).  A
+        waiting rank detours into an IN_SESSION round through
+        ``park_check``; when the last rank arrives, checkpointing is
+        disabled and every pending request is cancelled."""
+        self._meet(self._finalize, rank, detour=park_check)
+
+    def _on_all_finalized(self) -> None:
+        """Action of the finalize fence.  No rank is inside a round (each
+        left the fence before detouring), so what it cancels are unfired
+        triggers and a round no rank has entered: a LOOP round, or an
+        IN_SESSION round armed as the last rank arrived."""
+        with self._lock:
+            self._ckpt_disabled = True
+            for t in self._take_pending_locked():
+                t.fail(CheckpointError(f"checkpoint cancelled: {_FINALIZED}"))
 
     # ------------------------------------------------------------------
     # resumable loops (called from RankContext.loop)
@@ -618,8 +543,9 @@ class CheckpointCoordinator:
             r = self._round
             if self._aborted is not None or r is None:
                 return
-            owed = r.attempt.resume_owed
-            r.attempt = _Attempt(r.attempt.number + 1)
+            old = r.attempt
+            owed = old.resume_owed
+            r.attempt = _Attempt(self, old.number + 1)
             retrying = r.retries_left > 0
             t = r.ticket
             self.round_events.append({
@@ -641,8 +567,8 @@ class CheckpointCoordinator:
         # Outside the coordinator lock (gate actions may take it).
         if owed:
             t.settle()   # these ranks will not pass this resume
-        for g in self._gates:
-            g.release()
+        for m in (old.quiesce, old.drain, old.save, old.resume):
+            self._release(m)
         self._wake_parked()
 
     def _check_attempt(self, attempt: _Attempt) -> None:
@@ -657,27 +583,80 @@ class CheckpointCoordinator:
                     f"{attempt.number + 1} superseded)"
                 )
 
-    def _pass_gate(self, gate: _PhaseGate, rank: int, attempt: _Attempt,
+    def _pass_gate(self, gate: _Meeting, rank: int, attempt: _Attempt,
                    recheck: bool = True) -> None:
-        """Check → wait → check.  A rank whose attempt was already
-        aborted must not enqueue at ``gate`` (it would open with mixed
-        attempts); one that an abort released raises instead of going
-        on."""
+        """Check → meet → check.  A rank whose attempt was already
+        aborted must not arrive at ``gate`` (it would never complete);
+        one that an abort released raises instead of going on."""
         self._check_attempt(attempt)
         attempt.gate = gate
-        gate.wait(rank, timeout=PHASE_TIMEOUT_S)
+        self._meet(gate, rank, timeout=PHASE_TIMEOUT_S)
         if recheck:
             self._check_attempt(attempt)
+
+    # ------------------------------------------------------------------
+    # the one rendezvous loop
+    # ------------------------------------------------------------------
+    def _meet(self, m: _Meeting, rank: int,
+              detour: Optional[Callable[[], None]] = None,
+              timeout: Optional[float] = None) -> None:
+        """Arrive at ``m`` and return once it has happened (or was
+        released).  With a ``detour`` (a rank's ``park_check``), a rank
+        that an IN_SESSION round wants parked leaves the arrival set
+        *before* it runs the detour, then arrives again: a completed set
+        never holds a rank that is inside a round.  A ``timeout`` (phase
+        gates) bounds the whole wait."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        remaining = None
+        while True:
+            with m.lock:
+                self._raise_if_aborted()
+                if m.done:
+                    return
+                m.arrived.add(rank)
+                if m.members <= m.arrived:
+                    # The one arrival that completes the meeting wakes
+                    # the others; they return above, waking nobody.
+                    m.done = True
+                    if m.action is not None:
+                        m.action()
+                    for other in sorted(m.arrived - {rank}):
+                        self.scheduler.unpark(other)
+                    return
+                detouring = detour is not None and self.should_park_now()
+                if detouring:
+                    m.arrived.discard(rank)
+                elif deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise CheckpointError(
+                            f"checkpoint phase {m.name!r} timed out after "
+                            f"{timeout:.0f}s: arrived ranks "
+                            f"{sorted(m.arrived)}, outstanding ranks "
+                            f"{sorted(m.members - m.arrived)}"
+                        )
+            if detouring:
+                detour()
+            else:
+                self.scheduler.park(rank, remaining)
+
+    def _release(self, m: _Meeting) -> None:
+        """End ``m`` without its action (round abort): every waiter
+        returns and re-checks its round attempt."""
+        with m.lock:
+            m.done = True
+            for rank in sorted(m.arrived):
+                self.scheduler.unpark(rank)
 
     # ------------------------------------------------------------------
     # phase gates (called from repro.mana.participate)
     # ------------------------------------------------------------------
     def quiesce(self, rank: int, clock_now: float, attempt: _Attempt) -> None:
         attempt.clocks[rank] = clock_now
-        self._pass_gate(self._g_quiesce, rank, attempt)
+        self._pass_gate(attempt.quiesce, rank, attempt)
 
     def drained(self, rank: int, attempt: _Attempt) -> None:
-        self._pass_gate(self._g_drained, rank, attempt)
+        self._pass_gate(attempt.drain, rank, attempt)
 
     def saved(self, rank: int, image_bytes: int, attempt: _Attempt,
               stats: Optional[Dict] = None,
@@ -699,12 +678,12 @@ class CheckpointCoordinator:
             attempt.snapshots[rank] = snapshot
         if manifest is not None:
             attempt.manifest = manifest
-        self._pass_gate(self._g_saved, rank, attempt)
+        self._pass_gate(attempt.save, rank, attempt)
 
     def resumed(self, rank: int, attempt: _Attempt) -> None:
         # No check after the gate: the round is complete once the resume
         # gate opens (_on_resumed already dropped it).
-        self._pass_gate(self._g_resumed, rank, attempt, recheck=False)
+        self._pass_gate(attempt.resume, rank, attempt, recheck=False)
 
     # ------------------------------------------------------------------
     # parallel save fan-out
@@ -894,49 +873,25 @@ class CheckpointCoordinator:
         """Block until every member of the communicator has arrived at
         collective #seq, staying responsive to checkpoint intent.
 
-        ``park_check`` is invoked while waiting; it may detour into a
-        full checkpoint (and return afterwards).  Arrival is recorded by
-        world rank and is idempotent.
+        ``park_check`` runs while waiting; it may detour into a full
+        checkpoint (and return afterwards).  Completion is the commit
+        point: from there *no* member parks for a checkpoint before
+        entering the collective — the two-phase-commit guarantee that
+        makes the critical section deadlock-free.
         """
         key = (comm_key, seq)
-        members = set(member_world_ranks)
-        while True:
-            with self._tb_lock:
-                self._raise_if_aborted()
-                state = self._tb_arrivals.setdefault(
-                    key, {"arrived": set(), "committed": False}
+        with self._tb_lock:
+            m = self._barriers.get(key)
+            if m is None:
+                m = self._barriers[key] = _Meeting(
+                    "trivial barrier", member_world_ranks,
+                    lambda: self._forget_barrier(key),
                 )
-                if state["committed"]:
-                    return
-                state["arrived"].add(rank)
-                if members.issubset(state["arrived"]):
-                    # Commit point: from here, *no* member may park for a
-                    # checkpoint before entering the collective — the
-                    # two-phase-commit guarantee that makes the critical
-                    # section deadlock-free.  The one arrival that
-                    # commits unparks the waiters; they return above
-                    # without waking anybody else.
-                    state["committed"] = True
-                    for other in sorted(state["arrived"] - {rank}):
-                        self.scheduler.unpark(other)
-                    stale = [
-                        k for k in self._tb_arrivals
-                        if k[0] == comm_key and k[1] < seq - 2
-                    ]
-                    for k in stale:
-                        del self._tb_arrivals[k]
-                    return
-                want_park = self.should_park_now()
-                if want_park:
-                    # Leave the barrier BEFORE parking so partners cannot
-                    # observe a full set that includes a parked rank.
-                    state["arrived"].discard(rank)
-            if want_park:
-                park_check()
-            else:
-                # Unparked by the committing arrival, intent arming or
-                # abort.
-                self.scheduler.park(rank)
+        self._meet(m, rank, detour=park_check)
+
+    def _forget_barrier(self, key: Tuple) -> None:
+        with self._tb_lock:
+            del self._barriers[key]
 
     def cancel_pending(self, reason: str) -> None:
         """Fail any armed-but-unstarted checkpoint (e.g. the job finished
@@ -965,11 +920,8 @@ class CheckpointCoordinator:
             owed = r is not None and r.attempt.resume_owed
             if owed:
                 r.attempt.resume_owed = False
-        # Outside the coordinator lock (gate actions may take it).
-        for g in self._gates:
-            g.break_(self._aborted)
-        # Every parked rank — barrier, finalize, fabric wait — must see
-        # the abort.
+        # Every parked rank — gate, barrier, finalize, fabric wait — must
+        # see the abort.
         self.scheduler.unpark_all()
         if owed:
             r.ticket.settle()

@@ -1,17 +1,19 @@
 """Run slots for the rank engine: one park/unpark primitive, and never
 more runnable rank threads than CPUs.
 
-Every place a rank waits for another rank — the fabric's receive waits,
-the trivial barrier, the finalize fence, the checkpoint phase gates —
-blocks in :meth:`Scheduler.park` and is released by
-:meth:`Scheduler.unpark` (docs/PROTOCOLS.md §8).  Two invariants:
+Every place a rank waits for another rank — the fabric's receive waits
+and the coordinator's meetings (the checkpoint phase gates, the trivial
+barrier, the finalize fence, all waited for in
+``CheckpointCoordinator._meet``) — blocks in :meth:`Scheduler.park` and
+is released by :meth:`Scheduler.unpark` (docs/PROTOCOLS.md §8).  Two
+invariants:
 
 * at most ``slots`` *registered* ranks are runnable at any instant
   (plus what a busy background drain lends, :meth:`Scheduler.lent`); a
   rank that parks hands its slot to the oldest ready rank (FIFO), so the
   kernel never has more rank threads to spread over the CPUs than there
   are CPUs, and the interpreter lock stops migrating between them;
-* no runtime lock (fabric, coordinator, gate) is held across ``park``.
+* no runtime lock (fabric, coordinator, meeting) is held across ``park``.
 
 ``unpark`` leaves a one-shot *permit* when its target is not parked, and
 ``park`` consumes a pending permit instead of sleeping.  Callers

@@ -1,10 +1,12 @@
 """Coordinator unit tests: tickets, triggers, elections, trivial barrier."""
 
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.mana import coordinator
 from repro.mana.coordinator import (
     CheckpointCoordinator,
     CheckpointKind,
@@ -200,7 +202,7 @@ class TestRoundRetry:
         th = threading.Thread(target=rank0_first_attempt)
         th.start()
         deadline = time.monotonic() + 5
-        while c._g_quiesce.arrived_ranks() != [0]:
+        while first.quiesce.arrived_ranks() != [0]:
             assert time.monotonic() < deadline
             time.sleep(0.001)
         # A late report into the aborted attempt must not leak either.
@@ -222,8 +224,10 @@ class TestRoundRetry:
 
 class TestFinalize:
     def test_all_finalized_disables_and_cancels(self):
+        """Ranks in finalize never park for a LOOP round, so the last
+        rank's arrival cancels it."""
         c = coord(nranks=2)
-        t = c.request_checkpoint()
+        t = c.request_checkpoint(kind=CheckpointKind.LOOP)
         done = []
 
         def fin(rank):
@@ -238,24 +242,51 @@ class TestFinalize:
         th.join(timeout=5)
         assert sorted(done) == [0, 1]
         assert not c.should_park_now()
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="MPI_Finalize"):
             t.wait(1)
 
-    def test_park_check_called_while_waiting(self):
+    def test_last_finalize_joins_a_round_in_progress(self, monkeypatch):
+        """Rank 0 detoured from finalize into an IN_SESSION round; rank 1
+        then finalizes last.  It must join the round (rank 0 left the
+        fence before detouring), not cancel it and strand rank 0 at the
+        quiesce gate."""
+        monkeypatch.setattr(coordinator, "PHASE_TIMEOUT_S", 2.0)
         c = coord(nranks=2)
-        calls = []
-
-        def park():
-            calls.append(1)
-
-        th = threading.Thread(
-            target=c.finalize_rank, args=(0, park), daemon=True
+        passed, errors = [], []
+        both_through = threading.Barrier(
+            2, action=lambda: c.cancel_pending("test round completed"),
+            timeout=10,
         )
-        th.start()
-        time.sleep(0.05)
-        c.finalize_rank(1, lambda: None)
-        th.join(timeout=5)
-        assert calls  # rank 0 polled while waiting
+
+        def park_check(rank):
+            if c.should_park_now():
+                attempt = c.begin_participation(rank)
+                c.quiesce(rank, 0.0, attempt)
+                passed.append(rank)
+                both_through.wait()
+
+        def fin(rank):
+            try:
+                c.finalize_rank(rank, lambda: park_check(rank))
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        th0 = threading.Thread(target=fin, args=(0,), daemon=True)
+        th0.start()
+        time.sleep(0.05)  # rank 0 parks in finalize (not required)
+        t = c.request_checkpoint(kind=CheckpointKind.IN_SESSION)
+        deadline = time.monotonic() + 5
+        while "arrived ranks [0]," not in c.phase_snapshot():
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        th1 = threading.Thread(target=fin, args=(1,), daemon=True)
+        th1.start()
+        th0.join(10)
+        th1.join(10)
+        assert not errors, errors
+        assert sorted(passed) == [0, 1]
+        assert t.error is not None and "MPI_Finalize" not in str(t.error)
+        assert not c.should_park_now()
 
 
 class TestTrivialBarrier:
@@ -332,11 +363,38 @@ class TestTrivialBarrier:
         assert sorted(order) == ["a-through", "b-through"]
 
     def test_stale_entries_cleaned(self):
-        c = coord(nranks=1)
+        c = coord(nranks=2)
         for seq in range(1, 6):
-            c.trivial_barrier(("g", 0), seq, 0, (0,), lambda: None)
-        keys = [k[1] for k in c._tb_arrivals if k[0] == ("g", 0)]
-        assert min(keys) >= 3  # anything older than seq-2 dropped
+            run_ranks(
+                2,
+                lambda r: c.trivial_barrier(("g", 0), seq, r, (0, 1),
+                                            lambda: None),
+                timeout=10,
+            )
+        assert c._barriers == {}  # each barrier is forgotten on commit
+
+    def test_ranks_racing_through_many_barriers(self):
+        """More ranks than CPUs cross 200 barriers back to back under a
+        short switch interval, so meetings are created, completed and
+        forgotten while the next one fills: a lost arrival or wake-up
+        hangs a rank, a lost entry stays in the map."""
+        n, rounds = 8, 200
+        c = coord(nranks=n)
+        calls = _count_unparks(c.scheduler)
+        members = tuple(range(n))
+
+        def rank(r):
+            for seq in range(1, rounds + 1):
+                c.trivial_barrier(("g", 9), seq, r, members, lambda: None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_ranks(n, rank, timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert c._barriers == {}
+        assert len(calls) == rounds * (n - 1)
 
 
 def _count_unparks(sched):
@@ -384,6 +442,43 @@ class TestWakeDiscipline:
         # Only the last registration can release anybody: it unparks
         # each of the others once.
         assert len(calls) == len(set(calls)) == self.N - 1
+
+    def test_one_notify_per_gate(self):
+        c = coord(nranks=self.N)
+        c.request_checkpoint()
+        attempt = c.begin_participation(0)
+        calls = _count_unparks(c.scheduler)
+        run_ranks(self.N, lambda r: c.quiesce(r, 0.0, attempt), timeout=10)
+        # The arrival that completes the gate unparks each other rank once.
+        assert len(calls) == len(set(calls)) == self.N - 1
+        c.abort(RuntimeError("test teardown"))
+
+    def test_released_gate_unparks_each_waiter_once(self):
+        c = coord(nranks=self.N)
+        c.request_checkpoint()
+        attempt = c.begin_participation(0)
+        waiters = self.N - 1
+        errors = []
+
+        def rank(r):
+            try:
+                c.quiesce(r, 0.0, attempt)
+            except CheckpointRoundAborted as exc:
+                errors.append(exc)
+
+        ts = [threading.Thread(target=rank, args=(r,), daemon=True)
+              for r in range(waiters)]
+        [t.start() for t in ts]
+        deadline = time.monotonic() + 5
+        while len(attempt.quiesce.arrived_ranks()) < waiters:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        calls = _count_unparks(c.scheduler)
+        c.abort_round("test stall")
+        [t.join(timeout=5) for t in ts]
+        assert len(errors) == waiters
+        assert sorted(calls) == list(range(waiters))
+        c.abort(RuntimeError("test teardown"))
 
     @pytest.mark.parametrize("blocker", ["barrier", "finalize"])
     def test_intent_and_abort_reach_parked_ranks(self, blocker):

@@ -73,16 +73,17 @@ class TestDrainIntegration:
         ).launch(lambda r: SkewedSendersApp(16))
         probe = {}
 
-        # Wrap the saved gate's action with a spy to observe the fabric
-        # exactly at image-writing time.
+        # Wrap the save gate's action with a spy to observe the fabric
+        # exactly at image-writing time; each round attempt binds the
+        # action when it is armed, so patch before that.
         coord = job.coordinator
-        orig = coord._g_saved.action
+        orig = coord._on_saved
 
         def spy():
             probe["in_flight"] = job.fabric.in_flight()
             orig()
 
-        coord._g_saved.action = spy
+        coord._on_saved = spy
         tk = job.checkpoint_at_iteration("main", 6)
         job.start()
         info = tk.wait(120)

@@ -82,11 +82,13 @@ def test_replay_uses_only_subset_plus_constructors(impl):
 
 
 def test_drain_actually_used_the_required_functions():
-    """Not vacuous: the drain really exercises Iprobe/Recv/Alltoall."""
+    """Not vacuous: the drain really exercises Iprobe/Recv/Alltoall.  A
+    LOOP round parks every rank at one iteration top, where rank 0 has
+    always sent more than rank 1 has received."""
     job = Launcher(JobConfig(nranks=4, impl="mpich", mana=True)).launch(
         lambda r: SkewedSendersApp(16)
     )
-    tk = job.checkpoint_at_iteration("main", 6, mode="continue")
+    tk = job.checkpoint_at_iteration("main", 6, kind="loop", mode="continue")
     job.start()
     tk.wait(120)
     res = job.wait(120)
