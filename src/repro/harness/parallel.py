@@ -85,58 +85,3 @@ def run_cases(
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_one, case_kwargs))
 
-
-class TaskPool:
-    """A small reusable thread pool for in-process save fan-out.
-
-    The checkpoint coordinator dispatches per-rank encode/write work
-    here (threads, not processes: the work closes over live rank state).
-    Determinism is preserved by the same rule as :func:`run_cases` —
-    nothing about scheduling feeds back into the simulation; durations
-    charged to virtual time are analytic functions of byte counts, so
-    completion *order* in the pool is irrelevant to the result.
-
-    ``submit`` returns a ``concurrent.futures.Future``; ``result()``
-    re-raises the callable's exception in the caller, which is what lets
-    an :class:`~repro.util.errors.InjectedFault` raised inside a pooled
-    save surface in the owning rank thread with crash semantics intact.
-    """
-
-    def __init__(self, workers: int, name: str = "repro-task"):
-        self.workers = max(1, int(workers))
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix=name
-        )
-        self._closed = False
-
-    def submit(self, fn, *args, **kwargs):
-        if self._closed:
-            raise RuntimeError("TaskPool is shut down")
-        return self._pool.submit(fn, *args, **kwargs)
-
-    def gather(self, calls) -> List[object]:
-        """Run ``(fn, *args)`` work items concurrently, returning their
-        results in submission order.
-
-        Every item is allowed to settle before the first exception (if
-        any) is re-raised — a faulting chunk run must not leave sibling
-        runs mid-write when the caller unwinds.
-        """
-        futs = [self.submit(fn, *args) for fn, *args in calls]
-        out: List[object] = []
-        first_exc: Optional[BaseException] = None
-        for f in futs:
-            try:
-                out.append(f.result())
-            except BaseException as exc:  # noqa: BLE001 - settled below
-                if first_exc is None:
-                    first_exc = exc
-                out.append(None)
-        if first_exc is not None:
-            raise first_exc
-        return out
-
-    def shutdown(self, wait: bool = True) -> None:
-        if not self._closed:
-            self._closed = True
-            self._pool.shutdown(wait=wait)

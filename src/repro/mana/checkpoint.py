@@ -58,6 +58,7 @@ import pickle
 import struct
 import threading
 import warnings
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -220,6 +221,16 @@ def _store_chunk_run(store: ChunkStore, view, run,
             written += nbytes
             new_digests.append(d)
     return written, new_digests
+
+
+def _gather(futures: List[Future]) -> List[object]:
+    """The futures' results in submission order.  Every future settles
+    before the first exception (if any) is re-raised: a faulting chunk
+    run must not leave sibling runs mid-write when the saver unwinds —
+    and the exception, an injected crash included, surfaces in the
+    saver's own thread."""
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 def dedup_summary(stats: Collection[Dict]) -> Dict:
@@ -479,10 +490,10 @@ class CheckpointStore:
         store, a small header-only image file at its layout path.
 
         ``blob`` is the pickled upper half when the caller already has
-        it (the async drainer snapshots it at the barrier and encodes it
-        here later); otherwise the image is pickled now.  Returns the
-        save statistics the dedup reporting and the checkpoint cost
-        model consume::
+        it (an async round snapshots it at the barrier and its drain
+        encodes it here later); otherwise the image is pickled now.
+        Returns the save statistics the dedup reporting and the
+        checkpoint cost model consume::
 
             {"format": 5,
              "payload_bytes":  <uncompressed pickle size>,
@@ -496,7 +507,7 @@ class CheckpointStore:
         write, so an injected crash or disk-full leaves no fresh chunks
         behind.
 
-        With a ``pool`` (:class:`repro.harness.parallel.TaskPool`), the
+        With a ``pool`` (a :class:`concurrent.futures.Executor`), the
         unique chunks are fanned out in ~256 KiB runs so chunk writes
         from *all* ranks interleave across the pool's workers — one
         large rank no longer serializes a save round.  With ``pin``, the
@@ -504,7 +515,8 @@ class CheckpointStore:
         image header reaches its final path, keeping a concurrent GC
         from deleting chunks whose referencing header is not yet visible
         on disk.  ``context`` names the operation (``"save"``, or
-        ``"drain"`` from the async drainer) in every crash point fired.
+        ``"drain"`` from an async round's drain) in every crash point
+        fired.
         """
         if blob is None:
             blob = pickle_upper_half(image)
@@ -549,8 +561,9 @@ class CheckpointStore:
             if run:
                 runs.append(run)
             if pool is not None and len(runs) > 1:
-                results = pool.gather([
-                    (_store_chunk_run, self.chunks, view, r, context)
+                results = _gather([
+                    pool.submit(_store_chunk_run, self.chunks, view, r,
+                                context)
                     for r in runs
                 ])
             else:
@@ -639,7 +652,8 @@ class CheckpointStore:
         """Commit a round's generation once every rank image is durable:
         :meth:`write_manifest`, then :meth:`prune` to ``keep`` if set.
         The coordinator's save-gate action calls it in a sync round, the
-        drainer in an async one; nothing else writes a round's manifest.
+        round's drain thread in an async one; nothing else writes a
+        round's manifest.
 
         ``unpin`` drops the caller's :meth:`pin` (an async drain writes
         under one) after the manifest write and before the prune, so

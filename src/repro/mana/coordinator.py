@@ -45,15 +45,25 @@ naming the stuck phase and the outstanding ranks.  A round can be
 rank parked there raises :class:`CheckpointRoundAborted` — and, while
 :data:`ROUND_RETRIES` retries remain, leaves the same ticket armed with
 a fresh attempt so the ranks immediately re-run the round.
+
+Background writes have one owner (PROTOCOLS.md §11): the save pool is a
+plain executor built here when ``save_workers > 1``, and each async
+round's save-gate action starts one drain thread
+(:func:`repro.mana.asyncsave.drain_generation`) after joining the
+previous round's.  :meth:`CheckpointCoordinator.cancel_pending` joins
+the last drain and shuts the pool; :meth:`CheckpointCoordinator.abort`
+touches neither, so a drain in flight when a rank dies still commits.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.mana import asyncsave
 from repro.mana.checkpoint import dedup_summary
 from repro.simtime.cost import CheckpointCostModel, FilesystemProfile
 from repro.util.errors import CheckpointError, CheckpointRoundAborted
@@ -232,21 +242,24 @@ class CheckpointCoordinator:
         self.generation = 0
 
         # ckpt_cost charges virtual time from byte counts; save_workers
-        # > 1 fans per-rank encodes out to a TaskPool; keep_generations
-        # prunes + GCs after each completed round.
+        # > 1 fans chunk-run encodes out to save_pool, shared by every
+        # round and shut down by cancel_pending; keep_generations prunes
+        # + GCs after each completed round.
         self.ckpt_cost = CheckpointCostModel()
         self.save_workers = save_workers
         self.keep_generations = keep_generations
-        self._save_pool = None
-        self._save_pool_lock = threading.Lock()
+        self.save_pool: Optional[ThreadPoolExecutor] = (
+            ThreadPoolExecutor(save_workers, thread_name_prefix="ckpt-save")
+            if save_workers > 1 else None
+        )
 
         # Asynchronous (snapshot + background drain) saves.  Ranks hand
-        # their pickled snapshots over at the save barrier and resume; a
-        # single background drainer encodes and writes them
-        # (PROTOCOLS.md §11).
+        # their pickled snapshots over at the save barrier and resume;
+        # one thread per round encodes and writes them (PROTOCOLS.md
+        # §11).  The latest round's (thread, ticket, modeled start).
         self.async_save = async_save
-        self._drainer = None
-        self._drainer_lock = threading.Lock()
+        self._drain: Optional[Tuple[threading.Thread, CheckpointTicket,
+                                    float]] = None
 
         self._lock = threading.Lock()
         # The armed round, None between rounds.
@@ -668,7 +681,7 @@ class CheckpointCoordinator:
         physical write accounting (chunks written/reused, bytes written)
         that the cost model and the dedup report consume; an async
         round's ``snapshot`` is the rank's ``{"image", "blob"}`` for the
-        drainer.  Rank 0 hands over the ``manifest`` fields it knows;
+        round's drain.  Rank 0 hands over the ``manifest`` fields it knows;
         the gate action commits them.  After the gate, ``attempt.start``
         and ``attempt.duration`` are the round's checkpoint timing."""
         attempt.image_bytes[rank] = image_bytes
@@ -685,60 +698,13 @@ class CheckpointCoordinator:
         # gate opens (_on_resumed already dropped it).
         self._pass_gate(attempt.resume, rank, attempt, recheck=False)
 
-    # ------------------------------------------------------------------
-    # parallel save fan-out
-    # ------------------------------------------------------------------
-    def save_pool(self):
-        """The shared chunk-write :class:`TaskPool` (``save_workers >
-        1``), lazily created and reused across rounds; None when
-        pooling is off."""
-        if self.save_workers <= 1:
-            return None
-        pool = self._save_pool
-        if pool is None:
-            with self._save_pool_lock:
-                pool = self._save_pool
-                if pool is None:
-                    from repro.harness.parallel import TaskPool
-
-                    pool = TaskPool(self.save_workers, name="ckpt-save")
-                    self._save_pool = pool
-        return pool
-
-    def _shutdown_save_pool(self) -> None:
-        with self._save_pool_lock:
-            pool, self._save_pool = self._save_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    # ------------------------------------------------------------------
-    # asynchronous saves (snapshot + background drain)
-    # ------------------------------------------------------------------
-    def _ensure_drainer(self):
-        d = self._drainer
-        if d is None:
-            with self._drainer_lock:
-                d = self._drainer
-                if d is None:
-                    from repro.mana.asyncsave import AsyncSaveDrainer
-
-                    d = AsyncSaveDrainer(self, self.store)
-                    self._drainer = d
-        return d
-
-    def _shutdown_drainer(self) -> None:
-        with self._drainer_lock:
-            d, self._drainer = self._drainer, None
-        if d is not None:
-            d.shutdown()
-
     def phase_snapshot(self) -> str:
         """One-line description of where the checkpoint round stands —
         used by timeout errors to name the stuck phase and ranks.
 
         Names the round (generation, kind/mode, retry attempt), the
         stuck gate with arrived vs outstanding ranks, and whether the
-        async drainer is still busy — enough to diagnose a hang from
+        async drain is still running — enough to diagnose a hang from
         the exception text alone.
         """
         r = self._round
@@ -757,8 +723,7 @@ class CheckpointCoordinator:
             bits.append(
                 f"arrived ranks {arrived}, outstanding ranks {outstanding}"
             )
-        d = self._drainer
-        if d is not None and not d._idle.is_set():
+        if self._drain is not None and self._drain[0].is_alive():
             bits.append("async drain in flight")
         return "; ".join(bits)
 
@@ -795,7 +760,7 @@ class CheckpointCoordinator:
     def _on_saved(self) -> None:
         """Gate action of the save barrier: every rank's image is durable
         (sync) or snapshotted (async).  Commits the generation — here, or
-        by handing it to the drainer — and leaves the ticket owing its
+        in the round's drain thread — and leaves the ticket owing its
         resume half."""
         r = self._round
         a, t = r.attempt, r.ticket
@@ -822,19 +787,19 @@ class CheckpointCoordinator:
     def _on_saved_async(self, r: _Round, sizes: List[int],
                         mean: float, fields: Dict) -> None:
         """Gate action of the save barrier in an **async** round: charge
-        only snapshot + drain-overrun to virtual time, hand the
-        snapshots to the background drainer, and release the ranks.
+        only snapshot + drain-overrun to virtual time, start this
+        round's drain thread on the snapshots, and release the ranks.
 
         Back-pressure first: at most one drain is ever in flight, so
         the last-arriving rank blocks (wall-clock only) until the
-        previous generation's drain has settled; the drainer then
-        knows the virtual-time *overrun* that drain imposes on this
-        round (:meth:`AsyncSaveDrainer.overrun`).
+        previous round's drain thread has ended; that drain's modeled
+        cost then gives the virtual-time *overrun* it imposes on this
+        round (:meth:`_drain_overrun`).
         """
         a, t = r.attempt, r.ticket
-        drainer = self._ensure_drainer()
-        drainer.wait_idle()
-        overrun = drainer.overrun(a.start)
+        if self._drain is not None:
+            self._drain[0].join()
+        overrun = self._drain_overrun(a.start)
         snap_t = self.ckpt_cost.snapshot_time(
             self.fs_profile, self.nranks, int(mean)
         )
@@ -842,16 +807,28 @@ class CheckpointCoordinator:
         t.result.update(self._ticket_result(r, sizes, mean))
         t.result.update({"async": True, "snapshot_time": snap_t,
                          "drain_overrun": overrun})
-        from repro.mana.asyncsave import DrainJob
+        thread = threading.Thread(
+            target=asyncsave.drain_generation,
+            args=(self, t, a.snapshots, fields, a.start, mean),
+            name="ckpt-drain", daemon=True,
+        )
+        self._drain = (thread, t, a.start + a.duration)
+        thread.start()
 
-        drainer.submit(DrainJob(
-            ticket=t,
-            ranks=a.snapshots,
-            manifest=fields,
-            vtime=a.start,
-            drain_start=a.start + a.duration,
-            logical_mean=mean,
-        ))
+    def _drain_overrun(self, vtime: float) -> float:
+        """Virtual time a round snapshotting at ``vtime`` waits for the
+        previous drain: that drain's modeled completion (its start +
+        ``drain_time`` over its byte counts) minus ``vtime`` — analytic,
+        never a wall-clock measurement, so recovery traces stay
+        deterministic however fast the drain actually ran.  Valid once
+        the previous drain thread was joined."""
+        if self._drain is None:
+            return 0.0
+        _, prev, start = self._drain
+        # No modeled drain_time: that drain failed, nothing to wait.
+        if "drain_time" not in prev.result:
+            return 0.0
+        return max(0.0, start + prev.result["drain_time"] - vtime)
 
     def _on_resumed(self) -> None:
         with self._lock:
@@ -899,10 +876,13 @@ class CheckpointCoordinator:
         with self._lock:
             for t in self._take_pending_locked():
                 t.fail(CheckpointError(f"checkpoint cancelled: {reason}"))
-        # Finish any in-flight background drain (its generation must be
-        # durable before the job is declared over), then stop the pools.
-        self._shutdown_drainer()
-        self._shutdown_save_pool()
+        # The one teardown site: let the last drain commit its
+        # generation before the job is declared over, then stop the pool
+        # it and the synchronous saves wrote through.
+        if self._drain is not None:
+            self._drain[0].join()
+        if self.save_pool is not None:
+            self.save_pool.shutdown(wait=False)
 
     # ------------------------------------------------------------------
     # failure handling
@@ -925,7 +905,9 @@ class CheckpointCoordinator:
         self.scheduler.unpark_all()
         if owed:
             r.ticket.settle()
-        self._shutdown_save_pool()
+        # The drain in flight and the save pool are left alone: the
+        # drain still commits its generation, and cancel_pending ends
+        # both.
 
     def _raise_if_aborted(self) -> None:
         if self._aborted is not None:

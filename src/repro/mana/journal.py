@@ -123,7 +123,7 @@ class Journal:
                         generation: Optional[int] = None,
                         context: str = "save") -> int:
         """Retire every pending record matching ``op`` and/or
-        ``generation`` (used by the async drainer when it abandons a
+        ``generation`` (used by an async round's drain when it abandons a
         generation: the rollback happened in-process, so the records
         must not trigger an fsck rollback later).  Returns the count."""
         n = 0

@@ -4,8 +4,8 @@ drain → save → resume, one coordinator phase gate after each step.
 A rank drains its own messages, writes (async: snapshots) its own image
 and, in a RELAUNCH round, rebuilds its own lower half.  The global
 steps are the coordinator's: its save-gate action commits the
-generation (:meth:`CheckpointStore.commit`, itself or through the
-async drainer), so no rank writes a manifest — rank 0 only hands over
+generation (:meth:`CheckpointStore.commit`, itself or in an async
+round's drain thread), so no rank writes a manifest — rank 0 only hands over
 the manifest fields it knows.  ``mana`` below is the rank's
 :class:`repro.mana.wrappers.ManaRank`.
 """
@@ -144,7 +144,7 @@ def _write_image(mana, ticket):
     if coord.async_save:
         # Async save: the pickle below IS the snapshot — a cheap,
         # consistent copy taken while every rank is parked.  The
-        # encode+write moves to the coordinator's background drainer;
+        # encode+write moves to the round's background drain thread;
         # this rank resumes computing after the barrier.
         blob = ckpt.pickle_upper_half(image)
         snapshot = {"image": image, "blob": blob}
@@ -159,7 +159,7 @@ def _write_image(mana, ticket):
             # in this rank's thread.
             savestats = coord.store.save(
                 image, injector=mana.injector, vtime=mana.clock.now,
-                pool=coord.save_pool(),
+                pool=coord.save_pool,
             )
         nbytes = savestats["payload_bytes"] + savestats["file_bytes"]
     # Proxy applications hold a scaled-down working set; they declare

@@ -24,7 +24,7 @@ store and journal.  That buys two things:
 
 The *context* half of a point name is an argument of every operation:
 the caller says whether the mutation serves the synchronous save path
-(``"save"``), the async drainer (``"drain"``), chunk garbage collection
+(``"save"``), an async round's drain (``"drain"``), chunk garbage collection
 (``"gc"``), generation pruning (``"prune"``) or a repair (``"fsck"``).
 Work fanned out to a pool carries its context with it.
 

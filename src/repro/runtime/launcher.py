@@ -76,7 +76,7 @@ class JobConfig:
     ckpt_save_workers: int = 0       # >1 pools chunk-run encodes/writes
     ckpt_keep_generations: Optional[int] = None  # prune + GC after saves
     # Asynchronous saves: ranks snapshot their pickled state at the
-    # barrier and resume; a background drainer encodes and writes the
+    # barrier and resume; a drain thread per round encodes and writes the
     # generation while the application computes (PROTOCOLS.md §11).  Virtual time is charged snapshot + any
     # drain-overrun instead of the full save cost.
     ckpt_async: bool = False

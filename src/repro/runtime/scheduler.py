@@ -9,7 +9,8 @@ is released by :meth:`Scheduler.unpark` (docs/PROTOCOLS.md §8).  Two
 invariants:
 
 * at most ``slots`` *registered* ranks are runnable at any instant
-  (plus what a busy background drain lends, :meth:`Scheduler.lent`); a
+  (plus what an async round's drain thread lends while it writes,
+  :meth:`Scheduler.lent`); a
   rank that parks hands its slot to the oldest ready rank (FIFO), so the
   kernel never has more rank threads to spread over the CPUs than there
   are CPUs, and the interpreter lock stops migrating between them;
@@ -25,8 +26,8 @@ The rank threads of a :class:`~repro.runtime.launcher.Job` are
 registered (:meth:`admit`, then :meth:`enter`/:meth:`exit` in the thread
 itself).  A rank id that never registered (hand-driven
 test threads, the main thread) parks and unparks without slot
-accounting; non-rank threads (main, drainer, save pool) only ever
-unpark.
+accounting; non-rank threads (main, a round's drain, the save pool)
+only ever unpark.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ class Scheduler:
     @contextlib.contextmanager
     def lent(self, n: int) -> Iterator[None]:
         """Let ``n`` more ranks run while ``n`` background threads of the
-        job itself (the asynchronous drain) are busy: the kernel shares
+        job itself (an async round's drain thread, or the save pool it
+        writes through) are busy: the kernel shares
         the CPUs per runnable thread, and the application must not lose
         its share of them to its own drain."""
         with self._lock:

@@ -218,7 +218,7 @@ class CheckpointCostModel:
     barrier each rank only *snapshots* — a cheap memory copy of its
     pickled state plus the synchronous share of the coordinator fixed
     overhead (:meth:`snapshot_time`) — and resumes computing; a
-    background drainer pays the scan+compress+I/O remainder
+    background drain pays the scan+compress+I/O remainder
     (:meth:`drain_time`).  The invariant
     ``snapshot_time + drain_time == save_time + logical/snapshot_bw``
     makes the snapshot copy the *only* extra cost of going async: all

@@ -3,11 +3,18 @@ behind compute (PROTOCOLS.md §11)."""
 
 import glob
 import os
+import threading
 
+import numpy as np
 import pytest
 
 from repro import JobConfig, Launcher
 from repro.faults import FaultPlan
+from repro.faults.crashpoints import CrashPointInjector
+from repro.mana.checkpoint import CheckpointStore
+from repro.mana.storeio import StoreIO
+from repro.runtime.launcher import Job
+from repro.util.errors import InjectedCrash
 from tests.miniapps import RingApp
 
 NRANKS = 4
@@ -176,3 +183,100 @@ class TestAsyncDrainFailure:
         res2 = job2.run(timeout=120)
         assert res2.status == "completed", res2.first_error()
         assert [a.acc[0] for a in res2.apps()] == expect
+
+
+class BulkyRingApp(RingApp):
+    """RingApp carrying 1 MiB of incompressible state per rank: enough
+    chunk runs that a save fans out to the save pool."""
+
+    def __init__(self, rank, niters=STEPS):
+        super().__init__(niters, compute=0.05)
+        self.bulk = np.random.default_rng(rank).integers(
+            0, 256, size=1 << 20, dtype=np.uint8)
+
+
+class _HoldFirstDrainPoint:
+    """Store injector that holds the drain at its first ``drain.*``
+    crash point until ``release`` is set."""
+
+    def __init__(self, release):
+        self.release = release
+        self.released = None   # set once the hold ended: in time or not
+
+    def hit(self, name):
+        if name.startswith("drain.") and self.released is None:
+            self.released = self.release.wait(60)
+
+
+class TestDrainOwnership:
+    """The round's drain, not the job's teardown, owns its generation."""
+
+    ROUND_AT = 8   # the LOOP round parks at iteration ROUND_AT + 2
+
+    def test_rank_crash_leaves_drain_in_flight_committed(self, tmp_path):
+        aborted = threading.Event()
+        hold = _HoldFirstDrainPoint(aborted)
+        store = CheckpointStore(str(tmp_path / "ck"),
+                                io=StoreIO(injector=hold))
+        # Two blocks after the round resumes, while its drain is held.
+        plan = FaultPlan().crash_at_loop(rank=1,
+                                         iteration=self.ROUND_AT + 4)
+        cfg = _cfg(str(tmp_path / "ck"), ckpt_interval=None,
+                   ckpt_save_workers=2, faults=plan)
+        job = Job(cfg, app_factory=BulkyRingApp, store=store)
+        ticket = job.checkpoint_at_iteration("main", self.ROUND_AT,
+                                             kind="loop")
+        coord = job.coordinator
+        abort = coord.abort
+
+        def abort_then_release(exc=None):
+            abort(exc)
+            aborted.set()
+
+        coord.abort = abort_then_release
+        res = job.run(timeout=120)
+        assert res.status == "failed"
+        assert hold.released is True, "the drain was not held to the abort"
+        assert "dedup" in ticket.wait(10)
+        assert ticket.generation in store.restorable()
+        assert store.validate(ticket.generation) == []
+        assert [e for e in coord.round_events
+                if e.get("event") == "async-drain-failed"] == []
+
+    def _drain_dies_in_cleanup(self, tmp_path, monkeypatch, rounds):
+        """A job whose store dies at the drain's first image rename, so
+        the drain's clean-up (``remove_generation``) raises too."""
+        died = []
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda args: died.append(args.exc_type))
+        inj = CrashPointInjector(arm_at="drain.image.rename.before")
+        store = CheckpointStore(str(tmp_path / "ck"),
+                                io=StoreIO(injector=inj))
+        cfg = _cfg(str(tmp_path / "ck"), ckpt_interval=None, deadline=20)
+        job = Job(cfg, app_factory=lambda r: RingApp(STEPS, compute=0.05),
+                  store=store)
+        tickets = [job.checkpoint_at_iteration("main", 6 * k, kind="loop")
+                   for k in range(1, rounds + 1)]
+        res = job.run()
+        return res, tickets, died
+
+    def test_drain_whose_cleanup_raises_settles_its_ticket(
+            self, tmp_path, monkeypatch):
+        res, (ticket,), died = self._drain_dies_in_cleanup(
+            tmp_path, monkeypatch, rounds=1)
+        assert res.status == "completed", res.first_error()
+        with pytest.raises(InjectedCrash,
+                           match="drain.image.rename.before"):
+            ticket.wait(3)
+        # The clean-up's own crash still ends the drain thread.
+        assert died == [InjectedCrash]
+
+    def test_later_rounds_after_a_dead_drain_do_not_wedge(
+            self, tmp_path, monkeypatch):
+        res, tickets, died = self._drain_dies_in_cleanup(
+            tmp_path, monkeypatch, rounds=3)
+        assert res.status == "completed", res.first_error()
+        for t in tickets:
+            with pytest.raises(InjectedCrash):
+                t.wait(3)
+        assert died == [InjectedCrash] * 3

@@ -11,6 +11,7 @@ exhaustive all-points sweep is ``slow``-marked (same code path as
 
 import pathlib
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -21,7 +22,6 @@ from repro.faults.crashsweep import (
     run_sweep,
     select_subset,
 )
-from repro.harness.parallel import TaskPool
 from repro.mana import storeio
 from repro.mana.checkpoint import CheckpointStore
 from repro.mana.storeio import StoreIO
@@ -132,7 +132,7 @@ class TestEnumeration:
         inj = CrashPointInjector()
         store = CheckpointStore(str(tmp_path), io=StoreIO(injector=inj))
         blob = random.Random(5).randbytes(1 << 20)
-        pool = TaskPool(2, name="t-drain-ctx")
+        pool = ThreadPoolExecutor(2, thread_name_prefix="t-drain-ctx")
         try:
             store.save(_image(0, 1), blob, pool=pool, pin=True,
                        context="drain")

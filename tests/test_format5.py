@@ -3,6 +3,7 @@ generation pins."""
 
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -292,18 +293,16 @@ class TestPruneAndGC:
 
 
 class TestPipelinedSave:
-    """The chunk-run TaskPool fan-out must be invisible in the output:
+    """The chunk-run save-pool fan-out must be invisible in the output:
     pipeline-written images are bit-identical to serial ones."""
 
     def test_pooled_image_bit_identical_to_serial(self, tmp_path):
-        from repro.harness.parallel import TaskPool
-
         rng = np.random.default_rng(11)
         app = {"state": rng.integers(0, 256, size=2_000_000,
                                      dtype=np.uint8)}
         serial = store_for(str(tmp_path / "serial"))
         pooled = store_for(str(tmp_path / "pooled"))
-        pool = TaskPool(4, name="t5-save")
+        pool = ThreadPoolExecutor(4, thread_name_prefix="t5-save")
         try:
             for store, use_pool in ((serial, None), (pooled, pool)):
                 img = make_image(rank=0, generation=1, app=app)
@@ -321,12 +320,10 @@ class TestPipelinedSave:
         assert np.array_equal(restored.app["state"], app["state"])
 
     def test_pooled_save_stats_match_serial(self, tmp_path):
-        from repro.harness.parallel import TaskPool
-
         rng = np.random.default_rng(12)
         app = {"state": rng.integers(0, 256, size=1_000_000,
                                      dtype=np.uint8)}
-        pool = TaskPool(3, name="t5-stats")
+        pool = ThreadPoolExecutor(3, thread_name_prefix="t5-stats")
         try:
             stats = {}
             for name, use_pool in (("serial", None), ("pooled", pool)):
