@@ -60,7 +60,9 @@ import threading
 import warnings
 from concurrent.futures import Future, wait
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple,
+)
 
 from repro.mana import storeio
 from repro.mana.journal import JOURNAL_DIRNAME, Journal
@@ -72,6 +74,7 @@ from repro.mana.chunkstore import (
     STORE_DIRNAME,
     chunk_spans,
     digest_spans,
+    read_file,
 )
 from repro.util.errors import (
     CheckpointError,
@@ -252,8 +255,7 @@ def dedup_summary(stats: Collection[Dict]) -> Dict:
 # ----------------------------------------------------------------------
 def _read_image_file(path: str) -> bytes:
     try:
-        with open(path, "rb") as f:
-            return f.read()
+        return read_file(path)[0]
     except FileNotFoundError:
         raise RestartError(f"no checkpoint image at {path}") from None
 
@@ -316,12 +318,64 @@ def _verify_bytes_v5(path: str, data: bytes) -> None:
         )
 
 
+@dataclass
+class ImageRead:
+    """One image file, read and digest-checked once: what
+    :meth:`CheckpointStore.verify_image` knows short of the chunks."""
+
+    #: The parsed header; None when the file is no recognizable image.
+    header: Optional[Dict]
+    #: The error a verify raises for this file's own bytes (bad magic,
+    #: torn header, header or payload digest mismatch); None when they
+    #: hold.
+    error: Optional[RestartError]
+
+    @property
+    def refs(self) -> List[List]:
+        """The header's chunk reference list, as :func:`image_chunk_refs`
+        reads it: taken from any header that parses, even one whose
+        digest does not match."""
+        if self.header is None:
+            return []
+        return self.header.get("chunks", []) or []
+
+
+def read_image(path: str) -> Optional[ImageRead]:
+    """Read one image file once and check its own bytes; None when there
+    is no file at ``path``."""
+    try:
+        data = read_file(path)[0]
+    except FileNotFoundError:
+        return None
+    try:
+        header = _read_header(path, data)
+    except RestartError as exc:
+        return ImageRead(None, exc)
+    try:
+        if header["format_version"] == 4:
+            _verify_bytes_v4(path, data, header)
+        else:
+            _verify_bytes_v5(path, data)
+    except IntegrityError as exc:
+        return ImageRead(header, exc)
+    return ImageRead(header, None)
+
+
+def _check_chunks(path: str, header: Dict,
+                  check: Callable[[str, str], None]) -> None:
+    """Run ``check(digest, context)`` over a header's chunk references
+    in order (a format-4 header has none); the first failing chunk
+    raises."""
+    refs = header.get("chunks", [])
+    for i, (digest, _ulen) in enumerate(refs):
+        check(digest, f"{path}: chunk {i}/{len(refs)}")
+
+
 def image_chunk_refs(path: str) -> List[List]:
     """The ``[[digest, ulen], ...]`` reference list of a format-5 image
     (empty for format 4) — used by GC and diagnostics."""
     try:
-        with open(path, "rb") as f:
-            data = f.read()
+        data = read_file(path)[0]
     except FileNotFoundError:
         return []
     try:
@@ -352,8 +406,8 @@ class CheckpointStore:
 
     Everything that saves, restores, prunes or repairs a directory is
     handed its store: two jobs sharing a directory share pins (through
-    :func:`store_for`), and a check → pick → restart sequence reuses the
-    chunk store's verification memo.
+    :func:`store_for`), and the pick after an fsck trusts the chunks
+    that fsck hashed (the chunk store's verification memo).
     """
 
     def __init__(self, base_dir: str,
@@ -696,19 +750,14 @@ class CheckpointStore:
         file), :class:`RestartError` when the file is missing or not a
         recognized image format.
         """
-        data = _read_image_file(path)
-        header = _read_header(path, data)
-        if header["format_version"] == 4:
-            _verify_bytes_v4(path, data, header)
-            return header
-        _verify_bytes_v5(path, data)
+        read = read_image(path)
+        if read is None:
+            raise RestartError(f"no checkpoint image at {path}")
+        if read.error is not None:
+            raise read.error
         if deep:
-            refs = header.get("chunks", [])
-            for i, (digest, _ulen) in enumerate(refs):
-                self.chunks.verify(
-                    digest, context=f"{path}: chunk {i}/{len(refs)}"
-                )
-        return header
+            _check_chunks(path, read.header, self.chunks.verify)
+        return read.header
 
     def load_image(self, path: str,
                    expect_nranks: Optional[int] = None) -> CheckpointImage:
@@ -760,7 +809,7 @@ class CheckpointStore:
                     f"{path}: reassembled payload is {len(parts)} bytes, "
                     f"header promises {header['payload_bytes']}"
                 )
-            blob = bytes(parts)
+            blob = parts
             stored = len(data) + len(blob)
         uh = pickle.loads(blob)
         return CheckpointImage(
@@ -813,6 +862,18 @@ class CheckpointStore:
         (:meth:`ChunkStore.verify`), so asking again re-stats an
         unchanged image's chunks but never re-hashes them.
         """
+        return self._problems(generation, require_cold, read_image,
+                              self.chunks.verify)
+
+    def _problems(self, generation: int, require_cold: bool,
+                  image: Callable[[str], Optional[ImageRead]],
+                  check_chunk: Callable[[str, str], None]) -> List[str]:
+        """:meth:`validate`'s verdict, with the image reads and the chunk
+        check supplied: ``image(path)`` gives an :class:`ImageRead` (None
+        when the file is absent) and ``check_chunk(digest, context)``
+        raises what :meth:`ChunkStore.get` would, prefixed by
+        ``context``.  fsck passes the outcomes of its own one read of
+        every image and hash of every chunk."""
         problems: List[str] = []
         try:
             manifest = self.read_manifest(generation)
@@ -825,12 +886,16 @@ class CheckpointStore:
             )
         for rank in range(manifest.get("nranks", 0)):
             path = self.image_path(generation, rank)
-            if not os.path.exists(path):
+            read = image(path)
+            if read is None:
                 problems.append(f"no checkpoint image for rank {rank}")
                 continue
+            header = read.header
             try:
-                header = self.verify_image(path)
-            except (IntegrityError, RestartError) as exc:
+                if read.error is not None:
+                    raise read.error
+                _check_chunks(path, header, check_chunk)
+            except RestartError as exc:
                 problems.append(f"rank {rank}: {exc}")
                 continue
             if header["generation"] != generation or header["rank"] != rank:
@@ -938,8 +1003,9 @@ def store_for(base_dir) -> CheckpointStore:
     directory (a store passes through unchanged).
 
     The registry is strong on purpose: two jobs sharing a directory must
-    see each other's generation pins, and a restart that follows an
-    fsck reuses the chunk verification memo the fsck built.
+    see each other's generation pins, and the pick that follows an fsck
+    reuses the chunk verification memo the fsck built (the restart's
+    loads still re-hash every chunk they return).
     """
     if isinstance(base_dir, CheckpointStore):
         return base_dir

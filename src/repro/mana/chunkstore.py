@@ -19,7 +19,8 @@ Integrity is per-chunk: :meth:`ChunkStore.get` decompresses and
 re-hashes, so a corrupt chunk names itself (digest + context) instead of
 forcing a full-payload re-hash at restart.  :meth:`ChunkStore.verify`
 memoizes successful checks against the chunk file's (size, mtime), so
-repeated generation validation does not re-read healthy chunks.
+repeated generation validation does not re-read healthy chunks.  Every
+read of a store file (chunk or image) goes through :func:`read_file`.
 
 Garbage collection is reference-based: :meth:`repro.mana.checkpoint.
 CheckpointStore.gc` scans the refs of every remaining image header and
@@ -262,6 +263,34 @@ def digest_spans(view, spans: List[Tuple[int, int]]) -> List[str]:
     return [sha(view[s:e]).hexdigest() for s, e in spans]
 
 
+def read_file(path: str) -> Tuple[bytes, os.stat_result]:
+    """The whole contents of ``path`` and its ``fstat``, read with raw
+    descriptor calls (no Python file object, no buffering layer).
+
+    One ``os.read`` of the stat size is the common case; a short read
+    loops until the file ends.  A missing path raises
+    :class:`FileNotFoundError`, which each caller turns into its own
+    error.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        st = os.fstat(fd)
+        data = os.read(fd, st.st_size)
+        if len(data) < st.st_size:
+            parts = [data]
+            left = st.st_size - len(data)
+            while left:
+                more = os.read(fd, left)
+                if not more:
+                    break
+                parts.append(more)
+                left -= len(more)
+            data = b"".join(parts)
+    finally:
+        os.close(fd)
+    return data, st
+
+
 class ChunkStore:
     """Per-directory content-addressed store of compressed checkpoint
     chunks."""
@@ -336,9 +365,7 @@ class ChunkStore:
         path = self.chunk_path(digest)
         where = f"{context}: " if context else ""
         try:
-            with open(path, "rb") as f:
-                comp = f.read()
-                st = os.fstat(f.fileno())
+            comp, st = read_file(path)
         except FileNotFoundError:
             raise MissingChunkError(
                 f"{where}chunk {digest[:12]}… missing from store "

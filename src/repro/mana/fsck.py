@@ -35,12 +35,21 @@ exactly enumerable:
    directories — **all** of them: fsck must only run while no writer
    is active.  It is the only code that removes temp files; opening a
    store (or a check-only fsck) never does.
-3. *Deep-verify referenced chunks* (decompress + sha256).  A
-   hash-mismatched chunk is moved to ``<base>/quarantine/`` — kept for
-   forensics, out of the store so the generations referencing it report
-   a clean "chunk missing" instead of tripping on it at restart time.
-4. *Remove orphan chunks* (reference scan over the surviving images).
-5. *Report* which generations are restorable and why the rest are not.
+3. *Read every surviving image once, deep-verify referenced chunks.*
+   Each ``rank_*.img`` is read and its own bytes checked (header, and
+   the payload of a format-4 image) once; its header's references make
+   the reference set.  Each referenced chunk is then hashed once
+   (decompress + sha256), and its outcome kept: ok, missing or
+   corrupt.  A hash-mismatched chunk is moved to
+   ``<base>/quarantine/`` — kept for forensics, out of the store so the
+   generations referencing it report a clean "chunk missing" instead of
+   tripping on it at restart time.
+4. *Remove orphan chunks* (those outside step 3's reference set).
+5. *Report* which generations are restorable and why the rest are not:
+   :meth:`~repro.mana.checkpoint.CheckpointStore.validate`'s verdict,
+   computed from step 3's image reads and chunk outcomes instead of
+   reading and statting it all again — same verdicts, same problem
+   strings.
 
 Every mutation a repair makes through the store's shim names its
 crash points ``fsck.*``.  fsck is idempotent: running it twice returns
@@ -64,9 +73,11 @@ from repro.mana import storeio
 from repro.mana.checkpoint import (
     QUARANTINE_DIRNAME,
     CheckpointStore,
+    ImageRead,
+    read_image,
     store_for,
 )
-from repro.mana.chunkstore import CHUNK_SUFFIX
+from repro.mana.chunkstore import CHUNK_SUFFIX, ChunkStore
 from repro.util.errors import IntegrityError, MissingChunkError
 
 #: Journal ops whose pending record names a possibly-uncommitted
@@ -159,6 +170,39 @@ def _stray_tmp(store: CheckpointStore) -> List[str]:
         out += [os.path.join(d, n) for n in names
                 if n.endswith(storeio.TMP_SUFFIX)]
     return out
+
+
+def _read_images(store: CheckpointStore,
+                 generations: List[int]) -> Dict[str, ImageRead]:
+    """Every ``rank_*.img`` in the directories of ``generations`` (the
+    files :meth:`CheckpointStore.referenced_chunks` scans), each read
+    and checked once, by path."""
+    images = {}
+    for g in generations:
+        d = store.generation_dir(g)
+        try:
+            names = os.listdir(d)
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        for name in names:
+            if name.startswith("rank_") and name.endswith(".img"):
+                path = os.path.join(d, name)
+                read = read_image(path)
+                if read is not None:
+                    images[path] = read
+    return images
+
+
+def _chunk_outcome(chunks: ChunkStore,
+                   digest: str) -> Optional[IntegrityError]:
+    """Hash one chunk: None when it is intact, else the error
+    :meth:`ChunkStore.get` raised (a :class:`MissingChunkError` when it
+    is gone), its message without a context prefix."""
+    try:
+        chunks.get(digest)
+    except IntegrityError as exc:
+        return exc
+    return None
 
 
 def _quarantine_chunk(store: CheckpointStore, digest: str) -> None:
@@ -254,18 +298,23 @@ def fsck(store, repair: bool = True) -> FsckReport:
     else:
         report.dirty = bool(stray)
 
-    # 3. Deep-verify referenced chunks, quarantine mismatches ----------
+    # 3. Read every image, deep-verify referenced chunks, quarantine --
     chunks = store.chunks
-    referenced = store.referenced_chunks()
+    generations = store.generations()
+    images = _read_images(store, generations)
+    referenced = {digest for read in images.values()
+                  for digest, _ulen in read.refs}
+    outcomes: Dict[str, Optional[IntegrityError]] = {}
     for digest in sorted(referenced):
-        try:
-            chunks.get(digest, context="fsck")
-        except MissingChunkError:
+        outcome = outcomes[digest] = _chunk_outcome(chunks, digest)
+        if isinstance(outcome, MissingChunkError):
             report.missing_chunks.append(digest)
-        except IntegrityError:
+        elif outcome is not None:
             report.quarantined_chunks.append(digest)
             if repair:
                 _quarantine_chunk(store, digest)
+                # What the verdicts see now: a chunk gone from the store.
+                outcomes[digest] = _chunk_outcome(chunks, digest)
 
     # 4. Orphan-chunk removal ------------------------------------------
     if repair:
@@ -276,9 +325,14 @@ def fsck(store, repair: bool = True) -> FsckReport:
         orphans = chunks.digests() - referenced - chunks.pinned()
         report.orphan_chunks_removed = len(orphans)
 
-    # 5. Restorability verdicts ----------------------------------------
-    for gen in store.generations():
-        problems = store.validate(gen)
+    # 5. Restorability verdicts, from step 3's reads and outcomes -----
+    def check_chunk(digest: str, context: str) -> None:
+        outcome = outcomes[digest]
+        if outcome is not None:
+            raise type(outcome)(f"{context}: {outcome}")
+
+    for gen in generations:
+        problems = store._problems(gen, True, images.get, check_chunk)
         if problems:
             report.skipped_generations[gen] = problems
         else:

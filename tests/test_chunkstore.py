@@ -7,9 +7,20 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.mana.checkpoint import store_for
-from repro.mana.chunkstore import CHUNK_MAX, CHUNK_MIN, ChunkStore, chunk_spans
-from repro.util.errors import IntegrityError
+from repro.mana.checkpoint import (
+    CheckpointImage,
+    CheckpointStore,
+    image_chunk_refs,
+    store_for,
+)
+from repro.mana.chunkstore import (
+    CHUNK_MAX,
+    CHUNK_MIN,
+    ChunkStore,
+    chunk_spans,
+    read_file,
+)
+from repro.util.errors import IntegrityError, MissingChunkError, RestartError
 
 
 def _payload(n: int, seed: int = 1) -> bytes:
@@ -133,6 +144,62 @@ class TestChunkStore:
         assert store_for(str(tmp_path / "b")) is not a
         # Opening a store creates nothing on disk.
         assert not (tmp_path / "a").exists()
+
+
+class TestReadFile:
+    """Every store read goes through ``read_file``: raw descriptor
+    reads that loop on short reads, and the callers' own errors for a
+    missing file."""
+
+    def _image(self):
+        return CheckpointImage(
+            rank=0, nranks=1, impl="mpich", kind="loop", generation=1,
+            app={"state": _payload(50_000)}, loops={"main": 4},
+            vid_table=None, drain_buffer=None, clock_state={"now": 1.0},
+            rng_state=None, cs_count=3, epoch=0,
+        )
+
+    def test_short_reads_return_the_whole_file(self, tmp_path, monkeypatch):
+        data = _payload(100_000)
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        store = CheckpointStore(str(tmp_path / "ckpt"))
+        store.save(self._image())
+        image = store.image_path(1, 0)
+        digest, _w, _r = store.chunks.put(data)
+        sizes = []
+        real_read = os.read
+
+        def short_read(fd, n):
+            sizes.append(n)
+            return real_read(fd, min(n, 1000))
+
+        monkeypatch.setattr(os, "read", short_read)
+        got, st = read_file(str(path))
+        assert got == data and st.st_size == len(data)
+        assert len(sizes) > 1
+        assert store.chunks.get(digest) == data
+        loaded = store.load_image(image)
+        assert loaded.app["state"] == self._image().app["state"]
+        assert image_chunk_refs(image)
+        assert CheckpointStore(store.base_dir).verify_image(image)["rank"] == 0
+
+    def test_missing_paths_raise_each_callers_error(self, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        with pytest.raises(FileNotFoundError):
+            read_file(str(tmp_path / "absent"))
+        digest = hashlib.sha256(b"never stored").hexdigest()
+        with pytest.raises(MissingChunkError) as err:
+            store.chunks.get(digest, context="ctx")
+        assert str(err.value) == (f"ctx: chunk {digest[:12]}… missing "
+                                  f"from store {store.chunks.dir}")
+        path = store.image_path(1, 0)
+        for read in (store.load_image, store.verify_image):
+            with pytest.raises(RestartError) as err:
+                read(path)
+            assert type(err.value) is RestartError
+            assert str(err.value) == f"no checkpoint image at {path}"
+        assert image_chunk_refs(path) == []
 
 
 class TestGearEquivalence:

@@ -11,17 +11,20 @@ image formats and the chunk store.  See docs/PROTOCOLS.md §13.
 import json
 import os
 import random
+import shutil
 import threading
 import zlib
+from collections import Counter
 
 import pytest
 
 from repro.faults.crashpoints import CrashPointInjector
-from repro.mana import storeio
+from repro.mana import checkpoint, chunkstore, storeio
 from repro.mana.checkpoint import (
     CheckpointImage,
     CheckpointStore,
     QUARANTINE_DIRNAME,
+    image_chunk_refs,
     store_for,
 )
 from repro.mana.fsck import auto_repair, fsck
@@ -355,6 +358,122 @@ class TestFsckRepair:
         for r in range(2):
             store.verify_image(store.image_path(1, r))
         assert not fsck(store).dirty
+
+
+# ----------------------------------------------------------------------
+# fsck's verdicts come from its own pass
+# ----------------------------------------------------------------------
+def _flip_byte(path, offset):
+    with open(path, "r+b") as f:
+        f.seek(offset)
+        b = f.read(1)
+        f.seek(offset)
+        f.write(bytes([b[0] ^ 0x40]))
+
+
+def _missing_chunk(store):
+    # Generation 3's rank 0 reuses generation 2's payload: both lose it.
+    digest = image_chunk_refs(store.image_path(2, 0))[1][0]
+    os.remove(store.chunks.chunk_path(digest))
+
+
+def _corrupt_chunk(store):
+    digest = image_chunk_refs(store.image_path(2, 0))[-1][0]
+    _flip_byte(store.chunks.chunk_path(digest), 10)
+
+
+def _torn_header(store):
+    path = store.image_path(2, 1)
+    with open(path, "r+b") as f:
+        f.truncate(os.path.getsize(path) // 2)
+
+
+def _missing_image(store):
+    os.remove(store.image_path(2, 1))
+
+
+def _identity_mismatch(store):
+    shutil.copyfile(store.image_path(1, 1), store.image_path(2, 1))
+
+
+def _non_cold(store):
+    store.write_manifest(2, nranks=2, impl="mpich", kind="collective",
+                         cold_restartable=False, loop_target=None)
+
+
+def _orphans_only(store):
+    store.chunks.put(b"referenced by no image")
+
+
+class TestVerdictOracle:
+    """Whatever the damage, fsck's restorability verdicts are exactly
+    what a freshly opened store's ``validate`` says afterwards."""
+
+    @pytest.mark.parametrize("repair", [True, False])
+    @pytest.mark.parametrize("damage", [
+        _missing_chunk, _corrupt_chunk, _torn_header, _missing_image,
+        _identity_mismatch, _non_cold, _orphans_only,
+    ], ids=lambda f: f.__name__.strip("_"))
+    def test_verdicts_match_a_fresh_validate(self, tmp_path, damage,
+                                             repair):
+        store = CheckpointStore(str(tmp_path))
+        _write_generation(store, 1)
+        _write_generation(store, 2)
+        for r in range(2):
+            store.save(_image(rank=r, generation=3), _blob(2 - r, r))
+        store.write_manifest(3, nranks=2, impl="mpich", kind="loop",
+                             cold_restartable=True, loop_target=4)
+        damage(store)
+        report = fsck(CheckpointStore(str(tmp_path)), repair=repair)
+        fresh = CheckpointStore(str(tmp_path))
+        verdicts = {g: fresh.validate(g) for g in fresh.generations()}
+        assert report.restorable_generations == [
+            g for g, problems in verdicts.items() if not problems]
+        assert report.skipped_generations == {
+            g: problems for g, problems in verdicts.items() if problems}
+        assert (2 in report.skipped_generations) == (damage
+                                                     is not _orphans_only)
+
+
+class TestFsckReadsOnce:
+    def test_repair_reads_each_image_and_chunk_once(self, tmp_path,
+                                                    monkeypatch):
+        store = CheckpointStore(str(tmp_path))
+        for g in (1, 2, 3):
+            _write_generation(store, g)
+        # A writer died mid-save of generation 4 and left a temp file;
+        # an orphan chunk waits for collection.
+        store.save(_image(0, 4), _blob(4, 0))
+        store.journal.begin("image-save", generation=4, rank=1)
+        with open(store.chunks.chunk_path("x") + storeio.TMP_SUFFIX,
+                  "wb"):
+            pass
+        store.chunks.put(b"referenced by no image")
+        fresh = CheckpointStore(str(tmp_path))
+        expected = Counter(
+            [fresh.chunks.chunk_path(d)
+             for d in fresh.referenced_chunks([1, 2, 3])]
+            + [fresh.image_path(g, r) for g in (1, 2, 3) for r in (0, 1)])
+
+        opened = Counter()
+        read_file = chunkstore.read_file
+
+        def counting(path):
+            opened[path] += 1
+            return read_file(path)
+
+        def verify(*args, **kwargs):
+            raise AssertionError("fsck called ChunkStore.verify")
+
+        monkeypatch.setattr(chunkstore, "read_file", counting)
+        monkeypatch.setattr(checkpoint, "read_file", counting)
+        monkeypatch.setattr(chunkstore.ChunkStore, "verify", verify)
+        report = fsck(fresh, repair=True)
+        assert report.rolled_back_generations == [4]
+        assert report.stray_tmp_removed == 1
+        assert report.orphan_chunks_removed >= 1
+        assert report.restorable_generations == [1, 2, 3]
+        assert opened == expected
 
 
 # ----------------------------------------------------------------------
