@@ -40,6 +40,11 @@ from repro.apps import APP_CLASSES
 from repro.harness.experiments import EXPERIMENTS, RANKS_CAP, SCALE
 from repro.impls import IMPLS
 
+#: The CLI's loop lag window, below ``JobConfig``'s 8: ``run
+#: --preempt-at 3`` at the default ``--blocks 8`` elects 3 + 4 = 7, where
+#: a lag of 8 would elect 11 >= 8 and cancel the checkpoint.
+CLI_LAG_WINDOW = 4
+
 
 def _cmd_run(args) -> int:
     from repro import JobConfig, Launcher
@@ -364,7 +369,7 @@ def main(argv=None) -> int:
     p.add_argument("--preempt-at", type=int, default=None,
                    help="checkpoint+exit when the main loop reaches this "
                         "iteration (implies --mana)")
-    p.add_argument("--lag-window", type=int, default=4)
+    p.add_argument("--lag-window", type=int, default=CLI_LAG_WINDOW)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("restart", help="cold-restart from a checkpoint dir")
@@ -375,7 +380,7 @@ def main(argv=None) -> int:
     p.add_argument("--ranks", type=int, default=None,
                    help="elastic restart: repartition the checkpointed "
                         "upper halves onto this many ranks")
-    p.add_argument("--lag-window", type=int, default=4)
+    p.add_argument("--lag-window", type=int, default=CLI_LAG_WINDOW)
     p.set_defaults(fn=_cmd_restart)
 
     p = sub.add_parser("report", help="regenerate paper tables/figures")

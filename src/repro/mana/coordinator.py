@@ -16,6 +16,14 @@ Two checkpoint kinds (DESIGN.md §1, restart modes):
   common future loop iteration and park exactly there; the image is
   cold-restartable: a brand-new session can resume it.
 
+Every LOOP target comes from one election,
+:meth:`CheckpointCoordinator._elect` (PROTOCOLS.md §2), whichever path
+armed the round: ``request_checkpoint``, a trigger, or the interval.
+The coordinator keeps a ledger per loop — each rank's last reported
+iteration and the ranks that ended the loop — and the election reads
+it: a target always lies past every iteration a rank has reported, and
+no round is elected in a loop some rank has already left.
+
 Every rendezvous is one :class:`_Meeting` of a fixed member set, and
 every rank waits for one in one loop, :meth:`CheckpointCoordinator._meet`
 (PROTOCOLS.md §8): the four phase gates of a round attempt, the
@@ -59,6 +67,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
@@ -211,6 +220,22 @@ class _Round:
         self.attempt = attempt
 
 
+@dataclass
+class _LoopLedger:
+    """What the ranks have reported of one resumable loop."""
+
+    #: rank -> the last iteration top it reported (and decided at).
+    reached: Dict[int, int] = field(default_factory=dict)
+    #: Ranks that have ended the loop.
+    ended: Set[int] = field(default_factory=set)
+
+    def describe(self, loop_name: str) -> str:
+        reached = ", ".join(f"{r}: {i}"
+                            for r, i in sorted(self.reached.items()))
+        return (f"loop {loop_name!r} last iterations {{{reached}}}, "
+                f"ended by ranks {sorted(self.ended)}")
+
+
 class CheckpointCoordinator:
     """Sequences the global checkpoint phases for one simulated job."""
 
@@ -219,7 +244,7 @@ class CheckpointCoordinator:
         nranks: int,
         store,
         fs_profile: FilesystemProfile,
-        loop_lag_window: int = 4,
+        loop_lag_window: int,
         save_workers: int = 0,
         keep_generations: Optional[int] = None,
         async_save: bool = False,
@@ -270,6 +295,9 @@ class CheckpointCoordinator:
         self.injector = None
 
         self.round_events: List[dict] = []
+
+        # loop name -> its ledger, which every LOOP election reads.
+        self._loops: Dict[str, _LoopLedger] = defaultdict(_LoopLedger)
 
         # Deferred triggers: arm a checkpoint when a loop reaches an
         # iteration (deterministic alternative to wall-clock requests).
@@ -436,79 +464,104 @@ class CheckpointCoordinator:
     # ------------------------------------------------------------------
     # resumable loops (called from RankContext.loop)
     # ------------------------------------------------------------------
-    def loop_top(self, loop_name: str, iteration: int, vtime: float) -> bool:
-        """Called by every rank at each resumable-loop iteration top:
-        fires a due trigger or interval checkpoint, then returns True
+    def loop_top(self, rank: int, loop_name: str, iteration: int,
+                 vtime: float) -> bool:
+        """Called by ``rank`` at each top of its resumable loop
+        ``loop_name``: arms a due trigger or interval checkpoint, elects
+        the target of a requested LOOP round nobody has elected yet,
+        records ``iteration`` in the loop's ledger, and returns True
         exactly when this rank should park here for a LOOP round.
 
-        A LOOP round elects a common target iteration — the trigger's
-        iteration, or else the first observer's, plus the lag window.
-        Requires the application's rank skew to stay below the lag
-        window (our proxy apps synchronize at least every few
-        iterations)."""
-        if self._pending_triggers or self._interval is not None:
-            self._fire_due(loop_name, iteration, vtime)
-        r = self._round
-        if r is None or r.ticket.kind != CheckpointKind.LOOP:
+        Every target comes from :meth:`_elect`, which places it past
+        each iteration already in the ledger.  The ledger takes this
+        rank's iteration in the same critical section that decides
+        whether it parks, so a rank reaches every elected target of its
+        loop, and parks there."""
+        with self._lock:
+            armed = (self._round is None and not self._ckpt_disabled
+                     and self._arm_due_locked(loop_name, iteration, vtime))
+            r = self._round
+            park = False
+            if r is not None and r.ticket.kind == CheckpointKind.LOOP:
+                if r.loop_target is None:  # requested: this poll elects
+                    r.loop_name = loop_name
+                    r.loop_target = self._elect(r.ticket, loop_name,
+                                                iteration)
+                    if r.loop_target is None:
+                        self._round = None
+                park = (r.loop_name == loop_name
+                        and iteration == r.loop_target)
+            self._loops[loop_name].reached[rank] = iteration
+        if armed:
+            self._wake_parked()
+        return park
+
+    def _arm_due_locked(self, loop_name: str, iteration: int,
+                        vtime: float) -> bool:
+        """Arm the first trigger of ``loop_name`` due at ``iteration``,
+        else an interval checkpoint due at ``vtime``; True when a round
+        was armed.  Caller holds self._lock and has checked that no
+        round is armed."""
+        for trig in self._pending_triggers:
+            if trig["loop"] == loop_name and iteration >= trig["iteration"]:
+                self._pending_triggers.remove(trig)
+                ticket, target = trig["ticket"], None
+                if ticket.kind == CheckpointKind.LOOP:
+                    target = self._elect(ticket, loop_name, iteration)
+                    if target is None:
+                        return False
+                self._arm_locked(ticket, loop_name, target)
+                return True
+        if (self._interval is None
+                or vtime - self._last_ckpt_vtime < self._interval):
             return False
-        with self._lock:
-            if self._round is not r:  # completed meanwhile
-                return False
-            if r.loop_target is None:
-                r.loop_target = iteration + self.loop_lag_window
-                r.loop_name = loop_name
-            if r.loop_name != loop_name:
-                return False  # a different loop; not the elected one
-            if iteration > r.loop_target:
-                raise CheckpointError(
-                    f"rank skew exceeded the loop lag window: iteration "
-                    f"{iteration} > target {r.loop_target}; increase "
-                    f"loop_lag_window"
-                )
-            return iteration == r.loop_target
+        target = self._elect(None, loop_name, iteration)
+        if target is None:
+            return False  # stays due for the next loop it can run in
+        self._last_ckpt_vtime = vtime
+        ticket = CheckpointTicket(
+            None, CheckpointKind.LOOP, self._interval_mode, _coord=self,
+        )
+        self.interval_tickets.append(ticket)
+        self._arm_locked(ticket, loop_name, target)
+        return True
 
-    def _fire_due(self, loop_name: str, iteration: int, vtime: float) -> None:
-        """Arm the first trigger due at this iteration, else an interval
-        checkpoint that is due at ``vtime``."""
-        with self._lock:
-            if self._round is not None or self._ckpt_disabled:
-                return
-            for trig in self._pending_triggers:
-                if trig["loop"] == loop_name and iteration >= trig["iteration"]:
-                    self._pending_triggers.remove(trig)
-                    ticket, target = trig["ticket"], None
-                    if ticket.kind == CheckpointKind.LOOP:
-                        # Deterministic election: the park target derives
-                        # from the trigger's iteration, not from whichever
-                        # rank happens to poll first after arming.
-                        target = (max(iteration, trig["iteration"])
-                                  + self.loop_lag_window)
-                    self._arm_locked(ticket, loop_name, target)
-                    break
-            else:
-                if (self._interval is None
-                        or vtime - self._last_ckpt_vtime < self._interval):
-                    return
-                self._last_ckpt_vtime = vtime
-                ticket = CheckpointTicket(
-                    None, CheckpointKind.LOOP, self._interval_mode,
-                    _coord=self,
-                )
-                self.interval_tickets.append(ticket)
-                self._arm_locked(ticket)
-        self._wake_parked()
+    def _elect(self, ticket: Optional[CheckpointTicket], loop_name: str,
+               iteration: int) -> Optional[int]:
+        """The one LOOP election: the target of a round armed in
+        ``loop_name`` as a rank reports ``iteration`` there, which is
+        ``iteration + loop_lag_window``, moved past the highest
+        iteration any rank has reported, so that every rank still
+        reaches it.
 
-    def loop_end(self, loop_name: str, n: int) -> None:
-        """Called by every rank when loop ``loop_name`` ends after ``n``
-        iterations: a LOOP round elected there at an iteration ``>= n``
-        can never be honored, so it is cancelled.  Idempotent; every
-        rank takes this path because loop bounds are uniform."""
-        r = self._round
-        if r is None or r.loop_target is None:
-            return
+        None when some rank has already ended the loop: no target there
+        can be honoured.  The ``ticket`` of whoever asked for the round
+        (a request or a trigger) then fails naming that rank; the
+        interval path passes None and arms nothing.  Caller holds
+        self._lock."""
+        ledger = self._loops[loop_name]
+        if ledger.ended:
+            if ticket is not None:
+                ticket.fail(CheckpointError(
+                    f"loop checkpoint refused: rank {min(ledger.ended)} "
+                    f"already ended loop {loop_name!r}"
+                ))
+            return None
+        unpassed = max(ledger.reached.values(), default=-1) + 1
+        return max(iteration + self.loop_lag_window, unpassed)
+
+    def loop_end(self, rank: int, loop_name: str, n: int) -> None:
+        """Called by ``rank`` when loop ``loop_name`` ends after ``n``
+        iterations: the ledger records that the rank left the loop, so
+        no later round is elected there, and a LOOP round already
+        elected there at an iteration ``>= n`` can never be honoured,
+        so it is cancelled.  Every rank takes this path because loop
+        bounds are uniform; the first cancels."""
         with self._lock:
-            if (self._round is not r or r.loop_name != loop_name
-                    or r.loop_target < n):
+            self._loops[loop_name].ended.add(rank)
+            r = self._round
+            if (r is None or r.loop_target is None
+                    or r.loop_name != loop_name or r.loop_target < n):
                 return
             self._round = None
             r.ticket.fail(CheckpointError(
@@ -702,10 +755,12 @@ class CheckpointCoordinator:
         """One-line description of where the checkpoint round stands —
         used by timeout errors to name the stuck phase and ranks.
 
-        Names the round (generation, kind/mode, retry attempt), the
-        stuck gate with arrived vs outstanding ranks, and whether the
-        async drain is still running — enough to diagnose a hang from
-        the exception text alone.
+        Names the round (generation, kind/mode, retry attempt), a LOOP
+        round's loop and target, each unfired trigger, the ledger of
+        every loop those name (each rank's last reported iteration and
+        the ranks that ended it), the stuck gate with arrived vs
+        outstanding ranks, and whether the async drain is still running
+        — enough to diagnose a hang from the exception text alone.
         """
         r = self._round
         gate = None if r is None else r.attempt.gate
@@ -717,6 +772,21 @@ class CheckpointCoordinator:
             if r.attempt.number:
                 round_desc += f", retry attempt {r.attempt.number + 1}"
             bits.append(round_desc + ")")
+        with self._lock:
+            loops = []
+            if r is not None and r.ticket.kind == CheckpointKind.LOOP:
+                if r.loop_target is None:
+                    bits.append("LOOP target not elected yet")
+                else:
+                    bits.append(f"LOOP target: loop {r.loop_name!r} "
+                                f"iteration {r.loop_target}")
+                    loops.append(r.loop_name)
+            for trig in self._pending_triggers:
+                bits.append(f"unfired {trig['ticket'].kind} trigger: loop "
+                            f"{trig['loop']!r} iteration {trig['iteration']}")
+                loops.append(trig["loop"])
+            for name in dict.fromkeys(loops):
+                bits.append(self._loops[name].describe(name))
         if gate is not None:
             arrived = gate.arrived_ranks()
             outstanding = sorted(set(range(self.nranks)) - set(arrived))

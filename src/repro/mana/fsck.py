@@ -44,7 +44,12 @@ exactly enumerable:
    ``<base>/quarantine/`` — kept for forensics, out of the store so the
    generations referencing it report a clean "chunk missing" instead of
    tripping on it at restart time.
-4. *Remove orphan chunks* (those outside step 3's reference set).
+4. *Remove orphan chunks* (those outside step 3's reference set) —
+   unless a surviving image's header parses but fails its digest
+   check: its reference list may name the wrong chunks, so a chunk the
+   image really uses could look orphaned.  Then nothing is removed, and
+   the report says which image kept the sweep from running.  (A torn
+   header that does not parse references nothing and blocks nothing.)
 5. *Report* which generations are restorable and why the rest are not:
    :meth:`~repro.mana.checkpoint.CheckpointStore.validate`'s verdict,
    computed from step 3's image reads and chunk outcomes instead of
@@ -116,6 +121,8 @@ class FsckReport:
     #: Unreferenced chunks deleted, and their compressed bytes.
     orphan_chunks_removed: int = 0
     orphan_bytes_reclaimed: int = 0
+    #: Why orphan removal was skipped; None when it ran.
+    orphan_sweep_skipped: Optional[str] = None
     #: Post-repair restorability verdicts.
     restorable_generations: List[int] = field(default_factory=list)
     #: generation -> human-readable problems, for every generation
@@ -124,10 +131,12 @@ class FsckReport:
 
     def summary(self) -> str:
         """One-line human summary (CLI output)."""
+        skipped = ("" if self.orphan_sweep_skipped is None
+                   else f"; {self.orphan_sweep_skipped}")
         if not self.dirty:
             return (
                 f"{self.base_dir}: clean; restorable generations: "
-                f"{self.restorable_generations}"
+                f"{self.restorable_generations}{skipped}"
             )
         bits = []
         if self.rolled_back_generations:
@@ -152,6 +161,7 @@ class FsckReport:
             f"{self.base_dir}: {what} "
             f"({'; '.join(bits) or 'journal replay only'}); "
             f"restorable generations: {self.restorable_generations}"
+            f"{skipped}"
         )
 
 
@@ -317,7 +327,14 @@ def fsck(store, repair: bool = True) -> FsckReport:
                 outcomes[digest] = _chunk_outcome(chunks, digest)
 
     # 4. Orphan-chunk removal ------------------------------------------
-    if repair:
+    untrusted = sorted(path for path, read in images.items()
+                       if read.header is not None and read.error is not None)
+    if untrusted:
+        report.orphan_sweep_skipped = (
+            f"kept orphan chunks: {untrusted[0]} fails its digest check, "
+            f"so its chunk references cannot be trusted"
+        )
+    elif repair:
         removed, reclaimed = chunks.gc(referenced, "fsck")
         report.orphan_chunks_removed = removed
         report.orphan_bytes_reclaimed = reclaimed

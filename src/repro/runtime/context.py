@@ -96,13 +96,14 @@ class RankContext:
             i += 1
             self._loops[name] = i
         if self.mana is not None and self.mana.coordinator is not None:
-            self.mana.coordinator.loop_end(name, n)
+            self.mana.coordinator.loop_end(self.rank, name, n)
 
     def _checkpoint_poll(self, name: str, iteration: int) -> None:
         mana = self.mana
         if mana is None or mana.coordinator is None:
             return
-        if mana.coordinator.loop_top(name, iteration, self.clock.now):
+        if mana.coordinator.loop_top(self.rank, name, iteration,
+                                     self.clock.now):
             mana.checkpoint_participate()
         else:
             mana._maybe_checkpoint()

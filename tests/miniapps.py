@@ -104,6 +104,65 @@ class SkewedSendersApp(MpiApplication):
         return None
 
 
+class EarlyLeaverApp(MpiApplication):
+    """Two ranks; one leaves loop ``"main"`` before the other reaches a
+    checkpoint.  Rank ``leaver`` runs its loop at 1 ms per iteration,
+    sending ``burst`` eager messages per iteration to the other rank
+    (it never blocks in the loop), ends the loop, then sends a token.
+    The other rank consumes one burst message per iteration, receives
+    the token in iteration 2 — the leaver has left the loop by then —
+    calls ``on_token`` (a test's hook, e.g. to request a checkpoint),
+    and from there computes 1 s per iteration, so its next loop top
+    crosses any short checkpoint interval.  After the loop it drains the
+    backlog and sends the leaver a last message, which the leaver
+    receives."""
+
+    name = "early-leaver"
+
+    def __init__(self, leaver: int = 1, burst: int = 0, niters: int = 20,
+                 on_token=None):
+        self.leaver = leaver
+        self.burst = burst
+        self.niters = niters
+        self.on_token = on_token
+        self.received = []
+
+    def run(self, ctx):
+        MPI = ctx.MPI
+        w = MPI.COMM_WORLD
+        other = 1 - ctx.rank
+        buf = np.zeros(1)
+        slow = False
+        for it in ctx.loop("main", self.niters):
+            if ctx.rank == self.leaver:
+                for b in range(self.burst):
+                    MPI.send(np.array([it * 100.0 + b]), 1, MPI.DOUBLE,
+                             other, 20, w)
+            else:
+                if it < self.niters * self.burst:
+                    MPI.recv(buf, 1, MPI.DOUBLE, other, 20, w)
+                    self.received.append(float(buf[0]))
+                if it == 2:
+                    MPI.recv(buf, 1, MPI.DOUBLE, other, 1, w)
+                    if self.on_token is not None:
+                        self.on_token()
+                    slow = True
+            ctx.compute(1.0 if slow else 0.001)
+        if ctx.rank == self.leaver:
+            MPI.send(np.ones(1), 1, MPI.DOUBLE, other, 1, w)
+            MPI.recv(buf, 1, MPI.DOUBLE, other, 2, w)
+        else:
+            while len(self.received) < self.niters * self.burst:
+                MPI.recv(buf, 1, MPI.DOUBLE, other, 20, w)
+                self.received.append(float(buf[0]))
+            MPI.send(np.ones(1), 1, MPI.DOUBLE, other, 2, w)
+
+    def validate(self, ctx):
+        if self.received != sorted(self.received):
+            return "message order violated (non-overtaking broken)"
+        return None
+
+
 class PendingIrecvApp(MpiApplication):
     """Posts receives for messages that are sent much later: pending
     nonblocking requests must survive checkpoint/restart."""

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro import JobConfig, Launcher
 from repro.mana import coordinator
 from repro.mana.coordinator import (
     CheckpointCoordinator,
@@ -15,6 +16,7 @@ from repro.mana.coordinator import (
 from repro.simtime.cost import FilesystemProfile
 from repro.util.errors import CheckpointError, CheckpointRoundAborted
 from tests.conftest import run_ranks
+from tests.miniapps import EarlyLeaverApp
 
 
 def coord(nranks=2, lag=4):
@@ -91,43 +93,49 @@ class TestTriggers:
     def test_trigger_fires_on_iteration(self):
         c = coord()
         t = c.checkpoint_at_iteration("main", 5)
-        c.loop_top("main", 4, 0.0)
+        c.loop_top(0, "main", 4, 0.0)
         assert c.intent is None
-        c.loop_top("main", 5, 0.0)
+        c.loop_top(0, "main", 5, 0.0)
         assert c.intent is t
 
     def test_trigger_fires_past_iteration(self):
         c = coord()
         t = c.checkpoint_at_iteration("main", 5)
-        c.loop_top("main", 9, 0.0)
+        c.loop_top(0, "main", 9, 0.0)
         assert c.intent is t
 
     def test_trigger_loop_name_scoped(self):
         c = coord()
         c.checkpoint_at_iteration("outer", 5)
-        c.loop_top("inner", 10, 0.0)
+        c.loop_top(0, "inner", 10, 0.0)
         assert c.intent is None
 
     def test_only_one_trigger_fires_at_a_time(self):
         c = coord()
         t1 = c.checkpoint_at_iteration("main", 1)
         t2 = c.checkpoint_at_iteration("main", 2)
-        c.loop_top("main", 5, 0.0)
+        c.loop_top(0, "main", 5, 0.0)
         assert c.intent is t1
-        c.loop_top("main", 6, 0.0)  # t1 still in progress
+        c.loop_top(0, "main", 6, 0.0)  # t1 still in progress
         assert c.intent is t1
         assert t2.generation is None  # numbered when its round is armed
         c._on_resumed()  # t1's round ends at its resume gate
-        c.loop_top("main", 7, 0.0)
+        c.loop_top(0, "main", 7, 0.0)
         assert c.intent is t2
         assert t2.generation == t1.generation + 1
 
     def test_unfired_trigger_wait_timeout(self):
         c = coord()
         t = c.checkpoint_at_iteration("main", 5)
+        c.loop_top(0, "main", 2, 0.0)
+        c.loop_end(1, "main", 3)
         with pytest.raises(CheckpointError,
-                           match=r"trigger \(not fired yet\) did not complete"):
+                           match=r"trigger \(not fired yet\) did not complete"
+                           ) as ei:
             t.wait(0.05)
+        assert ("unfired in-session trigger: loop 'main' iteration 5; "
+                "loop 'main' last iterations {0: 2}, ended by ranks [1]"
+                in str(ei.value))
 
     def test_cancel_pending_covers_triggers(self):
         c = coord()
@@ -141,35 +149,74 @@ class TestLoopElection:
     def test_target_is_first_observer_plus_lag(self):
         c = coord(lag=4)
         c.request_checkpoint(kind=CheckpointKind.LOOP)
-        assert c.loop_top("main", 10, 0.0) is False
+        assert c.loop_top(0, "main", 10, 0.0) is False
         assert c._round.loop_target == 14
-        assert c.loop_top("main", 13, 0.0) is False
-        assert c.loop_top("main", 14, 0.0) is True
+        assert c.loop_top(0, "main", 13, 0.0) is False
+        assert c.loop_top(0, "main", 14, 0.0) is True
 
-    def test_skew_beyond_lag_detected(self):
+    def test_target_lies_past_every_reported_iteration(self):
+        """A rank that reported 13 before the election pushes a lag-2
+        election at 10 to 14, not 12 (which it has already passed)."""
         c = coord(lag=2)
+        c.loop_top(1, "main", 13, 0.0)
         c.request_checkpoint(kind=CheckpointKind.LOOP)
-        c.loop_top("main", 10, 0.0)
-        with pytest.raises(CheckpointError, match="skew"):
-            c.loop_top("main", 13, 0.0)
+        assert c.loop_top(0, "main", 10, 0.0) is False
+        assert c._round.loop_target == 14
+        assert c.loop_top(1, "main", 14, 0.0) is True
+        assert c.loop_top(0, "main", 14, 0.0) is True
+
+    @pytest.mark.parametrize("path", ["request", "trigger"])
+    def test_asked_for_round_fails_once_a_rank_ended_the_loop(self, path):
+        c = coord()
+        c.loop_end(1, "main", 5)
+        t = (c.request_checkpoint(kind=CheckpointKind.LOOP)
+             if path == "request" else
+             c.checkpoint_at_iteration("main", 2, kind=CheckpointKind.LOOP))
+        assert c.loop_top(0, "main", 3, 0.0) is False
+        with pytest.raises(CheckpointError,
+                           match="rank 1 already ended loop 'main'"):
+            t.wait(0)
+        assert c.intent is None
+
+    def test_interval_arms_nothing_in_a_loop_a_rank_ended(self):
+        """Nobody asked for an interval round: it stays due and arms in
+        the next loop every rank can still reach."""
+        c = coord()
+        c.enable_interval_checkpoints(0.05)
+        c.loop_end(1, "main", 5)
+        assert c.loop_top(0, "main", 3, 1.0) is False
+        assert c.intent is None and c.interval_tickets == []
+        c.loop_top(0, "post", 0, 1.0)
+        (t,) = c.interval_tickets
+        assert c.intent is t and c._round.loop_target == 4
+
+    def test_snapshot_names_the_loop_round_and_its_ledger(self):
+        c = coord(lag=4)
+        c.request_checkpoint(kind=CheckpointKind.LOOP)
+        assert "LOOP target not elected yet" in c.phase_snapshot()
+        c.loop_top(1, "main", 3, 0.0)
+        c.loop_top(0, "main", 2, 0.0)
+        snap = c.phase_snapshot()
+        assert ("LOOP target: loop 'main' iteration 7; loop 'main' last "
+                "iterations {0: 2, 1: 3}, ended by ranks []") in snap
 
     def test_non_loop_intent_ignores_poll(self):
         c = coord()
         c.request_checkpoint(kind=CheckpointKind.IN_SESSION)
-        assert c.loop_top("main", 3, 0.0) is False
+        assert c.loop_top(0, "main", 3, 0.0) is False
         assert c._round.loop_target is None
 
     def test_other_loop_not_elected(self):
         c = coord()
         c.request_checkpoint(kind=CheckpointKind.LOOP)
-        c.loop_top("main", 10, 0.0)
-        assert c.loop_top("side", 14, 0.0) is False
+        c.loop_top(0, "main", 10, 0.0)
+        assert c.loop_top(0, "side", 14, 0.0) is False
 
     def test_loop_cancel(self):
         c = coord()
         t = c.request_checkpoint(kind=CheckpointKind.LOOP)
-        c.loop_top("main", 10, 0.0)
-        c.loop_end("main", 12)
+        c.loop_top(0, "main", 10, 0.0)
+        c.loop_end(0, "main", 12)
         with pytest.raises(CheckpointError, match="cancelled"):
             t.wait(1)
         assert c.intent is None
@@ -177,10 +224,54 @@ class TestLoopElection:
     def test_end_of_another_loop_keeps_the_round(self):
         c = coord()
         t = c.request_checkpoint(kind=CheckpointKind.LOOP)
-        c.loop_top("main", 10, 0.0)
-        c.loop_end("side", 12)
-        c.loop_end("main", 15)           # target 14 lies inside the loop
+        c.loop_top(0, "main", 10, 0.0)
+        c.loop_end(0, "side", 12)
+        c.loop_end(0, "main", 15)           # target 14 lies inside the loop
         assert c.intent is t
+
+
+class TestRoundAfterARankLeftItsLoop:
+    """A LOOP round armed after some rank has ended the loop could never
+    complete: the other ranks parked at its target until the job's
+    deadline.  Each arming path now checks the loop's ledger first."""
+
+    def _launch(self, app_factory, **config):
+        return Launcher(JobConfig(nranks=2, impl="mpich", mana=True,
+                                  deadline=10.0, **config)).launch(app_factory)
+
+    def test_interval_arms_nothing(self):
+        """Rank 1 leaves at vtime ~0.02; rank 0 crosses the 0.05 s
+        interval at its top of iteration 3, which used to elect 11."""
+        job = self._launch(lambda r: EarlyLeaverApp(leaver=1),
+                           ckpt_interval=0.05)
+        res = job.run()
+        assert res.status == "completed", res.first_error()
+        assert job.coordinator.interval_tickets == []
+
+    def test_fast_sender_leaves_before_the_interval(self):
+        """The fast sender of SkewedSendersApp, through the interval
+        path: rank 0 never blocks, ends its loop and sends a token; rank
+        1 crosses the interval only after receiving it."""
+        job = self._launch(lambda r: EarlyLeaverApp(leaver=0, burst=3),
+                           ckpt_interval=0.05)
+        res = job.run()
+        assert res.status == "completed", res.first_error()
+        assert job.coordinator.interval_tickets == []
+        assert res.apps()[1].received == sorted(
+            it * 100.0 + b for it in range(20) for b in range(3))
+
+    def test_request_fails_its_ticket_at_once(self):
+        """Rank 0 requests a LOOP checkpoint as it receives the token
+        rank 1 sent after leaving the loop."""
+        tickets = []
+        job = self._launch(lambda r: EarlyLeaverApp(on_token=lambda: (
+            tickets.append(job.request_checkpoint(kind="loop")))))
+        res = job.run()
+        assert res.status == "completed", res.first_error()
+        (ticket,) = tickets
+        with pytest.raises(CheckpointError,
+                           match="rank 1 already ended loop 'main'"):
+            ticket.wait(0)
 
 
 class TestRoundRetry:

@@ -163,7 +163,7 @@ class TestCoordinatorDiagnostics:
         from repro.simtime.cost import FilesystemProfile
 
         coord = CheckpointCoordinator(
-            2, None, FilesystemProfile.discovery_nfsv3()
+            2, None, FilesystemProfile.discovery_nfsv3(), loop_lag_window=4
         )
         tk = coord.request_checkpoint()
         att = coord.begin_participation(0)
@@ -192,7 +192,7 @@ class TestCoordinatorDiagnostics:
 
         monkeypatch.setattr(coordinator, "PHASE_TIMEOUT_S", 0.2)
         coord = coordinator.CheckpointCoordinator(
-            2, None, FilesystemProfile.discovery_nfsv3()
+            2, None, FilesystemProfile.discovery_nfsv3(), loop_lag_window=4
         )
         coord.request_checkpoint()
         att = coord.begin_participation(0)

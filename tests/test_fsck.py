@@ -320,6 +320,43 @@ class TestFsckRepair:
         assert digest not in store.chunks.digests()
         assert report.restorable_generations == [1]
 
+    @pytest.mark.parametrize("repair", [True, False])
+    def test_header_failing_its_digest_keeps_its_chunks(self, tmp_path,
+                                                         repair):
+        """One flipped hex digit in a format-5 header's chunk list: the
+        header still parses, but its digest fails and its references name
+        a chunk that does not exist.  The chunk the image really uses
+        must not be reclaimed as an orphan, so restoring the byte makes
+        the generation restorable again."""
+        store = store_for(str(tmp_path))
+        for g in (1, 2):
+            _write_generation(store, g)
+        path = store.image_path(2, 0)
+        others = {d for g in (1, 2) for r in (0, 1) if (g, r) != (2, 0)
+                  for d, _ in image_chunk_refs(store.image_path(g, r))}
+        digest = next(d for d, _ in image_chunk_refs(path)
+                      if d not in others)
+        with open(path, "rb") as f:
+            data = f.read()
+        at = data.index(digest.encode())
+        flipped = b"0" if data[at:at + 1] != b"0" else b"1"
+        with open(path, "wb") as f:
+            f.write(data[:at] + flipped + data[at + 1:])
+
+        report = fsck(store, repair=repair)
+        assert os.path.exists(store.chunks.chunk_path(digest))
+        assert report.orphan_chunks_removed == 0
+        assert report.orphan_sweep_skipped == (
+            f"kept orphan chunks: {path} fails its digest check, so its "
+            f"chunk references cannot be trusted")
+        assert report.orphan_sweep_skipped in report.summary()
+        assert report.restorable_generations == [1]
+
+        with open(path, "wb") as f:
+            f.write(data)
+        assert CheckpointStore(str(tmp_path)).validate(2) == []
+        assert fsck(store).orphan_sweep_skipped is None
+
     def test_fsck_is_idempotent(self, tmp_path):
         store = store_for(str(tmp_path))
         _write_generation(store, 1)

@@ -62,6 +62,7 @@ def test_invalid_interval_rejected():
     from repro.mana.coordinator import CheckpointCoordinator
     from repro.simtime.cost import FilesystemProfile
 
-    c = CheckpointCoordinator(1, None, FilesystemProfile.discovery_nfsv3())
+    c = CheckpointCoordinator(1, None, FilesystemProfile.discovery_nfsv3(),
+                              loop_lag_window=4)
     with pytest.raises(ValueError):
         c.enable_interval_checkpoints(0)

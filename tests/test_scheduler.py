@@ -316,7 +316,8 @@ class TestAbortReachesEveryRank:
         sched = Scheduler(3, slots=1)
         fab = Fabric(3, CostModel.discovery(), scheduler=sched)
         coord = CheckpointCoordinator(
-            3, None, FilesystemProfile.discovery_nfsv3(), scheduler=sched,
+            3, None, FilesystemProfile.discovery_nfsv3(), loop_lag_window=4,
+            scheduler=sched,
         )
         hold = threading.Event()
         boom = RuntimeError("boom")
