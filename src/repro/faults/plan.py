@@ -13,6 +13,15 @@ identical failure trace, run after run.
 The seed additionally derives any randomness a fault needs (e.g. which
 payload byte a bit-flip corrupts) via the repo's stable hash, never the
 host RNG.
+
+Each spec is filed under one program point (:attr:`FaultSpec.point`),
+and a hook there fires the first unfired spec whose coordinates equal
+the hook's; an unset ``generation`` matches any generation.  A spec
+that could never fire is refused when it is built: an unknown kind or
+crash site, a crash, image, chunk or disk-full fault with no ``rank``,
+an MPI-call crash at ``at`` < 1 or a loop crash at ``at`` < 0, a message
+fault with no ``src`` or ``dst``, and a round abort with no
+``generation``.
 """
 
 from __future__ import annotations
@@ -39,6 +48,16 @@ SITE_MID_SAVE = "mid-save"
 CRASH_SITES = (
     SITE_MPI_CALL, SITE_LOOP, SITE_PRE_DRAIN, SITE_POST_DRAIN, SITE_MID_SAVE,
 )
+#: The fabric's point, shared by both message faults.
+MESSAGE = "message"
+
+#: The coordinates each kind's hook matches on that a spec must set
+#: (a crash also needs its site, and an MPI-call or loop crash ``at``).
+_REQUIRED = {
+    CRASH: ("rank",), CORRUPT_IMAGE: ("rank",), CORRUPT_CHUNK: ("rank",),
+    DISK_FULL: ("rank",), MSG_DROP: ("src", "dst"),
+    MSG_DELAY: ("src", "dst"), ROUND_ABORT: ("generation",),
+}
 
 # Image-corruption modes.
 CORRUPT_BITFLIP = "bitflip"
@@ -63,24 +82,49 @@ class FaultSpec:
     attempt: int = 1                  # round-abort: which attempt to hit
 
     def __post_init__(self):
+        if self.kind not in _REQUIRED:
+            raise ValueError(
+                f"fault kind must be one of {tuple(_REQUIRED)}, "
+                f"got {self.kind!r}"
+            )
+        missing = [c for c in _REQUIRED[self.kind]
+                   if getattr(self, c) is None]
+        if missing:
+            raise ValueError(
+                f"a {self.kind} fault needs {' and '.join(missing)}"
+            )
         if self.kind == CRASH and self.site not in CRASH_SITES:
             raise ValueError(
                 f"crash site must be one of {CRASH_SITES}, got {self.site!r}"
+            )
+        # Wrapped MPI calls count from 1, loop iterations from 0.
+        first = {SITE_MPI_CALL: 1, SITE_LOOP: 0}.get(self.site)
+        if self.kind == CRASH and first is not None and (
+                self.at is None or self.at < first):
+            raise ValueError(
+                f"a {self.site} crash needs at >= {first}, got {self.at!r}"
             )
         if self.kind == CORRUPT_IMAGE and self.mode not in (
             CORRUPT_BITFLIP, CORRUPT_TRUNCATE,
         ):
             raise ValueError(f"unknown corruption mode {self.mode!r}")
 
+    @property
+    def point(self) -> str:
+        """The program point whose hook matches this spec: a crash's
+        site, ``message`` for both message faults, otherwise the kind."""
+        if self.kind == CRASH:
+            return self.site
+        return MESSAGE if self.kind in (MSG_DROP, MSG_DELAY) else self.kind
+
     def describe(self) -> str:
         if self.kind == CRASH:
-            where = {
-                SITE_MPI_CALL: f"MPI call #{self.at}",
-                SITE_LOOP: f"loop {self.loop!r} iteration {self.at}",
-                SITE_PRE_DRAIN: f"pre-drain of generation {self.generation}",
-                SITE_POST_DRAIN: f"post-drain of generation {self.generation}",
-                SITE_MID_SAVE: f"mid-save of generation {self.generation}",
-            }[self.site]
+            if self.site == SITE_MPI_CALL:
+                where = f"MPI call #{self.at}"
+            elif self.site == SITE_LOOP:
+                where = f"loop {self.loop!r} iteration {self.at}"
+            else:
+                where = f"{self.site} of generation {self.generation}"
             return f"crash rank {self.rank} at {where}"
         if self.kind == CORRUPT_IMAGE:
             return (f"{self.mode} image of rank {self.rank} "
@@ -94,10 +138,8 @@ class FaultSpec:
         if self.kind == ROUND_ABORT:
             return (f"abort checkpoint round generation {self.generation} "
                     f"attempt {self.attempt}")
-        if self.kind in (MSG_DROP, MSG_DELAY):
-            what = "drop" if self.kind == MSG_DROP else f"delay {self.delay}s"
-            return f"{what} message #{self.nth} {self.src}->{self.dst}"
-        return self.kind
+        what = "drop" if self.kind == MSG_DROP else f"delay {self.delay}s"
+        return f"{what} message #{self.nth} {self.src}->{self.dst}"
 
 
 @dataclass
@@ -161,8 +203,8 @@ class FaultPlan:
         )
 
     def disk_full(self, rank: int, generation: int) -> "FaultPlan":
-        """Fail rank ``rank``'s ``save_image`` of ``generation`` with a
-        disk-full error (partial temp file, final path untouched)."""
+        """Fail rank ``rank``'s image save of ``generation`` with a
+        disk-full error, raised before the save writes anything."""
         return self.add(FaultSpec(DISK_FULL, rank=rank, generation=generation))
 
     def drop_message(self, src: int, dst: int, nth: int = 1) -> "FaultPlan":

@@ -78,7 +78,6 @@ from repro.mana.chunkstore import (
 )
 from repro.util.errors import (
     CheckpointError,
-    InjectedFault,
     IntegrityError,
     RestartError,
 )
@@ -176,34 +175,6 @@ def _encode_image_v5(image: CheckpointImage, blob_len: int,
     return MAGIC + _LEN.pack(len(hdr)) + hdr + hashlib.sha256(hdr).digest()
 
 
-def _injection_points(path: str, data: bytes, image: CheckpointImage,
-                      injector, vtime: float) -> None:
-    """The save-site fault hooks, shared by both formats.
-
-    A mid-save crash leaves a torn *temp* file (never a torn image at
-    the final path); a disk-full error cleans its partial temp file up
-    and surfaces the error with the final path untouched.
-    """
-    tmp = storeio.tmp_name(path)
-    try:
-        injector.crash_point("mid-save", image.rank, image.generation, vtime)
-    except InjectedFault:
-        with open(tmp, "wb") as f:
-            f.write(data[: max(1, len(data) // 2)])
-        raise
-    if injector.disk_full_hit(image.rank, image.generation):
-        try:
-            with open(tmp, "wb") as f:
-                f.write(data[: max(1, len(data) // 2)])
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        raise InjectedFault(
-            f"injected disk-full: rank {image.rank} saving "
-            f"generation {image.generation}"
-        )
-
-
 #: Pooled chunk runs target this many uncompressed bytes each: small
 #: enough that a 4 MB rank splits into ~16 interleavable work items,
 #: large enough that submit overhead stays under ~1% of the zlib cost.
@@ -211,19 +182,18 @@ _RUN_BYTES = 256 * 1024
 
 
 def _store_chunk_run(store: ChunkStore, view, run,
-                     context: str) -> Tuple[int, List[str]]:
+                     context: str) -> Tuple[int, int]:
     """Compress+store one run of (digest, start, end) items serially;
-    returns (bytes_written, digests new to the store).  ``context`` is
+    returns (bytes_written, chunks new to the store).  ``context`` is
     the saver's operation context, so a pool worker's crash points are
     named after the save it serves."""
-    written = 0
-    new_digests: List[str] = []
+    written = stored = 0
     for d, s, e in run:
         nbytes, reused = store.put_known(d, view[s:e], context)
         if not reused:
             written += nbytes
-            new_digests.append(d)
-    return written, new_digests
+            stored += 1
+    return written, stored
 
 
 def _gather(futures: List[Future]) -> List[object]:
@@ -527,14 +497,15 @@ class CheckpointStore:
             format=4,
         )
         if injector is not None:
-            _injection_points(path, data, image, injector, vtime)
+            injector.before_save(path, data, image.rank, image.generation,
+                                 vtime)
         tmp = storeio.tmp_name(path)
         self.io.write_file(tmp, data, "image.tmp", "save")
         self.io.rename(tmp, path, "image", "save")  # atomic: no torn images
         self.journal.retire(token)
         if injector is not None:
             # Post-rename bit rot / torn-write simulation on the final file.
-            injector.after_save(path, image.rank, image.generation)
+            injector.after_save(self, path, image.rank, image.generation, ())
         return len(data)
 
     def save(self, image: CheckpointImage, blob: Optional[bytes] = None, *,
@@ -592,7 +563,8 @@ class CheckpointStore:
             rank=image.rank, format=5,
         )
         if injector is not None:
-            _injection_points(path, data, image, injector, vtime)
+            injector.before_save(path, data, image.rank, image.generation,
+                                 vtime)
         seen: Set[str] = set()
         todo: List[Tuple[str, int, int]] = []
         for d, (s, e) in zip(digests, spans):
@@ -624,7 +596,7 @@ class CheckpointStore:
                 results = [_store_chunk_run(self.chunks, view, r, context)
                            for r in runs]
             written = sum(w for w, _ in results)
-            new_digests = [d for _, nd in results for d in nd]
+            stored = sum(n for _, n in results)
             tmp = storeio.tmp_name(path)
             self.io.write_file(tmp, data, "image.tmp", context)
             self.io.rename(tmp, path, "image", context)
@@ -633,17 +605,15 @@ class CheckpointStore:
                 self.chunks.unpin(seen)
         self.journal.retire(token, context)
         if injector is not None:
-            injector.after_save(path, image.rank, image.generation)
-            injector.after_chunked_save(
-                self, image.rank, image.generation, new_digests, digests
-            )
+            injector.after_save(self, path, image.rank, image.generation,
+                                digests)
         return {
             "format": 5,
             "payload_bytes": len(blob),
             "file_bytes": len(data),
             "chunks_total": len(refs),
-            "chunks_written": len(new_digests),
-            "chunks_reused": len(seen) - len(new_digests),
+            "chunks_written": stored,
+            "chunks_reused": len(seen) - stored,
             "bytes_written": len(data) + written,
         }
 

@@ -70,6 +70,24 @@ class TestPostAndMatch:
             fab.try_match(-1, 0, 0, 0)
 
 
+class TestInjectedDrop:
+    def test_drops_exactly_the_nth_message_of_its_pair(self, fab):
+        from repro.faults import FaultInjector, FaultPlan
+
+        fab.injector = FaultInjector(FaultPlan().drop_message(0, 1, nth=2))
+        for payload in (b"a", b"b", b"c"):
+            post(fab, 0, 1, payload=payload)
+            post(fab, 0, 2, payload=payload)
+        assert [fab.try_match(1, 0, 1, 10).payload for _ in range(2)] == \
+            [b"a", b"c"]
+        assert fab.try_match(1, 0, 1, 10) is None
+        assert [fab.try_match(2, 0, 1, 10).payload for _ in range(3)] == \
+            [b"a", b"b", b"c"]
+        (event,) = fab.injector.trace()
+        assert (event["fault"], event["src"], event["dst"], event["nth"]) \
+            == ("msg-drop", 0, 1, 2)
+
+
 class TestTiming:
     def test_arrival_after_send_time(self, fab):
         m = post(fab, 0, 1, payload=b"x" * 1000, t=5.0)

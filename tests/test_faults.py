@@ -19,6 +19,7 @@ from repro.faults.plan import (
     CORRUPT_TRUNCATE,
     CRASH,
     SITE_MID_SAVE,
+    SITE_POST_DRAIN,
     SITE_PRE_DRAIN,
 )
 from repro.faults.scenarios import SCENARIOS
@@ -33,6 +34,18 @@ class TestFaultPlan:
     def test_crash_requires_valid_site(self):
         with pytest.raises(ValueError, match="crash site"):
             FaultSpec(CRASH, rank=0, site="nowhere")
+
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(kind="crsh", rank=1), "fault kind"),
+        (dict(kind=CRASH, site="loop", at=3), "needs rank"),
+        (dict(kind=CRASH, rank=0, site="mpi-call", at=0), "at >= 1"),
+        (dict(kind=CRASH, rank=0, site="loop"), "at >= 0"),
+        (dict(kind="msg-drop", src=0), "needs dst"),
+        (dict(kind="round-abort"), "needs generation"),
+    ])
+    def test_spec_that_can_never_fire_is_refused(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            FaultSpec(**kwargs)
 
     def test_corrupt_requires_valid_mode(self):
         with pytest.raises(ValueError, match="corruption mode"):
@@ -248,15 +261,16 @@ class TestInjectionEndToEnd:
         assert [r.originating for r in res1.ranks] == \
             [False, False, True, False]
 
+    @pytest.mark.parametrize("site", [SITE_PRE_DRAIN, SITE_POST_DRAIN])
     def test_pre_drain_crash_fails_round_then_supervisor_recovers(
-            self, tmp_path):
+            self, tmp_path, site):
         from repro.faults.scenarios import (
             SurvivorApp, _arm_triggers, _config, baseline_checksums,
         )
         from repro.runtime import RestartPolicy
 
         plan = FaultPlan(seed=7).crash_in_checkpoint(
-            rank=1, generation=2, site=SITE_PRE_DRAIN)
+            rank=1, generation=2, site=site)
         cfg = _config(str(tmp_path), 7, plan)
         res = Launcher(cfg, RestartPolicy(max_restarts=2)).supervise(
             lambda r: SurvivorApp(), timeout=60.0, on_launch=_arm_triggers,
