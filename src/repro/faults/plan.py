@@ -20,8 +20,9 @@ the hook's; an unset ``generation`` matches any generation.  A spec
 that could never fire is refused when it is built: an unknown kind or
 crash site, a crash, image, chunk or disk-full fault with no ``rank``,
 an MPI-call crash at ``at`` < 1 or a loop crash at ``at`` < 0, a message
-fault with no ``src`` or ``dst``, and a round abort with no
-``generation``.
+fault with no ``src`` or ``dst`` or at ``nth`` < 1, a chunk corruption
+at ``nth`` < 1, and a round abort with no ``generation`` or at
+``attempt`` < 1.
 """
 
 from __future__ import annotations
@@ -57,6 +58,14 @@ _REQUIRED = {
     CRASH: ("rank",), CORRUPT_IMAGE: ("rank",), CORRUPT_CHUNK: ("rank",),
     DISK_FULL: ("rank",), MSG_DROP: ("src", "dst"),
     MSG_DELAY: ("src", "dst"), ROUND_ABORT: ("generation",),
+}
+
+#: The counted coordinate of each point and the first value its hook
+#: reports: wrapped MPI calls, messages per pair, fresh chunks and round
+#: attempts count from 1, loop iterations from 0.
+_FIRST = {
+    SITE_MPI_CALL: ("at", 1), SITE_LOOP: ("at", 0), MESSAGE: ("nth", 1),
+    CORRUPT_CHUNK: ("nth", 1), ROUND_ABORT: ("attempt", 1),
 }
 
 # Image-corruption modes.
@@ -97,13 +106,15 @@ class FaultSpec:
             raise ValueError(
                 f"crash site must be one of {CRASH_SITES}, got {self.site!r}"
             )
-        # Wrapped MPI calls count from 1, loop iterations from 0.
-        first = {SITE_MPI_CALL: 1, SITE_LOOP: 0}.get(self.site)
-        if self.kind == CRASH and first is not None and (
-                self.at is None or self.at < first):
-            raise ValueError(
-                f"a {self.site} crash needs at >= {first}, got {self.at!r}"
-            )
+        bound = _FIRST.get(self.point)
+        if bound is not None:
+            name, first = bound
+            value = getattr(self, name)
+            if value is None or value < first:
+                raise ValueError(
+                    f"a {self.point} fault needs {name} >= {first}, "
+                    f"got {value!r}"
+                )
         if self.kind == CORRUPT_IMAGE and self.mode not in (
             CORRUPT_BITFLIP, CORRUPT_TRUNCATE,
         ):

@@ -36,16 +36,6 @@ PAPER_CS_RATES = {
     "sw4": (12.5e6, 56),
 }
 
-#: §6.1/§6.4 headline overheads (fraction over native).
-PAPER_OVERHEADS = {
-    ("lammps", "mpich"): 0.32,
-    ("lammps", "openmpi"): 0.37,
-    ("sw4", "mpich"): 0.15,
-    ("sw4", "openmpi"): 0.18,
-    ("lammps", "craympi"): 0.054,
-    ("sw4", "craympi"): 0.055,
-}
-
 #: Table 3 (Discovery, NFSv3).
 PAPER_TABLE3 = {
     "comd": (32, 8.9, 3.6),
@@ -152,6 +142,7 @@ def _runtime_figure(
 
 
 def _case_label(impl: str, mana: bool, vid: str) -> str:
+    """A case's series name; also names the cases that raised."""
     if not mana:
         return f"native/{impl}"
     return f"{'mana+vid' if vid == 'new' else 'mana'}/{impl}"

@@ -34,13 +34,6 @@ class CaseResult:
     trials: int = 1
     runtime_std: float = 0.0  # std across trials (the figures' error bars)
 
-    @property
-    def label(self) -> str:
-        if not self.mana:
-            return f"native/{self.impl}"
-        tag = "mana+vid" if self.vid_design == "new" else "mana"
-        return f"{tag}/{self.impl}"
-
     def overhead_vs(self, native: "CaseResult") -> float:
         """Runtime overhead relative to a native case, as a fraction."""
         if native.runtime <= 0:

@@ -26,8 +26,7 @@ from typing import Dict, Optional
 
 from repro.impls.openmpi import PointerHandleSpace
 from repro.mpi import constants as C
-from repro.mpi.api import BaseMpiLib, HandleKind, HandleSpace
-from repro.mpi.objects import DatatypeObject
+from repro.mpi.api import BaseMpiLib, HandleKind, HandleSpace, constant_kind
 from repro.util.errors import InvalidHandleError, MpiError
 from repro.util.rng import DeterministicRng
 
@@ -52,9 +51,12 @@ class ExampiHandleSpace(PointerHandleSpace):
         # enum value -> DatatypeObject, populated lazily by the library.
         self._enum_objects: Dict[int, object] = {}
 
-    def insert_enum_datatype(self, enum_value: int, obj) -> int:
-        self._enum_objects[enum_value] = obj
-        return enum_value
+    def insert(self, kind: str, obj, builtin_name: Optional[str] = None) -> int:
+        if kind == HandleKind.DATATYPE and builtin_name is not None:
+            enum_value = PRIMITIVE_ENUM[builtin_name]
+            self._enum_objects[enum_value] = obj
+            return enum_value
+        return super().insert(kind, obj)
 
     def resolve(self, kind: str, handle: int):
         if kind == HandleKind.DATATYPE and 1 <= handle <= len(PRIMITIVE_ENUM):
@@ -101,10 +103,6 @@ class ExaMpiLib(BaseMpiLib):
         }
     )
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._lazy_resolved: Dict[str, int] = {}
-
     def _make_handle_space(self) -> HandleSpace:
         return ExampiHandleSpace(
             DeterministicRng((self.epoch << 16) ^ (self.world_rank + 1) ^ 0xE7A, "exampi-heap")
@@ -114,23 +112,8 @@ class ExaMpiLib(BaseMpiLib):
         # ExaMPI resolves *nothing* at init: constants come into existence
         # on first touch.  Only the world/self communicators exist after
         # init (the runtime itself needs them).
-        from repro.mpi.group import GroupData
-        from repro.mpi.objects import CommObject
-
-        world = CommObject(
-            group=GroupData(tuple(range(self.nranks))),
-            context_id=self._world_context_id(),
-            my_world_rank=self.world_rank,
-            name="MPI_COMM_WORLD",
-        )
-        selfc = CommObject(
-            group=GroupData((self.world_rank,)),
-            context_id=self._self_context_id(),
-            my_world_rank=self.world_rank,
-            name="MPI_COMM_SELF",
-        )
-        self._register_constant("MPI_COMM_WORLD", HandleKind.COMM, world)
-        self._register_constant("MPI_COMM_SELF", HandleKind.COMM, selfc)
+        for name in C.PREDEFINED_COMMS:
+            self._register_constant(name)
 
     def constant(self, name: str) -> int:
         """Lazy constant resolution with aliasing (§4.3)."""
@@ -138,46 +121,18 @@ class ExaMpiLib(BaseMpiLib):
             raise MpiError(
                 f"ExaMPI constant {name} touched before init", "MPI_ERR_OTHER"
             )
-        if name in self._constants:
-            return self._constants[name]
-        if name in self._lazy_resolved:
-            return self._lazy_resolved[name]
-        canonical = C.EXAMPI_ALIASES.get(name, name)
-        handle = self._resolve_lazily(canonical)
-        # Record under both the alias and the canonical name: the two
-        # names now share one physical id.
-        self._lazy_resolved[name] = handle
-        self._lazy_resolved[canonical] = handle
-        return handle
-
-    def _resolve_lazily(self, name: str) -> int:
-        if name in self._lazy_resolved:
-            return self._lazy_resolved[name]
-        space: ExampiHandleSpace = self.handles  # type: ignore[assignment]
-        if name in C.PREDEFINED_DATATYPES:
-            obj = DatatypeObject(
-                descriptor=self._predefined_types[name],
-                committed=True,
-                predefined_name=name,
-            )
-            return space.insert_enum_datatype(PRIMITIVE_ENUM[name], obj)
-        if name in C.PREDEFINED_OPS:
-            from repro.mpi.api import _builtin_op_fn
-            from repro.mpi.objects import OpObject
-
-            obj = OpObject(
-                fn=_builtin_op_fn(name), commute=True, predefined_name=name
-            )
-            return self.handles.insert(HandleKind.OP, obj)
-        if name == "MPI_GROUP_EMPTY":
-            from repro.mpi.group import EMPTY_GROUP
-            from repro.mpi.objects import GroupObject
-
-            return self.handles.insert(
-                HandleKind.GROUP, GroupObject(EMPTY_GROUP)
-            )
-        raise MpiError(f"unknown ExaMPI constant {name!r}", "MPI_ERR_ARG")
+        if name not in self._constants:
+            canonical = C.EXAMPI_ALIASES.get(name, name)
+            if canonical not in self._constants:
+                if constant_kind(canonical) is None:
+                    raise MpiError(
+                        f"unknown ExaMPI constant {name!r}", "MPI_ERR_ARG"
+                    )
+                self._register_constant(canonical)
+            # The alias and the canonical name share one physical id.
+            self._constants[name] = self._constants[canonical]
+        return self._constants[name]
 
     def resolved_constant_names(self):
         """Names touched so far (introspection for tests/benchmarks)."""
-        return sorted(set(self._constants) | set(self._lazy_resolved))
+        return sorted(self._constants)

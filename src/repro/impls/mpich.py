@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.mpi.api import BaseMpiLib, HandleKind, HandleSpace
+from repro.mpi import constants as C
+from repro.mpi.api import BaseMpiLib, HandleKind, HandleSpace, constant_kind
 from repro.util.bits import BitField
 from repro.util.errors import InvalidHandleError
 
@@ -191,28 +192,12 @@ class MpichLib(BaseMpiLib):
             return self._constants[name]
         except KeyError:
             pass
-        # Pre-init access: compute the literal the header would contain.
-        # Builtin handles depend only on registration order, which is
-        # fixed, so the value can be computed without creating objects.
-        order = _builtin_registration_order()
-        if name not in order:
+        kind = constant_kind(name)
+        if kind is None:
             return super().constant(name)  # raises MpiError
-        kind, idx = order[name]
+        # Pre-init access: the literal the header would contain.  A
+        # builtin's index is its place among its kind in the fixed
+        # registration order, so no object needs to exist.
+        same_kind = [n for n in C.ALL_CONSTANT_NAMES if constant_kind(n) == kind]
         space: TwoLevelHandleSpace = self.handles  # type: ignore[assignment]
-        return space._builtin_handle(kind, idx)
-
-
-def _builtin_registration_order() -> Dict[str, Tuple[str, int]]:
-    """name -> (kind, builtin index) in the fixed registration order used
-    by BaseMpiLib._create_builtins (the simulated "mpi.h" ABI)."""
-    from repro.mpi import constants as C
-
-    order: Dict[str, Tuple[str, int]] = {}
-    order["MPI_COMM_WORLD"] = (HandleKind.COMM, 0)
-    order["MPI_COMM_SELF"] = (HandleKind.COMM, 1)
-    order["MPI_GROUP_EMPTY"] = (HandleKind.GROUP, 0)
-    for i, tname in enumerate(C.PREDEFINED_DATATYPES):
-        order[tname] = (HandleKind.DATATYPE, i)
-    for i, oname in enumerate(C.PREDEFINED_OPS):
-        order[oname] = (HandleKind.OP, i)
-    return order
+        return space._builtin_handle(kind, same_kind.index(name))

@@ -25,7 +25,8 @@ the object constructors being replayed:
 from __future__ import annotations
 
 import pickle
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List
 
 import numpy as np
 
@@ -83,53 +84,39 @@ def decode_datatype(lib: BaseMpiLib, phys: int) -> dt.TypeDescriptor:
     return dt.descriptor_from_contents(env.combiner, integers, addresses, bases)
 
 
+#: combiner -> the standard constructor that rebuilds it from its
+#: contents (integers, addresses, child handles).
+_CONSTRUCTORS = MappingProxyType({
+    C.COMBINER_CONTIGUOUS: lambda lib, ints, addrs, types:
+        lib.type_contiguous(ints[0], types[0]),
+    C.COMBINER_VECTOR: lambda lib, ints, addrs, types:
+        lib.type_vector(*ints, types[0]),
+    C.COMBINER_INDEXED: lambda lib, ints, addrs, types: lib.type_indexed(
+        list(ints[1:1 + ints[0]]), list(ints[1 + ints[0]:]), types[0]),
+    C.COMBINER_STRUCT: lambda lib, ints, addrs, types:
+        lib.type_create_struct(list(ints[1:]), list(addrs), types),
+})
+
+
 def create_datatype(lib: BaseMpiLib, desc: dt.TypeDescriptor) -> int:
     """Rebuild a descriptor tree in the lower half via standard calls.
 
     Returns an *uncommitted* handle (commit is the caller's decision).
-    Intermediate child handles are freed.
+    Each derived child is built first and freed once the constructor has
+    returned.
     """
-    if isinstance(desc, dt.NamedType):
+    if desc.is_named():
         return lib.constant(desc.name)
-
-    def build(child: dt.TypeDescriptor) -> Tuple[int, bool]:
-        h = create_datatype(lib, child)
-        return h, not child.is_named()
-
-    if isinstance(desc, dt.ContiguousType):
-        base, tmp = build(desc.base)
-        out = lib.type_contiguous(desc.count, base)
-        if tmp:
-            lib.type_free(base)
-        return out
-    if isinstance(desc, dt.VectorType):
-        base, tmp = build(desc.base)
-        out = lib.type_vector(desc.count, desc.blocklength, desc.stride, base)
-        if tmp:
-            lib.type_free(base)
-        return out
-    if isinstance(desc, dt.IndexedType):
-        base, tmp = build(desc.base)
-        out = lib.type_indexed(
-            list(desc.blocklengths), list(desc.displacements), base
-        )
-        if tmp:
-            lib.type_free(base)
-        return out
-    if isinstance(desc, dt.StructType):
-        handles, tmps = [], []
-        for b in desc.bases:
-            h, tmp = build(b)
-            handles.append(h)
-            tmps.append(tmp)
-        out = lib.type_create_struct(
-            list(desc.blocklengths), list(desc.byte_displacements), handles
-        )
-        for h, tmp in zip(handles, tmps):
-            if tmp:
-                lib.type_free(h)
-        return out
-    raise RestartError(f"cannot rebuild datatype {desc!r}")
+    constructor = _CONSTRUCTORS.get(desc.envelope().combiner)
+    if constructor is None:
+        raise RestartError(f"cannot rebuild datatype {desc!r}")
+    contents = desc.contents()
+    children = [create_datatype(lib, b) for b in contents.datatypes]
+    out = constructor(lib, contents.integers, contents.addresses, children)
+    for h, b in zip(children, contents.datatypes):
+        if not b.is_named():
+            lib.type_free(h)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.impls import make_lib
 from repro.impls.facade import _CONSTANT_ATTRS, _NULL_ATTRS, FacadeBase
 from repro.mana import checkpoint as ckpt
-from repro.mana import constants as mana_constants
 from repro.mana import participate
 from repro.mana import replay as replay_mod
 from repro.mana.coordinator import CheckpointCoordinator
@@ -79,6 +78,7 @@ from repro.mpi.api import (
     BaseMpiLib,
     HandleKind,
     Sig,
+    constant_kind,
 )
 from repro.mpi.datatypes import TypeDescriptor
 from repro.mpi.objects import CartInfo, Status
@@ -365,6 +365,31 @@ class ManaRank:
     # constants (§4.3: constants as functions, lazy for ExaMPI)
     # ------------------------------------------------------------------
     def _constant_handle(self, name: str) -> int:
+        """The virtual id of MPI global constant ``name`` (paper §4.3).
+
+        ``MPI_COMM_WORLD`` and friends are whatever the target ``mpi.h``
+        says they are —
+
+        * MPICH family: unique compile-time integers, identical in upper
+          and lower halves, stable across sessions;
+        * Open MPI: macros expanding to *function calls* returning
+          pointers, valid only after library startup, different between
+          a dynamically linked upper half and a statically linked lower
+          half, and different before checkpoint vs after restart;
+        * ExaMPI: smart shared pointers with reinterpret casts, resolved
+          *lazily* on first use, with aliases (MPI_INT8_T and MPI_CHAR
+          share a pointer).
+
+        MANA's solution, reproduced here: constants are re-defined as
+        lookups into MANA's own table.  The first time the application
+        touches a constant, this resolves it in the *current* lower half
+        (which for ExaMPI triggers the lazy creation) and binds it to a
+        virtual id whose index is derived from the constant's *name* —
+        stable across sessions, restarts, and MPI implementations.  After
+        a restart, replay simply re-asks the new lower half for each
+        name.  An unknown name is refused by the lower half's
+        ``constant``.
+        """
         vh = self.vids.constant_vid(name)
         if vh is not None:
             entry = self.vids.lookup(vh)
@@ -374,9 +399,7 @@ class ManaRank:
                 self.vids.set_phys(vh, self.lower.constant(name))
             return vh
         phys = self.lower.constant(name)
-        kind = mana_constants.constant_kind(name)
-        if kind is None:
-            raise MpiError(f"unknown constant {name!r}", "MPI_ERR_ARG")
+        kind = constant_kind(name)
         if kind == HandleKind.COMM:
             # Predefined communicators get full CommRecords: they carry
             # drain counters and collective sequence numbers like any

@@ -65,6 +65,51 @@ class HandleKind:
 
 
 # ----------------------------------------------------------------------
+# the simulated mpi.h: every predefined constant, in registration order
+# (C.ALL_CONSTANT_NAMES), with its kind and the object behind it
+# ----------------------------------------------------------------------
+def constant_kind(name: str) -> Optional[str]:
+    """The HandleKind of a predefined-constant name, or None."""
+    if name in C.PREDEFINED_COMMS:
+        return HandleKind.COMM
+    if name in C.PREDEFINED_GROUPS:
+        return HandleKind.GROUP
+    if name in C.PREDEFINED_DATATYPES:
+        return HandleKind.DATATYPE
+    if name in C.PREDEFINED_OPS:
+        return HandleKind.OP
+    return None
+
+
+def constant_object(lib: "BaseMpiLib", name: str):
+    """A fresh object for predefined constant ``name`` in ``lib``: every
+    implementation builds the same objects, only their handles differ.
+    All ranks derive the same context id for WORLD and one per rank for
+    SELF; the epoch makes both differ across sessions and restarts."""
+    kind = constant_kind(name)
+    if kind == HandleKind.COMM:
+        world = name == "MPI_COMM_WORLD"
+        salt = (f"world/{lib.name}/{lib.epoch}" if world
+                else f"self/{lib.name}/{lib.epoch}/{lib.world_rank}")
+        return CommObject(
+            group=GroupData(
+                tuple(range(lib.nranks)) if world else (lib.world_rank,)
+            ),
+            context_id=2 * _stable_hash(salt) % (1 << 30),
+            my_world_rank=lib.world_rank,
+            name=name,
+        )
+    if kind == HandleKind.GROUP:
+        return GroupObject(EMPTY_GROUP)
+    if kind == HandleKind.DATATYPE:
+        return DatatypeObject(
+            descriptor=lib._predefined_types[name], committed=True,
+            predefined_name=name,
+        )
+    return OpObject(fn=_builtin_op_fn(name), commute=True, predefined_name=name)
+
+
+# ----------------------------------------------------------------------
 # the signature table: the MPI functions whose arguments say all there
 # is to say, declared once for the library below and MANA's wrappers
 # ----------------------------------------------------------------------
@@ -275,57 +320,15 @@ class BaseMpiLib:
         self._create_builtins()
 
     def _create_builtins(self) -> None:
-        world_group = GroupData(tuple(range(self.nranks)))
-        world = CommObject(
-            group=world_group,
-            context_id=self._world_context_id(),
-            my_world_rank=self.world_rank,
-            name="MPI_COMM_WORLD",
-        )
-        selfc = CommObject(
-            group=GroupData((self.world_rank,)),
-            context_id=self._self_context_id(),
-            my_world_rank=self.world_rank,
-            name="MPI_COMM_SELF",
-        )
-        self._register_constant(
-            "MPI_COMM_WORLD", HandleKind.COMM, world
-        )
-        self._register_constant("MPI_COMM_SELF", HandleKind.COMM, selfc)
-        self._register_constant(
-            "MPI_GROUP_EMPTY", HandleKind.GROUP, GroupObject(EMPTY_GROUP)
-        )
-        for name, desc in self._predefined_types.items():
-            obj = DatatypeObject(
-                descriptor=desc, committed=True, predefined_name=name
-            )
-            self._register_constant(name, HandleKind.DATATYPE, obj)
-        for opname in C.PREDEFINED_OPS:
-            obj = OpObject(
-                fn=_builtin_op_fn(opname),
-                commute=True,
-                predefined_name=opname,
-            )
-            self._register_constant(opname, HandleKind.OP, obj)
+        for name in C.ALL_CONSTANT_NAMES:
+            self._register_constant(name)
 
-    def _register_constant(self, name: str, kind: str, obj) -> int:
-        handle = self.handles.insert(kind, obj, builtin_name=name)
+    def _register_constant(self, name: str) -> int:
+        handle = self.handles.insert(
+            constant_kind(name), constant_object(self, name), builtin_name=name
+        )
         self._constants[name] = handle
         return handle
-
-    def _world_context_id(self) -> int:
-        # All ranks derive the same pair of context ids for WORLD; the
-        # epoch makes them differ across sessions/restarts.
-        return 2 * _stable_hash(f"world/{self.name}/{self.epoch}") % (1 << 30)
-
-    def _self_context_id(self) -> int:
-        return (
-            2
-            * _stable_hash(
-                f"self/{self.name}/{self.epoch}/{self.world_rank}"
-            )
-            % (1 << 30)
-        )
 
     @mpi_call
     def initialized(self) -> bool:
@@ -552,13 +555,18 @@ class BaseMpiLib:
         self, buf: np.ndarray, count: int, datatype: int, dest: int,
         tag: int, comm: int,
     ) -> None:
-        self._send_impl(buf, count, datatype, dest, tag, comm)
-
-    def _send_impl(self, buf, count, datatype, dest, tag, comm) -> None:
         c = self._comm(comm)
+        if dest != C.PROC_NULL:  # a PROC_NULL send never reads its datatype
+            self._send(c, self._dtype(datatype), buf, count, dest, tag)
+
+    def _send(
+        self, c: CommObject, d: DatatypeObject, buf, count: int, dest: int,
+        tag: int,
+    ) -> None:
+        """The one send step of every send: pack and post (nothing for
+        PROC_NULL).  The fabric is eager, so the send is then complete."""
         if dest == C.PROC_NULL:
             return
-        d = self._dtype(datatype)
         d.check_committed()
         payload = d.descriptor.pack(buf, count)
         self.fabric.post_send(
@@ -619,9 +627,7 @@ class BaseMpiLib:
         req = RequestObject(
             RequestObject.SEND, c, tag, dest, None, count, d
         )
-        if dest != C.PROC_NULL:
-            self._send_impl(buf, count, datatype, dest, tag, comm)
-        # Eager fabric: a send request is complete as soon as it's posted.
+        self._send(c, d, buf, count, dest, tag)
         req.mark_complete(Status())
         return self.handles.insert(HandleKind.REQUEST, req)
 
@@ -676,18 +682,8 @@ class BaseMpiLib:
         req.active = True
         req.complete = False
         if req.kind == RequestObject.SEND:
-            if req.peer != C.PROC_NULL:
-                d = req.datatype
-                d.check_committed()
-                payload = d.descriptor.pack(req.buf, req.count)
-                self.fabric.post_send(
-                    src=self.world_rank,
-                    dst=req.comm.world_rank_of(req.peer),
-                    tag=req.tag,
-                    context_id=req.comm.context_id,
-                    payload=payload,
-                    send_time=self.clock.now,
-                )
+            self._send(req.comm, req.datatype, req.buf, req.count, req.peer,
+                       req.tag)
             req.mark_complete(Status())
         elif req.peer == C.PROC_NULL:
             req.mark_complete(Status(source=C.PROC_NULL))
@@ -803,7 +799,9 @@ class BaseMpiLib:
         recvbuf, recvcount: int, recvtype: int, source: int, recvtag: int,
         comm: int,
     ) -> Status:
-        self._send_impl(sendbuf, sendcount, sendtype, dest, sendtag, comm)
+        self.send.__wrapped__(
+            self, sendbuf, sendcount, sendtype, dest, sendtag, comm
+        )
         return self.recv.__wrapped__(
             self, recvbuf, recvcount, recvtype, source, recvtag, comm
         )

@@ -7,10 +7,17 @@ match collective traffic — the same separation real implementations get
 from their hidden collective context id.
 
 Algorithms: binomial trees for bcast, dissemination for barrier, pairwise
-exchange for alltoall, linear for the rooted collectives.  With <= 64
+exchange for alltoallv, linear for the rooted collectives.  With <= 64
 ranks, algorithmic sophistication is not what the paper's figures measure
 (overhead comes from per-call costs), so the simple, deterministic
 versions are preferred.
+
+``gather``, ``scatter`` and ``alltoall`` are their v-forms at uniform
+counts (rank ``i``'s block at ``i * count``), so each data-movement rule
+is written once.  ``allgather`` is a gather plus a broadcast of the
+gathered elements in the receive type; ``allgatherv`` broadcasts its
+receive buffer as raw bytes instead, which would overwrite the holes of
+a gapped receive type.
 
 A key invariant for MANA: when every rank has *returned* from a
 collective, no message of that collective is still in flight (each
@@ -21,7 +28,7 @@ therefore only has to drain user point-to-point traffic.
 from __future__ import annotations
 
 import pickle
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +66,17 @@ def _recv_raw(lib, comm: CommObject, src: int, tag: int) -> bytes:
 def _next_tag(lib, comm: CommObject) -> int:
     comm.coll_seq += 1
     return comm.coll_seq & 0x7FFFFFFF
+
+
+def _uniform(
+    comm: CommObject, count: int, root: Optional[int] = None,
+) -> Tuple[Optional[List[int]], Optional[List[int]]]:
+    """The counts and displacements of a uniform collective's v-form:
+    ``count`` elements per rank, rank ``i``'s block at ``i * count``.
+    A rooted collective reads them only at the root (elsewhere None)."""
+    if root is not None and comm.rank != root:
+        return None, None
+    return [count] * comm.size, [i * count for i in range(comm.size)]
 
 
 # ----------------------------------------------------------------------
@@ -117,21 +135,8 @@ def gather(
     lib, comm: CommObject, sendbuf, sendcount: int, sendtype: DatatypeObject,
     recvbuf, recvcount: int, recvtype: DatatypeObject, root: int,
 ) -> None:
-    sendtype.check_committed()
-    tag = _next_tag(lib, comm)
-    if comm.rank != root:
-        _send_raw(lib, comm, root, tag, sendtype.descriptor.pack(sendbuf, sendcount))
-        return
-    recvtype.check_committed()
-    raw = _as_bytes(recvbuf)
-    slot = recvcount * recvtype.descriptor.extent()
-    for i in range(comm.size):
-        if i == root:
-            payload = sendtype.descriptor.pack(sendbuf, sendcount)
-        else:
-            payload = _recv_raw(lib, comm, i, tag)
-        view = raw[i * slot : (i + 1) * slot]
-        recvtype.descriptor.unpack(payload, view, recvcount)
+    gatherv(lib, comm, sendbuf, sendcount, sendtype, recvbuf,
+            *_uniform(comm, recvcount, root), recvtype, root)
 
 
 def gatherv(
@@ -161,22 +166,8 @@ def scatter(
     lib, comm: CommObject, sendbuf, sendcount: int, sendtype: DatatypeObject,
     recvbuf, recvcount: int, recvtype: DatatypeObject, root: int,
 ) -> None:
-    recvtype.check_committed()
-    tag = _next_tag(lib, comm)
-    if comm.rank == root:
-        sendtype.check_committed()
-        raw = _as_bytes(sendbuf)
-        slot = sendcount * sendtype.descriptor.extent()
-        for i in range(comm.size):
-            view = raw[i * slot : (i + 1) * slot]
-            payload = sendtype.descriptor.pack(view, sendcount)
-            if i == root:
-                recvtype.descriptor.unpack(payload, recvbuf, recvcount)
-            else:
-                _send_raw(lib, comm, i, tag, payload)
-    else:
-        payload = _recv_raw(lib, comm, root, tag)
-        recvtype.descriptor.unpack(payload, recvbuf, recvcount)
+    scatterv(lib, comm, sendbuf, *_uniform(comm, sendcount, root), sendtype,
+             recvbuf, recvcount, recvtype, root)
 
 
 def scatterv(
@@ -233,37 +224,8 @@ def alltoall(
     lib, comm: CommObject, sendbuf, sendcount: int, sendtype: DatatypeObject,
     recvbuf, recvcount: int, recvtype: DatatypeObject,
 ) -> None:
-    """Pairwise-exchange alltoall: p-1 rounds of sendrecv."""
-    sendtype.check_committed()
-    recvtype.check_committed()
-    tag = _next_tag(lib, comm)
-    size, rank = comm.size, comm.rank
-    sraw = _as_bytes(sendbuf)
-    rraw = _as_bytes(recvbuf)
-    sslot = sendcount * sendtype.descriptor.extent()
-    rslot = recvcount * recvtype.descriptor.extent()
-
-    def send_to(i: int) -> None:
-        view = sraw[i * sslot : (i + 1) * sslot]
-        _send_raw(lib, comm, i, tag, sendtype.descriptor.pack(view, sendcount))
-
-    def recv_from(i: int) -> None:
-        payload = _recv_raw(lib, comm, i, tag)
-        view = rraw[i * rslot : (i + 1) * rslot]
-        recvtype.descriptor.unpack(payload, view, recvcount)
-
-    # Self copy first.
-    self_payload = sendtype.descriptor.pack(
-        sraw[rank * sslot : (rank + 1) * sslot], sendcount
-    )
-    recvtype.descriptor.unpack(
-        self_payload, rraw[rank * rslot : (rank + 1) * rslot], recvcount
-    )
-    for shift in range(1, size):
-        dst = (rank + shift) % size
-        src = (rank - shift) % size
-        send_to(dst)
-        recv_from(src)
+    alltoallv(lib, comm, sendbuf, *_uniform(comm, sendcount), sendtype,
+              recvbuf, *_uniform(comm, recvcount), recvtype)
 
 
 def alltoallv(

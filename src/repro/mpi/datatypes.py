@@ -287,7 +287,29 @@ class ContiguousType(TypeDescriptor):
         return f"ContiguousType({self.count}, {self.base!r})"
 
 
-class VectorType(TypeDescriptor):
+class _ReplicatedType(TypeDescriptor):
+    """Copies of one ``base`` type at the byte offsets a subclass's
+    ``_elem_offsets()`` returns (vector and indexed types)."""
+
+    base: TypeDescriptor
+
+    def lower_bound(self) -> int:
+        offs = self._elem_offsets()
+        if offs.size == 0:
+            return 0
+        return int(offs.min()) + self.base.lower_bound()
+
+    def upper_bound(self) -> int:
+        offs = self._elem_offsets()
+        if offs.size == 0:
+            return 0
+        return int(offs.max()) + self.base.upper_bound()
+
+    def blocks(self) -> np.ndarray:
+        return _offset_blocks(self.base, self._elem_offsets())
+
+
+class VectorType(_ReplicatedType):
     """``MPI_Type_vector``: ``count`` blocks of ``blocklength`` elements,
     block starts ``stride`` elements apart (stride in units of the base
     extent, as the standard specifies)."""
@@ -311,18 +333,6 @@ class VectorType(TypeDescriptor):
         within = np.arange(self.blocklength, dtype=np.int64) * ext
         return (block_starts[:, None] + within[None, :]).reshape(-1)
 
-    def lower_bound(self) -> int:
-        offs = self._elem_offsets()
-        if offs.size == 0:
-            return 0
-        return int(offs.min()) + self.base.lower_bound()
-
-    def upper_bound(self) -> int:
-        offs = self._elem_offsets()
-        if offs.size == 0:
-            return 0
-        return int(offs.max()) + self.base.upper_bound()
-
     def envelope(self) -> Envelope:
         return Envelope(C.COMBINER_VECTOR, 3, 0, 1)
 
@@ -330,9 +340,6 @@ class VectorType(TypeDescriptor):
         return Contents(
             (self.count, self.blocklength, self.stride), (), (self.base,)
         )
-
-    def blocks(self) -> np.ndarray:
-        return _offset_blocks(self.base, self._elem_offsets())
 
     def signature(self) -> Tuple:
         return (
@@ -350,7 +357,7 @@ class VectorType(TypeDescriptor):
         )
 
 
-class IndexedType(TypeDescriptor):
+class IndexedType(_ReplicatedType):
     """``MPI_Type_indexed``: displacements in units of the base extent."""
 
     def __init__(
@@ -380,18 +387,6 @@ class IndexedType(TypeDescriptor):
         )
         return runs * self.base.extent()
 
-    def lower_bound(self) -> int:
-        offs = self._elem_offsets()
-        if offs.size == 0:
-            return 0
-        return int(offs.min()) + self.base.lower_bound()
-
-    def upper_bound(self) -> int:
-        offs = self._elem_offsets()
-        if offs.size == 0:
-            return 0
-        return int(offs.max()) + self.base.upper_bound()
-
     def envelope(self) -> Envelope:
         n = len(self.blocklengths)
         return Envelope(C.COMBINER_INDEXED, 1 + 2 * n, 0, 1)
@@ -401,9 +396,6 @@ class IndexedType(TypeDescriptor):
         return Contents(
             (n,) + self.blocklengths + self.displacements, (), (self.base,)
         )
-
-    def blocks(self) -> np.ndarray:
-        return _offset_blocks(self.base, self._elem_offsets())
 
     def signature(self) -> Tuple:
         return (

@@ -407,6 +407,51 @@ class EntryPointsApp(MpiApplication):
         seen.append(MPI.wtime() >= t0)
 
 
+class UniformCollectivesApp(MpiApplication):
+    """Three ranks run gather, scatter and alltoall (root 1) of two
+    ``type_vector(2, 1, 3, DOUBLE)`` elements per rank: uniformly, or
+    (``v_form``) as gatherv, scatterv and alltoallv at uniform counts.
+    Every receive buffer starts filled with ``GAP``; ``seen`` holds the
+    three buffers and the virtual clock at the end."""
+
+    name = "uniform-collectives"
+    GAP = -7.0
+    K, ROOT = 2, 1
+
+    def __init__(self, v_form: bool):
+        self.v_form = v_form
+        self.seen = []
+
+    def run(self, ctx):
+        MPI = ctx.MPI
+        w, r, n, k, root = MPI.COMM_WORLD, ctx.rank, ctx.nranks, self.K, self.ROOT
+        vec = MPI.type_vector(2, 1, 3, MPI.DOUBLE)  # 2 of every 4 doubles
+        MPI.type_commit(vec)
+        counts, displs = [k] * n, [i * k for i in range(n)]
+        send = np.arange(4.0 * k * n) + 100 * r
+
+        recv = np.full(4 * k * n, self.GAP)
+        if self.v_form:
+            MPI.gatherv(send, k, vec, recv, counts, displs, vec, root, w)
+        else:
+            MPI.gather(send, k, vec, recv, k, vec, root, w)
+        self.seen.append(recv)
+        recv = np.full(4 * k, self.GAP)
+        if self.v_form:
+            MPI.scatterv(send, counts, displs, vec, recv, k, vec, root, w)
+        else:
+            MPI.scatter(send, k, vec, recv, k, vec, root, w)
+        self.seen.append(recv)
+        recv = np.full(4 * k * n, self.GAP)
+        if self.v_form:
+            MPI.alltoallv(send, counts, displs, vec,
+                          recv, counts, displs, vec, w)
+        else:
+            MPI.alltoall(send, k, vec, recv, k, vec, w)
+        self.seen.append(recv)
+        self.seen.append(MPI.wtime())
+
+
 class DrainedRestartApp(MpiApplication):
     """Rank 1 sends two messages before the loop; rank 0 receives them
     after it, one with ``irecv`` + ``test`` and one with a persistent

@@ -42,6 +42,9 @@ class TestFaultPlan:
         (dict(kind=CRASH, rank=0, site="loop"), "at >= 0"),
         (dict(kind="msg-drop", src=0), "needs dst"),
         (dict(kind="round-abort"), "needs generation"),
+        (dict(kind="msg-drop", src=0, dst=1, nth=0), "nth >= 1"),
+        (dict(kind="corrupt-chunk", rank=0, nth=0), "nth >= 1"),
+        (dict(kind="round-abort", generation=1, attempt=0), "attempt >= 1"),
     ])
     def test_spec_that_can_never_fire_is_refused(self, kwargs, match):
         with pytest.raises(ValueError, match=match):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.experiments import _case_label
 from repro.harness.report import render_bar_figure, render_table
 from repro.harness.runner import CaseCache, run_case, scaled_spec
 from repro.util.errors import IncompatibleHandleError, ReproError
@@ -66,15 +67,18 @@ class TestRunCase:
         assert r.status == "completed"
         assert r.runtime > 0
         assert r.total_cs == 0          # native
-        assert r.label == "native/mpich"
+        assert _case_label(r.impl, r.mana, r.vid_design) == "native/mpich"
 
     def test_mana_case_counts_crossings(self):
         r = run_case("lulesh", "mpich", True, scale=0.05, ranks_cap=4)
         assert r.total_cs > 0
-        assert r.label == "mana+vid/mpich"
-        assert run_case(
+        assert _case_label(r.impl, r.mana, r.vid_design) == "mana+vid/mpich"
+        legacy = run_case(
             "lulesh", "mpich", True, "legacy", scale=0.05, ranks_cap=4
-        ).label == "mana/mpich"
+        )
+        assert _case_label(
+            legacy.impl, legacy.mana, legacy.vid_design
+        ) == "mana/mpich"
 
     def test_overhead_vs(self):
         nat = run_case("lulesh", "mpich", False, scale=0.05, ranks_cap=4)

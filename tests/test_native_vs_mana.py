@@ -11,17 +11,28 @@ MPI); every value each rank sees must be equal.  Refused calls compare
 by exception and MPI error class, not message: keyvals are opaque, and
 native and MANA number them differently.
 
+``tests.miniapps.UniformCollectivesApp`` runs gather, scatter and
+alltoall of a gapped vector type and, in a second job, their v-forms at
+uniform counts, natively and under MANA on every implementation that
+has the v-forms: the receive buffers must be byte-equal, the holes
+untouched, and the virtual clocks equal.
+
 ``tests.miniapps.DrainedRestartApp`` receives two messages that a LOOP
 checkpoint drained, after a cold restart under the same or another
 implementation: ``irecv`` and a persistent ``start`` are served from
 MANA's drain buffer and must deliver what a native run delivers.
 """
 
+import numpy as np
 import pytest
 
 from repro import JobConfig, Launcher
 from tests.conftest import ALL_IMPLS
-from tests.miniapps import DrainedRestartApp, EntryPointsApp
+from tests.miniapps import (
+    DrainedRestartApp,
+    EntryPointsApp,
+    UniformCollectivesApp,
+)
 
 REFUSED = ["UnsupportedFunctionError", "MPI_ERR_UNSUPPORTED_OPERATION"]
 
@@ -54,6 +65,49 @@ def test_entry_points_agree(impl):
         assert REFUSED not in rank1
         assert rank1[2] == [2, 0, 1, 2, 0]
         assert rank1[4] == [0, 2, 16, [0.0, 0.0, 2.0, 0.0]]
+
+
+def _uniform_collectives(v_form, **config):
+    res = Launcher(JobConfig(nranks=3, **config)).run(
+        lambda r: UniformCollectivesApp(v_form), timeout=60
+    )
+    assert res.status == "completed", res.first_error()
+    return [app.seen for app in res.apps()]
+
+
+def _expected_uniform(rank, n=3):
+    """What ``UniformCollectivesApp`` must receive on ``rank``: every
+    rank sends ``arange + 100 * rank``; a vector element keeps doubles 0
+    and 3 of every 4, the holes keep ``GAP``."""
+    w = 4 * UniformCollectivesApp.K  # doubles per rank's block
+    j = np.arange(w, dtype=np.float64)
+    gap = np.isin(np.arange(w) % 4, (1, 2))
+    root = UniformCollectivesApp.ROOT
+
+    def block(values):
+        return np.where(gap, UniformCollectivesApp.GAP, values)
+
+    gather = (np.concatenate([block(100 * i + j) for i in range(n)])
+              if rank == root else np.full(n * w, UniformCollectivesApp.GAP))
+    scatter = block(100 * root + rank * w + j)
+    alltoall = np.concatenate([block(100 * i + rank * w + j)
+                               for i in range(n)])
+    return [gather, scatter, alltoall]
+
+
+# ExaMPI provides none of the v-forms.
+@pytest.mark.parametrize("impl", [i for i in ALL_IMPLS if i != "exampi"])
+@pytest.mark.parametrize("mana", [False, True])
+def test_uniform_collectives_match_their_v_forms(impl, mana):
+    """gather/scatter/alltoall of a gapped vector type receive the same
+    bytes as their v-forms at uniform counts, leave the holes alone, and
+    cost the same virtual time."""
+    uniform = _uniform_collectives(False, impl=impl, mana=mana)
+    v_form = _uniform_collectives(True, impl=impl, mana=mana)
+    for rank, (u, v) in enumerate(zip(uniform, v_form)):
+        for got, vgot, want in zip(u, v, _expected_uniform(rank)):
+            assert got.tobytes() == vgot.tobytes() == want.tobytes()
+        assert u[-1] == v[-1], f"rank {rank} virtual clocks differ"
 
 
 def _native_drained(early):

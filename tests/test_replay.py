@@ -104,6 +104,25 @@ class TestCreateDatatype:
             h = create_datatype(lib, desc)
             assert decode_datatype(lib, h) == desc
 
+    @pytest.mark.parametrize("impl", ["mpich", "openmpi", "craympi"])
+    def test_frees_every_temporary(self, impl):
+        """One constructor call per derived node, one type_free per
+        derived child: a struct of (DOUBLE, vector of a vector)."""
+        D = dt.NamedType("MPI_DOUBLE", "f8")
+        desc = dt.StructType(
+            [1, 1], [0, 64], [D, dt.VectorType(2, 1, 3, dt.VectorType(2, 1, 2, D))]
+        )
+        _, lib_for = make_world(1, impl)
+        lib = lib_for(0)
+        before = dict(lib.call_counts)
+        h = create_datatype(lib, desc)
+        delta = {name: n - before.get(name, 0)
+                 for name, n in lib.call_counts.items()
+                 if n != before.get(name, 0)}
+        assert delta == {"type_create_struct": 1, "type_vector": 2,
+                         "type_free": 2}
+        assert decode_datatype(lib, h) == desc
+
     def test_named_returns_constant(self, impl_name):
         _, lib_for = make_world(1, impl_name)
         lib = lib_for(0)

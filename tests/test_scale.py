@@ -11,7 +11,8 @@ import pytest
 
 from repro import JobConfig, Launcher
 from repro.apps import CoMDProxy, LammpsLJProxy
-from repro.mana.constants import all_constant_names, constant_kind
+from repro.mpi import constants as C
+from repro.mpi.api import constant_kind
 
 
 def test_comd_27_ranks_native_and_mana():
@@ -53,6 +54,6 @@ def test_lammps_56_ranks_checkpoint_relaunch():
 
 
 def test_constant_kind_covers_all_names():
-    for name in all_constant_names():
+    for name in C.ALL_CONSTANT_NAMES:
         assert constant_kind(name) is not None
     assert constant_kind("MPI_BOGUS") is None
