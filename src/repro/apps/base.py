@@ -25,7 +25,7 @@ Given crossings-per-block ``c`` (from the skeleton), block compute
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 import numpy as np

@@ -36,7 +36,6 @@ import numpy as np
 from repro.mana.records import RequestRecord
 from repro.mpi import constants as C
 from repro.mpi.api import HandleKind
-from repro.mpi.objects import Status
 from repro.util.errors import CheckpointError
 
 

@@ -110,14 +110,19 @@ class DatatypeRecord:
 
 @dataclass
 class OpRecord:
-    """A reduction op: a predefined name, or a registered user function."""
+    """A user reduction op (MPI_Op_create): a registered user function.
+
+    Predefined ops are :class:`ConstantRecord` entries.
+    ``predefined_name`` is never set; it stays because images pickle
+    every field of the record.
+    """
 
     predefined_name: Optional[str] = None
     registry_name: Optional[str] = None
     commute: bool = True
 
     def __post_init__(self):
-        if self.predefined_name is None and self.registry_name is None:
+        if self.registry_name is None:
             raise ValueError(
                 "user MPI_Op functions must be registered with "
                 "repro.util.registry.user_op before use, or they cannot "

@@ -9,16 +9,21 @@ the object constructors being replayed:
 * constants: re-resolved by name (``lib.constant``) — this is where the
   §4.3 constants-as-functions machinery pays off: the new lower half may
   return completely different values (Open MPI pointers, lazy ExaMPI
-  pointers) and nothing upstream notices;
+  pointers) and nothing upstream notices.  Only the names this rank
+  bound are asked for, so a lazy ExaMPI lower half creates no constant
+  the application never touched;
 * groups: ``MPI_Comm_group`` (of world) + ``MPI_Group_incl``;
 * communicators: one ``MPI_Comm_split`` of MPI_COMM_WORLD per *global*
   communicator, in an order all ranks agree on — the (ggid, dup_seq)
   keys are exchanged with MANA's own Send/Recv/Iprobe traffic and
   sorted, which is why the ggid exists (§4.2);
 * datatypes: rebuilt from the descriptor tree that was decoded at commit
-  time with ``MPI_Type_get_envelope``/``MPI_Type_get_contents``;
-* ops: ``MPI_Op_create`` with the registered user function (or the
-  predefined constant);
+  time with ``MPI_Type_get_envelope``/``MPI_Type_get_contents``; a named
+  leaf is recognised by the caller's lookup (MANA's: the constant the
+  rank bound to that handle), never by asking the library for every
+  predefined name;
+* ops: ``MPI_Op_create`` with the registered user function (predefined
+  ops are constants);
 * pending receives: re-posted with ``MPI_Irecv``.
 """
 
@@ -26,13 +31,12 @@ from __future__ import annotations
 
 import pickle
 from types import MappingProxyType
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from repro.mana.records import (
     CommRecord,
-    ConstantRecord,
     DatatypeRecord,
     GroupRecord,
     OpRecord,
@@ -52,30 +56,26 @@ _REPLAY_TAG = C.ROOT_TAG_BASE + 0x52
 # datatype decode / rebuild
 # ----------------------------------------------------------------------
 
-def decode_datatype(lib: BaseMpiLib, phys: int) -> dt.TypeDescriptor:
+def decode_datatype(
+    lib: BaseMpiLib, phys: int, named: Callable[[int], dt.TypeDescriptor]
+) -> dt.TypeDescriptor:
     """Decode a lower-half datatype into an implementation-neutral tree
     using only get_envelope/get_contents (paper §5 category 2).
 
-    Named types are recognized by comparing the handle against the
-    implementation's predefined constants — the only portable way, and
-    robust to ExaMPI's aliasing (the first matching name wins, and
-    aliases share both handle and layout).
+    A named handle (the tree's leaves) is handed to ``named``, which
+    returns its descriptor.  MANA's lookup maps the handle to the
+    constant this rank bound to it (``ManaRank._named_datatype``):
+    asking the library for every predefined name instead would create,
+    on ExaMPI, each lazy constant the application never touched, and
+    would name an aliased handle by whichever alias came first.
     """
     env = lib.type_get_envelope(phys)
     if env.combiner == C.COMBINER_NAMED:
-        for name in C.PREDEFINED_DATATYPES:
-            try:
-                if lib.constant(name) == phys:
-                    return dt.NamedType(name, C.PREDEFINED_DATATYPES[name])
-            except Exception:
-                continue
-        raise RestartError(
-            f"named datatype {phys:#x} matches no predefined constant"
-        )
+        return named(phys)
     integers, addresses, inner = lib.type_get_contents(phys)
     bases = []
     for inner_phys in inner:
-        base = decode_datatype(lib, inner_phys)
+        base = decode_datatype(lib, inner_phys, named)
         bases.append(base)
         # get_contents hands back fresh handles for derived inner types;
         # the caller must free them (the standard's contract).
@@ -246,11 +246,8 @@ def replay_all(mana) -> Dict[str, int]:
         rec = entry.record
         if not isinstance(rec, OpRecord):
             raise RestartError(f"op vid {entry.vid:#x} has no OpRecord")
-        if rec.predefined_name is not None:
-            phys = lib.constant(rec.predefined_name)
-        else:
-            fn = USER_OPS.lookup(rec.registry_name)
-            phys = lib.op_create(fn, rec.commute)
+        fn = USER_OPS.lookup(rec.registry_name)
+        phys = lib.op_create(fn, rec.commute)
         vids.set_phys(vids.embed(entry.vid), phys)
         counts[HandleKind.OP] += 1
 

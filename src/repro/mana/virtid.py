@@ -41,16 +41,11 @@ and the next translation reads the new physical id.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.mana.records import (
-    CommRecord,
-    ConstantRecord,
-    GroupRecord,
-    RequestRecord,
-)
+from repro.mana.records import CommRecord, GroupRecord, RequestRecord
 from repro.mpi.api import HandleKind
 from repro.mpi.group import ggid_of
 from repro.util.bits import BitField

@@ -80,11 +80,11 @@ from repro.mpi.api import (
     Sig,
     constant_kind,
 )
-from repro.mpi.datatypes import TypeDescriptor
+from repro.mpi.datatypes import NamedType, TypeDescriptor
 from repro.mpi.objects import CartInfo, Status
 from repro.simtime.clock import VirtualClock
 from repro.simtime.cost import CostModel
-from repro.util.errors import InvalidHandleError, MpiError
+from repro.util.errors import InvalidHandleError, MpiError, RestartError
 from repro.util.registry import USER_OPS
 
 _MAX_POLL_CHARGES = 100_000  # cap on analytically charged polls per wait
@@ -293,19 +293,29 @@ class ManaRank:
         the lower half on first need)."""
         rec = dt_entry.record
         if isinstance(rec, ConstantRecord):
-            from repro.mpi.datatypes import NamedType
-
-            name = C.EXAMPI_ALIASES.get(rec.name, rec.name)
-            return NamedType(rec.name, C.PREDEFINED_DATATYPES[name])
+            return NamedType(rec.name, C.PREDEFINED_DATATYPES[rec.name])
         if isinstance(rec, DatatypeRecord):
             if rec.descriptor is None:
-                rec.descriptor = replay_mod.decode_datatype(
-                    self.lower, dt_entry.phys
-                )
+                rec.descriptor = self._decode(dt_entry.phys)
             return rec.descriptor
         raise InvalidHandleError(
             f"vid {dt_entry.vid:#x} is not a datatype"
         )
+
+    def _decode(self, phys: int) -> TypeDescriptor:
+        return replay_mod.decode_datatype(self.lower, phys, self._named)
+
+    def _named(self, phys: int) -> TypeDescriptor:
+        """A named handle's descriptor: the constant this rank bound to
+        it (§4.3), found in the vid table.  The lower half is never
+        asked for a name the application did not touch."""
+        vh = self.vids.vid_of_phys(HandleKind.DATATYPE, phys)
+        entry = None if vh is None else self._dtype(vh)
+        if entry is None or not isinstance(entry.record, ConstantRecord):
+            raise RestartError(
+                f"named datatype {phys:#x} matches no bound constant"
+            )
+        return self.descriptor_of(entry)
 
     def ensure_datatypes_decoded(self) -> None:
         for entry in self.vids.entries(HandleKind.DATATYPE):
@@ -927,7 +937,7 @@ class ManaRank:
         if isinstance(rec, DatatypeRecord):
             # Decode now, through get_envelope/get_contents (§5 cat. 2):
             # the record must be reconstructible in any implementation.
-            rec.descriptor = replay_mod.decode_datatype(self.lower, entry.phys)
+            rec.descriptor = self._decode(entry.phys)
             rec.committed = True
 
     def type_get_contents(self, dtype_v: int):
@@ -948,17 +958,9 @@ class ManaRank:
         vh = self.vids.vid_of_phys(HandleKind.DATATYPE, phys)
         if vh is not None:
             return vh
-        # A predefined type the app never touched?  Bind its constant.
-        for name in C.PREDEFINED_DATATYPES:
-            try:
-                if self.lower.constant(name) == phys:
-                    return self._constant_handle(name)
-            except MpiError:
-                continue
         # A brand-new derived handle created by get_contents itself.
         vh = self._attach_datatype(phys)
-        entry = self._dtype(vh)
-        entry.record.descriptor = replay_mod.decode_datatype(self.lower, phys)
+        self._dtype(vh).record.descriptor = self._decode(phys)
         return vh
 
     # ------------------------------------------------------------------

@@ -43,12 +43,7 @@ from repro.mpi.objects import (
 )
 from repro.simtime.clock import VirtualClock
 from repro.simtime.cost import CostModel
-from repro.util.errors import (
-    InvalidHandleError,
-    MpiAbort,
-    MpiError,
-    UnsupportedFunctionError,
-)
+from repro.util.errors import MpiAbort, MpiError, UnsupportedFunctionError
 from repro.util.rng import DeterministicRng, _stable_hash
 
 

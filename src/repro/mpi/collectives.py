@@ -32,7 +32,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mpi import constants as C
 from repro.mpi.datatypes import NamedType, ContiguousType, TypeDescriptor, _as_bytes
 from repro.mpi.objects import CommObject, DatatypeObject, OpObject
 from repro.util.errors import MpiError

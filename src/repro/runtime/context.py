@@ -8,7 +8,7 @@ loops (the cold-restart program counter).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.simtime.clock import VirtualClock
 from repro.simtime.cost import CostModel

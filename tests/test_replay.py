@@ -12,14 +12,23 @@ import pytest
 from repro.mana.replay import allgather_blob, create_datatype, decode_datatype
 from repro.mpi import datatypes as dt
 from repro.mpi.api import HandleKind
+from repro.mpi import constants as C
 from tests.conftest import ALL_IMPLS, make_world, run_ranks
+
+
+def named(lib):
+    """A bare library's named-handle lookup over the few names these
+    tests use (under MANA, the vid table's bound constants)."""
+    table = {lib.constant(n): dt.NamedType(n, C.PREDEFINED_DATATYPES[n])
+             for n in ("MPI_BYTE", "MPI_INT", "MPI_INT8_T", "MPI_DOUBLE")}
+    return table.__getitem__
 
 
 class TestDecodeDatatype:
     def test_named(self, impl_name):
         _, lib_for = make_world(1, impl_name)
         lib = lib_for(0)
-        desc = decode_datatype(lib, lib.constant("MPI_DOUBLE"))
+        desc = decode_datatype(lib, lib.constant("MPI_DOUBLE"), named(lib))
         assert isinstance(desc, dt.NamedType)
         assert desc.np_dtype == np.dtype("f8")
 
@@ -27,7 +36,7 @@ class TestDecodeDatatype:
         _, lib_for = make_world(1, impl_name)
         lib = lib_for(0)
         h = lib.type_vector(3, 2, 5, lib.constant("MPI_INT"))
-        desc = decode_datatype(lib, h)
+        desc = decode_datatype(lib, h, named(lib))
         assert desc == dt.VectorType(
             3, 2, 5, dt.NamedType("MPI_INT", "i4")
         )
@@ -37,7 +46,7 @@ class TestDecodeDatatype:
         lib = lib_for(0)
         inner = lib.type_vector(2, 1, 3, lib.constant("MPI_DOUBLE"))
         outer = lib.type_contiguous(4, inner)
-        desc = decode_datatype(lib, outer)
+        desc = decode_datatype(lib, outer, named(lib))
         expect = dt.ContiguousType(
             4, dt.VectorType(2, 1, 3, dt.NamedType("MPI_DOUBLE", "f8"))
         )
@@ -50,7 +59,7 @@ class TestDecodeDatatype:
             [1, 2], [0, 8],
             [lib.constant("MPI_DOUBLE"), lib.constant("MPI_INT")],
         )
-        desc = decode_datatype(lib, h)
+        desc = decode_datatype(lib, h, named(lib))
         assert isinstance(desc, dt.StructType)
         assert desc.byte_displacements == (0, 8)
 
@@ -62,15 +71,15 @@ class TestDecodeDatatype:
         outer = lib.type_contiguous(4, inner)
         if impl_name in ("mpich", "craympi"):
             before = len(lib.handles._pages[HandleKind.DATATYPE].get(1, []) or [])
-        decode_datatype(lib, outer)
+        decode_datatype(lib, outer, named(lib))
         # decoding twice must not error (stale/dangling handles would)
-        decode_datatype(lib, outer)
+        decode_datatype(lib, outer, named(lib))
 
     def test_exampi_aliased_type_decodes(self):
         _, lib_for = make_world(1, "exampi")
         lib = lib_for(0)
         h = lib.constant("MPI_INT8_T")  # aliases MPI_CHAR
-        desc = decode_datatype(lib, h)
+        desc = decode_datatype(lib, h, named(lib))
         assert desc.is_named()
         assert desc.np_dtype.itemsize == 1
 
@@ -94,7 +103,7 @@ class TestCreateDatatype:
         _, lib_for = make_world(1, impl_name)
         lib = lib_for(0)
         h = create_datatype(lib, desc)
-        assert decode_datatype(lib, h) == desc
+        assert decode_datatype(lib, h, named(lib)) == desc
 
     def test_indexed_on_full_impls(self):
         desc = dt.IndexedType([1, 2], [0, 4], dt.NamedType("MPI_INT", "i4"))
@@ -102,7 +111,7 @@ class TestCreateDatatype:
             _, lib_for = make_world(1, impl)
             lib = lib_for(0)
             h = create_datatype(lib, desc)
-            assert decode_datatype(lib, h) == desc
+            assert decode_datatype(lib, h, named(lib)) == desc
 
     @pytest.mark.parametrize("impl", ["mpich", "openmpi", "craympi"])
     def test_frees_every_temporary(self, impl):
@@ -121,7 +130,7 @@ class TestCreateDatatype:
                  if n != before.get(name, 0)}
         assert delta == {"type_create_struct": 1, "type_vector": 2,
                          "type_free": 2}
-        assert decode_datatype(lib, h) == desc
+        assert decode_datatype(lib, h, named(lib)) == desc
 
     def test_named_returns_constant(self, impl_name):
         _, lib_for = make_world(1, impl_name)
